@@ -7,7 +7,7 @@ toppling dynamics on finite tori and dissipative boxes with exact mass
 bookkeeping and stabilizability experiments.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .chain import (
     AdditionEvent,

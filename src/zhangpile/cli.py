@@ -32,6 +32,9 @@ from .runio import ExperimentSpec, RunRecord, fmt_real, make_spec, write_jsonl
 
 CONSERVATION_TOL = 1e-9
 
+MAX_EVENTS_HELP = ("cap on topplings per replica (the rejection-free clock draws "
+                   "only topplings, never rings at stable sites)")
+
 
 class ConservationError(RuntimeError):
     pass
@@ -172,7 +175,9 @@ def _check_conservation(rows, boundary) -> None:
     if boundary != TORUS:
         return
     for r in rows:
-        if r["mass_residual"] > CONSERVATION_TOL or r["mass_drift"] > CONSERVATION_TOL:
+        # written as not (x <= tol) so that a NaN residual or drift trips the gate
+        if not (r["mass_residual"] <= CONSERVATION_TOL
+                and r["mass_drift"] <= CONSERVATION_TOL):
             raise ConservationError(
                 f"torus conservation violated: residual={r['mass_residual']:.3e}, "
                 f"drift={r['mass_drift']:.3e} (replica {r['replica']})")
@@ -320,7 +325,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--replicas", type=int, default=1)
     sp.add_argument("--snap-every", type=float, default=1.0)
     sp.add_argument("--min-m-threshold", type=int, default=10)
-    sp.add_argument("--max-events", type=int, default=None)
+    sp.add_argument("--max-events", type=int, default=None, help=MAX_EVENTS_HELP)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--save-final", default=None,
                     help="write replica-0 final heights (JSON header + values)")
@@ -337,7 +342,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--replicas", type=int, default=1)
     sp.add_argument("--snap-every", type=float, default=1.0)
     sp.add_argument("--min-m-threshold", type=int, default=10)
-    sp.add_argument("--max-events", type=int, default=None)
+    sp.add_argument("--max-events", type=int, default=None, help=MAX_EVENTS_HELP)
     sp.add_argument("--workers", type=int, default=1)
     common(sp)
     sp.set_defaults(func=cmd_sweep)

@@ -6,11 +6,15 @@ boundary, mass leaks when edge sites topple).  Toppling sends 1/(2d) of the
 site's height to each existing neighbour.
 
 Dynamics: every site carries an independent rate-1 Poisson clock; at a ring
-the site topples if unstable, else nothing happens.  The engine simulates
-the superposition directly: the next ring arrives after an Exp(#sites) wait
-at a uniformly chosen site, and an exact set of unstable sites detects
-stabilization without scanning.  A finite run can only collect evidence
-about stabilizability: ``active-at-cutoff`` is evidence, never proof.
+the site topples if unstable, else nothing happens.  A ring at a stable site
+changes nothing, so by Poisson thinning the engine draws only the effective
+events (the n-fold way of Bortz, Kalos and Lebowitz, J. Comput. Phys. 17,
+1975; Gillespie's direct method, 1977): with U the current unstable set, the
+next toppling comes after an Exp(|U|) wait at a uniformly chosen site of U.
+U is kept exactly as an indexable list with swap-remove, so stabilization is
+detected without scanning.  ``events`` and ``max_events`` count topplings.
+A finite run can only collect evidence about stabilizability:
+``active-at-cutoff`` is evidence, never proof.
 
 Per-site toppling counts M and emitted mass L feed the exact bookkeeping
 identity  eta(t) = eta(0) - L + (1/2d) * sum of neighbour L,  checked both
@@ -83,8 +87,8 @@ class LatticeConfig:
 
 
 @lru_cache(maxsize=32)
-def _neighbor_table(shape: tuple, boundary: str):
-    """Flat neighbour ids per site plus the count of missing (off-box) ones."""
+def _neighbor_arrays(shape: tuple, boundary: str):
+    """Flat neighbour ids, shape (n, 2d), and the mask of those inside the lattice."""
     idx = np.arange(int(np.prod(shape))).reshape(shape)
     d = len(shape)
     cols = []
@@ -102,6 +106,15 @@ def _neighbor_table(shape: tuple, boundary: str):
                 valid.append(keep.ravel())
     cols = np.stack(cols, axis=1)
     valid = np.stack(valid, axis=1)
+    cols.flags.writeable = False
+    valid.flags.writeable = False
+    return cols, valid
+
+
+@lru_cache(maxsize=32)
+def _neighbor_table(shape: tuple, boundary: str):
+    """Flat neighbour ids per site plus the count of missing (off-box) ones."""
+    cols, valid = _neighbor_arrays(shape, boundary)
     neighbors = tuple(tuple(int(c) for c, ok in zip(row, vrow) if ok)
                       for row, vrow in zip(cols, valid))
     missing = tuple(int((~vrow).sum()) for vrow in valid)
@@ -210,11 +223,15 @@ class StabilizabilityVerdict:
 
 
 class MarkovToppling:
-    """Resumable Poisson-clock toppling run on one lattice configuration."""
+    """Resumable rejection-free toppling run on one lattice configuration.
+
+    ``unstable`` lists the sites with height >= 1 in no particular order;
+    ``_where[i]`` is the position of site ``i`` in that list, -1 if stable.
+    """
 
     def __init__(self, config: LatticeConfig, seed: int | None = None,
                  rng: np.random.Generator | None = None,
-                 min_m_threshold: int = 10, record_ring_site=None):
+                 min_m_threshold: int = 10):
         self.boundary = config.boundary
         self.shape = config.sides
         self.d = config.dim
@@ -226,18 +243,17 @@ class MarkovToppling:
         self._missing = list(missing)
         self.ledger = MassLedger(self.shape)
         self.rng = rng if rng is not None else np.random.default_rng(seed)
-        self.unstable = {i for i, v in enumerate(self.h) if v >= 1.0}
+        self.unstable = [i for i, v in enumerate(self.h) if v >= 1.0]
+        self._where = [-1] * self.n
+        for k, i in enumerate(self.unstable):
+            self._where[i] = k
         self.t = 0.0
         self.events = 0
         self.t_stab: float | None = 0.0 if not self.unstable else None
         self.min_m_threshold = min_m_threshold
         self.snapshots: list[Snapshot] = []
-        if record_ring_site is not None and not isinstance(record_ring_site, (int, np.integer)):
-            record_ring_site = int(np.ravel_multi_index(tuple(record_ring_site), self.shape))
-        self._ring_site = record_ring_site
-        self.ring_times: list[float] = []
         self._wait_buf: list = []
-        self._site_buf: list = []
+        self._pick_buf: list = []
         self._bufpos = _CHUNK
 
     def _snapshot(self, t: float) -> None:
@@ -249,13 +265,14 @@ class MarkovToppling:
 
     def run(self, t_max: float = math.inf, max_events: int | None = None,
             snapshot_every: float | None = None) -> None:
-        """Advance until stabilized, ``t_max``, or ``max_events`` further rings."""
+        """Advance until stabilized, ``t_max``, or ``max_events`` further topplings."""
         if not self.unstable:
             return
         h = self.h
         nbrs = self._nbrs
         missing = self._missing
         unstable = self.unstable
+        where = self._where
         led = self.ledger
         m = led._m
         lv = led._lv
@@ -263,28 +280,29 @@ class MarkovToppling:
         diss = led._diss
         diss_c = led._diss_c
         twod = 2 * self.d
-        n = self.n
         rng = self.rng
-        scale = 1.0 / n
         box = self.boundary == BOX
         t = self.t
-        ring_site = self._ring_site
-        events_left = math.inf if max_events is None else max_events
+        events = self.events
+        events_stop = math.inf if max_events is None else events + max_events
         next_snap = None
         if snapshot_every is not None:
             next_snap = (math.floor(t / snapshot_every) + 1) * snapshot_every
-        waits, sites, pos = self._wait_buf, self._site_buf, self._bufpos
-        while events_left > 0:
-            if pos >= len(waits):
-                waits = rng.exponential(scale, _CHUNK).tolist()
-                sites = rng.integers(0, n, _CHUNK).tolist()
+        chunk = _CHUNK
+        waits, picks, pos = self._wait_buf, self._pick_buf, self._bufpos
+        while events < events_stop:
+            if pos >= chunk:
+                waits = rng.standard_exponential(chunk).tolist()
+                picks = rng.random(chunk).tolist()
                 pos = 0
-            te = t + waits[pos]
+            k = len(unstable)
+            te = t + waits[pos] / k
             while next_snap is not None and next_snap < te:
                 if next_snap > t_max:
                     next_snap = None
                     break
                 self.t = t
+                led._diss = diss
                 self._snapshot(next_snap)
                 next_snap += snapshot_every
             if te > t_max:
@@ -293,16 +311,19 @@ class MarkovToppling:
                 pos += 1
                 t = t_max
                 break
-            s = sites[pos]
+            # u < 1 keeps int(u * k) < k for every k < 2**52
+            s = unstable[int(picks[pos] * k)]
             pos += 1
             t = te
-            self.events += 1
-            events_left -= 1
-            if ring_site is not None and s == ring_site:
-                self.ring_times.append(t)
+            events += 1
+            # swap-remove s from the unstable list
+            last = unstable.pop()
+            if last != s:
+                i = where[s]
+                unstable[i] = last
+                where[last] = i
+            where[s] = -1
             hx = h[s]
-            if hx < 1.0:
-                continue
             h[s] = 0.0
             m[s] += 1
             # compensated: L[s] += hx
@@ -314,9 +335,9 @@ class MarkovToppling:
             for nb in nbrs[s]:
                 v = h[nb] + share
                 h[nb] = v
-                if v >= 1.0:
-                    unstable.add(nb)
-            unstable.discard(s)
+                if v >= 1.0 and where[nb] < 0:
+                    where[nb] = len(unstable)
+                    unstable.append(nb)
             if box and missing[s]:
                 y = share * missing[s] - diss_c
                 tt = diss + y
@@ -325,10 +346,11 @@ class MarkovToppling:
             if not unstable:
                 self.t_stab = t
                 break
-        self._wait_buf, self._site_buf, self._bufpos = waits, sites, pos
+        self._wait_buf, self._pick_buf, self._bufpos = waits, picks, pos
         self.t = t
+        self.events = events
         led.t = t
-        led.events = self.events
+        led.events = events
         led._diss = diss
         led._diss_c = diss_c
 
@@ -354,8 +376,8 @@ def markov_run(config: LatticeConfig, t_max: float, seed: int | None = None,
                max_events: int | None = None, min_m_threshold: int = 10
                ) -> tuple[StabilizabilityVerdict, LatticeConfig, MassLedger]:
     """One-shot Markov toppling run; returns (verdict, final config, ledger)."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not t_max > 0:                   # also rejects NaN
+        raise ValueError(f"t_max must be positive, got {t_max!r}")
     eng = MarkovToppling(config, seed=seed, rng=rng, min_m_threshold=min_m_threshold)
     eng.run(t_max=t_max, max_events=max_events, snapshot_every=snapshot_every)
     return eng.verdict(), eng.config(), eng.ledger
@@ -430,23 +452,16 @@ def delta_matrix(shape, boundary: str = TORUS) -> sp.csr_matrix:
     """Toppling matrix: -1 on the diagonal, 1/(2d) for each neighbour bond."""
     shape = tuple(int(s) for s in shape)
     boundary = parse_boundary(boundary)
-    neighbors, _ = _neighbor_table(shape, boundary)
-    n = int(np.prod(shape))
-    d = len(shape)
-    rows = []
-    cols = []
-    vals = []
-    w = 1.0 / (2 * d)
-    for x, nbs in enumerate(neighbors):
-        rows.append(x)
-        cols.append(x)
-        vals.append(-1.0)
-        for y in nbs:
-            rows.append(y)
-            cols.append(x)
-            vals.append(w)
-    # entry (y, x): toppling x credits y; duplicate (row, col) pairs sum
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    cols, valid = _neighbor_arrays(shape, boundary)
+    n = cols.shape[0]
+    # entry (y, x): toppling x credits each neighbour y; duplicate (row, col)
+    # pairs (both neighbours along a side-2 torus axis) sum
+    xs, slot = np.nonzero(valid)
+    diag = np.arange(n)
+    rows = np.concatenate([diag, cols[xs, slot]])
+    colidx = np.concatenate([diag, xs])
+    vals = np.concatenate([np.full(n, -1.0), np.full(xs.size, 1.0 / (2 * len(shape)))])
+    return sp.csr_matrix((vals, (rows, colidx)), shape=(n, n))
 
 
 def mass_identity_check(initial: LatticeConfig, current: LatticeConfig,
@@ -578,8 +593,8 @@ class DensitySpec:
             self.kind = _KIND_ALIASES[str(self.kind).lower()]
         except KeyError:
             raise ValueError(f"unknown generator kind: {self.kind!r}") from None
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not (math.isfinite(self.rho) and self.rho >= 0):
+            raise ValueError(f"rho must be finite and nonnegative, got {self.rho!r}")
 
     def describe(self, d: int | None = None) -> dict:
         out = {"kind": self.kind, "rho": self.rho}

@@ -1,9 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zhangpile
 import zhangpile.cli as cli
+import zhangpile.lattice as lattice
 from zhangpile.cli import main
 from zhangpile.runio import ExperimentSpec, make_spec, parse_echo
 
@@ -259,6 +266,40 @@ def test_conservation_gate_exits_2(tmp_path, monkeypatch):
                "--rho", "1.1", "--tmax", "2", "--seed", "37",
                "--out", str(tmp_path / "v.csv")])
     assert rc == 2
+
+
+def test_conservation_gate_trips_on_nan(tmp_path, monkeypatch):
+    ok = {"mass_residual": 0.0, "mass_drift": 0.0, "replica": 0}
+    cli._check_conservation([ok], cli.TORUS)
+    for key in ("mass_residual", "mass_drift"):
+        with pytest.raises(cli.ConservationError):
+            cli._check_conservation([ok, dict(ok, replica=1, **{key: math.nan})],
+                                    cli.TORUS)
+    # end to end: a NaN residual from the identity check exits 2
+    monkeypatch.setattr(lattice, "mass_identity_check", lambda *a: math.nan)
+    rc = main(["infinite", "--d", "1", "--side", "16", "--gen", "constant",
+               "--rho", "1.1", "--tmax", "2", "--seed", "37",
+               "--out", str(tmp_path / "v.csv")])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["infinite", "--gen", "constant", "--rho", "1.1", "--tmax", "nan"],
+    ["infinite", "--gen", "iid", "--rho", "nan"],
+    ["infinite", "--gen", "iid", "--rho", "inf"],
+    ["sweep", "--gen", "iid", "--rho", "0.3,nan"],
+])
+def test_nonfinite_lattice_inputs_exit_1(tmp_path, argv):
+    # before the input checks, --tmax nan never ended the run and a NaN rho
+    # wrote a "stabilized" verdict; a bounded subprocess catches the hang
+    src = str(Path(zhangpile.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cmd = [sys.executable, "-m", "zhangpile.cli", *argv, "--d", "1", "--side", "16",
+           "--out", str(tmp_path / "v.csv")]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "error" in proc.stderr
 
 
 def test_spec_echo_roundtrips_to_equal_spec(tmp_path):

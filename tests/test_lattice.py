@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from zhangpile.lattice import (
@@ -11,6 +14,7 @@ from zhangpile.lattice import (
     LatticeConfig,
     MarkovToppling,
     MassLedger,
+    _neighbor_table,
     bond_bound_check,
     count_internal_bonds,
     delta_matrix,
@@ -124,6 +128,12 @@ def test_stable_start_is_stabilized_at_zero():
 def test_markov_run_rejects_bad_tmax():
     with pytest.raises(ValueError):
         markov_run(_line([0.5, 0.5]), t_max=0.0, seed=0)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            markov_run(_line([0.5, 1.5]), t_max=bad, seed=0)
+    # an infinite horizon stays legal: the run ends when the lattice stabilizes
+    verdict, _, _ = markov_run(_line([0.5, 1.5]), t_max=math.inf, seed=0)
+    assert verdict.outcome == "stabilized"
 
 
 def test_single_unstable_site_stabilizes():
@@ -172,6 +182,13 @@ def test_snapshots_schedule():
     assert all(0 <= s.frac_unstable <= 1 for s in verdict.snapshots)
 
 
+def test_box_snapshots_track_dissipation():
+    cfg = generate(DensitySpec("near-full", 0.9), (8, 8), BOX, seed=5)
+    verdict, _, ledger = markov_run(cfg, t_max=10.0, seed=6, snapshot_every=1.0)
+    diss = [s.dissipated for s in verdict.snapshots]
+    assert diss == sorted(diss) and 0.0 < diss[-1] <= ledger.dissipated
+
+
 def test_resumable_engine_and_event_budget():
     cfg = generate(DensitySpec("constant", 1.1), (32,), TORUS, seed=11)
     eng = MarkovToppling(cfg, seed=13)
@@ -182,15 +199,111 @@ def test_resumable_engine_and_event_budget():
     assert eng.events == 1000 and eng.t > t_mid
 
 
-def test_ring_times_are_rate_one_exponential():
-    # thinning the global schedule to one site recovers its own Poisson clock
-    cfg = generate(DensitySpec("constant", 1.1), (32,), TORUS, seed=17)
-    eng = MarkovToppling(cfg, seed=19, record_ring_site=0)
-    eng.run(max_events=150_000)
-    gaps = np.diff(np.array(eng.ring_times))
-    assert len(gaps) > 3000
-    p = sstats.kstest(gaps, "expon").pvalue
-    assert p > 0.01, f"KS p={p}"
+def _ring_loop_reference(config, rng, t_max):
+    """The rate-n ring loop the rejection-free clock replaces.
+
+    Every site rings at rate 1: the next ring comes after an Exp(n) wait at a
+    uniform site, and a ring at a stable site does nothing.  Returns
+    (t_stab or None at the cutoff, topplings).
+    """
+    h = config.heights.ravel().tolist()
+    n = len(h)
+    nbrs, _ = _neighbor_table(config.sides, config.boundary)
+    twod = 2 * config.dim
+    unstable = {i for i, v in enumerate(h) if v >= 1.0}
+    t = 0.0
+    topplings = 0
+    while unstable:
+        for w, s in zip(rng.exponential(1.0 / n, 4096).tolist(),
+                        rng.integers(0, n, 4096).tolist()):
+            t += w
+            if t > t_max:
+                return None, topplings
+            hx = h[s]
+            if hx < 1.0:
+                continue
+            h[s] = 0.0
+            topplings += 1
+            for nb in nbrs[s]:
+                h[nb] += hx / twod
+                if h[nb] >= 1.0:
+                    unstable.add(nb)
+            unstable.discard(s)
+            if not unstable:
+                return t, topplings
+    return 0.0, 0
+
+
+def test_rejection_free_clock_matches_ring_loop():
+    # Poisson thinning: drawing only the topplings (Exp(|U|) waits at uniform
+    # unstable sites) gives the same process as ringing every site at rate 1.
+    # Same 200 initial boxes for both engines, independent clock streams; the
+    # cutoff sits near the median t_stab so the stabilized fraction is informative.
+    t_max = 16.0
+    ref, new = [], []
+    for i in range(200):
+        cfg = generate(DensitySpec("iid", 0.6), (12, 12), BOX, seed=i)
+        ref.append(_ring_loop_reference(cfg, np.random.default_rng([1, i]), t_max))
+        eng = MarkovToppling(cfg, rng=np.random.default_rng([2, i]))
+        eng.run(t_max=t_max)
+        new.append((eng.t_stab, eng.events))
+    t_ref = [t for t, _ in ref if t is not None]
+    t_new = [t for t, _ in new if t is not None]
+    assert 40 < len(t_ref) < 160 and 40 < len(t_new) < 160
+    p_frac = sstats.fisher_exact([[len(t_ref), 200 - len(t_ref)],
+                                  [len(t_new), 200 - len(t_new)]]).pvalue
+    p_t = sstats.ks_2samp(t_ref, t_new).pvalue
+    p_top = sstats.ks_2samp([k for _, k in ref], [k for _, k in new]).pvalue
+    assert min(p_frac, p_t, p_top) > 0.01, (p_frac, p_t, p_top)
+
+
+def test_first_toppling_is_uniform_over_unstable_sites():
+    # with |U| = 10 unstable sites the first event comes after an Exp(10)
+    # wait, at each unstable site with probability 1/10
+    h = np.full((8, 8), 0.2)
+    sites = [(0, 0), (0, 3), (1, 6), (2, 2), (3, 5), (4, 0), (5, 3), (6, 6), (7, 1), (7, 4)]
+    for x in sites:
+        h[x] = 1.5
+    cfg = LatticeConfig(h, TORUS)
+    flat = [int(np.ravel_multi_index(x, h.shape)) for x in sites]
+    counts = dict.fromkeys(flat, 0)
+    waits = []
+    for seed in range(2000):
+        eng = MarkovToppling(cfg, seed=seed)
+        eng.run(max_events=1)
+        (hit,) = np.flatnonzero(eng.ledger.M.ravel())
+        counts[int(hit)] += 1
+        waits.append(eng.t)
+    assert sstats.chisquare(list(counts.values())).pvalue > 0.01, counts
+    assert sstats.kstest(waits, "expon", args=(0, 0.1)).pvalue > 0.01
+
+
+@st.composite
+def _small_lattices(draw):
+    d = draw(st.integers(1, 3))
+    boundary = draw(st.sampled_from([TORUS, BOX]))
+    low = 2 if boundary == TORUS else 1
+    sides = tuple(draw(st.lists(st.integers(low, 6 if d < 3 else 4),
+                                min_size=d, max_size=d)))
+    rho = draw(st.floats(0.3, 1.3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return generate(DensitySpec("iid", rho), sides, boundary, seed=seed), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_lattices(), st.lists(st.integers(0, 3000), min_size=1, max_size=3))
+def test_unstable_index_tracks_heights(lattice, budgets):
+    cfg, seed = lattice
+    eng = MarkovToppling(cfg, seed=seed)
+    for budget in budgets:
+        before = eng.events
+        eng.run(max_events=budget)
+        assert eng.events - before == budget or not eng.unstable
+        assert sorted(eng.unstable) == [i for i, v in enumerate(eng.h) if v >= 1.0]
+        assert all(eng._where[i] == k for k, i in enumerate(eng.unstable))
+        assert sum(w >= 0 for w in eng._where) == len(eng.unstable)
+        assert eng.ledger.M.sum() == eng.events
+        assert mass_identity_check(cfg, eng.config(), eng.ledger) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +393,36 @@ def test_delta_matrix_columns():
     col_sums = m.sum(axis=0)
     assert col_sums[0] == -0.5 and col_sums[-1] == -0.5
     assert abs(col_sums[1]) < 1e-12
+
+
+def _delta_matrix_loop(shape, boundary):
+    # per-site loop the vectorised builder replaced
+    neighbors, _ = _neighbor_table(shape, boundary)
+    n = len(neighbors)
+    w = 1.0 / (2 * len(shape))
+    rows, cols, vals = [], [], []
+    for x, nbs in enumerate(neighbors):
+        rows.append(x)
+        cols.append(x)
+        vals.append(-1.0)
+        for y in nbs:
+            rows.append(y)
+            cols.append(x)
+            vals.append(w)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+@pytest.mark.parametrize("shape,boundary", [
+    ((48, 48), BOX), ((32, 32), TORUS), ((2, 2), TORUS), ((4, 4, 4), TORUS),
+    ((5, 3, 2), BOX), ((2, 7), TORUS), ((1, 5), BOX)])
+def test_delta_matrix_matches_loop_reference(shape, boundary):
+    got = delta_matrix(shape, boundary)
+    want = _delta_matrix_loop(shape, boundary)
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+    v = np.random.default_rng(5).uniform(0, 3, got.shape[0])
+    assert np.array_equal(got @ v, want @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +544,9 @@ def test_generate_near_full_rejects_low_rho():
 def test_density_spec_validation():
     with pytest.raises(ValueError):
         DensitySpec("mystery", 0.5)
-    with pytest.raises(ValueError):
-        DensitySpec("iid", -0.1)
+    for bad in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            DensitySpec("iid", bad)
     assert DensitySpec("iid", 0.4).kind == "iid-uniform"
     d = DensitySpec("near-full", 0.8).describe(2)
     assert d["form"] == "two-band"
