@@ -8,7 +8,6 @@ order does not matter; leftmost-first is used internally.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .core import (
     _relax_sequential,
     is_stable,
 )
+from .seeding import AdditionStream
 
 _CHUNK = 4096
 
@@ -68,33 +68,19 @@ class ChainProcess:
                 raise ValueError("heights must be nonnegative")
             self.heights = hs
         self.t = 0
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        if rng is None:
+            rng = np.random.default_rng(seed)
+        self._additions = AdditionStream(rng, n, a, b, _CHUNK)
         # With a >= 1/2 an addition to a full site must topple; checked per step.
         self._check_heavy = a >= 0.5
-        self._sites: list = []
-        self._amts: list = []
-        self._bufpos = 0
 
     @property
     def config(self) -> np.ndarray:
         return np.array(self.heights)
 
-    def _refill(self) -> None:
-        self._sites = self.rng.integers(0, self.n, _CHUNK).tolist()
-        self._amts = self.rng.uniform(self.a, self.b, _CHUNK).tolist()
-        self._bufpos = 0
-
-    def _draw(self) -> tuple[int, float]:
-        i = self._bufpos
-        if i >= len(self._sites):
-            self._refill()
-            i = 0
-        self._bufpos = i + 1
-        return self._sites[i], self._amts[i]
-
     def step_fast(self) -> tuple[int, float, int]:
         """One step without building a log; returns (site0, amount, topplings)."""
-        x, u = self._draw()
+        x, u = self._additions.draw()
         h = self.heights
         was_full = h[x] >= 0.5
         h[x] += u
@@ -107,7 +93,7 @@ class ChainProcess:
 
     def step(self) -> tuple[AdditionEvent, TopplingLog]:
         """One step with a full toppling log."""
-        x, u = self._draw()
+        x, u = self._additions.draw()
         return self._apply(x + 1, u)
 
     def apply_addition(self, site: int, amount: float) -> tuple[AdditionEvent, TopplingLog]:
@@ -243,15 +229,3 @@ def empirical_tv_distance(stats1: MarginalStats, stats2: MarginalStats, site: in
     p = stats1.hist[site - 1] / stats1.count
     q = stats2.hist[site - 1] / stats2.count
     return 0.5 * float(np.abs(p - q).sum())
-
-
-def run_events(proc: ChainProcess, steps: int) -> list[dict]:
-    """Run ``steps`` steps and return JSON-ready event records."""
-    records: list[dict] = []
-    drive(proc, steps, event_sink=records.append)
-    return records
-
-
-def write_events_jsonl(fobj, records) -> None:
-    for rec in records:
-        fobj.write(json.dumps(rec, sort_keys=True) + "\n")

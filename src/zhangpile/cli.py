@@ -20,20 +20,14 @@ from . import __version__
 from .chain import ChainProcess, MarginalStats, drive, run_stationary
 from .core import InvariantViolation, ToppleCapError, parse_policy, stabilize_chain
 from .coupling import coupling_sweep
-from .lattice import (
-    TORUS,
-    DensitySpec,
-    generate,
-    markov_run,
-    parse_boundary,
-    stabilizability_experiment,
-)
-from .runio import ExperimentSpec, RunRecord, fmt_real, make_spec, write_jsonl
+from .lattice import TORUS, DensitySpec, parse_boundary, stabilizability_experiment
+from .runio import RunRecord, fmt_real, make_spec, write_jsonl
 
 CONSERVATION_TOL = 1e-9
 
 MAX_EVENTS_HELP = ("cap on topplings per replica (the rejection-free clock draws "
                    "only topplings, never rings at stable sites)")
+TMAX_HELP = "time cutoff per replica; inf needs --max-events"
 
 
 class ConservationError(RuntimeError):
@@ -205,25 +199,18 @@ def cmd_infinite(args) -> int:
     with _out_stream(args.out) as f:
         rec.write(f, args.format)
     if args.save_final:
-        _save_final(args, dspec, sides, boundary, spec)
+        _save_final(args.save_final, sides, boundary, args.seed, summary.rows[0])
     print(f"stabilized fraction: {summary.fraction_stabilized:.3f}", file=sys.stderr)
     return 0
 
 
-def _save_final(args, dspec, sides, boundary, spec: ExperimentSpec) -> None:
-    # replay replica 0 with its exact seed child to export the final heights
-    child = np.random.SeedSequence(entropy=np.random.SeedSequence(args.seed).entropy,
-                                   spawn_key=(0,))
-    rng = np.random.default_rng(child)
-    config = generate(dspec, sides, boundary, rng=rng)
-    _, final, ledger = markov_run(config, t_max=args.tmax, rng=rng,
-                                  snapshot_every=None, max_events=args.max_events,
-                                  min_m_threshold=args.min_m_threshold)
+def _save_final(path: str, sides, boundary, seed, row) -> None:
+    # the final heights of replica 0, as its own run left them
     header = {"dim": len(sides), "sides": list(sides), "boundary": boundary,
-              "t": ledger.t, "seed": args.seed}
-    with open(args.save_final, "w", newline="") as f:
+              "t": row["t_end"], "seed": seed}
+    with open(path, "w", newline="") as f:
         f.write("# " + json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for v in final.heights.ravel():
+        for v in row["heights"]:
             f.write(fmt_real(v) + "\n")
 
 
@@ -321,7 +308,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--gen", required=True,
                     help="iid | constant | checkerboard | near-full")
     sp.add_argument("--rho", type=float, required=True)
-    sp.add_argument("--tmax", type=float, default=100.0)
+    sp.add_argument("--tmax", type=float, default=100.0, help=TMAX_HELP)
     sp.add_argument("--replicas", type=int, default=1)
     sp.add_argument("--snap-every", type=float, default=1.0)
     sp.add_argument("--min-m-threshold", type=int, default=10)
@@ -338,7 +325,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--boundary", default="torus")
     sp.add_argument("--gen", required=True, help="comma list of generator kinds")
     sp.add_argument("--rho", required=True, help="comma list of densities")
-    sp.add_argument("--tmax", type=float, default=100.0)
+    sp.add_argument("--tmax", type=float, default=100.0, help=TMAX_HELP)
     sp.add_argument("--replicas", type=int, default=1)
     sp.add_argument("--snap-every", type=float, default=1.0)
     sp.add_argument("--min-m-threshold", type=int, default=10)

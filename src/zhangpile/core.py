@@ -102,12 +102,19 @@ def classify_site(h: float) -> SiteLabel:
     return SiteLabel.UNSTABLE
 
 
+def check_heights(arr: np.ndarray) -> None:
+    """Raise ValueError unless every height is finite and nonnegative."""
+    if not np.isfinite(arr).all():
+        raise ValueError("heights must be finite")
+    if (arr < 0).any():
+        raise ValueError("heights must be nonnegative")
+
+
 def _as_heights(config) -> np.ndarray:
     arr = np.array(config, dtype=float, copy=True).ravel()
     if arr.size < 1:
         raise ValueError("configuration needs at least one site")
-    if (arr < 0).any():
-        raise ValueError("heights must be nonnegative")
+    check_heights(arr)
     return arr
 
 

@@ -31,7 +31,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .core import DEFAULT_TOPPLE_CAP, InvariantViolation, _relax_leftmost, is_stable
-from .seeding import substreams
+from .seeding import AdditionStream, substreams
 
 PHASE_INDEPENDENT = "independent"
 PHASE_CONTRACTION = "contraction"
@@ -268,27 +268,17 @@ class Coupling:
         self.cap = cap
         self.hA = eta_a
         self.hB = eta_b
-        if _streams is not None:
-            self._gA, self._gB, self._gC = _streams
-        else:
+        if _streams is None:
             # children 0 and 1 are reserved for initial-configuration draws
             # (see coupling_sweep) so seed layouts match across entry points
-            self._gA, self._gB, self._gC = substreams(seed, 5)[2:]
-        # per-stream prefetch buffers: (sites, amounts, position)
-        self._sitesA: list = []
-        self._amtsA: list = []
-        self._posA = 0
-        self._sitesB: list = []
-        self._amtsB: list = []
-        self._posB = 0
-        self._sitesC: list = []
-        self._amtsC: list = []
-        self._posC = 0
+            _streams = substreams(seed, 5)[2:]
+        # chain A's and chain B's own additions, and the shared coupled stream
+        self._addA, self._addB, self._addC = (AdditionStream(g, n, a, b, _CHUNK)
+                                              for g in _streams)
         consts = coupling_constants(a, b, n)
         self.constants = consts
         self.eps1 = consts.eps1
         self._half = 0.5 * (a + b)
-        self._a2 = self._half
         self.t = 0
         self.restarts = 0
         self.merge_time: int | None = None
@@ -307,35 +297,6 @@ class Coupling:
         else:
             self.phase = PHASE_INDEPENDENT
             self._maybe_enter_coupled()
-
-    # -- draws ------------------------------------------------------------
-
-    def _draw_a(self) -> tuple[int, float]:
-        i = self._posA
-        if i >= len(self._sitesA):
-            self._sitesA = self._gA.integers(0, self.n, _CHUNK).tolist()
-            self._amtsA = self._gA.uniform(self.a, self.b, _CHUNK).tolist()
-            i = 0
-        self._posA = i + 1
-        return self._sitesA[i], self._amtsA[i]
-
-    def _draw_b(self) -> tuple[int, float]:
-        i = self._posB
-        if i >= len(self._sitesB):
-            self._sitesB = self._gB.integers(0, self.n, _CHUNK).tolist()
-            self._amtsB = self._gB.uniform(self.a, self.b, _CHUNK).tolist()
-            i = 0
-        self._posB = i + 1
-        return self._sitesB[i], self._amtsB[i]
-
-    def _draw_c(self) -> tuple[int, float]:
-        i = self._posC
-        if i >= len(self._sitesC):
-            self._sitesC = self._gC.integers(0, self.n, _CHUNK).tolist()
-            self._amtsC = self._gC.uniform(self.a, self.b, _CHUNK).tolist()
-            i = 0
-        self._posC = i + 1
-        return self._sitesC[i], self._amtsC[i]
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -377,7 +338,7 @@ class Coupling:
         k = self._mk
         n = self.n
         eps_k = self.constants.eps_schedule[k - 1]
-        a2 = self._a2
+        a2 = self._half
         ap = a2 + 3.0 * eps_k
         if not (ap < self.b and a2 + 2.0 * eps_k <= self.b):
             raise InvariantViolation("merge-phase addition intervals are ill-formed")
@@ -414,8 +375,9 @@ class Coupling:
         """Advance the coupled pair by one time step."""
         phase = self.phase
         if phase == PHASE_INDEPENDENT:
-            self._step_independent()
-        elif phase == PHASE_CONTRACTION:
+            self._run_independent(self.t + 1)    # keeps t and phase_steps itself
+            return
+        if phase == PHASE_CONTRACTION:
             self._step_contraction()
         elif phase == PHASE_MERGING:
             self._step_merging()
@@ -426,24 +388,8 @@ class Coupling:
         if self.phase == PHASE_MERGED and self.merge_time is None:
             self.merge_time = self.t
 
-    def _step_independent(self) -> None:
-        xA, uA = self._draw_a()
-        if self._apply(self.hA, xA, uA):
-            self._ebA = _eb_side(self.hA)
-        elif xA == self._ebA:
-            self._ebA = None
-        xB, uB = self._draw_b()
-        if self._apply(self.hB, xB, uB):
-            self._ebB = _eb_side(self.hB)
-        elif xB == self._ebB:
-            self._ebB = None
-        if self.record_streams:
-            self.streamA.append((xA, uA))
-            self.streamB.append((xB, uB))
-        self._maybe_enter_coupled()
-
     def _step_contraction(self) -> None:
-        x, u = self._draw_c()
+        x, u = self._addC.draw()
         if x != self._phys(self._targetL) or u < self._half:
             self._restart(x, u)
             return
@@ -466,7 +412,7 @@ class Coupling:
                     self._enter_merging()
 
     def _step_merging(self) -> None:
-        x, u = self._draw_c()
+        x, u = self._addC.draw()
         self._merging_steps += 1
         p1 = self._phys(1)
         leader = max(self.hA[p1], self.hB[p1])
@@ -503,7 +449,7 @@ class Coupling:
             else:
                 self._stage_init()
         else:
-            if x != p1 or not self._a2 <= u <= self._between_hi:
+            if x != p1 or not self._half <= u <= self._between_hi:
                 self._restart(x, u)
                 return
             nA = self._apply(self.hA, x, u)
@@ -516,7 +462,7 @@ class Coupling:
                 self._restart(x, u, applied=True)
 
     def _step_merged(self) -> None:
-        x, u = self._draw_c()
+        x, u = self._addC.draw()
         self._apply(self.hA, x, u)
         self._apply(self.hB, x, u)
         if self.record_streams:
@@ -528,26 +474,27 @@ class Coupling:
     def run(self, max_steps: int) -> None:
         """Step until merged or ``max_steps`` total steps."""
         while self.t < max_steps and self.phase != PHASE_MERGED:
-            if self.phase == PHASE_INDEPENDENT and not self.record_streams:
-                self._run_independent_fast(max_steps)
+            if self.phase == PHASE_INDEPENDENT:
+                self._run_independent(max_steps)
             else:
                 self.step()
 
-    def _run_independent_fast(self, max_steps: int) -> None:
+    def _run_independent(self, max_steps: int) -> None:
         # hot loop: the independent phase dominates every run, so buffers and
-        # state live in locals; fall back to step() on any phase change
+        # state live in locals until the chains enter a coupled phase or the
+        # clock reaches max_steps
         hA = self.hA
         hB = self.hB
-        n = self.n
-        a = self.a
-        b = self.b
         cap = self.cap
-        gA = self._gA
-        gB = self._gB
-        sitesA, amtsA, pA = self._sitesA, self._amtsA, self._posA
-        sitesB, amtsB, pB = self._sitesB, self._amtsB, self._posB
+        addA = self._addA
+        addB = self._addB
+        sitesA, amtsA, pA = addA.sites, addA.amts, addA.pos
+        sitesB, amtsB, pB = addB.sites, addB.amts, addB.pos
         lenA = len(sitesA)
         lenB = len(sitesB)
+        record = self.record_streams
+        streamA = self.streamA
+        streamB = self.streamB
         ebA = self._ebA
         ebB = self._ebB
         steps = 0
@@ -556,13 +503,13 @@ class Coupling:
         eb_side = _eb_side
         while steps < budget:
             if pA >= lenA:
-                sitesA = gA.integers(0, n, _CHUNK).tolist()
-                amtsA = gA.uniform(a, b, _CHUNK).tolist()
-                pA = 0
-                lenA = _CHUNK
+                addA.refill()
+                sitesA, amtsA, pA = addA.sites, addA.amts, 0
+                lenA = len(sitesA)
             xA = sitesA[pA]
-            v = hA[xA] + amtsA[pA]
+            uA = amtsA[pA]
             pA += 1
+            v = hA[xA] + uA
             hA[xA] = v
             if v >= 1.0:
                 relax(hA, xA, cap)
@@ -570,24 +517,27 @@ class Coupling:
             elif xA == ebA:
                 ebA = None
             if pB >= lenB:
-                sitesB = gB.integers(0, n, _CHUNK).tolist()
-                amtsB = gB.uniform(a, b, _CHUNK).tolist()
-                pB = 0
-                lenB = _CHUNK
+                addB.refill()
+                sitesB, amtsB, pB = addB.sites, addB.amts, 0
+                lenB = len(sitesB)
             xB = sitesB[pB]
-            v = hB[xB] + amtsB[pB]
+            uB = amtsB[pB]
             pB += 1
+            v = hB[xB] + uB
             hB[xB] = v
             if v >= 1.0:
                 relax(hB, xB, cap)
                 ebB = eb_side(hB)
             elif xB == ebB:
                 ebB = None
+            if record:
+                streamA.append((xA, uA))
+                streamB.append((xB, uB))
             steps += 1
             if ebA is not None and ebA == ebB:
                 break
-        self._sitesA, self._amtsA, self._posA = sitesA, amtsA, pA
-        self._sitesB, self._amtsB, self._posB = sitesB, amtsB, pB
+        addA.pos = pA
+        addB.pos = pB
         self.t += steps
         self.phase_steps[PHASE_INDEPENDENT] += steps
         self._ebA = ebA
@@ -690,7 +640,6 @@ class ContractionReport:
     diff_bounds: list[float]
     max_gap_steps: int
     gap_bound: int
-    ok: bool
 
 
 def verify_contraction(n: int, k_max: int, rng: np.random.Generator,
@@ -767,4 +716,4 @@ def verify_contraction(n: int, k_max: int, rng: np.random.Generator,
     return ContractionReport(n=n, k_max=k_max, base=base, max_residual=max_resid,
                              max_b_per_avalanche=max_bs, b_bounds=b_bnds,
                              max_diff_per_avalanche=max_diffs, diff_bounds=diff_bnds,
-                             max_gap_steps=max_gap, gap_bound=gap_bound, ok=True)
+                             max_gap_steps=max_gap, gap_bound=gap_bound)

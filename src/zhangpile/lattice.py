@@ -31,6 +31,8 @@ from multiprocessing import Pool
 import numpy as np
 import scipy.sparse as sp
 
+from .core import check_heights
+
 TORUS = "torus"
 BOX = "dissipative-box"
 
@@ -59,8 +61,9 @@ class LatticeConfig:
         self.boundary = parse_boundary(self.boundary)
         if self.heights.ndim < 1:
             raise ValueError("heights must be at least 1-dimensional")
-        if (self.heights < 0).any():
-            raise ValueError("heights must be nonnegative")
+        if any(s < 1 for s in self.heights.shape):
+            raise ValueError(f"every lattice side must be >= 1, got {self.heights.shape}")
+        check_heights(self.heights)
         if self.boundary == TORUS and any(s < 2 for s in self.heights.shape):
             raise ValueError("torus sides must be >= 2")
 
@@ -677,6 +680,7 @@ def _replica_worker(args) -> dict:
         "min_m_slope": min_m_slope(verdict.snapshots),
         "mass_residual": residual,
         "mass_drift": drift,
+        "heights": final.heights.ravel().tolist(),    # flat, C order
     }
 
 
@@ -691,6 +695,9 @@ def stabilizability_experiment(spec: DensitySpec, sides, boundary: str,
     """Replicated Markov runs from one density spec; replicas use split seeds."""
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
+    if t_max == math.inf and max_events is None:
+        # a replica that never stabilizes would never end
+        raise ValueError("t_max=inf needs max_events")
     entropy = np.random.SeedSequence(seed).entropy
     jobs = [(spec.kind, spec.rho, tuple(sides), parse_boundary(boundary), t_max,
              entropy, _spawn_prefix + (i,), snapshot_every, min_m_threshold,

@@ -89,9 +89,7 @@ def write_jsonl(fobj, spec: ExperimentSpec, version: str, records) -> None:
 class RunRecord:
     """One run's outputs bundled with its provenance.
 
-    ``wall_clock`` is reported on stderr only; writing it into the file would
-    break byte-identical reproducibility of identical spec+seed runs.  CSV
-    payloads are row lists matched to ``columns``; JSONL payloads are dicts.
+    CSV payloads are row lists matched to ``columns``; JSONL payloads are dicts.
     """
 
     spec: ExperimentSpec
@@ -100,7 +98,6 @@ class RunRecord:
     columns: list | None = None
     rows: list | None = None
     records: list | None = None
-    wall_clock: float = 0.0
 
     def write(self, fobj, fmt: str = "csv") -> None:
         if fmt == "jsonl":

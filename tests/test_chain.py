@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,10 +8,8 @@ from zhangpile.chain import (
     MarginalStats,
     empirical_tv_distance,
     is_heavy,
-    run_events,
     run_stationary,
     scripted_run,
-    write_events_jsonl,
 )
 from zhangpile.core import in_class_E, in_E_b, is_stable, stabilize_chain
 
@@ -239,22 +236,26 @@ def test_tv_distance_two_seeds_same_model():
         assert empirical_tv_distance(stats[0], stats[1], site) < 0.05
 
 
-def test_event_records_jsonl(tmp_path):
-    p = ChainProcess(4, 0.3, 0.9, seed=9)
-    records = run_events(p, 200)
-    assert len(records) == 200
-    assert records[0]["t"] == 1 and records[-1]["t"] == 200
-    for r in records:
-        assert 1 <= r["site"] <= 4
-        assert 0.3 <= r["amount"] <= 0.9
-        assert r["avalanche_size"] >= 0
-    path = tmp_path / "events.jsonl"
-    with open(path, "w") as f:
-        write_events_jsonl(f, records)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 200
-    parsed = [json.loads(line) for line in lines]
-    assert parsed[5]["t"] == 6
+def test_addition_stream_layout():
+    # sites chunk, then amounts chunk, 4096 per chunk, from default_rng(seed);
+    # step() and step_fast() share the stream.  Crossing two refills catches
+    # a wrong draw order or chunk size.
+    n, a, b, seed, chunk = 5, 0.2, 0.9, 41, 4096
+    rng = np.random.default_rng(seed)
+    want = []
+    for _ in range(3):
+        sites = rng.integers(0, n, chunk).tolist()
+        amts = rng.uniform(a, b, chunk).tolist()
+        want += zip(sites, amts)
+    p = ChainProcess(n, a, b, seed=seed)
+    got = []
+    for t in range(2 * chunk + 5):
+        if t % 3:
+            got.append(p.step_fast()[:2])
+        else:
+            ev, _ = p.step()
+            got.append((ev.site - 1, ev.amount))
+    assert got == want[:2 * chunk + 5]
 
 
 def test_heavy_regime_every_full_addition_topples():

@@ -108,6 +108,10 @@ def test_finite_run_events_out(tmp_path):
     assert len(recs) == 150                    # burn-in plus sampling events
     assert [r["t"] for r in recs] == list(range(1, 151))
     assert all({"t", "site", "amount", "avalanche_size"} <= set(r) for r in recs)
+    for r in recs:
+        assert 1 <= r["site"] <= 3
+        assert 0.2 <= r["amount"] <= 0.9
+        assert r["avalanche_size"] >= 0
 
 
 def test_couple_identical_starts(tmp_path):
@@ -209,6 +213,20 @@ def test_infinite_save_final(tmp_path):
     values = [float(v) for v in lines[1:]]
     assert len(values) == 16
     assert values == [0.8] * 16                          # stable, never topples
+    # a toppling run: the file holds replica 0's own final state and end time
+    rc = main(["infinite", "--d", "1", "--side", "24", "--boundary", "box",
+               "--gen", "iid", "--rho", "0.6", "--tmax", "50", "--replicas", "3",
+               "--seed", "8", "--out", str(out), "--save-final", str(snap)])
+    assert rc == 0
+    lines = snap.read_text().strip().split("\n")
+    header = json.loads(lines[0].lstrip("# "))
+    values = np.array([float(v) for v in lines[1:]])
+    rng = np.random.default_rng(np.random.SeedSequence(8).spawn(3)[0])
+    config = lattice.generate(lattice.DensitySpec("iid", 0.6), (24,), "box", rng=rng)
+    verdict, final, ledger = lattice.markov_run(config, t_max=50, rng=rng)
+    assert ledger.events > 0                             # it did topple
+    assert header["t"] == verdict.t_end
+    assert np.array_equal(values, final.heights)
 
 
 def test_infinite_jsonl_format(tmp_path):
@@ -283,6 +301,15 @@ def test_conservation_gate_trips_on_nan(tmp_path, monkeypatch):
     assert rc == 2
 
 
+def _run_cli(tmp_path, argv):
+    src = str(Path(zhangpile.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cmd = [sys.executable, "-m", "zhangpile.cli", *argv,
+           "--out", str(tmp_path / "out.txt")]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("argv", [
     ["infinite", "--gen", "constant", "--rho", "1.1", "--tmax", "nan"],
     ["infinite", "--gen", "iid", "--rho", "nan"],
@@ -292,14 +319,38 @@ def test_conservation_gate_trips_on_nan(tmp_path, monkeypatch):
 def test_nonfinite_lattice_inputs_exit_1(tmp_path, argv):
     # before the input checks, --tmax nan never ended the run and a NaN rho
     # wrote a "stabilized" verdict; a bounded subprocess catches the hang
-    src = str(Path(zhangpile.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    cmd = [sys.executable, "-m", "zhangpile.cli", *argv, "--d", "1", "--side", "16",
-           "--out", str(tmp_path / "v.csv")]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    proc = _run_cli(tmp_path, [*argv, "--d", "1", "--side", "16"])
     assert proc.returncode == 1, proc.stderr
     assert "error" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["stabilize", "--chain", "nan,0.5"],
+    ["stabilize", "--chain", "inf,0.5"],
+    ["infinite", "--d", "2", "--side", "0", "--boundary", "box", "--gen", "iid",
+     "--rho", "0.3"],
+    ["infinite", "--d", "1", "--side", "16", "--gen", "constant", "--rho", "1.1",
+     "--tmax", "inf"],
+    ["sweep", "--d", "1", "--side", "16", "--gen", "constant", "--rho", "1.1",
+     "--tmax", "inf"],
+])
+def test_bad_heights_and_unbounded_runs_exit_1(tmp_path, argv):
+    # a NaN height was printed as a result, an inf one toppled until the cap,
+    # a zero side raised a traceback, and --tmax inf without --max-events
+    # never ended; each must now exit 1 within the subprocess timeout
+    proc = _run_cli(tmp_path, argv)
+    assert proc.returncode == 1, proc.stderr
+    assert "error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["infinite", "sweep"])
+def test_unbounded_tmax_with_max_events_runs(tmp_path, command):
+    proc = _run_cli(tmp_path, [command, "--d", "1", "--side", "16", "--gen", "constant",
+                               "--rho", "1.1", "--tmax", "inf", "--max-events", "500"])
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "out.txt").read_text().strip().split("\n")[2:]
+    assert len(rows) == 1 and "active-at-cutoff" in rows[0]
 
 
 def test_spec_echo_roundtrips_to_equal_spec(tmp_path):

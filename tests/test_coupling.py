@@ -22,6 +22,7 @@ from zhangpile.coupling import (
     t_epsilon,
     verify_contraction,
 )
+from zhangpile.seeding import substreams
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +276,6 @@ def test_verify_contraction_small_sizes():
     rng = np.random.default_rng(13)
     for n in (2, 3, 4, 6):
         rep = verify_contraction(n, 20, rng)
-        assert rep.ok
         assert rep.max_residual < 1e-9
         assert rep.max_gap_steps <= rep.gap_bound
         assert all(m <= b + 1e-12 for m, b in
@@ -299,7 +299,6 @@ def test_verify_contraction_validation():
 
 def test_verify_contraction_nondefault_interval():
     rep = verify_contraction(5, 14, np.random.default_rng(15), a=0.5, b=1.0)
-    assert rep.ok
     assert rep.gap_bound == math.ceil(2 / 1.5)
     assert rep.max_gap_steps <= rep.gap_bound
 
@@ -392,7 +391,7 @@ def test_sweep_deterministic_across_workers():
 
 
 def test_fast_and_recording_paths_agree():
-    # run(max_steps) takes a buffered hot path when not recording; both paths
+    # recording the streams, and driving by step() alone instead of run(),
     # must consume the exact same draws and produce the same trajectory
     kw = dict(seed=99)
     c1 = Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9,
@@ -401,11 +400,53 @@ def test_fast_and_recording_paths_agree():
                   record_streams=True, **kw)
     c1.run(50_000)
     c2.run(50_000)
-    assert c1.t == c2.t
-    assert c1.phase == c2.phase
-    assert c1.restarts == c2.restarts
-    assert c1.merge_time == c2.merge_time
-    assert c1.hA == c2.hA and c1.hB == c2.hB
+    c3 = Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9,
+                  record_streams=True, **kw)
+    while c3.t < c1.t:
+        c3.step()
+    for c in (c2, c3):
+        assert c1.t == c.t
+        assert c1.phase == c.phase
+        assert c1.restarts == c.restarts
+        assert c1.merge_time == c.merge_time
+        assert c1.phase_steps == c.phase_steps
+        assert c1.hA == c.hA and c1.hB == c.hB
+    assert c2.streamA == c3.streamA and c2.streamB == c3.streamB
+
+
+def _addition_chunks(gen, n, a, b, chunk, count):
+    out = []
+    while len(out) < count:
+        sites = gen.integers(0, n, chunk).tolist()
+        amts = gen.uniform(a, b, chunk).tolist()
+        out += zip(sites, amts)
+    return out
+
+
+def test_addition_stream_layout():
+    # independent steps draw from seed children 2 (chain A) and 3 (chain B),
+    # coupled steps from child 4; each stream draws 8192 sites, then 8192
+    # amounts.  Consuming past two refills catches a wrong order or chunk.
+    n, a, b, chunk = 3, 0.2, 0.9, 8192
+    need = 2 * chunk + 5
+    c = Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], a, b, seed=1,
+                 record_streams=True)
+    c.run(100_000)
+    assert c.phase == "merged" and c.phase_steps["independent"] >= need
+    c.run_steps(need)
+    wantA, wantB, wantC = (_addition_chunks(g, n, a, b, chunk, c.t)
+                           for g in substreams(1, 5)[2:])
+    i = k = 0
+    for (xA, uA), (xB, uB) in zip(c.streamA, c.streamB, strict=True):
+        if (xA, uA) == wantA[i]:            # independent step: own streams
+            assert (xB, uB) == wantB[i]
+            i += 1
+        else:                               # coupled step: the shared stream
+            assert (xA, uA) == wantC[k]
+            assert xB == wantC[k][0]        # B's amount is offset when merging
+            k += 1
+    assert i == c.phase_steps["independent"] >= need
+    assert k == c.t - i >= need
 
 
 def test_mirror_frame_entry_and_true_equality():
