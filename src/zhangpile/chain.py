@@ -3,7 +3,9 @@
 Each step adds a uniform [a,b] amount to a uniformly chosen site of a stable
 chain and relaxes the result.  Because every step starts from a stable
 configuration plus one addition, topplings are abelian and the relaxation
-order does not matter; leftmost-first is used internally.
+order does not matter; leftmost-first is used internally.  ``drive`` runs
+its steps on the compiled chain kernel when it loads (see ``core``) and on
+the Python loop otherwise; both give bit-identical results.
 """
 
 from __future__ import annotations
@@ -19,11 +21,15 @@ from .core import (
     TopplingPolicy,
     _relax_leftmost,
     _relax_sequential,
+    cap_error,
+    chain_kernel,
     is_stable,
+    kernel_drive,
 )
 from .seeding import AdditionStream
 
 _CHUNK = 4096
+_STATS_BLOCK = 2048     # configurations per MarginalStats.add_batch call
 
 
 @dataclass(frozen=True)
@@ -87,9 +93,12 @@ class ChainProcess:
         ntop = _relax_leftmost(h, x, self.cap) if h[x] >= 1.0 else 0
         self.t += 1
         if self._check_heavy and was_full and ntop == 0:
-            raise InvariantViolation(
-                f"a={self.a} >= 1/2: addition to a full site must topple (t={self.t})")
+            raise self._heavy_violation()
         return x, u, ntop
+
+    def _heavy_violation(self) -> InvariantViolation:
+        return InvariantViolation(
+            f"a={self.a} >= 1/2: addition to a full site must topple (t={self.t})")
 
     def step(self) -> tuple[AdditionEvent, TopplingLog]:
         """One step with a full toppling log."""
@@ -114,8 +123,7 @@ class ChainProcess:
                               counts, log.sequence)
         self.t += 1
         if self._check_heavy and was_full and log.total == 0:
-            raise InvariantViolation(
-                f"a={self.a} >= 1/2: addition to a full site must topple (t={self.t})")
+            raise self._heavy_violation()
         return AdditionEvent(t=self.t, site=site, amount=amount), log
 
 
@@ -188,6 +196,16 @@ def drive(proc: ChainProcess, steps: int, stats: MarginalStats | None = None,
           event_sink=None) -> None:
     """Advance ``steps`` steps, optionally accumulating statistics and/or
     passing one JSON-ready event record per step to ``event_sink``."""
+    lib = chain_kernel()
+    if lib is None:
+        _drive_python(proc, steps, stats, event_sink)
+    else:
+        _drive_compiled(lib, proc, steps, stats, event_sink)
+
+
+def _drive_python(proc: ChainProcess, steps: int, stats: MarginalStats | None,
+                  event_sink) -> None:
+    # the reference loop: the fallback, and the oracle of the kernel's tests
     buf: list[list[float]] = []
     for _ in range(steps):
         x, u, ntop = proc.step_fast()
@@ -196,11 +214,55 @@ def drive(proc: ChainProcess, steps: int, stats: MarginalStats | None = None,
                         "avalanche_size": ntop})
         if stats is not None:
             buf.append(proc.heights.copy())
-            if len(buf) >= 2048:
+            if len(buf) >= _STATS_BLOCK:
                 stats.add_batch(np.array(buf))
                 buf.clear()
     if stats is not None and buf:
         stats.add_batch(np.array(buf))
+
+
+def _drive_compiled(lib, proc: ChainProcess, steps: int, stats: MarginalStats | None,
+                    event_sink) -> None:
+    # Kernel calls end at stream chunks and at stats blocks, so the stream,
+    # the add_batch blocks and the event records are those of the Python loop.
+    add = proc._additions
+    h = np.array(proc.heights)
+    rows = None if stats is None else np.empty((_STATS_BLOCK, proc.n))
+    tops = None if event_sink is None else np.empty(_STATS_BLOCK, dtype=np.int64)
+    filled = 0
+    try:
+        while steps > 0:
+            if add.pos >= len(add.sites):
+                add.refill()
+            p = add.pos
+            k = min(steps, len(add.sites) - p, _STATS_BLOCK - filled)
+            done, status = kernel_drive(
+                lib, h, add.site_array[p:p + k], add.amt_array[p:p + k], proc.cap,
+                proc._check_heavy, None if rows is None else rows[filled:filled + k],
+                None if tops is None else tops[:k])
+            if event_sink is not None:
+                for i, ntop in enumerate(tops[:done].tolist()):
+                    event_sink({"t": proc.t + i + 1, "site": add.sites[p + i] + 1,
+                                "amount": add.amts[p + i], "avalanche_size": ntop})
+            proc.t += done
+            add.pos = p + done
+            steps -= done
+            filled += done
+            if status:
+                # the failing step drew its addition; a heavy violation counts it
+                add.pos += 1
+                if status == 1:
+                    raise cap_error(proc.cap)
+                proc.t += 1
+                raise proc._heavy_violation()
+            if filled == _STATS_BLOCK:
+                if stats is not None:
+                    stats.add_batch(rows)
+                filled = 0
+        if stats is not None and filled:
+            stats.add_batch(rows[:filled])
+    finally:
+        proc.heights[:] = h.tolist()
 
 
 def run_stationary(proc: ChainProcess, burn_in: int, samples: int,

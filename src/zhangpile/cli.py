@@ -18,7 +18,13 @@ import numpy as np
 
 from . import __version__
 from .chain import ChainProcess, MarginalStats, drive, run_stationary
-from .core import InvariantViolation, ToppleCapError, parse_policy, stabilize_chain
+from .core import (
+    InvariantViolation,
+    ToppleCapError,
+    chain_kernel,
+    parse_policy,
+    stabilize_chain,
+)
 from .coupling import coupling_sweep
 from .lattice import TORUS, DensitySpec, parse_boundary, stabilizability_experiment
 from .runio import RunRecord, fmt_real, make_spec, write_jsonl
@@ -128,6 +134,8 @@ def cmd_finite_run(args) -> int:
 
 
 def cmd_couple(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     init_a = _parse_init(args.init_a)
     init_b = _parse_init(args.init_b)
     spec = make_spec("couple", n=args.n, a=args.a, b=args.b, seed0=args.seed0,
@@ -286,7 +294,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--events-out", default=None,
                     help="also write the burn-in event stream as JSON lines")
     common(sp)
-    sp.set_defaults(func=cmd_finite_run)
+    sp.set_defaults(func=cmd_finite_run, chain_kernel=True)
 
     sp = sub.add_parser("couple", help="three-phase coupling runs over a seed range")
     sp.add_argument("--n", type=int, required=True)
@@ -382,8 +390,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"zhangpile: error: {exc}", file=sys.stderr)
         return 1
-    print(f"zhangpile {args.subcommand}: {time.perf_counter() - t0:.2f}s wall",
-          file=sys.stderr)
+    summary = f"zhangpile {args.subcommand}: {time.perf_counter() - t0:.2f}s wall"
+    if getattr(args, "chain_kernel", False):
+        # names the backend that ran, so that a silent fallback shows
+        backend = "python" if chain_kernel() is None else "compiled"
+        summary += f", chain backend {backend}"
+    print(summary, file=sys.stderr)
     return rc
 
 

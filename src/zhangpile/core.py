@@ -9,13 +9,21 @@ adjacent unstable sites make the outcome order-dependent), but it is abelian
 when starting from a stable configuration plus a single addition.
 
 Sites are numbered 1..N to match the usual convention for this model.
+Leftmost relaxation after single additions also exists as a compiled kernel
+(``_drive.c``), which ``chain_kernel`` builds and loads.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import hashlib
+import os
+import subprocess
+import tempfile
 from bisect import insort
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +40,10 @@ class ToppleCapError(RuntimeError):
 
 class InvariantViolation(RuntimeError):
     """An internal consistency check failed; this signals a bug."""
+
+
+def cap_error(cap: int) -> ToppleCapError:
+    return ToppleCapError(f"exceeded {cap} topplings; finite chains must stabilize")
 
 
 class SiteLabel(enum.Enum):
@@ -164,7 +176,7 @@ def _relax_leftmost(h: list, start: int, cap: int = DEFAULT_TOPPLE_CAP) -> int:
         h[x] = 0.0
         total += 1
         if total > cap:
-            raise ToppleCapError(f"exceeded {cap} topplings; finite chains must stabilize")
+            raise cap_error(cap)
         half = hx * 0.5
         if x > 0:
             v = h[x - 1] + half
@@ -177,6 +189,123 @@ def _relax_leftmost(h: list, start: int, cap: int = DEFAULT_TOPPLE_CAP) -> int:
             if v >= 1.0 and x + 1 not in active:
                 insort(active, x + 1)
     return total
+
+
+# ---------------------------------------------------------------------------
+# compiled chain kernel
+# ---------------------------------------------------------------------------
+# _drive.c does _relax_leftmost's float operations in the same order, so both
+# backends give bit-identical heights.  It is compiled with gcc on first use
+# and cached next to the bytecode; wherever the build or the load fails, the
+# callers run their Python loops instead.
+
+_KERNEL_SOURCE = Path(__file__).with_name("_drive.c")
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_kernel: list = []      # the one load result of this process (CDLL or None), once tried
+
+
+def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
+    """Compile the kernel into ``cache`` (once per source and flags) and load it.
+
+    Returns None if the compiler is missing, the build fails or ``cache`` is
+    not writable.
+    """
+    try:
+        tag = hashlib.sha256(_KERNEL_SOURCE.read_bytes()
+                             + " ".join(_KERNEL_FLAGS).encode()).hexdigest()[:16]
+        path = cache / f"_drive-{tag}.so"
+        if not path.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            # build into a private file and move it into place whole, so that
+            # concurrent processes never load a partial library
+            fd, tmp = tempfile.mkstemp(prefix="_drive-", suffix=".tmp", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([cc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+                               check=True, capture_output=True)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    ptr = ctypes.c_void_p
+    i64 = ctypes.c_int64
+    lib.zp_drive.argtypes = [ptr, i64, ptr, ptr, i64, i64, ctypes.c_int32, ptr, ptr,
+                             ctypes.POINTER(ctypes.c_int32)]
+    lib.zp_drive.restype = i64
+    lib.zp_drive_pair.argtypes = [ptr, ptr, i64, ptr, ptr, i64, i64,
+                                  ctypes.POINTER(i64), ctypes.POINTER(ctypes.c_int32)]
+    lib.zp_drive_pair.restype = i64
+    return lib
+
+
+def chain_kernel() -> ctypes.CDLL | None:
+    """The compiled chain kernel, built on the first call; None if unavailable."""
+    if not _kernel:
+        _kernel.append(_build_kernel(_KERNEL_SOURCE.parent / "__pycache__"))
+    return _kernel[0]
+
+
+def _c_array(arr, dtype, size: int, name: str, out: bool = False) -> int:
+    """Address of ``arr`` once it is a C-contiguous ``dtype`` array of ``size``
+    values (and writable if the kernel writes it)."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.size == size
+            and arr.flags.c_contiguous and (arr.flags.writeable or not out)):
+        raise ValueError(f"kernel argument {name}: need a C-contiguous "
+                         f"{np.dtype(dtype)} array of {size} values")
+    return arr.ctypes.data
+
+
+def _c_additions(sites, amts, n: int) -> tuple[int, int, int]:
+    steps = np.size(sites)
+    ps = _c_array(sites, np.int64, steps, "sites")
+    pa = _c_array(amts, np.float64, steps, "amts")
+    if steps and not (sites.min() >= 0 and sites.max() < n):
+        raise ValueError(f"kernel argument sites: need values in 0..{n - 1}")
+    return steps, ps, pa
+
+
+def kernel_drive(lib, h: np.ndarray, sites: np.ndarray, amts: np.ndarray, cap: int,
+                 check_heavy: bool, rows: np.ndarray | None = None,
+                 tops: np.ndarray | None = None) -> tuple[int, int]:
+    """Add ``amts[i]`` at 0-based site ``sites[i]`` of the stable heights ``h``
+    and relax, step after step, in place.
+
+    ``rows`` (steps x n) and ``tops`` (steps), if given, receive each
+    completed step's heights and topplings.  Returns (steps completed,
+    status).  Status 1: the next step exceeded ``cap`` topplings.  Status 2
+    (only with ``check_heavy``): the next step added to a full site, which
+    then did not topple; that step's addition stays in ``h``.
+    """
+    n = np.size(h)
+    ph = _c_array(h, np.float64, n, "h", out=True)
+    steps, ps, pa = _c_additions(sites, amts, n)
+    pr = None if rows is None else _c_array(rows, np.float64, steps * n, "rows", out=True)
+    pt = None if tops is None else _c_array(tops, np.int64, steps, "tops", out=True)
+    status = ctypes.c_int32()
+    done = lib.zp_drive(ph, n, ps, pa, steps, cap, int(check_heavy), pr, pt,
+                        ctypes.byref(status))
+    return done, status.value
+
+
+def kernel_drive_pair(lib, hA: np.ndarray, hB: np.ndarray, sites: np.ndarray,
+                      amts: np.ndarray, cap: int) -> tuple[int, int, int]:
+    """Give two chains the same additions, each relaxed on its own, in place.
+
+    Returns (steps completed, status, steps after which ``hA`` != ``hB``);
+    status 1 means the next step exceeded ``cap`` topplings in one chain.
+    """
+    n = np.size(hA)
+    pA = _c_array(hA, np.float64, n, "hA", out=True)
+    pB = _c_array(hB, np.float64, n, "hB", out=True)
+    steps, ps, pa = _c_additions(sites, amts, n)
+    differed = ctypes.c_int64()
+    status = ctypes.c_int32()
+    done = lib.zp_drive_pair(pA, pB, n, ps, pa, steps, cap, ctypes.byref(differed),
+                             ctypes.byref(status))
+    return done, status.value, differed.value
 
 
 def _relax_sequential(h: list, policy: TopplingPolicy, rng, cap: int,
@@ -197,7 +326,7 @@ def _relax_sequential(h: list, policy: TopplingPolicy, rng, cap: int,
         h[x] = 0.0
         total += 1
         if total > cap:
-            raise ToppleCapError(f"exceeded {cap} topplings; finite chains must stabilize")
+            raise cap_error(cap)
         counts[x] += 1
         sequence.append(x + 1)
         half = hx * 0.5
@@ -225,7 +354,7 @@ def _relax_parallel(h: list, cap: int, counts: np.ndarray, rounds: list) -> int:
             return total
         total += len(round_sites)
         if total > cap:
-            raise ToppleCapError(f"exceeded {cap} topplings; finite chains must stabilize")
+            raise cap_error(cap)
         shares = [h[i] * 0.5 for i in round_sites]
         for i in round_sites:
             h[i] = 0.0

@@ -30,7 +30,15 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .core import DEFAULT_TOPPLE_CAP, InvariantViolation, _relax_leftmost, is_stable
+from .core import (
+    DEFAULT_TOPPLE_CAP,
+    InvariantViolation,
+    _relax_leftmost,
+    cap_error,
+    chain_kernel,
+    is_stable,
+    kernel_drive_pair,
+)
 from .seeding import AdditionStream, substreams
 
 PHASE_INDEPENDENT = "independent"
@@ -545,13 +553,52 @@ class Coupling:
         self._maybe_enter_coupled()
 
     def run_steps(self, steps: int, require_equal: bool = False) -> bool:
-        """Advance a fixed number of steps; optionally assert A == B throughout."""
+        """Advance a fixed number of steps; optionally assert A == B throughout.
+
+        Once merged, the pair runs on the compiled chain kernel if it loads.
+        """
         ok = True
-        for _ in range(steps):
+        while steps > 0:
+            if self.phase == PHASE_MERGED and (lib := chain_kernel()) is not None:
+                equal = self._run_merged(lib, steps)
+                return ok and (equal or not require_equal)
             self.step()
+            steps -= 1
             if require_equal and self.hA != self.hB:
                 ok = False
         return ok
+
+    def _run_merged(self, lib, steps: int) -> bool:
+        # _step_merged on the kernel, one call per stream chunk; both chains
+        # are relaxed on their own, so a broken merge still shows as unequal
+        add = self._addC
+        hA = np.array(self.hA)
+        hB = np.array(self.hB)
+        equal = True
+        try:
+            while steps > 0:
+                if add.pos >= len(add.sites):
+                    add.refill()
+                p = add.pos
+                k = min(steps, len(add.sites) - p)
+                done, status, differed = kernel_drive_pair(
+                    lib, hA, hB, add.site_array[p:p + k], add.amt_array[p:p + k], self.cap)
+                if self.record_streams:
+                    pairs = list(zip(add.sites[p:p + done], add.amts[p:p + done]))
+                    self.streamA.extend(pairs)
+                    self.streamB.extend(pairs)
+                add.pos = p + done
+                self.t += done
+                self.phase_steps[PHASE_MERGED] += done
+                steps -= done
+                equal = equal and not differed
+                if status:
+                    add.pos += 1        # the failing step drew its addition
+                    raise cap_error(self.cap)
+        finally:
+            self.hA[:] = hA.tolist()
+            self.hB[:] = hB.tolist()
+        return equal
 
     def result(self, seed: int | None = None,
                post_merge_identical: bool | None = None) -> CouplingResult:
@@ -616,6 +663,8 @@ def coupling_sweep(n: int, a: float, b: float, seeds, max_steps: int,
     With ``post_merge_steps`` > 0, merged pairs are driven that many further
     steps while checking that they stay identical.
     """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     jobs = [(n, a, b, int(s), max_steps, init_a, init_b, cap, post_merge_steps)
             for s in seeds]
     if workers > 1 and len(jobs) > 1:

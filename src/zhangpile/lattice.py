@@ -381,6 +381,8 @@ def markov_run(config: LatticeConfig, t_max: float, seed: int | None = None,
     """One-shot Markov toppling run; returns (verdict, final config, ledger)."""
     if not t_max > 0:                   # also rejects NaN
         raise ValueError(f"t_max must be positive, got {t_max!r}")
+    if snapshot_every is not None and not snapshot_every > 0:
+        raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
     eng = MarkovToppling(config, seed=seed, rng=rng, min_m_threshold=min_m_threshold)
     eng.run(t_max=t_max, max_events=max_events, snapshot_every=snapshot_every)
     return eng.verdict(), eng.config(), eng.ledger
@@ -695,6 +697,8 @@ def stabilizability_experiment(spec: DensitySpec, sides, boundary: str,
     """Replicated Markov runs from one density spec; replicas use split seeds."""
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
+    if max_events is not None and max_events < 0:
+        raise ValueError(f"max_events must be >= 0, got {max_events}")
     if t_max == math.inf and max_events is None:
         # a replica that never stabilizes would never end
         raise ValueError("t_max=inf needs max_events")

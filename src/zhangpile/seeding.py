@@ -31,10 +31,12 @@ class AdditionStream:
 
     Hot loops may keep ``sites``/``amts``/``pos`` in locals, call
     ``refill()`` once ``pos`` reaches the end of the chunk, and write ``pos``
-    back when they leave.
+    back when they leave.  ``site_array``/``amt_array`` hold the same chunk
+    as int64/float64 arrays, which the compiled chain kernel reads in place.
     """
 
-    __slots__ = ("rng", "n", "a", "b", "chunk", "sites", "amts", "pos")
+    __slots__ = ("rng", "n", "a", "b", "chunk", "sites", "amts", "pos",
+                 "site_array", "amt_array")
 
     def __init__(self, rng: np.random.Generator, n: int, a: float, b: float,
                  chunk: int):
@@ -46,10 +48,14 @@ class AdditionStream:
         self.sites: list = []
         self.amts: list = []
         self.pos = 0
+        self.site_array = np.empty(0, dtype=np.int64)
+        self.amt_array = np.empty(0)
 
     def refill(self) -> None:
-        self.sites = self.rng.integers(0, self.n, self.chunk).tolist()
-        self.amts = self.rng.uniform(self.a, self.b, self.chunk).tolist()
+        self.site_array = self.rng.integers(0, self.n, self.chunk, dtype=np.int64)
+        self.amt_array = self.rng.uniform(self.a, self.b, self.chunk)
+        self.sites = self.site_array.tolist()
+        self.amts = self.amt_array.tolist()
         self.pos = 0
 
     def draw(self) -> tuple[int, float]:

@@ -344,6 +344,29 @@ def test_bad_heights_and_unbounded_runs_exit_1(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+_LINE = ["--d", "1", "--side", "16", "--gen", "constant", "--rho", "1.1", "--tmax", "5"]
+_COUPLE = ["couple", "--n", "3", "--a", "0.2", "--b", "0.9"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["infinite", *_LINE, "--snap-every", "0"],
+    ["infinite", *_LINE, "--snap-every", "-1"],
+    ["infinite", *_LINE, "--snap-every", "nan"],
+    ["sweep", *_LINE, "--snap-every", "0"],
+    ["infinite", *_LINE, "--max-events", "-3"],
+    [*_COUPLE, "--max-steps", "-1"],
+    [*_COUPLE, "--seeds", "-1"],
+    [*_COUPLE, "--seeds", "0"],
+])
+def test_bad_intervals_and_counts_exit_1(tmp_path, argv):
+    # --snap-every 0 raised ZeroDivisionError, nan a conversion error and -1
+    # never ended; the negative counts exited 0 having done nothing
+    proc = _run_cli(tmp_path, argv)
+    assert proc.returncode == 1, proc.stderr
+    assert "error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["infinite", "sweep"])
 def test_unbounded_tmax_with_max_events_runs(tmp_path, command):
     proc = _run_cli(tmp_path, [command, "--d", "1", "--side", "16", "--gen", "constant",

@@ -1,0 +1,301 @@
+"""The compiled chain kernel against the Python reference loops.
+
+Every check runs both backends on the same inputs and requires bit-equal
+results, or shows that a kernel gate fails where the Python one does.
+"""
+
+import multiprocessing
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import zhangpile
+import zhangpile.core as core
+from zhangpile.chain import (
+    ChainProcess,
+    MarginalStats,
+    _drive_compiled,
+    _drive_python,
+    drive,
+)
+from zhangpile.cli import main
+from zhangpile.core import InvariantViolation, ToppleCapError, _relax_leftmost
+from zhangpile.coupling import Coupling
+
+pytestmark = pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
+
+
+@pytest.fixture
+def lib():
+    kernel = core.chain_kernel()
+    assert kernel is not None, "gcc is present but the kernel did not build"
+    return kernel
+
+
+@pytest.fixture(params=["python", "compiled"])
+def backend(request, lib, monkeypatch):
+    """Run the test on each backend; ``python`` is what a failed build leaves."""
+    monkeypatch.setattr(core, "_kernel", [lib if request.param == "compiled" else None])
+    return request.param
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# chain: differential test
+# ---------------------------------------------------------------------------
+
+@st.composite
+def chains(draw):
+    n = draw(st.integers(1, 40))
+    a, b = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2,
+                                unique=True)))
+    start = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n,
+                          max_size=n))
+    burn = draw(st.integers(0, 3000))
+    # the sampled run always crosses the 4096-addition chunk boundary
+    samples = 4097 - burn + draw(st.integers(0, 2500))
+    bins = draw(st.integers(1, 64))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, a, b, start, burn, samples, bins, seed
+
+
+@settings(max_examples=25, deadline=None)
+@given(chains())
+def test_kernel_drive_matches_python_reference(spec):
+    n, a, b, start, burn, samples, bins, seed = spec
+    lib = core.chain_kernel()
+    assert lib is not None
+    out = []
+    for backend in ("python", "compiled"):
+        p = ChainProcess(n, a, b, heights=start, seed=seed)
+        stats = MarginalStats(n, bins=bins)
+        events = []
+        for steps, st_ in ((burn, None), (samples, stats)):
+            if backend == "python":
+                _drive_python(p, steps, st_, events.append)
+            else:
+                _drive_compiled(lib, p, steps, st_, events.append)
+        out.append((_bits(p.heights), p.t, p._additions.pos, stats.count,
+                    _bits(stats._sum), _bits(stats._sumsq), stats.hist.tobytes(),
+                    events))
+    assert out[0] == out[1]
+
+
+def test_drive_uses_the_kernel_and_matches_fallback(lib, monkeypatch):
+    # the public drive picks the kernel when it loads; the fallback agrees
+    runs = []
+    for kernel in (lib, None):
+        monkeypatch.setattr(core, "_kernel", [kernel])
+        p = ChainProcess(30, 0.6, 0.8, seed=7919)
+        stats = MarginalStats(30)
+        drive(p, 1000)
+        drive(p, 5000, stats=stats)
+        runs.append((_bits(p.heights), p.t, _bits(stats._sum), stats.hist.tobytes()))
+    assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# chain: the gates fail on both backends
+# ---------------------------------------------------------------------------
+
+def _force_additions(proc, sites, amts):
+    add = proc._additions
+    add.site_array = np.array(sites, dtype=np.int64)
+    add.amt_array = np.array(amts, dtype=np.float64)
+    add.sites = list(sites)
+    add.amts = list(amts)
+    add.pos = 0
+
+
+def test_topple_cap_raises_through_drive(backend):
+    # any addition to [0.95, 0.95] topples its site and then the neighbour
+    p = ChainProcess(2, 0.5, 1.0, heights=[0.95, 0.95], seed=3, cap=1)
+    with pytest.raises(ToppleCapError, match="exceeded 1 topplings; finite chains "
+                                              "must stabilize"):
+        drive(p, 10, stats=MarginalStats(2))
+    assert (p.t, p._additions.pos, p.heights) == (0, 1, [0.0, 0.0])
+
+
+def test_heavy_gate_raises_through_drive(backend):
+    # a >= 1/2 makes every addition to a full site topple; a crafted 0.3
+    # addition to the full site 1 does not, which the gate must catch at t=2
+    p = ChainProcess(2, 0.5, 1.0, heights=[0.6, 0.2], seed=3)
+    _force_additions(p, [1, 0, 1], [0.6, 0.3, 0.6])
+    events = []
+    with pytest.raises(InvariantViolation,
+                       match=r"a=0.5 >= 1/2: addition to a full site must topple \(t=2\)"):
+        drive(p, 3, event_sink=events.append)
+    assert (p.t, p._additions.pos, p.heights) == (2, 2, [0.6 + 0.3, 0.2 + 0.6])
+    assert [e["t"] for e in events] == [1]
+
+
+def test_kernel_entry_reports_heavy_violation(lib):
+    h = np.array([0.6, 0.2])
+    sites = np.array([1, 0, 1], dtype=np.int64)
+    amts = np.array([0.6, 0.3, 0.6])
+    tops = np.full(3, -1, dtype=np.int64)
+    assert core.kernel_drive(lib, h, sites, amts, 100, True, tops=tops) == (1, 2)
+    assert tops.tolist() == [0, -1, -1]
+    h = np.array([0.6, 0.2])
+    assert core.kernel_drive(lib, h, sites, amts, 100, False) == (3, 0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"h": np.array([0.1, 0.2], dtype=np.float32)},
+    {"h": np.array([0.1, 0.0, 0.2, 0.0])[::2]},
+    {"sites": np.array([0, 1], dtype=np.int32)},
+    {"sites": np.array([0, 2], dtype=np.int64)},
+    {"sites": np.array([-1, 0], dtype=np.int64)},
+    {"amts": np.array([0.5])},
+    {"amts": [0.5, 0.5]},
+    {"rows": np.empty((1, 2))},
+    {"tops": np.empty(2, dtype=np.float64)},
+])
+def test_kernel_entry_checks_its_arrays(lib, bad):
+    args = {"h": np.array([0.1, 0.2]), "sites": np.array([0, 1], dtype=np.int64),
+            "amts": np.array([0.5, 0.5]), "rows": None, "tops": None}
+    args.update(bad)
+    with pytest.raises(ValueError, match="kernel argument"):
+        core.kernel_drive(lib, args["h"], args["sites"], args["amts"], 100, False,
+                          rows=args["rows"], tops=args["tops"])
+
+
+# ---------------------------------------------------------------------------
+# merged coupling
+# ---------------------------------------------------------------------------
+
+def _merged_pair(record=False):
+    c = Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9, seed=1,
+                 record_streams=record)
+    c.run(100_000)
+    assert c.phase == "merged"
+    return c
+
+
+def test_merged_kernel_matches_python_steps(lib, monkeypatch):
+    runs = []
+    for kernel in (lib, None):
+        monkeypatch.setattr(core, "_kernel", [kernel])
+        c = _merged_pair(record=True)
+        assert c.run_steps(20_000, require_equal=True)
+        runs.append((c.hA, c.hB, c.t, c.phase_steps, c.streamA, c.streamB,
+                     c._addC.pos))
+    assert runs[0] == runs[1]
+
+
+def test_perturbed_merged_pair_fails_the_check(backend):
+    c = _merged_pair()
+    c.hB[1] = np.nextafter(c.hB[1], 0.0)
+    assert c.run_steps(1000, require_equal=True) is False
+    assert c.run_steps(1000) is True            # the check is off
+
+
+def test_pair_kernel_counts_unequal_steps(lib):
+    hA = np.array([0.5, 0.5, 0.5])
+    hB = hA.copy()
+    hB[2] = 0.25
+    sites = np.array([0, 0, 1], dtype=np.int64)
+    amts = np.array([0.2, 0.2, 0.2])
+    done, status, differed = core.kernel_drive_pair(lib, hA, hB, sites, amts, 100)
+    assert (done, status, differed) == (3, 0, 3)
+    ref = [0.5, 0.5, 0.5]
+    for x, u in zip(sites.tolist(), amts.tolist()):
+        ref[x] += u
+        if ref[x] >= 1.0:
+            _relax_leftmost(ref, x)
+    assert hA.tolist() == ref
+
+
+def test_topple_cap_raises_in_merged_pair(backend):
+    c = Coupling([0.95, 0.95], [0.95, 0.95], 0.5, 1.0, seed=2, cap=1)
+    with pytest.raises(ToppleCapError, match="exceeded 1 topplings"):
+        c.run_steps(5, require_equal=True)
+    assert c.t == 0 and c._addC.pos == 1
+
+
+# ---------------------------------------------------------------------------
+# building and loading
+# ---------------------------------------------------------------------------
+
+def _build_and_check(cache, barrier):
+    # a worker of the concurrent-build test: exit 0 iff the kernel it built
+    # (or found) relaxes like the Python reference
+    barrier.wait(timeout=60)
+    lib = core._build_kernel(Path(cache))
+    if lib is None:
+        sys.exit(1)
+    h = np.array([0.9, 0.7, 0.95, 0.6])
+    done, status = core.kernel_drive(lib, h, np.array([1], dtype=np.int64),
+                                     np.array([0.45]), 100, False)
+    ref = [0.9, 0.7 + 0.45, 0.95, 0.6]
+    _relax_leftmost(ref, 1)
+    sys.exit(0 if (done, status, h.tolist()) == (1, 0, ref) else 2)
+
+
+def test_concurrent_builds_share_one_cache(tmp_path):
+    cache = tmp_path / "cache"
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(4)
+    procs = [ctx.Process(target=_build_and_check, args=(str(cache), barrier))
+             for _ in range(4)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=120)
+    for p in procs:
+        if p.is_alive():
+            p.kill()
+    assert [p.exitcode for p in procs] == [0, 0, 0, 0]
+    names = sorted(os.listdir(cache))
+    assert len(names) == 1 and names[0].startswith("_drive-") and names[0].endswith(".so")
+
+
+@pytest.mark.parametrize("where", ["missing-compiler", "failing-compiler",
+                                   "unwritable-cache"])
+def test_failed_build_falls_back_to_python(where, lib, tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache"
+    cc = "gcc"
+    if where == "missing-compiler":
+        cc = str(tmp_path / "no-such-cc")
+    elif where == "failing-compiler":
+        cc = shutil.which("false")
+    else:
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "cache"      # a file cannot hold a directory
+    assert core._build_kernel(cache, cc=cc) is None
+    if cache.is_dir():
+        assert os.listdir(cache) == []            # no partial library left
+    argv = ["finite-run", "--n", "12", "--a", "0.6", "--b", "0.8",
+            "--burn-in", "500", "--samples", "5000", "--seed", "7919"]
+    outs = {}
+    for name, kernel in (("compiled", lib), ("python", None)):
+        monkeypatch.setattr(core, "_kernel", [kernel])
+        out = tmp_path / f"{name}.csv"
+        events = tmp_path / f"{name}.jsonl"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out), "--events-out", str(events)]) == 0
+        assert f"chain backend {name}" in capsys.readouterr().err
+        outs[name] = (out.read_bytes(), events.read_bytes())
+    assert outs["compiled"] == outs["python"]
+
+
+def test_import_and_version_build_nothing():
+    src = str(Path(zhangpile.__file__).resolve().parents[1])
+    code = ("import zhangpile.cli as cli, zhangpile.core as core\n"
+            "cli.main(['--version'])\n"
+            "print(core._kernel)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [zhangpile.__version__, "[]"]
