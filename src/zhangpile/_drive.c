@@ -1,11 +1,14 @@
-/* Compiled steps of the (N,[a,b]) chain; loaded with ctypes by core.py.
+/* Compiled loops of the chain and lattice engines; loaded with ctypes by core.py.
  *
- * Each step adds amts[i] to site sites[i] (0-based) of a stable chain and
+ * zp_drive and zp_drive_pair step the (N,[a,b]) chain: each step adds amts[i] to site sites[i] (0-based) of a stable chain and
  * relaxes it leftmost-first, with the float operations of core._relax_leftmost
  * in the same order, so heights stay bit-identical to the Python reference.
  * Status codes: 0 done, 1 topple cap exceeded, 2 a full site failed to topple.
+ * zp_lattice runs the lattice clock of lattice.MarkovToppling.run, and
+ * zp_fsum the exact sum of its snapshots.
  */
 #include <stdint.h>
+#include <math.h>
 #include <string.h>
 
 /* Topple the leftmost site with h >= 1, step back to x-1 if it became
@@ -93,4 +96,196 @@ int64_t zp_drive_pair(double *hA, double *hB, int64_t n, const int64_t *sites,
         }
     }
     return steps;
+}
+
+/* The correctly rounded sum of x[0..n), by the partials algorithm of
+ * CPython's math.fsum (Shewchuk's exact accumulation with its final
+ * half-even fix-up), so both give the same double.  Status: 0 ok, 1 an
+ * intermediate overflow, 2 -inf + inf; fsum raises on both.  Nonoverlapping
+ * partials occupy distinct bits of the 2098 a finite double can hold, so the
+ * fixed array never fills. */
+int32_t zp_fsum(const double *x, int64_t n, double *out)
+{
+    double p[2112];
+    int64_t np = 0;
+    double special = 0.0, inf_sum = 0.0;
+    for (int64_t k = 0; k < n; k++) {
+        double v = x[k], xsave = v;
+        int64_t i = 0;
+        for (int64_t j = 0; j < np; j++) {
+            double y = p[j];
+            if (fabs(v) < fabs(y)) {
+                double t = v;
+                v = y;
+                y = t;
+            }
+            double hi = v + y;
+            double lo = y - (hi - v);
+            if (lo != 0.0)
+                p[i++] = lo;
+            v = hi;
+        }
+        np = i;
+        if (v != 0.0) {
+            if (!isfinite(v)) {
+                if (isfinite(xsave))
+                    return 1;
+                if (isinf(xsave))
+                    inf_sum += xsave;
+                special += xsave;
+                np = 0;
+            } else {
+                p[np++] = v;
+            }
+        }
+    }
+    if (special != 0.0) {
+        if (isnan(inf_sum))
+            return 2;
+        *out = special;
+        return 0;
+    }
+    double hi = 0.0;
+    if (np > 0) {
+        double lo = 0.0;
+        hi = p[--np];
+        while (np > 0) {
+            double v = hi, y = p[--np];
+            hi = v + y;
+            lo = y - (hi - v);
+            if (lo != 0.0)
+                break;
+        }
+        if (np > 0 && ((lo < 0.0 && p[np - 1] < 0.0) || (lo > 0.0 && p[np - 1] > 0.0))) {
+            double y = lo * 2.0;
+            double v = hi + y;
+            if (y == v - hi)
+                hi = v;
+        }
+    }
+    *out = hi;
+    return 0;
+}
+
+/* The rejection-free lattice clock of lattice.MarkovToppling.run, with its
+ * float operations in the same order, so both backends give the same bits.
+ *
+ * Sites 0..n-1 have twod neighbour slots each in nbr (-1 off the box, in the
+ * order of lattice._neighbor_table); missing counts the -1 slots.  The first
+ * k = st->k entries of unstable are the unstable sites, where[i] is the
+ * position of site i there or -1.  waits and picks are the chunk of
+ * exponential and uniform draws, read from st->pos on.  A due snapshot fills
+ * one row of rows (t, total mass, unstable count, min M, max M, dissipated);
+ * no snapshot is due while next_snap is +inf. */
+typedef struct {
+    double t, t_max, next_snap, snapshot_every, diss, diss_c;
+    int64_t k, events, events_stop, pos, n_rows;
+} zp_clock;
+
+/* Why zp_lattice returned.  Past ZP_ROWS_FULL, the status less ZP_ROWS_FULL
+ * is the failing zp_fsum status of a due snapshot. */
+enum { ZP_EVENTS, ZP_T_MAX, ZP_STABLE, ZP_REFILL, ZP_ROWS_FULL };
+
+int32_t zp_lattice(double *h, int64_t n, int64_t twod, const int64_t *nbr,
+                   const int64_t *missing, int64_t *unstable, int64_t *where,
+                   int64_t *m, double *lv, double *lc, const double *waits,
+                   const double *picks, int64_t chunk, zp_clock *st, double *rows,
+                   int64_t rows_cap)
+{
+    double t = st->t, diss = st->diss, diss_c = st->diss_c;
+    int64_t k = st->k, events = st->events, pos = st->pos;
+    int32_t status = ZP_EVENTS;
+    while (events < st->events_stop) {
+        if (pos >= chunk) {
+            status = ZP_REFILL;
+            break;
+        }
+        double te = t + waits[pos] / (double)k;
+        while (st->next_snap < te) {
+            if (st->next_snap > st->t_max) {
+                st->next_snap = INFINITY;
+                break;
+            }
+            if (st->n_rows == rows_cap) {
+                status = ZP_ROWS_FULL;
+                goto out;
+            }
+            double *row = rows + 6 * st->n_rows;
+            int32_t err = zp_fsum(h, n, &row[1]);
+            if (err) {
+                status = ZP_ROWS_FULL + err;
+                goto out;
+            }
+            int64_t lo = m[0], hi = m[0];
+            for (int64_t i = 1; i < n; i++) {
+                if (m[i] < lo)
+                    lo = m[i];
+                if (m[i] > hi)
+                    hi = m[i];
+            }
+            row[0] = st->next_snap;
+            row[2] = (double)k;
+            row[3] = (double)lo;
+            row[4] = (double)hi;
+            row[5] = diss;
+            st->n_rows++;
+            st->next_snap += st->snapshot_every;
+        }
+        if (te > st->t_max) {
+            /* the crossing draw is discarded, as in the Python loop */
+            pos++;
+            t = st->t_max;
+            status = ZP_T_MAX;
+            break;
+        }
+        int64_t s = unstable[(int64_t)(picks[pos] * (double)k)];
+        pos++;
+        t = te;
+        events++;
+        int64_t last = unstable[--k];
+        if (last != s) {
+            int64_t i = where[s];
+            unstable[i] = last;
+            where[last] = i;
+        }
+        where[s] = -1;
+        double hx = h[s];
+        h[s] = 0.0;
+        m[s]++;
+        double y = hx - lc[s];
+        double tt = lv[s] + y;
+        lc[s] = (tt - lv[s]) - y;
+        lv[s] = tt;
+        double share = hx / (double)twod;
+        const int64_t *row = nbr + s * twod;
+        for (int64_t j = 0; j < twod; j++) {
+            int64_t nb = row[j];
+            if (nb < 0)
+                continue;
+            double v = h[nb] + share;
+            h[nb] = v;
+            if (v >= 1.0 && where[nb] < 0) {
+                where[nb] = k;
+                unstable[k++] = nb;
+            }
+        }
+        if (missing[s]) {
+            y = share * (double)missing[s] - diss_c;
+            tt = diss + y;
+            diss_c = (tt - diss) - y;
+            diss = tt;
+        }
+        if (k == 0) {
+            status = ZP_STABLE;
+            break;
+        }
+    }
+out:
+    st->t = t;
+    st->diss = diss;
+    st->diss_c = diss_c;
+    st->k = k;
+    st->events = events;
+    st->pos = pos;
+    return status;
 }

@@ -102,6 +102,8 @@ def cmd_stabilize(args) -> int:
 
 
 def cmd_finite_run(args) -> int:
+    if args.burn_in < 0 or args.samples < 0:
+        raise ValueError("--burn-in and --samples must be >= 0")
     spec = make_spec("finite-run", n=args.n, a=args.a, b=args.b, seed=args.seed,
                      burn_in=args.burn_in, samples=args.samples, bins=args.bins)
     proc = ChainProcess(args.n, args.a, args.b, seed=args.seed)
@@ -294,7 +296,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--events-out", default=None,
                     help="also write the burn-in event stream as JSON lines")
     common(sp)
-    sp.set_defaults(func=cmd_finite_run, chain_kernel=True)
+    sp.set_defaults(func=cmd_finite_run, engine="chain")
 
     sp = sub.add_parser("couple", help="three-phase coupling runs over a seed range")
     sp.add_argument("--n", type=int, required=True)
@@ -325,7 +327,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--save-final", default=None,
                     help="write replica-0 final heights (JSON header + values)")
     common(sp)
-    sp.set_defaults(func=cmd_infinite)
+    sp.set_defaults(func=cmd_infinite, engine="lattice")
 
     sp = sub.add_parser("sweep", help="stabilizability sweep over a density grid")
     sp.add_argument("--d", type=int, required=True)
@@ -340,7 +342,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--max-events", type=int, default=None, help=MAX_EVENTS_HELP)
     sp.add_argument("--workers", type=int, default=1)
     common(sp)
-    sp.set_defaults(func=cmd_sweep)
+    sp.set_defaults(func=cmd_sweep, engine="lattice")
     return p
 
 
@@ -391,10 +393,10 @@ def main(argv=None) -> int:
         print(f"zhangpile: error: {exc}", file=sys.stderr)
         return 1
     summary = f"zhangpile {args.subcommand}: {time.perf_counter() - t0:.2f}s wall"
-    if getattr(args, "chain_kernel", False):
+    if getattr(args, "engine", None):
         # names the backend that ran, so that a silent fallback shows
         backend = "python" if chain_kernel() is None else "compiled"
-        summary += f", chain backend {backend}"
+        summary += f", {args.engine} backend {backend}"
     print(summary, file=sys.stderr)
     return rc
 

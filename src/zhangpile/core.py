@@ -10,7 +10,8 @@ when starting from a stable configuration plus a single addition.
 
 Sites are numbered 1..N to match the usual convention for this model.
 Leftmost relaxation after single additions also exists as a compiled kernel
-(``_drive.c``), which ``chain_kernel`` builds and loads.
+(``_drive.c``), which ``chain_kernel`` builds and loads; the same library holds
+the lattice clock of ``lattice.MarkovToppling``.
 """
 
 from __future__ import annotations
@@ -192,12 +193,12 @@ def _relax_leftmost(h: list, start: int, cap: int = DEFAULT_TOPPLE_CAP) -> int:
 
 
 # ---------------------------------------------------------------------------
-# compiled chain kernel
+# compiled kernel
 # ---------------------------------------------------------------------------
-# _drive.c does _relax_leftmost's float operations in the same order, so both
-# backends give bit-identical heights.  It is compiled with gcc on first use
-# and cached next to the bytecode; wherever the build or the load fails, the
-# callers run their Python loops instead.
+# _drive.c does the float operations of _relax_leftmost and of the lattice
+# clock in the same order, so both backends give bit-identical results.  It is
+# compiled with gcc on first use and cached next to the bytecode; wherever the
+# build or the load fails, the callers run their Python loops instead.
 
 _KERNEL_SOURCE = Path(__file__).with_name("_drive.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -238,11 +239,31 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
     lib.zp_drive_pair.argtypes = [ptr, ptr, i64, ptr, ptr, i64, i64,
                                   ctypes.POINTER(i64), ctypes.POINTER(ctypes.c_int32)]
     lib.zp_drive_pair.restype = i64
+    lib.zp_fsum.argtypes = [ptr, i64, ctypes.POINTER(ctypes.c_double)]
+    lib.zp_fsum.restype = ctypes.c_int32
+    lib.zp_lattice.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+                               i64, ctypes.POINTER(LatticeClock), ptr, i64]
+    lib.zp_lattice.restype = ctypes.c_int32
     return lib
 
 
+class LatticeClock(ctypes.Structure):
+    """The run state that ``zp_lattice`` reads and updates (``zp_clock`` in _drive.c)."""
+
+    _fields_ = ([(f, ctypes.c_double) for f in ("t", "t_max", "next_snap",
+                                                 "snapshot_every", "diss", "diss_c")]
+                + [(f, ctypes.c_int64) for f in ("k", "events", "events_stop", "pos",
+                                                  "n_rows")])
+
+
+# zp_fsum's failure statuses, as the exceptions math.fsum raises for them
+FSUM_ERRORS = {1: (OverflowError, "intermediate overflow in fsum"),
+               2: (ValueError, "-inf + inf in fsum")}
+
+
 def chain_kernel() -> ctypes.CDLL | None:
-    """The compiled chain kernel, built on the first call; None if unavailable."""
+    """The compiled kernel (chain and lattice entry points), built on the first
+    call; None if unavailable."""
     if not _kernel:
         _kernel.append(_build_kernel(_KERNEL_SOURCE.parent / "__pycache__"))
     return _kernel[0]

@@ -16,6 +16,12 @@ detected without scanning.  ``events`` and ``max_events`` count topplings.
 A finite run can only collect evidence about stabilizability:
 ``active-at-cutoff`` is evidence, never proof.
 
+The clock loop runs in the compiled kernel (``zp_lattice`` in ``_drive.c``)
+whenever ``core.chain_kernel`` loads it, snapshots included, and otherwise in
+Python.  The Python loop is the reference: the kernel does its float
+operations in the same order, visits neighbours in the same order and reads
+the same prefetched draws, so both backends give bit-identical runs.
+
 Per-site toppling counts M and emitted mass L feed the exact bookkeeping
 identity  eta(t) = eta(0) - L + (1/2d) * sum of neighbour L,  checked both
 directly and through the toppling matrix (diagonal -1, neighbours 1/(2d)).
@@ -23,6 +29,7 @@ directly and through the toppling matrix (diagonal -1, neighbours 1/(2d)).
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -31,7 +38,7 @@ from multiprocessing import Pool
 import numpy as np
 import scipy.sparse as sp
 
-from .core import check_heights
+from .core import FSUM_ERRORS, LatticeClock, chain_kernel, check_heights
 
 TORUS = "torus"
 BOX = "dissipative-box"
@@ -39,7 +46,12 @@ BOX = "dissipative-box"
 _BOUNDARY_ALIASES = {"torus": TORUS, "box": BOX, "dissipative-box": BOX,
                      "dissipative": BOX}
 
-_CHUNK = 8192
+_CHUNK = 8192           # exponential waits and uniform picks drawn per refill
+_SNAP_ROWS = 64         # snapshot rows the kernel fills before it returns
+_NO_LIMIT = 2**63 - 1   # event budget of a run without max_events
+
+# zp_lattice return statuses (enum in _drive.c)
+_EVENTS, _T_MAX, _STABLE, _REFILL, _ROWS_FULL = range(5)
 
 
 def parse_boundary(name: str) -> str:
@@ -91,37 +103,36 @@ class LatticeConfig:
 
 @lru_cache(maxsize=32)
 def _neighbor_arrays(shape: tuple, boundary: str):
-    """Flat neighbour ids, shape (n, 2d), and the mask of those inside the lattice."""
-    idx = np.arange(int(np.prod(shape))).reshape(shape)
+    """Flat int64 neighbour ids, shape (n, 2d), with -1 in the slots off the
+    box, and per site the count of those missing neighbours."""
+    idx = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
     d = len(shape)
     cols = []
-    valid = []
     for ax in range(d):
         for off in (1, -1):
-            cols.append(np.roll(idx, off, axis=ax).ravel())
-            if boundary == TORUS:
-                valid.append(np.ones(idx.size, dtype=bool))
-            else:
-                keep = np.ones(shape, dtype=bool)
+            col = np.roll(idx, off, axis=ax)
+            if boundary != TORUS:
                 sl = [slice(None)] * d
                 sl[ax] = 0 if off == 1 else shape[ax] - 1
-                keep[tuple(sl)] = False
-                valid.append(keep.ravel())
-    cols = np.stack(cols, axis=1)
-    valid = np.stack(valid, axis=1)
-    cols.flags.writeable = False
-    valid.flags.writeable = False
-    return cols, valid
+                col[tuple(sl)] = -1
+            cols.append(col.ravel())
+    nbr = np.stack(cols, axis=1)
+    missing = (nbr < 0).sum(axis=1, dtype=np.int64)
+    nbr.flags.writeable = False
+    missing.flags.writeable = False
+    return nbr, missing
 
 
 @lru_cache(maxsize=32)
 def _neighbor_table(shape: tuple, boundary: str):
-    """Flat neighbour ids per site plus the count of missing (off-box) ones."""
-    cols, valid = _neighbor_arrays(shape, boundary)
-    neighbors = tuple(tuple(int(c) for c, ok in zip(row, vrow) if ok)
-                      for row, vrow in zip(cols, valid))
-    missing = tuple(int((~vrow).sum()) for vrow in valid)
-    return neighbors, missing
+    """Flat neighbour ids per site plus the count of missing (off-box) ones.
+
+    Neighbours keep their slot order, and a side-2 torus lists one neighbour
+    twice; the toppling loops visit them in this order.
+    """
+    nbr, missing = _neighbor_arrays(shape, boundary)
+    neighbors = tuple(tuple(c for c in row if c >= 0) for row in nbr.tolist())
+    return neighbors, tuple(missing.tolist())
 
 
 class MassLedger:
@@ -241,9 +252,6 @@ class MarkovToppling:
         self.n = config.n_sites
         self.h = config.heights.ravel().tolist()
         self.initial = config.heights.copy()
-        nbrs, missing = _neighbor_table(self.shape, self.boundary)
-        self._nbrs = [list(row) for row in nbrs]
-        self._missing = list(missing)
         self.ledger = MassLedger(self.shape)
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.unstable = [i for i, v in enumerate(self.h) if v >= 1.0]
@@ -255,8 +263,9 @@ class MarkovToppling:
         self.t_stab: float | None = 0.0 if not self.unstable else None
         self.min_m_threshold = min_m_threshold
         self.snapshots: list[Snapshot] = []
-        self._wait_buf: list = []
-        self._pick_buf: list = []
+        # the current chunk of exponential waits and uniform picks
+        self._wait_buf = np.empty(0)
+        self._pick_buf = np.empty(0)
         self._bufpos = _CHUNK
 
     def _snapshot(self, t: float) -> None:
@@ -266,14 +275,44 @@ class MarkovToppling:
             frac_unstable=len(self.unstable) / self.n,
             min_m=min(m), max_m=max(m), dissipated=self.ledger._diss))
 
+    def _refill(self) -> None:
+        self._wait_buf = self.rng.standard_exponential(_CHUNK)
+        self._pick_buf = self.rng.random(_CHUNK)
+        self._bufpos = 0
+
     def run(self, t_max: float = math.inf, max_events: int | None = None,
             snapshot_every: float | None = None) -> None:
-        """Advance until stabilized, ``t_max``, or ``max_events`` further topplings."""
+        """Advance until stabilized, ``t_max``, or ``max_events`` further topplings.
+
+        A ``Snapshot`` is taken at each multiple of ``snapshot_every`` that
+        the run passes.  The compiled kernel runs the loop when it loads, the
+        Python loop otherwise; both give the same bits, and a resumed run
+        continues the same draws.
+        """
+        if not t_max > 0:                   # also rejects NaN
+            raise ValueError(f"t_max must be positive, got {t_max!r}")
+        if snapshot_every is not None and not snapshot_every > 0:
+            raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
+        if max_events is not None and max_events < 0:
+            raise ValueError(f"max_events must be >= 0, got {max_events}")
         if not self.unstable:
             return
+        next_snap = math.inf                # no snapshot is due while it is inf
+        if snapshot_every is not None:
+            next_snap = (math.floor(self.t / snapshot_every) + 1) * snapshot_every
+        events_stop = _NO_LIMIT
+        if max_events is not None:
+            events_stop = min(self.events + max_events, _NO_LIMIT)
+        lib = chain_kernel()
+        if lib is None:
+            self._run_python(t_max, events_stop, next_snap, snapshot_every)
+        else:
+            self._run_compiled(lib, t_max, events_stop, next_snap, snapshot_every)
+
+    def _run_python(self, t_max, events_stop, next_snap, snapshot_every) -> None:
+        """The reference loop, which ``zp_lattice`` follows operation by operation."""
         h = self.h
-        nbrs = self._nbrs
-        missing = self._missing
+        nbrs, missing = _neighbor_table(self.shape, self.boundary)
         unstable = self.unstable
         where = self._where
         led = self.ledger
@@ -283,28 +322,22 @@ class MarkovToppling:
         diss = led._diss
         diss_c = led._diss_c
         twod = 2 * self.d
-        rng = self.rng
-        box = self.boundary == BOX
         t = self.t
         events = self.events
-        events_stop = math.inf if max_events is None else events + max_events
-        next_snap = None
-        if snapshot_every is not None:
-            next_snap = (math.floor(t / snapshot_every) + 1) * snapshot_every
         chunk = _CHUNK
-        waits, picks, pos = self._wait_buf, self._pick_buf, self._bufpos
+        pos = self._bufpos
+        waits, picks = self._wait_buf.tolist(), self._pick_buf.tolist()
         while events < events_stop:
             if pos >= chunk:
-                waits = rng.standard_exponential(chunk).tolist()
-                picks = rng.random(chunk).tolist()
+                self._refill()
+                waits, picks = self._wait_buf.tolist(), self._pick_buf.tolist()
                 pos = 0
             k = len(unstable)
             te = t + waits[pos] / k
-            while next_snap is not None and next_snap < te:
+            while next_snap < te:
                 if next_snap > t_max:
-                    next_snap = None
+                    next_snap = math.inf
                     break
-                self.t = t
                 led._diss = diss
                 self._snapshot(next_snap)
                 next_snap += snapshot_every
@@ -341,7 +374,7 @@ class MarkovToppling:
                 if v >= 1.0 and where[nb] < 0:
                     where[nb] = len(unstable)
                     unstable.append(nb)
-            if box and missing[s]:
+            if missing[s]:
                 y = share * missing[s] - diss_c
                 tt = diss + y
                 diss_c = (tt - diss) - y
@@ -349,13 +382,74 @@ class MarkovToppling:
             if not unstable:
                 self.t_stab = t
                 break
-        self._wait_buf, self._pick_buf, self._bufpos = waits, picks, pos
+        self._bufpos = pos
         self.t = t
         self.events = events
         led.t = t
         led.events = events
         led._diss = diss
         led._diss_c = diss_c
+
+    def _run_compiled(self, lib, t_max, events_stop, next_snap, snapshot_every) -> None:
+        """``_run_python`` in ``zp_lattice``: the state moves into arrays for
+        the run and back into lists after it."""
+        n = self.n
+        led = self.ledger
+        nbr, missing = _neighbor_arrays(self.shape, self.boundary)
+        k = len(self.unstable)
+        h = np.array(self.h, dtype=np.float64)
+        unstable = np.zeros(n, dtype=np.int64)
+        where = np.array(self._where, dtype=np.int64)
+        m = np.array(led._m, dtype=np.int64)
+        lv = np.array(led._lv, dtype=np.float64)
+        lc = np.array(led._lc, dtype=np.float64)
+        # the kernel indexes with these, so they must describe this lattice
+        ok = h.size == where.size == m.size == lv.size == lc.size == n and k <= n
+        if ok:
+            unstable[:k] = self.unstable
+            ok = (unstable[:k].min() >= 0 and unstable[:k].max() < n
+                  and np.array_equal(where[unstable[:k]], np.arange(k))
+                  and np.count_nonzero(where >= 0) == k)
+        if not ok:
+            raise ValueError("engine state does not match its lattice")
+        rows = np.empty((_SNAP_ROWS, 6))
+        clock = LatticeClock(t=self.t, t_max=t_max, next_snap=next_snap,
+                             snapshot_every=snapshot_every or 0.0, diss=led._diss,
+                             diss_c=led._diss_c, k=k, events=self.events,
+                             events_stop=events_stop, pos=self._bufpos, n_rows=0)
+        head = (h.ctypes.data, n, 2 * self.d, nbr.ctypes.data, missing.ctypes.data,
+                unstable.ctypes.data, where.ctypes.data, m.ctypes.data, lv.ctypes.data,
+                lc.ctypes.data)
+        tail = (_CHUNK, ctypes.byref(clock), rows.ctypes.data, _SNAP_ROWS)
+        try:
+            while True:
+                status = lib.zp_lattice(*head, self._wait_buf.ctypes.data,
+                                        self._pick_buf.ctypes.data, *tail)
+                self.snapshots.extend(
+                    Snapshot(t=r[0], total_mass=r[1], n_unstable=int(r[2]),
+                             frac_unstable=int(r[2]) / n, min_m=int(r[3]),
+                             max_m=int(r[4]), dissipated=r[5])
+                    for r in rows[:clock.n_rows].tolist())
+                clock.n_rows = 0
+                if status == _REFILL:
+                    self._refill()
+                    clock.pos = 0
+                elif status > _ROWS_FULL:
+                    exc, msg = FSUM_ERRORS[status - _ROWS_FULL]
+                    raise exc(msg)
+                elif status != _ROWS_FULL:
+                    break
+        finally:
+            self.h = h.tolist()
+            self.unstable = unstable[:clock.k].tolist()
+            self._where = where.tolist()
+            led._m, led._lv, led._lc = m.tolist(), lv.tolist(), lc.tolist()
+            self.t = led.t = clock.t
+            self.events = led.events = clock.events
+            led._diss, led._diss_c = clock.diss, clock.diss_c
+            self._bufpos = clock.pos
+        if status == _STABLE:
+            self.t_stab = clock.t
 
     def config(self) -> LatticeConfig:
         return LatticeConfig(np.array(self.h).reshape(self.shape), self.boundary)
@@ -379,10 +473,6 @@ def markov_run(config: LatticeConfig, t_max: float, seed: int | None = None,
                max_events: int | None = None, min_m_threshold: int = 10
                ) -> tuple[StabilizabilityVerdict, LatticeConfig, MassLedger]:
     """One-shot Markov toppling run; returns (verdict, final config, ledger)."""
-    if not t_max > 0:                   # also rejects NaN
-        raise ValueError(f"t_max must be positive, got {t_max!r}")
-    if snapshot_every is not None and not snapshot_every > 0:
-        raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
     eng = MarkovToppling(config, seed=seed, rng=rng, min_m_threshold=min_m_threshold)
     eng.run(t_max=t_max, max_events=max_events, snapshot_every=snapshot_every)
     return eng.verdict(), eng.config(), eng.ledger
@@ -453,20 +543,27 @@ def _neighbor_sum(arr: np.ndarray, boundary: str) -> np.ndarray:
     return out
 
 
-def delta_matrix(shape, boundary: str = TORUS) -> sp.csr_matrix:
-    """Toppling matrix: -1 on the diagonal, 1/(2d) for each neighbour bond."""
-    shape = tuple(int(s) for s in shape)
-    boundary = parse_boundary(boundary)
-    cols, valid = _neighbor_arrays(shape, boundary)
-    n = cols.shape[0]
+@lru_cache(maxsize=32)
+def _delta_matrix(shape: tuple, boundary: str) -> sp.csr_matrix:
+    """``delta_matrix``, built once per geometry and shared, hence read-only."""
+    nbr, _ = _neighbor_arrays(shape, boundary)
+    n = nbr.shape[0]
     # entry (y, x): toppling x credits each neighbour y; duplicate (row, col)
     # pairs (both neighbours along a side-2 torus axis) sum
-    xs, slot = np.nonzero(valid)
+    xs, slot = np.nonzero(nbr >= 0)
     diag = np.arange(n)
-    rows = np.concatenate([diag, cols[xs, slot]])
+    rows = np.concatenate([diag, nbr[xs, slot]])
     colidx = np.concatenate([diag, xs])
     vals = np.concatenate([np.full(n, -1.0), np.full(xs.size, 1.0 / (2 * len(shape)))])
-    return sp.csr_matrix((vals, (rows, colidx)), shape=(n, n))
+    mat = sp.csr_matrix((vals, (rows, colidx)), shape=(n, n))
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.flags.writeable = False
+    return mat
+
+
+def delta_matrix(shape, boundary: str = TORUS) -> sp.csr_matrix:
+    """Toppling matrix: -1 on the diagonal, 1/(2d) for each neighbour bond."""
+    return _delta_matrix(tuple(int(s) for s in shape), parse_boundary(boundary)).copy()
 
 
 def mass_identity_check(initial: LatticeConfig, current: LatticeConfig,
@@ -484,7 +581,7 @@ def mass_identity_check(initial: LatticeConfig, current: LatticeConfig,
     d = initial.dim
     pred = initial.heights - L + _neighbor_sum(L, initial.boundary) / (2 * d)
     r1 = float(np.abs(current.heights - pred).max())
-    dl = delta_matrix(initial.sides, initial.boundary) @ L.ravel()
+    dl = _delta_matrix(initial.sides, initial.boundary) @ L.ravel()
     pred2 = initial.heights.ravel() + dl
     r2 = float(np.abs(current.heights.ravel() - pred2).max())
     return max(r1, r2)
@@ -697,8 +794,6 @@ def stabilizability_experiment(spec: DensitySpec, sides, boundary: str,
     """Replicated Markov runs from one density spec; replicas use split seeds."""
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    if max_events is not None and max_events < 0:
-        raise ValueError(f"max_events must be >= 0, got {max_events}")
     if t_max == math.inf and max_events is None:
         # a replica that never stabilizes would never end
         raise ValueError("t_max=inf needs max_events")
@@ -708,6 +803,7 @@ def stabilizability_experiment(spec: DensitySpec, sides, boundary: str,
              max_events)
             for i in range(replicas)]
     if workers > 1 and replicas > 1:
+        chain_kernel()      # build and load once, before the workers fork
         with Pool(workers) as pool:
             rows = pool.map(_replica_worker, jobs)
     else:

@@ -10,6 +10,7 @@ import pytest
 
 import zhangpile
 import zhangpile.cli as cli
+import zhangpile.core as core
 import zhangpile.lattice as lattice
 from zhangpile.cli import main
 from zhangpile.runio import ExperimentSpec, make_spec, parse_echo
@@ -293,12 +294,15 @@ def test_conservation_gate_trips_on_nan(tmp_path, monkeypatch):
         with pytest.raises(cli.ConservationError):
             cli._check_conservation([ok, dict(ok, replica=1, **{key: math.nan})],
                                     cli.TORUS)
-    # end to end: a NaN residual from the identity check exits 2
+    # end to end: a NaN residual from the identity check exits 2, on the
+    # Python loop and on the compiled kernel alike
     monkeypatch.setattr(lattice, "mass_identity_check", lambda *a: math.nan)
-    rc = main(["infinite", "--d", "1", "--side", "16", "--gen", "constant",
-               "--rho", "1.1", "--tmax", "2", "--seed", "37",
-               "--out", str(tmp_path / "v.csv")])
-    assert rc == 2
+    for kernel in (None, core.chain_kernel()):
+        monkeypatch.setattr(core, "_kernel", [kernel])
+        rc = main(["infinite", "--d", "1", "--side", "16", "--gen", "constant",
+                   "--rho", "1.1", "--tmax", "2", "--seed", "37",
+                   "--out", str(tmp_path / "v.csv")])
+        assert rc == 2
 
 
 def _run_cli(tmp_path, argv):
@@ -365,6 +369,19 @@ def test_bad_intervals_and_counts_exit_1(tmp_path, argv):
     assert proc.returncode == 1, proc.stderr
     assert "error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_finite_run_negative_counts_exit_1(tmp_path):
+    # with --events-out the run exited 0 and wrote a header-only file, while
+    # the same run without it exited 1
+    events = tmp_path / "e.jsonl"
+    argv = ["finite-run", "--n", "3", "--a", "0.2", "--b", "0.9", "--burn-in", "-5",
+            "--samples", "-3"]
+    for extra in ([], ["--events-out", str(events)]):
+        proc = _run_cli(tmp_path, argv + extra)
+        assert proc.returncode == 1, proc.stderr
+        assert "--burn-in and --samples must be >= 0" in proc.stderr
+    assert not events.exists()
 
 
 @pytest.mark.parametrize("command", ["infinite", "sweep"])

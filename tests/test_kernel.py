@@ -1,14 +1,17 @@
-"""The compiled chain kernel against the Python reference loops.
+"""The compiled chain and lattice kernels against the Python reference loops.
 
 Every check runs both backends on the same inputs and requires bit-equal
 results, or shows that a kernel gate fails where the Python one does.
 """
 
+import ctypes
+import math
 import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,7 @@ from zhangpile.chain import (
 from zhangpile.cli import main
 from zhangpile.core import InvariantViolation, ToppleCapError, _relax_leftmost
 from zhangpile.coupling import Coupling
+from zhangpile.lattice import BOX, TORUS, DensitySpec, LatticeConfig, MarkovToppling, generate
 
 pytestmark = pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
 
@@ -48,6 +52,18 @@ def backend(request, lib, monkeypatch):
 
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@contextmanager
+def _kernel_set(kernel):
+    """Run the block on ``kernel`` (None: the Python loops), for hypothesis
+    tests, which cannot take the function-scoped ``backend`` fixture."""
+    saved = core._kernel[:]
+    core._kernel[:] = [kernel]
+    try:
+        yield
+    finally:
+        core._kernel[:] = saved
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +240,104 @@ def test_topple_cap_raises_in_merged_pair(backend):
 
 
 # ---------------------------------------------------------------------------
+# lattice clock
+# ---------------------------------------------------------------------------
+
+@st.composite
+def lattice_runs(draw):
+    d = draw(st.integers(1, 3))
+    boundary = draw(st.sampled_from([TORUS, BOX]))
+    kind = draw(st.sampled_from(["iid", "constant", "checkerboard"]))
+    top = {1: 64, 2: 12, 3: 4}[d]
+    if boundary == TORUS and kind == "checkerboard":
+        side = st.integers(1, top // 2).map(lambda s: 2 * s)
+    else:
+        side = st.integers(2 if boundary == TORUS else 1, top)
+    sides = tuple(draw(st.lists(side, min_size=d, max_size=d)))
+    # a constant start below 1 is stable and would not run
+    rho = draw(st.floats(1.0 if kind == "constant" else 0.55, 1.4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    # (time to add to t_max or None for inf, max_events, snapshot_every).  The
+    # runs cut the 8192-draw chunks anywhere, and the last one crosses a chunk
+    # end unless the lattice stabilizes first.  Whole times make snapshots
+    # fall exactly on t_max.  A run without a time limit snapshots at most
+    # once per time unit, which bounds the snapshots on the smallest lattices.
+    runs = []
+    for last in [False] * draw(st.integers(1, 3)) + [True]:
+        dt = None if last else draw(st.one_of(st.none(), st.floats(0.01, 100.0),
+                                              st.integers(1, 20).map(float)))
+        max_events = 9000 if last else draw(st.one_of(st.none(), st.integers(0, 20_000)))
+        low = 0.05 if dt is not None else 1.0
+        every = draw(st.one_of(st.none(), st.floats(low, 4.0), st.sampled_from([1.0, 2.0])))
+        runs.append((dt, max_events, every))
+    return generate(DensitySpec(kind, rho), sides, boundary, seed=seed), seed, runs
+
+
+def _engine_state(eng):
+    led = eng.ledger
+    snaps = [(_bits([s.t, s.total_mass, s.frac_unstable, s.dissipated]),
+              s.n_unstable, s.min_m, s.max_m) for s in eng.snapshots]
+    return (_bits(eng.h), eng.unstable, eng._where, led._m, _bits(led._lv),
+            _bits(led._lc), _bits([led._diss, led._diss_c, eng.t, led.t]),
+            eng.t_stab, eng.events, led.events, eng._bufpos, _bits(eng._wait_buf),
+            _bits(eng._pick_buf), snaps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lattice_runs())
+def test_lattice_kernel_matches_python_reference(spec):
+    cfg, seed, runs = spec
+    lib = core.chain_kernel()
+    assert lib is not None
+    engines = {kernel: MarkovToppling(cfg, seed=seed) for kernel in (None, lib)}
+    for dt, max_events, every in runs:
+        if dt is None and max_events is None:
+            max_events = 5000                   # an unbounded run may never end
+        t_max = math.inf if dt is None else engines[None].t + dt
+        for kernel, eng in engines.items():
+            with _kernel_set(kernel):
+                eng.run(t_max=t_max, max_events=max_events, snapshot_every=every)
+        assert _engine_state(engines[lib]) == _engine_state(engines[None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=60)
+       | st.lists(st.floats(-1e308, 1e308), max_size=60)
+       | st.lists(st.floats(0.0, 4.0), max_size=3000))
+def test_kernel_fsum_matches_math_fsum(values):
+    lib = core.chain_kernel()
+    x = np.array(values, dtype=np.float64)
+    out = ctypes.c_double()
+    status = lib.zp_fsum(x.ctypes.data, x.size, ctypes.byref(out))
+    try:
+        want = math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        assert core.FSUM_ERRORS[status] == (type(exc), str(exc))
+        return
+    assert status == 0 and _bits(out.value) == _bits(want)
+
+
+def test_snapshot_sum_overflow_raises_on_both_backends(backend):
+    # the heights add up past the largest double, so the exact sum of the
+    # first snapshot overflows, as math.fsum does
+    cfg = LatticeConfig(np.array([1.6e308, 0.0, 1.5e308]), BOX)
+    eng = MarkovToppling(cfg, seed=1)
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        eng.run(t_max=1.0, snapshot_every=1e-9)
+
+
+def test_lattice_kernel_checks_engine_state(lib):
+    cfg = generate(DensitySpec("constant", 1.1), (4, 4), TORUS, seed=1)
+    for corrupt in (lambda e: e.unstable.append(16), lambda e: e.unstable.pop(),
+                    lambda e: e._where.__setitem__(e.unstable[0], 3),
+                    lambda e: e.h.pop()):
+        eng = MarkovToppling(cfg, seed=2)
+        corrupt(eng)
+        with _kernel_set(lib), pytest.raises(ValueError, match="engine state"):
+            eng.run(max_events=10)
+
+
+# ---------------------------------------------------------------------------
 # building and loading
 # ---------------------------------------------------------------------------
 
@@ -277,15 +391,22 @@ def test_failed_build_falls_back_to_python(where, lib, tmp_path, monkeypatch, ca
         assert os.listdir(cache) == []            # no partial library left
     argv = ["finite-run", "--n", "12", "--a", "0.6", "--b", "0.8",
             "--burn-in", "500", "--samples", "5000", "--seed", "7919"]
+    lattice = ["--d", "2", "--side", "12", "--gen", "iid", "--tmax", "20",
+               "--snap-every", "0.37", "--replicas", "2", "--seed", "7919"]
     outs = {}
     for name, kernel in (("compiled", lib), ("python", None)):
         monkeypatch.setattr(core, "_kernel", [kernel])
-        out = tmp_path / f"{name}.csv"
-        events = tmp_path / f"{name}.jsonl"
+        files = [tmp_path / f"{name}.{ext}" for ext in ("csv", "jsonl", "inf", "final", "sweep")]
+        out, events, verdicts, final, swept = files
         capsys.readouterr()
         assert main(argv + ["--out", str(out), "--events-out", str(events)]) == 0
         assert f"chain backend {name}" in capsys.readouterr().err
-        outs[name] = (out.read_bytes(), events.read_bytes())
+        assert main(["infinite", *lattice, "--rho", "1.05", "--boundary", "box",
+                     "--out", str(verdicts), "--save-final", str(final)]) == 0
+        assert f"lattice backend {name}" in capsys.readouterr().err
+        assert main(["sweep", *lattice, "--rho", "0.9,1.1", "--out", str(swept)]) == 0
+        assert f"lattice backend {name}" in capsys.readouterr().err
+        outs[name] = [f.read_bytes() for f in files]
     assert outs["compiled"] == outs["python"]
 
 

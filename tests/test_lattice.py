@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
+import zhangpile
+import zhangpile.core as core
 from zhangpile.lattice import (
     BOX,
     TORUS,
@@ -14,6 +21,7 @@ from zhangpile.lattice import (
     LatticeConfig,
     MarkovToppling,
     MassLedger,
+    _delta_matrix,
     _neighbor_table,
     bond_bound_check,
     count_internal_bonds,
@@ -31,6 +39,23 @@ from zhangpile.lattice import (
 
 def _line(vals, boundary=BOX):
     return LatticeConfig(np.array(vals, dtype=float), boundary)
+
+
+def _backends():
+    """The Python loop, and the compiled kernel when it builds."""
+    lib = core.chain_kernel()
+    return [None] if lib is None else [None, lib]
+
+
+@contextmanager
+def _kernel_set(kernel):
+    """Run the block on ``kernel`` (None: the Python loop)."""
+    saved = core._kernel[:]
+    core._kernel[:] = [kernel]
+    try:
+        yield
+    finally:
+        core._kernel[:] = saved
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +161,32 @@ def test_markov_run_rejects_bad_tmax():
     assert verdict.outcome == "stabilized"
 
 
+def test_engine_run_rejects_bad_arguments():
+    # snapshot_every=0 raised ZeroDivisionError and -1 never ended; the run
+    # sits in a bounded subprocess so that such a hang fails the test
+    bad = {"t_max=0": "t_max must be positive",
+           "t_max=math.nan": "t_max must be positive",
+           "t_max=5, snapshot_every=0": "snapshot_every must be positive",
+           "t_max=5, snapshot_every=-1": "snapshot_every must be positive",
+           "t_max=5, snapshot_every=math.nan": "snapshot_every must be positive",
+           "t_max=5, max_events=-1": "max_events must be >= 0"}
+    code = ["import math",
+            "from zhangpile.lattice import DensitySpec, MarkovToppling, generate",
+            "cfg = generate(DensitySpec('constant', 1.1), (16,), 'torus', seed=1)"]
+    for kwargs in bad:
+        code += ["try:", f"    MarkovToppling(cfg, seed=2).run({kwargs})",
+                 "except ValueError as exc:", "    print(exc)"]
+    src = str(Path(zhangpile.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", "\n".join(code)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(bad)
+    for line, message in zip(lines, bad.values()):
+        assert line.startswith(message), (line, message)
+
+
 def test_single_unstable_site_stabilizes():
     cfg = _line([0.0, 1.3, 0.0, 0.0], BOX)
     verdict, final, ledger = markov_run(cfg, t_max=100.0, seed=1)
@@ -239,22 +290,28 @@ def test_rejection_free_clock_matches_ring_loop():
     # unstable sites) gives the same process as ringing every site at rate 1.
     # Same 200 initial boxes for both engines, independent clock streams; the
     # cutoff sits near the median t_stab so the stabilized fraction is informative.
+    # Each backend is tested, with clock streams of its own.
     t_max = 16.0
-    ref, new = [], []
-    for i in range(200):
-        cfg = generate(DensitySpec("iid", 0.6), (12, 12), BOX, seed=i)
+    ref = []
+    configs = [generate(DensitySpec("iid", 0.6), (12, 12), BOX, seed=i) for i in range(200)]
+    for i, cfg in enumerate(configs):
         ref.append(_ring_loop_reference(cfg, np.random.default_rng([1, i]), t_max))
-        eng = MarkovToppling(cfg, rng=np.random.default_rng([2, i]))
-        eng.run(t_max=t_max)
-        new.append((eng.t_stab, eng.events))
     t_ref = [t for t, _ in ref if t is not None]
-    t_new = [t for t, _ in new if t is not None]
-    assert 40 < len(t_ref) < 160 and 40 < len(t_new) < 160
-    p_frac = sstats.fisher_exact([[len(t_ref), 200 - len(t_ref)],
-                                  [len(t_new), 200 - len(t_new)]]).pvalue
-    p_t = sstats.ks_2samp(t_ref, t_new).pvalue
-    p_top = sstats.ks_2samp([k for _, k in ref], [k for _, k in new]).pvalue
-    assert min(p_frac, p_t, p_top) > 0.01, (p_frac, p_t, p_top)
+    assert 40 < len(t_ref) < 160
+    for b, kernel in enumerate(_backends()):
+        new = []
+        with _kernel_set(kernel):
+            for i, cfg in enumerate(configs):
+                eng = MarkovToppling(cfg, rng=np.random.default_rng([2 + b, i]))
+                eng.run(t_max=t_max)
+                new.append((eng.t_stab, eng.events))
+        t_new = [t for t, _ in new if t is not None]
+        assert 40 < len(t_new) < 160
+        p_frac = sstats.fisher_exact([[len(t_ref), 200 - len(t_ref)],
+                                      [len(t_new), 200 - len(t_new)]]).pvalue
+        p_t = sstats.ks_2samp(t_ref, t_new).pvalue
+        p_top = sstats.ks_2samp([k for _, k in ref], [k for _, k in new]).pvalue
+        assert min(p_frac, p_t, p_top) > 0.01, (kernel, p_frac, p_t, p_top)
 
 
 def test_first_toppling_is_uniform_over_unstable_sites():
@@ -294,16 +351,18 @@ def _small_lattices(draw):
 @given(_small_lattices(), st.lists(st.integers(0, 3000), min_size=1, max_size=3))
 def test_unstable_index_tracks_heights(lattice, budgets):
     cfg, seed = lattice
-    eng = MarkovToppling(cfg, seed=seed)
-    for budget in budgets:
-        before = eng.events
-        eng.run(max_events=budget)
-        assert eng.events - before == budget or not eng.unstable
-        assert sorted(eng.unstable) == [i for i, v in enumerate(eng.h) if v >= 1.0]
-        assert all(eng._where[i] == k for k, i in enumerate(eng.unstable))
-        assert sum(w >= 0 for w in eng._where) == len(eng.unstable)
-        assert eng.ledger.M.sum() == eng.events
-        assert mass_identity_check(cfg, eng.config(), eng.ledger) <= 1e-9
+    for kernel in _backends():
+        eng = MarkovToppling(cfg, seed=seed)
+        for budget in budgets:
+            before = eng.events
+            with _kernel_set(kernel):
+                eng.run(max_events=budget)
+            assert eng.events - before == budget or not eng.unstable
+            assert sorted(eng.unstable) == [i for i, v in enumerate(eng.h) if v >= 1.0]
+            assert all(eng._where[i] == k for k, i in enumerate(eng.unstable))
+            assert sum(w >= 0 for w in eng._where) == len(eng.unstable)
+            assert eng.ledger.M.sum() == eng.events
+            assert mass_identity_check(cfg, eng.config(), eng.ledger) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +482,17 @@ def test_delta_matrix_matches_loop_reference(shape, boundary):
         assert a.dtype == b.dtype and np.array_equal(a, b), attr
     v = np.random.default_rng(5).uniform(0, 3, got.shape[0])
     assert np.array_equal(got @ v, want @ v)
+
+
+def test_delta_matrix_is_built_once_per_geometry():
+    shared = _delta_matrix((6, 6), TORUS)
+    assert _delta_matrix((6, 6), TORUS) is shared
+    assert not any(a.flags.writeable for a in (shared.data, shared.indices, shared.indptr))
+    # the public builder hands out a copy, which its caller may change
+    mine = delta_matrix([6, 6], "torus")
+    mine.data[:] = 0.0
+    assert np.array_equal(delta_matrix((6, 6)).toarray(), shared.toarray())
+    assert shared.data.min() == -1.0
 
 
 # ---------------------------------------------------------------------------
