@@ -1,9 +1,10 @@
-/* Compiled loops of the chain and lattice engines; loaded with ctypes by core.py.
+/* Compiled loops of the chain, coupling and lattice engines; loaded with ctypes by core.py.
  *
  * zp_drive and zp_drive_pair step the (N,[a,b]) chain: each step adds amts[i] to site sites[i] (0-based) of a stable chain and
  * relaxes it leftmost-first, with the float operations of core._relax_leftmost
  * in the same order, so heights stay bit-identical to the Python reference.
  * Status codes: 0 done, 1 topple cap exceeded, 2 a full site failed to topple.
+ * zp_couple runs the coupling's independent and contraction phases.
  * zp_lattice runs the lattice clock of lattice.MarkovToppling.run, and
  * zp_fsum the exact sum of its snapshots.
  */
@@ -96,6 +97,205 @@ int64_t zp_drive_pair(double *hA, double *hB, int64_t n, const int64_t *sites,
         }
     }
     return steps;
+}
+
+/* Add u at site x and relax: the count of topplings, or -1 past cap. */
+static int64_t add(double *h, int64_t n, int64_t x, double u, int64_t cap)
+{
+    h[x] += u;
+    return h[x] >= 1.0 ? relax(h, n, x, cap) : 0;
+}
+
+/* coupling._e_class_0: the empty site if h is in some E_x, else -1. */
+static int64_t e_class(const double *h, int64_t n)
+{
+    int64_t empty = -1;
+    for (int64_t i = 0; i < n; i++) {
+        if (h[i] == 0.0) {
+            if (empty >= 0)
+                return -1;
+            empty = i;
+        } else if (!(0.5 <= h[i] && h[i] < 1.0)) {
+            return -1;
+        }
+    }
+    return empty;
+}
+
+/* coupling._eb_side: the empty boundary site if h is in E_b, else -1. */
+static int64_t eb_side(const double *h, int64_t n)
+{
+    int64_t e = e_class(h, n);
+    return e == 0 || e == n - 1 ? e : -1;
+}
+
+/* The pre-merge state of coupling.Coupling (core.CouplingState).  ebA, ebB
+ * use -1 for None; posA, posB, posC index the stream chunks; n_rec counts
+ * the rows written to the recording arrays. */
+typedef struct {
+    double half, eps1;
+    int64_t t, t_stop, phase, restarts, steps_ind, steps_con, flip, k_aval,
+        target, ebA, ebB, posA, posB, posC, n_rec;
+} zp_pair;
+
+/* Phases, and why zp_couple returned.  ZC_MERGING: the merging phase began
+ * after an independent step, which is counted; ZC_MERGING_IN_STEP: it began
+ * inside a contraction step, which the caller counts once it has entered the
+ * merging phase.  The gates leave the failing step uncounted. */
+enum { ZC_INDEPENDENT, ZC_CONTRACTION };
+enum { ZC_BUDGET, ZC_REFILL, ZC_MERGING, ZC_MERGING_IN_STEP, ZC_CAP, ZC_DESYNC,
+       ZC_NOT_EN, ZC_BAD_SITE };
+
+/* coupling.Coupling._maxdiff */
+static double maxdiff(const double *hA, const double *hB, int64_t n)
+{
+    double d = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double v = fabs(hA[i] - hB[i]);
+        if (v > d)
+            d = v;
+    }
+    return d;
+}
+
+/* coupling.Coupling._maybe_enter_coupled once both chains sit in E_b on the
+ * same side: 1 if the merging phase begins, else 0 (contraction). */
+static int enter_coupled(const double *hA, const double *hB, int64_t n, zp_pair *st)
+{
+    st->flip = st->ebA == 0;
+    if (maxdiff(hA, hB, n) < st->eps1)
+        return 1;
+    st->phase = ZC_CONTRACTION;
+    st->k_aval = 0;
+    st->target = n;
+    return 0;
+}
+
+/* The independent and contraction phases of coupling.Coupling, restarts
+ * included, with the float operations of Coupling._run_independent and
+ * Coupling._step_contraction in the same order.  Chains A and B read the
+ * chunks (sitesA, amtsA) and (sitesB, amtsB) in the independent phase; both
+ * read (sitesC, amtsC) in the contraction phase.  Each consumed pair of
+ * additions becomes one row of rec_sites and rec_amts (two columns: A, B)
+ * unless they are NULL.  Runs until t reaches t_stop, a chunk the running
+ * phase needs is used up, the merging phase begins or a gate trips. */
+int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
+                  const int64_t *sitesA, const double *amtsA, int64_t lenA,
+                  const int64_t *sitesB, const double *amtsB, int64_t lenB,
+                  const int64_t *sitesC, const double *amtsC, int64_t lenC,
+                  zp_pair *st, int64_t *rec_sites, double *rec_amts)
+{
+    int32_t status = ZC_BUDGET;
+    while (st->t < st->t_stop) {
+        if (st->phase == ZC_INDEPENDENT) {
+            if (st->posA >= lenA || st->posB >= lenB) {
+                status = ZC_REFILL;
+                break;
+            }
+            int64_t xA = sitesA[st->posA];
+            double uA = amtsA[st->posA++];
+            if (xA < 0 || xA >= n) {
+                status = ZC_BAD_SITE;
+                break;
+            }
+            hA[xA] += uA;
+            if (hA[xA] >= 1.0) {
+                if (relax(hA, n, xA, cap) < 0) {
+                    status = ZC_CAP;
+                    break;
+                }
+                st->ebA = eb_side(hA, n);
+            } else if (xA == st->ebA) {
+                st->ebA = -1;
+            }
+            int64_t xB = sitesB[st->posB];
+            double uB = amtsB[st->posB++];
+            if (xB < 0 || xB >= n) {
+                status = ZC_BAD_SITE;
+                break;
+            }
+            hB[xB] += uB;
+            if (hB[xB] >= 1.0) {
+                if (relax(hB, n, xB, cap) < 0) {
+                    status = ZC_CAP;
+                    break;
+                }
+                st->ebB = eb_side(hB, n);
+            } else if (xB == st->ebB) {
+                st->ebB = -1;
+            }
+            if (rec_sites) {
+                rec_sites[2 * st->n_rec] = xA;
+                rec_sites[2 * st->n_rec + 1] = xB;
+                rec_amts[2 * st->n_rec] = uA;
+                rec_amts[2 * st->n_rec + 1] = uB;
+                st->n_rec++;
+            }
+            st->steps_ind++;
+            st->t++;
+            if (st->ebA >= 0 && st->ebA == st->ebB && enter_coupled(hA, hB, n, st)) {
+                status = ZC_MERGING;
+                break;
+            }
+            continue;
+        }
+        if (st->posC >= lenC) {
+            status = ZC_REFILL;
+            break;
+        }
+        int64_t x = sitesC[st->posC];
+        double u = amtsC[st->posC++];
+        if (x < 0 || x >= n) {
+            status = ZC_BAD_SITE;
+            break;
+        }
+        int64_t target = st->flip ? n - st->target : st->target - 1;
+        int64_t nA, nB = 0;
+        if ((nA = add(hA, n, x, u, cap)) < 0 || (nB = add(hB, n, x, u, cap)) < 0) {
+            status = ZC_CAP;
+            break;
+        }
+        if (rec_sites) {
+            rec_sites[2 * st->n_rec] = rec_sites[2 * st->n_rec + 1] = x;
+            rec_amts[2 * st->n_rec] = rec_amts[2 * st->n_rec + 1] = u;
+            st->n_rec++;
+        }
+        if (x != target || u < st->half) {
+            /* restart: back to the independent phase after the equal step */
+            st->ebA = eb_side(hA, n);
+            st->ebB = eb_side(hB, n);
+            st->restarts++;
+            st->phase = ZC_INDEPENDENT;
+            if (st->ebA >= 0 && st->ebA == st->ebB && enter_coupled(hA, hB, n, st)) {
+                status = ZC_MERGING_IN_STEP;
+                break;
+            }
+        } else {
+            if ((nA > 0) != (nB > 0)) {
+                status = ZC_DESYNC;
+                break;
+            }
+            if (nA) {
+                st->k_aval++;
+                st->target = st->target == n ? 1 : n;
+                if (st->k_aval % 2 == 0) {
+                    /* after an even number of full sweeps both sit in logical E_N */
+                    int64_t pN = st->flip ? 0 : n - 1;
+                    if (e_class(hA, n) != pN || e_class(hB, n) != pN) {
+                        status = ZC_NOT_EN;
+                        break;
+                    }
+                    if (maxdiff(hA, hB, n) < st->eps1) {
+                        status = ZC_MERGING_IN_STEP;
+                        break;
+                    }
+                }
+            }
+        }
+        st->steps_con++;
+        st->t++;
+    }
+    return status;
 }
 
 /* The correctly rounded sum of x[0..n), by the partials algorithm of

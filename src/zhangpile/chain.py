@@ -232,10 +232,10 @@ def _drive_compiled(lib, proc: ChainProcess, steps: int, stats: MarginalStats | 
     filled = 0
     try:
         while steps > 0:
-            if add.pos >= len(add.sites):
+            if add.pos >= add.site_array.size:
                 add.refill()
             p = add.pos
-            k = min(steps, len(add.sites) - p, _STATS_BLOCK - filled)
+            k = min(steps, add.site_array.size - p, _STATS_BLOCK - filled)
             done, status = kernel_drive(
                 lib, h, add.site_array[p:p + k], add.amt_array[p:p + k], proc.cap,
                 proc._check_heavy, None if rows is None else rows[filled:filled + k],

@@ -309,7 +309,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--init-b", default="random", help="zeros | random | literal")
     sp.add_argument("--workers", type=int, default=1)
     common(sp, fmt_default="jsonl")
-    sp.set_defaults(func=cmd_couple)
+    sp.set_defaults(func=cmd_couple, engine="coupling")
 
     sp = sub.add_parser("infinite", help="Poisson-clock toppling on a finite lattice")
     sp.add_argument("--d", type=int, required=True)

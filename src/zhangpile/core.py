@@ -11,7 +11,8 @@ when starting from a stable configuration plus a single addition.
 Sites are numbered 1..N to match the usual convention for this model.
 Leftmost relaxation after single additions also exists as a compiled kernel
 (``_drive.c``), which ``chain_kernel`` builds and loads; the same library holds
-the lattice clock of ``lattice.MarkovToppling``.
+the coupling's pre-merge phases and the lattice clock of
+``lattice.MarkovToppling``.
 """
 
 from __future__ import annotations
@@ -195,10 +196,11 @@ def _relax_leftmost(h: list, start: int, cap: int = DEFAULT_TOPPLE_CAP) -> int:
 # ---------------------------------------------------------------------------
 # compiled kernel
 # ---------------------------------------------------------------------------
-# _drive.c does the float operations of _relax_leftmost and of the lattice
-# clock in the same order, so both backends give bit-identical results.  It is
-# compiled with gcc on first use and cached next to the bytecode; wherever the
-# build or the load fails, the callers run their Python loops instead.
+# _drive.c does the float operations of _relax_leftmost, of the coupling's
+# pre-merge phases and of the lattice clock in the same order, so both backends
+# give bit-identical results.  It is compiled with gcc on first use and cached
+# next to the bytecode; wherever the build or the load fails, the callers run
+# their Python loops instead.
 
 _KERNEL_SOURCE = Path(__file__).with_name("_drive.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -244,6 +246,9 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
     lib.zp_lattice.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
                                i64, ctypes.POINTER(LatticeClock), ptr, i64]
     lib.zp_lattice.restype = ctypes.c_int32
+    lib.zp_couple.argtypes = [ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, i64,
+                              ctypes.POINTER(CouplingState), ptr, ptr]
+    lib.zp_couple.restype = ctypes.c_int32
     return lib
 
 
@@ -256,14 +261,24 @@ class LatticeClock(ctypes.Structure):
                                                   "n_rows")])
 
 
+class CouplingState(ctypes.Structure):
+    """The pre-merge state that ``zp_couple`` reads and updates (``zp_pair`` in _drive.c)."""
+
+    _fields_ = ([(f, ctypes.c_double) for f in ("half", "eps1")]
+                + [(f, ctypes.c_int64) for f in ("t", "t_stop", "phase", "restarts",
+                                                  "steps_ind", "steps_con", "flip", "k_aval",
+                                                  "target", "ebA", "ebB", "posA", "posB",
+                                                  "posC", "n_rec")])
+
+
 # zp_fsum's failure statuses, as the exceptions math.fsum raises for them
 FSUM_ERRORS = {1: (OverflowError, "intermediate overflow in fsum"),
                2: (ValueError, "-inf + inf in fsum")}
 
 
 def chain_kernel() -> ctypes.CDLL | None:
-    """The compiled kernel (chain and lattice entry points), built on the first
-    call; None if unavailable."""
+    """The compiled kernel (chain, coupling and lattice entry points), built on
+    the first call; None if unavailable."""
     if not _kernel:
         _kernel.append(_build_kernel(_KERNEL_SOURCE.parent / "__pycache__"))
     return _kernel[0]

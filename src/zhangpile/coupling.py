@@ -24,6 +24,7 @@ of the unconditioned process, so the construction is a genuine coupling.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -32,7 +33,9 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOPPLE_CAP,
+    CouplingState,
     InvariantViolation,
+    _c_array,
     _relax_leftmost,
     cap_error,
     chain_kernel,
@@ -48,6 +51,14 @@ PHASE_MERGED = "merged"
 
 _CHUNK = 8192
 _EQ_TOL = 1e-9      # float slack on mathematically exact equalities
+_REC_ROWS = 2 * _CHUNK  # steps per zp_couple call while recording streams
+
+# zp_couple's phase numbers and return statuses (_drive.c)
+_KERNEL_PHASES = (PHASE_INDEPENDENT, PHASE_CONTRACTION)
+(_ZC_BUDGET, _ZC_REFILL, _ZC_MERGING, _ZC_MERGING_IN_STEP, _ZC_CAP, _ZC_DESYNC,
+ _ZC_NOT_EN, _ZC_BAD_SITE) = range(8)
+_DESYNC = "contraction avalanches desynchronized"
+_NOT_EN = "contraction avalanche did not land in E_N"
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +155,13 @@ def correction_D(diff, k: int, n: int) -> float:
 
 
 def coupled_amount(u_eta: float, D: float, a: float, b: float) -> float:
-    """Chain B's addition a + (u_eta + D - a) mod (b-a); uniform in, uniform out."""
-    return a + (u_eta + D - a) % (b - a)
+    """Chain B's addition a + (u_eta + D - a) mod (b-a); uniform in, uniform out.
+
+    Where rounding lands the sum on b itself, the largest double below b
+    stands in for it, so the result always lies in [a, b).
+    """
+    v = a + (u_eta + D - a) % (b - a)
+    return v if v < b else math.nextafter(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +299,7 @@ class Coupling:
         # chain A's and chain B's own additions, and the shared coupled stream
         self._addA, self._addB, self._addC = (AdditionStream(g, n, a, b, _CHUNK)
                                               for g in _streams)
+        self._chunk_args: list = [None] * 3
         consts = coupling_constants(a, b, n)
         self.constants = consts
         self.eps1 = consts.eps1
@@ -293,6 +310,8 @@ class Coupling:
         self.phase_steps = {PHASE_INDEPENDENT: 0, PHASE_CONTRACTION: 0,
                             PHASE_MERGING: 0, PHASE_MERGED: 0}
         self.flip = False
+        self._k_aval = 0            # contraction avalanches, and the next
+        self._targetL = n           # logical target site of the contraction
         self.final_merging_steps: int | None = None
         self.record_streams = record_streams
         self.streamA: list[tuple[int, float]] = []
@@ -407,7 +426,7 @@ class Coupling:
             self.streamA.append((x, u))
             self.streamB.append((x, u))
         if (nA > 0) != (nB > 0):
-            raise InvariantViolation("contraction avalanches desynchronized")
+            raise InvariantViolation(_DESYNC)
         if nA:
             self._k_aval += 1
             self._targetL = 1 if self._targetL == self.n else self.n
@@ -415,7 +434,7 @@ class Coupling:
                 # after an even number of full sweeps both sit in logical E_N
                 pN = self._phys(self.n)
                 if _e_class_0(self.hA) != pN or _e_class_0(self.hB) != pN:
-                    raise InvariantViolation("contraction avalanche did not land in E_N")
+                    raise InvariantViolation(_NOT_EN)
                 if self._maxdiff() < self.eps1:
                     self._enter_merging()
 
@@ -480,9 +499,17 @@ class Coupling:
     # -- driving ---------------------------------------------------------------
 
     def run(self, max_steps: int) -> None:
-        """Step until merged or ``max_steps`` total steps."""
+        """Step until merged or ``max_steps`` total steps.
+
+        The independent and contraction phases run on the compiled kernel if
+        it loads; the merging phase always runs here.
+        """
         while self.t < max_steps and self.phase != PHASE_MERGED:
-            if self.phase == PHASE_INDEPENDENT:
+            if self.phase == PHASE_MERGING:
+                self.step()
+            elif (lib := chain_kernel()) is not None:
+                self._run_coupled(lib, max_steps)
+            elif self.phase == PHASE_INDEPENDENT:
                 self._run_independent(max_steps)
             else:
                 self.step()
@@ -509,48 +536,142 @@ class Coupling:
         budget = max_steps - self.t
         relax = _relax_leftmost
         eb_side = _eb_side
-        while steps < budget:
-            if pA >= lenA:
-                addA.refill()
-                sitesA, amtsA, pA = addA.sites, addA.amts, 0
-                lenA = len(sitesA)
-            xA = sitesA[pA]
-            uA = amtsA[pA]
-            pA += 1
-            v = hA[xA] + uA
-            hA[xA] = v
-            if v >= 1.0:
-                relax(hA, xA, cap)
-                ebA = eb_side(hA)
-            elif xA == ebA:
-                ebA = None
-            if pB >= lenB:
-                addB.refill()
-                sitesB, amtsB, pB = addB.sites, addB.amts, 0
-                lenB = len(sitesB)
-            xB = sitesB[pB]
-            uB = amtsB[pB]
-            pB += 1
-            v = hB[xB] + uB
-            hB[xB] = v
-            if v >= 1.0:
-                relax(hB, xB, cap)
-                ebB = eb_side(hB)
-            elif xB == ebB:
-                ebB = None
-            if record:
-                streamA.append((xA, uA))
-                streamB.append((xB, uB))
-            steps += 1
-            if ebA is not None and ebA == ebB:
-                break
-        addA.pos = pA
-        addB.pos = pB
-        self.t += steps
-        self.phase_steps[PHASE_INDEPENDENT] += steps
-        self._ebA = ebA
-        self._ebB = ebB
+        try:
+            while steps < budget:
+                if pA >= lenA:
+                    addA.refill()
+                    sitesA, amtsA, pA = addA.sites, addA.amts, 0
+                    lenA = len(sitesA)
+                if pB >= lenB:
+                    addB.refill()
+                    sitesB, amtsB, pB = addB.sites, addB.amts, 0
+                    lenB = len(sitesB)
+                xA = sitesA[pA]
+                uA = amtsA[pA]
+                pA += 1
+                v = hA[xA] + uA
+                hA[xA] = v
+                if v >= 1.0:
+                    relax(hA, xA, cap)
+                    ebA = eb_side(hA)
+                elif xA == ebA:
+                    ebA = None
+                xB = sitesB[pB]
+                uB = amtsB[pB]
+                pB += 1
+                v = hB[xB] + uB
+                hB[xB] = v
+                if v >= 1.0:
+                    relax(hB, xB, cap)
+                    ebB = eb_side(hB)
+                elif xB == ebB:
+                    ebB = None
+                if record:
+                    streamA.append((xA, uA))
+                    streamB.append((xB, uB))
+                steps += 1
+                if ebA is not None and ebA == ebB:
+                    break
+        finally:
+            # a topple-cap error keeps the completed steps and the failing
+            # step's draws, as zp_couple does
+            addA.pos = pA
+            addB.pos = pB
+            self.t += steps
+            self.phase_steps[PHASE_INDEPENDENT] += steps
+            self._ebA = ebA
+            self._ebB = ebB
         self._maybe_enter_coupled()
+
+    def _run_coupled(self, lib, max_steps: int) -> None:
+        # _run_independent and _step_contraction in zp_couple, restarts
+        # included, until the merging phase begins, max_steps or a gate; kernel
+        # calls end where a stream chunk the running phase needs runs out
+        streams = (self._addA, self._addB, self._addC)
+        hA = (ctypes.c_double * self.n)(*self.hA)
+        hB = (ctypes.c_double * self.n)(*self.hB)
+        st = CouplingState(
+            half=self._half, eps1=self.eps1, t=self.t,
+            phase=_KERNEL_PHASES.index(self.phase), restarts=self.restarts,
+            steps_ind=self.phase_steps[PHASE_INDEPENDENT],
+            steps_con=self.phase_steps[PHASE_CONTRACTION], flip=self.flip,
+            k_aval=self._k_aval, target=self._targetL,
+            ebA=-1 if self._ebA is None else self._ebA,
+            ebB=-1 if self._ebB is None else self._ebB,
+            posA=streams[0].pos, posB=streams[1].pos, posC=streams[2].pos)
+        rec_sites = rec_amts = None
+        if self.record_streams:
+            # a gate can record the step it fails on, one row past the budget
+            rec_sites = np.empty((_REC_ROWS + 1, 2), dtype=np.int64)
+            rec_amts = np.empty((_REC_ROWS + 1, 2))
+        try:
+            while True:
+                st.t_stop = max_steps if rec_sites is None else min(max_steps,
+                                                                     st.t + _REC_ROWS)
+                st.n_rec = 0
+                status = lib.zp_couple(
+                    hA, hB, self.n, self.cap, *self._kernel_chunks(streams),
+                    ctypes.byref(st), None if rec_sites is None else rec_sites.ctypes.data,
+                    None if rec_amts is None else rec_amts.ctypes.data)
+                if rec_sites is not None and st.n_rec:
+                    sites = rec_sites[:st.n_rec].T.tolist()
+                    amts = rec_amts[:st.n_rec].T.tolist()
+                    self.streamA.extend(zip(sites[0], amts[0]))
+                    self.streamB.extend(zip(sites[1], amts[1]))
+                if status == _ZC_REFILL:
+                    if _KERNEL_PHASES[st.phase] == PHASE_INDEPENDENT:
+                        if st.posA >= streams[0].site_array.size:
+                            streams[0].refill()
+                            st.posA = 0
+                        if st.posB >= streams[1].site_array.size:
+                            streams[1].refill()
+                            st.posB = 0
+                    else:
+                        streams[2].refill()
+                        st.posC = 0
+                elif status != _ZC_BUDGET or st.t >= max_steps:
+                    break
+        finally:
+            self.hA[:] = hA
+            self.hB[:] = hB
+            streams[0].pos, streams[1].pos, streams[2].pos = st.posA, st.posB, st.posC
+            self.t = st.t
+            self.restarts = st.restarts
+            self.phase_steps[PHASE_INDEPENDENT] = st.steps_ind
+            self.phase_steps[PHASE_CONTRACTION] = st.steps_con
+            self.phase = _KERNEL_PHASES[st.phase]
+            self.flip = bool(st.flip)
+            self._k_aval = st.k_aval
+            self._targetL = st.target
+            self._ebA = None if st.ebA < 0 else st.ebA
+            self._ebB = None if st.ebB < 0 else st.ebB
+        if status in (_ZC_MERGING, _ZC_MERGING_IN_STEP):
+            self._enter_merging()
+            if status == _ZC_MERGING_IN_STEP:
+                # count the contraction step as step() does, after the entry
+                self.phase_steps[PHASE_CONTRACTION] += 1
+                self.t += 1
+        elif status == _ZC_CAP:
+            raise cap_error(self.cap)
+        elif status in (_ZC_DESYNC, _ZC_NOT_EN):
+            raise InvariantViolation(_DESYNC if status == _ZC_DESYNC else _NOT_EN)
+        elif status == _ZC_BAD_SITE:
+            raise ValueError(f"kernel argument sites: need values in 0..{self.n - 1}")
+
+    def _kernel_chunks(self, streams) -> list:
+        # zp_couple's (sites, amts, length) arguments of the stream chunks; a
+        # chunk's arrays are checked and their addresses taken once
+        args = []
+        for i, add in enumerate(streams):
+            held = self._chunk_args[i]
+            if held is None or held[0] is not add.site_array or held[1] is not add.amt_array:
+                m = add.site_array.size
+                held = self._chunk_args[i] = (
+                    add.site_array, add.amt_array,
+                    _c_array(add.site_array, np.int64, m, "sites"),
+                    _c_array(add.amt_array, np.float64, m, "amts"), m)
+            args += held[2:]
+        return args
 
     def run_steps(self, steps: int, require_equal: bool = False) -> bool:
         """Advance a fixed number of steps; optionally assert A == B throughout.
@@ -577,10 +698,10 @@ class Coupling:
         equal = True
         try:
             while steps > 0:
-                if add.pos >= len(add.sites):
+                if add.pos >= add.site_array.size:
                     add.refill()
                 p = add.pos
-                k = min(steps, len(add.sites) - p)
+                k = min(steps, add.site_array.size - p)
                 done, status, differed = kernel_drive_pair(
                     lib, hA, hB, add.site_array[p:p + k], add.amt_array[p:p + k], self.cap)
                 if self.record_streams:
@@ -668,6 +789,7 @@ def coupling_sweep(n: int, a: float, b: float, seeds, max_steps: int,
     jobs = [(n, a, b, int(s), max_steps, init_a, init_b, cap, post_merge_steps)
             for s in seeds]
     if workers > 1 and len(jobs) > 1:
+        chain_kernel()      # build and load once, before the workers fork
         with Pool(workers) as pool:
             return pool.map(_sweep_one, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
     return [_sweep_one(j) for j in jobs]

@@ -287,7 +287,8 @@ class MarkovToppling:
         A ``Snapshot`` is taken at each multiple of ``snapshot_every`` that
         the run passes.  The compiled kernel runs the loop when it loads, the
         Python loop otherwise; both give the same bits, and a resumed run
-        continues the same draws.
+        continues the same draws.  A ``t_max`` at or below the engine's time
+        leaves the engine as it is.
         """
         if not t_max > 0:                   # also rejects NaN
             raise ValueError(f"t_max must be positive, got {t_max!r}")
@@ -295,7 +296,7 @@ class MarkovToppling:
             raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
         if max_events is not None and max_events < 0:
             raise ValueError(f"max_events must be >= 0, got {max_events}")
-        if not self.unstable:
+        if not self.unstable or t_max <= self.t:
             return
         next_snap = math.inf                # no snapshot is due while it is inf
         if snapshot_every is not None:

@@ -29,14 +29,15 @@ def substreams(seed: int | None, k: int) -> list[np.random.Generator]:
 class AdditionStream:
     """Prefetched (0-based site, amount) additions of an (n,[a,b]) chain.
 
-    Hot loops may keep ``sites``/``amts``/``pos`` in locals, call
-    ``refill()`` once ``pos`` reaches the end of the chunk, and write ``pos``
-    back when they leave.  ``site_array``/``amt_array`` hold the same chunk
-    as int64/float64 arrays, which the compiled chain kernel reads in place.
+    ``site_array``/``amt_array`` hold the chunk as int64/float64 arrays,
+    which the compiled kernel reads in place; ``sites``/``amts`` are the same
+    chunk as lists, built on first use.  Hot loops may keep the lists and
+    ``pos`` in locals, call ``refill()`` once ``pos`` reaches the end of the
+    chunk, and write ``pos`` back when they leave.
     """
 
-    __slots__ = ("rng", "n", "a", "b", "chunk", "sites", "amts", "pos",
-                 "site_array", "amt_array")
+    __slots__ = ("rng", "n", "a", "b", "chunk", "pos", "site_array", "amt_array",
+                 "_sites", "_amts")
 
     def __init__(self, rng: np.random.Generator, n: int, a: float, b: float,
                  chunk: int):
@@ -45,22 +46,32 @@ class AdditionStream:
         self.a = a
         self.b = b
         self.chunk = chunk
-        self.sites: list = []
-        self.amts: list = []
         self.pos = 0
         self.site_array = np.empty(0, dtype=np.int64)
         self.amt_array = np.empty(0)
+        self._sites = self._amts = None
 
     def refill(self) -> None:
         self.site_array = self.rng.integers(0, self.n, self.chunk, dtype=np.int64)
         self.amt_array = self.rng.uniform(self.a, self.b, self.chunk)
-        self.sites = self.site_array.tolist()
-        self.amts = self.amt_array.tolist()
+        self._sites = self._amts = None
         self.pos = 0
+
+    @property
+    def sites(self) -> list:
+        if self._sites is None:
+            self._sites = self.site_array.tolist()
+        return self._sites
+
+    @property
+    def amts(self) -> list:
+        if self._amts is None:
+            self._amts = self.amt_array.tolist()
+        return self._amts
 
     def draw(self) -> tuple[int, float]:
         i = self.pos
-        if i >= len(self.sites):
+        if i >= self.site_array.size:
             self.refill()
             i = 0
         self.pos = i + 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zhangpile.core import (
     SiteLabel,
@@ -233,3 +235,24 @@ def test_empty_site_of_E_class():
     assert empty_site_of_E_class([0.0, 0.5, 0.0]) is None
     assert empty_site_of_E_class([0.5, 0.5, 0.5]) is None
     assert empty_site_of_E_class([0.3, 0.0, 0.9]) is None
+
+
+@st.composite
+def single_additions(draw):
+    n = draw(st.integers(1, 40))
+    h = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))
+    h[draw(st.integers(0, n - 1))] += draw(st.floats(0.0, 1.0))
+    return h, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_additions())
+def test_single_addition_is_abelian(spec):
+    # one addition to a stable chain: every sequential order topples each site
+    # equally often and ends within criterion 03's 1e-12 of the others
+    h, seed = spec
+    runs = [stabilize_chain(h, policy, rng=np.random.default_rng(seed))
+            for policy in ("leftmost", "rightmost", "random")]
+    for final, log in runs[1:]:
+        assert log.counts.tolist() == runs[0][1].counts.tolist()
+        assert np.abs(final - runs[0][0]).max() <= 1e-12

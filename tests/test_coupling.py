@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from zhangpile.core import InvariantViolation, _relax_leftmost, in_class_E
@@ -173,6 +175,28 @@ def test_coupled_amount_stays_in_range():
         D = rng.uniform(-2, 2)
         v = coupled_amount(u, D, a, b)
         assert a <= v <= b
+
+
+@st.composite
+def translations(draw):
+    a = draw(st.floats(0.0, 0.99))
+    b = draw(st.floats(a, 1.0, exclude_min=True))
+    u = draw(st.floats(a, b, exclude_max=True))
+    return a, b, u, draw(st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(translations())
+def test_coupled_amount_is_a_translation_mod_the_window(spec):
+    # [a, b) into [a, b), and the offset -D undoes D up to 1e-12 on the
+    # circle of circumference b - a
+    a, b, u, D = spec
+    v = coupled_amount(u, D, a, b)
+    assert a <= v < b
+    back = coupled_amount(v, -D, a, b)
+    assert a <= back < b
+    gap = abs(back - u)
+    assert min(gap, (b - a) - gap) <= 1e-12
 
 
 def test_coupled_amount_preserves_uniformity():

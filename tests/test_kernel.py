@@ -13,6 +13,7 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import zhangpile
 import zhangpile.core as core
+from zhangpile import coupling
 from zhangpile.chain import (
     ChainProcess,
     MarginalStats,
@@ -30,7 +32,7 @@ from zhangpile.chain import (
 )
 from zhangpile.cli import main
 from zhangpile.core import InvariantViolation, ToppleCapError, _relax_leftmost
-from zhangpile.coupling import Coupling
+from zhangpile.coupling import PHASE_CONTRACTION, Coupling
 from zhangpile.lattice import BOX, TORUS, DensitySpec, LatticeConfig, MarkovToppling, generate
 
 pytestmark = pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
@@ -124,12 +126,11 @@ def test_drive_uses_the_kernel_and_matches_fallback(lib, monkeypatch):
 # chain: the gates fail on both backends
 # ---------------------------------------------------------------------------
 
-def _force_additions(proc, sites, amts):
-    add = proc._additions
+def _force_additions(add, sites, amts):
+    """Make the next additions of the stream ``add`` the given ones."""
     add.site_array = np.array(sites, dtype=np.int64)
     add.amt_array = np.array(amts, dtype=np.float64)
-    add.sites = list(sites)
-    add.amts = list(amts)
+    add._sites = add._amts = None
     add.pos = 0
 
 
@@ -146,7 +147,7 @@ def test_heavy_gate_raises_through_drive(backend):
     # a >= 1/2 makes every addition to a full site topple; a crafted 0.3
     # addition to the full site 1 does not, which the gate must catch at t=2
     p = ChainProcess(2, 0.5, 1.0, heights=[0.6, 0.2], seed=3)
-    _force_additions(p, [1, 0, 1], [0.6, 0.3, 0.6])
+    _force_additions(p._additions, [1, 0, 1], [0.6, 0.3, 0.6])
     events = []
     with pytest.raises(InvariantViolation,
                        match=r"a=0.5 >= 1/2: addition to a full site must topple \(t=2\)"):
@@ -237,6 +238,168 @@ def test_topple_cap_raises_in_merged_pair(backend):
     with pytest.raises(ToppleCapError, match="exceeded 1 topplings"):
         c.run_steps(5, require_equal=True)
     assert c.t == 0 and c._addC.pos == 1
+
+
+# ---------------------------------------------------------------------------
+# pre-merge coupling: differential test
+# ---------------------------------------------------------------------------
+
+@st.composite
+def couplings(draw):
+    # n = 2 and 3 merge within the budgets, larger n stop in earlier phases
+    n = draw(st.sampled_from([3, 2, 3, 4, 5, 6, 7, 8]))
+    a = draw(st.floats(0.0, 0.95))
+    b = draw(st.floats(a + 0.01, 1.0))
+    # random stable starts, E_b starts (either side) or one start twice
+    kind = draw(st.sampled_from(["random", "E_b", "equal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    starts = []
+    for _ in range(2):
+        if kind == "E_b":
+            h = rng.uniform(0.5, 1.0, n)
+            h[rng.choice([0, n - 1])] = 0.0
+        else:
+            h = rng.uniform(0.0, 1.0, n)
+        starts.append(h.tolist())
+    eta_a, eta_b = starts[0], starts[kind != "equal"]
+    # run() to budgets that cut phases and chunks anywhere, and step()s; the
+    # last run() alone passes the first 8192-addition chunks of streams A, B
+    plan = draw(st.lists(st.one_of(st.tuples(st.just("run"), st.integers(0, 20_000)),
+                                   st.tuples(st.just("step"), st.integers(1, 300))),
+                         max_size=3))
+    plan.append(("run", 8193 + draw(st.integers(0, 12_000))))
+    # short stream chunks and recording blocks make every kernel call end
+    # at many chunk ends and block ends
+    sizes = draw(st.sampled_from([(8192, 16384), (64, 16384), (5, 3)]))
+    return (n, a, b, eta_a, eta_b, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()),
+            plan, sizes)
+
+
+def _coupling_state(c):
+    streams = (c._addA, c._addB, c._addC)
+    return (_bits(c.hA), _bits(c.hB), c.t, c.restarts, c.phase_steps, c.phase, c.flip,
+            c._k_aval, c._targetL, c._ebA, c._ebB, c.merge_time, c.final_merging_steps,
+            getattr(c, "_mk", None), [(s.pos, s.site_array.tobytes()) for s in streams],
+            c.streamA, c.streamB)
+
+
+@settings(max_examples=40, deadline=None)
+@given(couplings())
+def test_coupling_kernel_matches_python_reference(spec):
+    n, a, b, eta_a, eta_b, seed, record, plan, (chunk, rec_rows) = spec
+    lib = core.chain_kernel()
+    assert lib is not None
+    with mock.patch.object(coupling, "_CHUNK", chunk), \
+            mock.patch.object(coupling, "_REC_ROWS", rec_rows):
+        pairs = {kernel: Coupling(eta_a, eta_b, a, b, seed=seed, record_streams=record)
+                 for kernel in (None, lib)}
+        for how, count in plan:
+            for kernel, c in pairs.items():
+                with _kernel_set(kernel):
+                    if how == "run":
+                        c.run(c.t + count)
+                    else:
+                        for _ in range(count):
+                            c.step()
+            assert _coupling_state(pairs[lib]) == _coupling_state(pairs[None])
+
+
+# ---------------------------------------------------------------------------
+# pre-merge coupling: crafted gates and phase entries, on both backends
+# ---------------------------------------------------------------------------
+
+def _contraction_pair(eta_a, eta_b, k_aval, target, cap=100):
+    # a pair put straight into the contraction phase (n=3, a=0.2, b=0.9: a
+    # draw of at least 0.55 at the target site keeps it there)
+    c = Coupling(eta_a, eta_b, 0.2, 0.9, seed=4, record_streams=True, cap=cap)
+    assert c.phase == "independent"
+    c.phase = PHASE_CONTRACTION
+    c._k_aval = k_aval
+    c._targetL = target
+    return c
+
+
+def _after_gate(c):
+    return (c.hA, c.hB, c.t, c.phase_steps, c.restarts, c._addA.pos, c._addB.pos,
+            c._addC.pos, c.streamA, c.streamB)
+
+
+def test_contraction_desync_gate_raises(backend):
+    # one chain topples at the target, the other does not
+    c = _contraction_pair([0.1, 0.1, 0.9], [0.1, 0.1, 0.1], 0, 3)
+    _force_additions(c._addC, [2], [0.6])
+    with pytest.raises(InvariantViolation, match="^contraction avalanches desynchronized$"):
+        c.run(10)
+    assert _after_gate(c) == ([0.1, 0.1 + 0.75, 0.0], [0.1, 0.1, 0.7], 0,
+                              dict.fromkeys(c.phase_steps, 0), 0, 0, 0, 1, [(2, 0.6)],
+                              [(2, 0.6)])
+
+
+def test_contraction_lands_outside_E_N_gate_raises(backend):
+    # the second sweep leaves an anomalous site 3, so neither chain is in E_3
+    c = _contraction_pair([0.9, 0.1, 0.1], [0.8, 0.2, 0.1], 1, 1)
+    _force_additions(c._addC, [0], [0.6])
+    with pytest.raises(InvariantViolation,
+                       match="^contraction avalanche did not land in E_N$"):
+        c.run(10)
+    assert _after_gate(c)[:8] == ([0.0, 0.1 + 0.75, 0.1], [0.0, 0.2 + 0.7, 0.1], 0,
+                                  dict.fromkeys(c.phase_steps, 0), 0, 0, 0, 1)
+    assert (c._k_aval, c._targetL) == (2, 3)
+
+
+@pytest.mark.parametrize("where", ["contraction", "restart", "independent-A",
+                                   "independent-B"])
+def test_topple_cap_raises_before_the_merge(backend, where):
+    # site 3 at 0.9 next to 0.9: a 0.6 there topples twice, past a cap of 1
+    c = _contraction_pair([0.1, 0.9, 0.9], [0.1, 0.9, 0.9 - 1e-3], 0, 3, cap=1)
+    if where == "restart":
+        c._targetL = 1                          # a draw off the target restarts
+    if where.startswith("independent"):
+        c.phase = "independent"
+        first, second = (c._addA, c._addB) if where.endswith("A") else (c._addB, c._addA)
+        _force_additions(first, [2], [0.6])
+        _force_additions(second, [0], [0.3])
+    else:
+        _force_additions(c._addC, [2], [0.6])
+    with pytest.raises(ToppleCapError, match="^exceeded 1 topplings; finite chains "
+                                             "must stabilize$"):
+        c.run(10)
+    pos = {"contraction": (0, 0, 1), "restart": (0, 0, 1), "independent-A": (1, 0, 0),
+           "independent-B": (1, 1, 0)}[where]
+    failing = [0.1, 0.0, 0.0]
+    other = [0.1 + (where == "independent-B") * 0.3, 0.9, 0.9]
+    hA, hB = (other, failing) if where == "independent-B" else (failing, [0.1, 0.9, 0.9 - 1e-3])
+    assert _after_gate(c) == (hA, hB, 0, dict.fromkeys(c.phase_steps, 0), 0, *pos, [], [])
+
+
+def test_entering_E_b_close_together_starts_merging(backend):
+    # equal additions take two chains 1e-13 apart into E_1 together: the
+    # independent phase hands over to merging, not to contraction
+    c = Coupling([0.6, 0.7, 0.3], [0.6, 0.7, 0.3 + 1e-13], 0.2, 0.9, seed=4)
+    for add in (c._addA, c._addB):
+        _force_additions(add, [2], [0.8])
+    c.run(1)
+    assert (c.phase, c.flip, c.t, c.phase_steps["independent"], c._addC.pos) == (
+        "merging", True, 1, 1, 0)
+
+
+def test_contraction_sweep_close_together_starts_merging(backend):
+    # the second sweep ends with both chains in E_3 and 1e-12 apart: the
+    # contraction step that did it is counted, then merging begins
+    c = _contraction_pair([0.9, 0.6, 0.6], [0.9, 0.6, 0.6 + 1e-12], 1, 1)
+    _force_additions(c._addC, [0], [0.6])
+    c.run(1)
+    assert (c.phase, c.t, c.phase_steps["contraction"], c._k_aval, c._addC.pos) == (
+        "merging", 1, 1, 2, 1)
+    assert c.hA[2] == c.hB[2] == 0.0
+
+
+def test_coupling_kernel_rejects_sites_out_of_range(lib, monkeypatch):
+    monkeypatch.setattr(core, "_kernel", [lib])
+    c = _contraction_pair([0.1, 0.1, 0.9], [0.1, 0.1, 0.1], 0, 3)
+    _force_additions(c._addC, [3], [0.6])
+    with pytest.raises(ValueError, match="kernel argument sites"):
+        c.run(10)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +559,9 @@ def test_failed_build_falls_back_to_python(where, lib, tmp_path, monkeypatch, ca
     outs = {}
     for name, kernel in (("compiled", lib), ("python", None)):
         monkeypatch.setattr(core, "_kernel", [kernel])
-        files = [tmp_path / f"{name}.{ext}" for ext in ("csv", "jsonl", "inf", "final", "sweep")]
-        out, events, verdicts, final, swept = files
+        files = [tmp_path / f"{name}.{ext}"
+                 for ext in ("csv", "jsonl", "inf", "final", "sweep", "couple")]
+        out, events, verdicts, final, swept, coupled = files
         capsys.readouterr()
         assert main(argv + ["--out", str(out), "--events-out", str(events)]) == 0
         assert f"chain backend {name}" in capsys.readouterr().err
@@ -406,6 +570,9 @@ def test_failed_build_falls_back_to_python(where, lib, tmp_path, monkeypatch, ca
         assert f"lattice backend {name}" in capsys.readouterr().err
         assert main(["sweep", *lattice, "--rho", "0.9,1.1", "--out", str(swept)]) == 0
         assert f"lattice backend {name}" in capsys.readouterr().err
+        assert main(["couple", "--n", "4", "--a", "0.3", "--b", "0.8", "--seeds", "3",
+                     "--max-steps", "30000", "--seed0", "7919", "--out", str(coupled)]) == 0
+        assert capsys.readouterr().err.endswith(f"coupling backend {name}\n")
         outs[name] = [f.read_bytes() for f in files]
     assert outs["compiled"] == outs["python"]
 

@@ -250,6 +250,21 @@ def test_resumable_engine_and_event_budget():
     assert eng.events == 1000 and eng.t > t_mid
 
 
+@pytest.mark.parametrize("t_max", [5.0, 10.0])
+def test_resumed_run_to_an_earlier_time_is_a_no_op(t_max):
+    # the clock never runs backwards: no draw, no toppling, no snapshot
+    cfg = generate(DensitySpec("constant", 1.1), (16,), TORUS, seed=1)
+    for kernel in _backends():
+        eng = MarkovToppling(cfg, seed=2)
+        with _kernel_set(kernel):
+            eng.run(t_max=10.0)
+            before = (eng.t, eng._bufpos, eng.events, list(eng.h), eng.ledger.t)
+            assert before[:3] == (10.0, 79, 78)
+            eng.run(t_max=t_max, snapshot_every=1.0)
+        assert (eng.t, eng._bufpos, eng.events, list(eng.h), eng.ledger.t) == before
+        assert eng.snapshots == []
+
+
 def _ring_loop_reference(config, rng, t_max):
     """The rate-n ring loop the rejection-free clock replaces.
 
