@@ -304,6 +304,22 @@ int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
  * intermediate overflow, 2 -inf + inf; fsum raises on both.  Nonoverlapping
  * partials occupy distinct bits of the 2098 a finite double can hold, so the
  * fixed array never fills. */
+
+/* fsum's special_sum += x as CPython's build does it: when x is a NaN the
+ * result is x, quieted, whatever special holds.  Which NaN an addition of two
+ * NaNs returns hangs on the operand order the compiler picks, so the choice
+ * is spelled out to keep the payload bit for bit. */
+static double add_special(double special, double x)
+{
+    if (!isnan(x))
+        return special + x;
+    uint64_t u;
+    memcpy(&u, &x, sizeof u);
+    u |= UINT64_C(0x0008000000000000);
+    memcpy(&x, &u, sizeof u);
+    return x;
+}
+
 int32_t zp_fsum(const double *x, int64_t n, double *out)
 {
     double p[2112];
@@ -332,7 +348,7 @@ int32_t zp_fsum(const double *x, int64_t n, double *out)
                     return 1;
                 if (isinf(xsave))
                     inf_sum += xsave;
-                special += xsave;
+                special = add_special(special, xsave);
                 np = 0;
             } else {
                 p[np++] = v;

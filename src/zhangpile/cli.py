@@ -26,7 +26,13 @@ from .core import (
     stabilize_chain,
 )
 from .coupling import coupling_sweep
-from .lattice import TORUS, DensitySpec, parse_boundary, stabilizability_experiment
+from .lattice import (
+    TORUS,
+    DensitySpec,
+    parse_boundary,
+    stabilizability_experiment,
+    stabilizability_sweep,
+)
 from .runio import RunRecord, fmt_real, make_spec, write_jsonl
 
 CONSERVATION_TOL = 1e-9
@@ -239,18 +245,19 @@ def cmd_sweep(args) -> int:
     columns = ["gen", "rho", "d", "sides", "boundary", "replica", "seed",
                "outcome", "t_stab", "min_M", "max_M", "dissipated",
                "min_m_slope", "mass_residual"]
+    dspecs = [DensitySpec(kind, rho) for kind in gens for rho in rhos]
+    summaries = stabilizability_sweep(
+        dspecs, sides, boundary, t_max=args.tmax, replicas=args.replicas,
+        seed=args.seed, snapshot_every=args.snap_every,
+        min_m_threshold=args.min_m_threshold, max_events=args.max_events,
+        workers=args.workers)
     rows = []
     sides_str = "x".join(str(s) for s in sides)
-    for g, (kind, rho) in enumerate((k, r) for k in gens for r in rhos):
-        dspec = DensitySpec(kind, rho)
-        summary = stabilizability_experiment(
-            dspec, sides, boundary, t_max=args.tmax, replicas=args.replicas,
-            seed=args.seed, snapshot_every=args.snap_every,
-            min_m_threshold=args.min_m_threshold, max_events=args.max_events,
-            workers=args.workers, _spawn_prefix=(g,))
+    for dspec, summary in zip(dspecs, summaries):
+        # grid order: the first failing replica of the first failing point
         _check_conservation(summary.rows, boundary)
         for r in summary.rows:
-            rows.append([dspec.kind, rho, args.d, sides_str, boundary,
+            rows.append([dspec.kind, dspec.rho, args.d, sides_str, boundary,
                          r["replica"], args.seed, r["outcome"],
                          r["t_stab"] if r["t_stab"] is not None else "",
                          r["min_m"], r["max_m"], r["dissipated"],

@@ -25,6 +25,8 @@ the same prefetched draws, so both backends give bit-identical runs.
 Per-site toppling counts M and emitted mass L feed the exact bookkeeping
 identity  eta(t) = eta(0) - L + (1/2d) * sum of neighbour L,  checked both
 directly and through the toppling matrix (diagonal -1, neighbours 1/(2d)).
+The check applies that matrix from a numpy table; only ``delta_matrix``, which
+hands it out as a ``scipy.sparse`` matrix, imports scipy.
 """
 
 from __future__ import annotations
@@ -34,11 +36,14 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from multiprocessing import Pool
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import FSUM_ERRORS, LatticeClock, chain_kernel, check_heights
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 TORUS = "torus"
 BOX = "dissipative-box"
@@ -296,6 +301,7 @@ class MarkovToppling:
             raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
         if max_events is not None and max_events < 0:
             raise ValueError(f"max_events must be >= 0, got {max_events}")
+        t_max = float(t_max)                # an int t_max would leave an int clock
         if not self.unstable or t_max <= self.t:
             return
         next_snap = math.inf                # no snapshot is due while it is inf
@@ -545,24 +551,72 @@ def _neighbor_sum(arr: np.ndarray, boundary: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _delta_matrix(shape: tuple, boundary: str) -> sp.csr_matrix:
-    """``delta_matrix``, built once per geometry and shared, hence read-only."""
+def _delta_table(shape: tuple, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """The toppling matrix as (cols, vals), each of shape (2d+1, n), built once
+    per geometry and shared, hence read-only.
+
+    Column y of the table is row y of the matrix in canonical CSR form:
+    ascending column ids, duplicate (row, column) pairs summed left to right
+    (both neighbours along a side-2 torus axis, or a site that is its own
+    neighbour), then padding slots with column id n and value 0.0.
+    """
     nbr, _ = _neighbor_arrays(shape, boundary)
-    n = nbr.shape[0]
-    # entry (y, x): toppling x credits each neighbour y; duplicate (row, col)
-    # pairs (both neighbours along a side-2 torus axis) sum
-    xs, slot = np.nonzero(nbr >= 0)
-    diag = np.arange(n)
-    rows = np.concatenate([diag, nbr[xs, slot]])
-    colidx = np.concatenate([diag, xs])
-    vals = np.concatenate([np.full(n, -1.0), np.full(xs.size, 1.0 / (2 * len(shape)))])
-    mat = sp.csr_matrix((vals, (rows, colidx)), shape=(n, n))
+    n, twod = nbr.shape
+    # row y: the diagonal first, then a 1/(2d) bond to each neighbour of y in
+    # slot order; missing neighbours become padding
+    cols = np.concatenate([np.arange(n)[:, None], np.where(nbr >= 0, nbr, n)], axis=1)
+    vals = np.concatenate([np.full((n, 1), -1.0), np.where(nbr >= 0, 1.0 / twod, 0.0)],
+                          axis=1)
+    order = np.argsort(cols, axis=1, kind="stable")
+    cols = np.take_along_axis(cols, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    for k in range(1, twod + 1):
+        dup = cols[:, k] == cols[:, k - 1]
+        vals[dup, k] += vals[dup, k - 1]
+    # keep the last entry of each run of equal columns, padding after the rest
+    keep = cols < n
+    keep[:, :-1] &= cols[:, 1:] != cols[:, :-1]
+    cols = np.where(keep, cols, n)
+    vals = np.where(keep, vals, 0.0)
+    order = np.argsort(cols, axis=1, kind="stable")
+    cols = np.ascontiguousarray(np.take_along_axis(cols, order, axis=1).T)
+    vals = np.ascontiguousarray(np.take_along_axis(vals, order, axis=1).T)
+    cols.flags.writeable = False
+    vals.flags.writeable = False
+    return cols, vals
+
+
+def _delta_apply(shape: tuple, boundary: str, v: np.ndarray) -> np.ndarray:
+    """The toppling matrix times the flat vector ``v``, bit for bit as
+    ``delta_matrix(shape, boundary) @ v``: scipy's CSR product sums each row
+    from 0.0 entry by entry, and so does this, slot by slot.  Padding adds
+    0.0 * 0.0 (a stored 0.0 at column n), which changes no sum."""
+    cols, vals = _delta_table(shape, boundary)
+    terms = np.append(v, 0.0)[cols]
+    out = np.zeros(v.size)
+    with np.errstate(over="ignore", invalid="ignore"):     # as quiet as scipy
+        terms *= vals
+        for slot in terms:
+            out += slot
+    return out
+
+
+@lru_cache(maxsize=32)
+def _delta_matrix(shape: tuple, boundary: str) -> scipy.sparse.csr_matrix:
+    """``delta_matrix``, built once per geometry and shared, hence read-only."""
+    import scipy.sparse     # here only: no engine or subcommand needs scipy
+
+    cols, vals = _delta_table(shape, boundary)
+    n = cols.shape[1]
+    keep = cols.T < n
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    mat = scipy.sparse.csr_matrix((vals.T[keep], cols.T[keep], indptr), shape=(n, n))
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.flags.writeable = False
     return mat
 
 
-def delta_matrix(shape, boundary: str = TORUS) -> sp.csr_matrix:
+def delta_matrix(shape, boundary: str = TORUS) -> scipy.sparse.csr_matrix:
     """Toppling matrix: -1 on the diagonal, 1/(2d) for each neighbour bond."""
     return _delta_matrix(tuple(int(s) for s in shape), parse_boundary(boundary)).copy()
 
@@ -582,7 +636,7 @@ def mass_identity_check(initial: LatticeConfig, current: LatticeConfig,
     d = initial.dim
     pred = initial.heights - L + _neighbor_sum(L, initial.boundary) / (2 * d)
     r1 = float(np.abs(current.heights - pred).max())
-    dl = _delta_matrix(initial.sides, initial.boundary) @ L.ravel()
+    dl = _delta_apply(initial.sides, initial.boundary, L.ravel())
     pred2 = initial.heights.ravel() + dl
     r2 = float(np.abs(current.heights.ravel() - pred2).max())
     return max(r1, r2)
@@ -784,6 +838,48 @@ def _replica_worker(args) -> dict:
     }
 
 
+def _replica_jobs(spec: DensitySpec, sides, boundary: str, t_max: float, replicas: int,
+                  seed, snapshot_every, min_m_threshold, max_events,
+                  spawn_prefix: tuple) -> list:
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
+    if t_max == math.inf and max_events is None:
+        # a replica that never stabilizes would never end
+        raise ValueError("t_max=inf needs max_events")
+    entropy = np.random.SeedSequence(seed).entropy
+    return [(spec.kind, spec.rho, tuple(sides), parse_boundary(boundary), t_max,
+             entropy, spawn_prefix + (i,), snapshot_every, min_m_threshold,
+             max_events)
+            for i in range(replicas)]
+
+
+def _summaries(grid: list, workers: int) -> list[ExperimentSummary]:
+    """Run every job of every grid point, through one ``Pool`` if
+    ``workers`` > 1, and summarize each grid point's rows."""
+    jobs = [job for point in grid for job in point]
+    if workers > 1 and len(jobs) > 1:
+        chain_kernel()      # build and load once, before the workers fork
+        with Pool(workers) as pool:
+            rows = pool.map(_replica_worker, jobs)
+    else:
+        rows = [_replica_worker(j) for j in jobs]
+    out = []
+    for point in grid:
+        mine, rows = rows[:len(point)], rows[len(point):]
+        for i, row in enumerate(mine):
+            row["replica"] = i
+        stabilized = [r for r in mine if r["outcome"] == "stabilized"]
+        med = (float(np.median([r["t_stab"] for r in stabilized])) if stabilized
+               else math.nan)
+        active_slopes = [r["min_m_slope"] for r in mine
+                         if r["outcome"] != "stabilized" and r["min_m_slope"] is not None]
+        slope = float(np.mean(active_slopes)) if active_slopes else math.nan
+        out.append(ExperimentSummary(rows=mine,
+                                     fraction_stabilized=len(stabilized) / len(mine),
+                                     median_t_stab=med, mean_min_m_slope=slope))
+    return out
+
+
 def stabilizability_experiment(spec: DensitySpec, sides, boundary: str,
                                t_max: float, replicas: int,
                                seed: int | None = None,
@@ -792,30 +888,26 @@ def stabilizability_experiment(spec: DensitySpec, sides, boundary: str,
                                max_events: int | None = None,
                                workers: int = 1,
                                _spawn_prefix: tuple = ()) -> ExperimentSummary:
-    """Replicated Markov runs from one density spec; replicas use split seeds."""
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    if t_max == math.inf and max_events is None:
-        # a replica that never stabilizes would never end
-        raise ValueError("t_max=inf needs max_events")
-    entropy = np.random.SeedSequence(seed).entropy
-    jobs = [(spec.kind, spec.rho, tuple(sides), parse_boundary(boundary), t_max,
-             entropy, _spawn_prefix + (i,), snapshot_every, min_m_threshold,
-             max_events)
-            for i in range(replicas)]
-    if workers > 1 and replicas > 1:
-        chain_kernel()      # build and load once, before the workers fork
-        with Pool(workers) as pool:
-            rows = pool.map(_replica_worker, jobs)
-    else:
-        rows = [_replica_worker(j) for j in jobs]
-    for i, row in enumerate(rows):
-        row["replica"] = i
-    stabilized = [r for r in rows if r["outcome"] == "stabilized"]
-    frac = len(stabilized) / replicas
-    med = float(np.median([r["t_stab"] for r in stabilized])) if stabilized else math.nan
-    active_slopes = [r["min_m_slope"] for r in rows
-                     if r["outcome"] != "stabilized" and r["min_m_slope"] is not None]
-    slope = float(np.mean(active_slopes)) if active_slopes else math.nan
-    return ExperimentSummary(rows=rows, fraction_stabilized=frac,
-                             median_t_stab=med, mean_min_m_slope=slope)
+    """Replicated Markov runs from one density spec; replicas use split seeds.
+
+    With ``_spawn_prefix=(g,)`` the replicas are those of grid point ``g`` of
+    ``stabilizability_sweep`` with the same seed.
+    """
+    jobs = _replica_jobs(spec, sides, boundary, t_max, replicas, seed, snapshot_every,
+                         min_m_threshold, max_events, _spawn_prefix)
+    return _summaries([jobs], workers)[0]
+
+
+def stabilizability_sweep(specs, sides, boundary: str, t_max: float, replicas: int,
+                          seed: int | None = None,
+                          snapshot_every: float | None = 1.0,
+                          min_m_threshold: int = 10,
+                          max_events: int | None = None,
+                          workers: int = 1) -> list[ExperimentSummary]:
+    """``stabilizability_experiment`` at each density spec of a grid, in
+    order; grid point ``g`` seeds replica ``i`` with the spawn key (g, i).  All
+    replicas of the grid share one ``Pool``."""
+    grid = [_replica_jobs(spec, sides, boundary, t_max, replicas, seed, snapshot_every,
+                          min_m_threshold, max_events, (g,))
+            for g, spec in enumerate(specs)]
+    return _summaries(grid, workers)

@@ -305,6 +305,28 @@ def test_conservation_gate_trips_on_nan(tmp_path, monkeypatch):
         assert rc == 2
 
 
+def test_sweep_gate_names_the_first_failure_in_grid_order(tmp_path, monkeypatch, capsys):
+    # the whole grid runs before the gate; it must still report the first
+    # failing replica of the first failing grid point
+    real = lattice._replica_worker
+    failing = {(1, 1), (1, 2), (2, 0)}      # spawn keys (grid point, replica)
+
+    def worker(args):
+        row = real(args)
+        if args[6] in failing:
+            row["mass_residual"] = math.nan
+        return row
+
+    monkeypatch.setattr(lattice, "_replica_worker", worker)
+    rc = main(["sweep", "--d", "1", "--side", "8", "--gen", "constant",
+               "--rho", "0.5,1.1,1.2", "--tmax", "2", "--replicas", "3",
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "torus conservation violated: residual=nan" in err
+    assert err.endswith("(replica 1)\n")
+
+
 def _run_cli(tmp_path, argv):
     src = str(Path(zhangpile.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zhangpile
@@ -467,6 +467,10 @@ def test_lattice_kernel_matches_python_reference(spec):
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=60)
        | st.lists(st.floats(-1e308, 1e308), max_size=60)
        | st.lists(st.floats(0.0, 4.0), max_size=3000))
+# two NaNs with different payloads, a signalling one among them: fsum keeps
+# the newest, quieted
+@example(np.array([0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000003,
+                   0x7FF0000000000000], dtype=np.uint64).view(np.float64).tolist())
 def test_kernel_fsum_matches_math_fsum(values):
     lib = core.chain_kernel()
     x = np.array(values, dtype=np.float64)

@@ -21,7 +21,9 @@ from zhangpile.lattice import (
     LatticeConfig,
     MarkovToppling,
     MassLedger,
+    _delta_apply,
     _delta_matrix,
+    _neighbor_sum,
     _neighbor_table,
     bond_bound_check,
     count_internal_bonds,
@@ -33,6 +35,7 @@ from zhangpile.lattice import (
     near_full_bands,
     parallel_round,
     stabilizability_experiment,
+    stabilizability_sweep,
     topple_lattice,
 )
 
@@ -263,6 +266,18 @@ def test_resumed_run_to_an_earlier_time_is_a_no_op(t_max):
             eng.run(t_max=t_max, snapshot_every=1.0)
         assert (eng.t, eng._bufpos, eng.events, list(eng.h), eng.ledger.t) == before
         assert eng.snapshots == []
+
+
+def test_integer_t_max_leaves_a_float_clock():
+    # both backends keep the clock a float, whatever number t_max is given as
+    cfg = generate(DensitySpec("constant", 1.1), (16,), TORUS, seed=1)
+    for kernel in _backends():
+        eng = MarkovToppling(cfg, seed=2)
+        with _kernel_set(kernel):
+            eng.run(t_max=10)
+        assert eng.unstable and eng.t == 10.0
+        assert type(eng.t) is float and type(eng.ledger.t) is float
+        assert type(eng.verdict().t_end) is float
 
 
 def _ring_loop_reference(config, rng, t_max):
@@ -499,6 +514,60 @@ def test_delta_matrix_matches_loop_reference(shape, boundary):
     assert np.array_equal(got @ v, want @ v)
 
 
+_WIDE_FLOATS = st.one_of(
+    st.floats(-1e300, 1e300), st.floats(-1e-3, 1e-3),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]))
+
+
+@st.composite
+def _geometry(draw, min_torus_side=1):
+    boundary = draw(st.sampled_from([TORUS, BOX]))
+    low = min_torus_side if boundary == TORUS else 1
+    d = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(low, 6), min_size=d, max_size=d)))
+    return shape, boundary
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_delta_apply_is_the_sparse_product_bit_for_bit(data):
+    # sides 1 and 2 give a site that is its own neighbour and doubled bonds
+    shape, boundary = data.draw(_geometry())
+    n = int(np.prod(shape))
+    drawn = np.array(data.draw(st.lists(_WIDE_FLOATS, min_size=n, max_size=n)))
+    # +0.0 with -0.0 neighbours: a row sum that starts from -0.0 stays -0.0
+    zeros = np.where(np.indices(shape).sum(axis=0).ravel() % 2, -0.0, 0.0)
+    for v in (drawn, zeros):
+        want = delta_matrix(shape, boundary) @ v
+        got = _delta_apply(shape, boundary, v)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mass_identity_check_keeps_the_sparse_formula(data):
+    # both routes as scipy computes them: the direct neighbour sum, and the
+    # sparse product with a toppling matrix built by the per-site loop
+    shape, boundary = data.draw(_geometry(min_torus_side=2))
+    n = int(np.prod(shape))
+    heights = st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n)
+    initial = LatticeConfig(np.reshape(data.draw(heights), shape), boundary)
+    current = LatticeConfig(np.reshape(data.draw(heights), shape), boundary)
+    ledger = MassLedger(shape)
+    ledger._lv = data.draw(st.lists(_WIDE_FLOATS, min_size=n, max_size=n))
+    L = ledger.L
+    with np.errstate(all="ignore"):
+        pred = initial.heights - L + _neighbor_sum(L, boundary) / (2 * len(shape))
+        r1 = float(np.abs(current.heights - pred).max())
+        dl = _delta_matrix_loop(shape, boundary) @ L.ravel()
+        r2 = float(np.abs(current.heights.ravel() - (initial.heights.ravel() + dl)).max())
+        want = max(r1, r2)
+        got = mass_identity_check(initial, current, ledger)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 def test_delta_matrix_is_built_once_per_geometry():
     shared = _delta_matrix((6, 6), TORUS)
     assert _delta_matrix((6, 6), TORUS) is shared
@@ -669,6 +738,34 @@ def test_experiment_summary_and_determinism():
     assert s1.rows == s2.rows
     assert s1.fraction_stabilized == 1.0
     assert all(r["mass_residual"] < 1e-9 for r in s1.rows)
+
+
+def test_sweep_is_one_experiment_per_grid_point(monkeypatch):
+    # one pool for the whole grid; grid point g is the experiment whose
+    # replicas carry the spawn keys (g, i)
+    specs = [DensitySpec("iid", 0.3), DensitySpec("constant", 1.1),
+             DensitySpec("iid", 0.9)]
+    kw = dict(sides=(12,), boundary=TORUS, t_max=20.0, replicas=3, seed=79)
+    opened = []
+    real_pool = zhangpile.lattice.Pool
+
+    def counting_pool(*args):
+        opened.append(args)
+        return real_pool(*args)
+
+    monkeypatch.setattr(zhangpile.lattice, "Pool", counting_pool)
+    swept = stabilizability_sweep(specs, **kw, workers=2)
+    assert len(opened) == 1
+    serial = stabilizability_sweep(specs, **kw)
+    for g, spec in enumerate(specs):
+        alone = stabilizability_experiment(spec, **kw, _spawn_prefix=(g,))
+        for s in (swept[g], serial[g]):
+            assert s.rows == alone.rows
+            assert np.array_equal(
+                [s.fraction_stabilized, s.median_t_stab, s.mean_min_m_slope],
+                [alone.fraction_stabilized, alone.median_t_stab, alone.mean_min_m_slope],
+                equal_nan=True)
+    assert len(opened) == 1
 
 
 def test_experiment_active_case():
