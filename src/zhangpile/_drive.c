@@ -1,8 +1,9 @@
 /* Compiled loops of the chain, coupling and lattice engines; loaded with ctypes by core.py.
  *
  * zp_drive and zp_drive_pair step the (N,[a,b]) chain: each step adds amts[i] to site sites[i] (0-based) of a stable chain and
- * relaxes it leftmost-first, with the float operations of core._relax_leftmost
- * in the same order, so heights stay bit-identical to the Python reference.
+ * relaxes it leftmost-first.  relax below is the step-back scan that
+ * core._relax_leftmost, the one Python relaxation, runs line for line, so
+ * heights stay bit-identical to the Python reference.
  * Status codes: 0 done, 1 topple cap exceeded, 2 a full site failed to topple.
  * zp_couple runs the coupling's independent and contraction phases.
  * zp_lattice runs the lattice clock of lattice.MarkovToppling.run, and
@@ -12,8 +13,9 @@
 #include <math.h>
 #include <string.h>
 
-/* Topple the leftmost site with h >= 1, step back to x-1 if it became
- * unstable, otherwise scan right.  Returns the topplings, or -1 past cap. */
+/* The step-back scan of core._relax_leftmost: topple the site under the
+ * cursor if h >= 1, step back to x-1 if that site became unstable, otherwise
+ * move right.  Returns the topplings, or -1 past cap. */
 static int64_t relax(double *h, int64_t n, int64_t x, int64_t cap)
 {
     int64_t total = 0;
@@ -106,7 +108,7 @@ static int64_t add(double *h, int64_t n, int64_t x, double u, int64_t cap)
     return h[x] >= 1.0 ? relax(h, n, x, cap) : 0;
 }
 
-/* coupling._e_class_0: the empty site if h is in some E_x, else -1. */
+/* core._e_class_0: the empty site if h is in some E_x, else -1. */
 static int64_t e_class(const double *h, int64_t n)
 {
     int64_t empty = -1;
@@ -122,7 +124,7 @@ static int64_t e_class(const double *h, int64_t n)
     return empty;
 }
 
-/* coupling._eb_side: the empty boundary site if h is in E_b, else -1. */
+/* core._eb_side: the empty boundary site if h is in E_b, else -1. */
 static int64_t eb_side(const double *h, int64_t n)
 {
     int64_t e = e_class(h, n);

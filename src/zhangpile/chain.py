@@ -18,13 +18,11 @@ from .core import (
     DEFAULT_TOPPLE_CAP,
     InvariantViolation,
     TopplingLog,
-    TopplingPolicy,
     _relax_leftmost,
-    _relax_sequential,
     cap_error,
     chain_kernel,
-    is_stable,
     kernel_drive,
+    stable_heights,
 )
 from .seeding import AdditionStream
 
@@ -62,17 +60,7 @@ class ChainProcess:
         self.a = a
         self.b = b
         self.cap = cap
-        if heights is None:
-            self.heights = [0.0] * n
-        else:
-            hs = [float(v) for v in heights]
-            if len(hs) != n:
-                raise ValueError(f"heights length {len(hs)} != n={n}")
-            if not is_stable(hs):
-                raise ValueError("initial configuration must be stable (all heights < 1)")
-            if min(hs) < 0:
-                raise ValueError("heights must be nonnegative")
-            self.heights = hs
+        self.heights = [0.0] * n if heights is None else stable_heights(heights, n)
         self.t = 0
         if rng is None:
             rng = np.random.default_rng(seed)
@@ -87,14 +75,20 @@ class ChainProcess:
     def step_fast(self) -> tuple[int, float, int]:
         """One step without building a log; returns (site0, amount, topplings)."""
         x, u = self._additions.draw()
+        return x, u, self._add(x, u)
+
+    def _add(self, i: int, u: float, counts: np.ndarray | None = None,
+             sequence: list | None = None) -> int:
+        # add u at 0-based site i, relax, and count the step; the one body
+        # behind step_fast and _apply
         h = self.heights
-        was_full = h[x] >= 0.5
-        h[x] += u
-        ntop = _relax_leftmost(h, x, self.cap) if h[x] >= 1.0 else 0
+        was_full = h[i] >= 0.5
+        h[i] += u
+        ntop = _relax_leftmost(h, i, self.cap, counts, sequence) if h[i] >= 1.0 else 0
         self.t += 1
         if self._check_heavy and was_full and ntop == 0:
             raise self._heavy_violation()
-        return x, u, ntop
+        return ntop
 
     def _heavy_violation(self) -> InvariantViolation:
         return InvariantViolation(
@@ -112,18 +106,8 @@ class ChainProcess:
         return self._apply(site, float(amount))
 
     def _apply(self, site: int, amount: float) -> tuple[AdditionEvent, TopplingLog]:
-        h = self.heights
-        i = site - 1
-        was_full = h[i] >= 0.5
-        h[i] += amount
-        counts = np.zeros(self.n, dtype=np.int64)
-        log = TopplingLog(counts=counts)
-        if h[i] >= 1.0:
-            _relax_sequential(h, TopplingPolicy.LEFTMOST, None, self.cap,
-                              counts, log.sequence)
-        self.t += 1
-        if self._check_heavy and was_full and log.total == 0:
-            raise self._heavy_violation()
+        log = TopplingLog(counts=np.zeros(self.n, dtype=np.int64))
+        self._add(site - 1, amount, log.counts, log.sequence)
         return AdditionEvent(t=self.t, site=site, amount=amount), log
 
 

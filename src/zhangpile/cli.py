@@ -37,10 +37,6 @@ from .runio import RunRecord, fmt_real, make_spec, write_jsonl
 
 CONSERVATION_TOL = 1e-9
 
-MAX_EVENTS_HELP = ("cap on topplings per replica (the rejection-free clock draws "
-                   "only topplings, never rings at stable sites)")
-TMAX_HELP = "time cutoff per replica; inf needs --max-events"
-
 
 class ConservationError(RuntimeError):
     pass
@@ -318,38 +314,37 @@ def build_parser() -> _Parser:
     common(sp, fmt_default="jsonl")
     sp.set_defaults(func=cmd_couple, engine="coupling")
 
+    def lattice(sp):
+        # the geometry, clock and pool flags of infinite and sweep
+        sp.add_argument("--d", type=int, required=True)
+        sp.add_argument("--side", required=True, help="side length, or comma list per axis")
+        sp.add_argument("--boundary", default="torus", help="torus | box")
+        sp.add_argument("--tmax", type=float, default=100.0,
+                        help="time cutoff per replica; inf needs --max-events")
+        sp.add_argument("--replicas", type=int, default=1)
+        sp.add_argument("--snap-every", type=float, default=1.0)
+        sp.add_argument("--min-m-threshold", type=int, default=10)
+        sp.add_argument("--max-events", type=int, default=None,
+                        help="cap on topplings per replica (the rejection-free clock "
+                             "draws only topplings, never rings at stable sites)")
+        sp.add_argument("--workers", type=int, default=1)
+        common(sp)
+        sp.set_defaults(engine="lattice")
+
     sp = sub.add_parser("infinite", help="Poisson-clock toppling on a finite lattice")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--side", required=True, help="side length, or comma list per axis")
-    sp.add_argument("--boundary", default="torus", help="torus | box")
     sp.add_argument("--gen", required=True,
                     help="iid | constant | checkerboard | near-full")
     sp.add_argument("--rho", type=float, required=True)
-    sp.add_argument("--tmax", type=float, default=100.0, help=TMAX_HELP)
-    sp.add_argument("--replicas", type=int, default=1)
-    sp.add_argument("--snap-every", type=float, default=1.0)
-    sp.add_argument("--min-m-threshold", type=int, default=10)
-    sp.add_argument("--max-events", type=int, default=None, help=MAX_EVENTS_HELP)
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--save-final", default=None,
                     help="write replica-0 final heights (JSON header + values)")
-    common(sp)
-    sp.set_defaults(func=cmd_infinite, engine="lattice")
+    lattice(sp)
+    sp.set_defaults(func=cmd_infinite)
 
     sp = sub.add_parser("sweep", help="stabilizability sweep over a density grid")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--side", required=True)
-    sp.add_argument("--boundary", default="torus")
     sp.add_argument("--gen", required=True, help="comma list of generator kinds")
     sp.add_argument("--rho", required=True, help="comma list of densities")
-    sp.add_argument("--tmax", type=float, default=100.0, help=TMAX_HELP)
-    sp.add_argument("--replicas", type=int, default=1)
-    sp.add_argument("--snap-every", type=float, default=1.0)
-    sp.add_argument("--min-m-threshold", type=int, default=10)
-    sp.add_argument("--max-events", type=int, default=None, help=MAX_EVENTS_HELP)
-    sp.add_argument("--workers", type=int, default=1)
-    common(sp)
-    sp.set_defaults(func=cmd_sweep, engine="lattice")
+    lattice(sp)
+    sp.set_defaults(func=cmd_sweep)
     return p
 
 

@@ -9,9 +9,13 @@ adjacent unstable sites make the outcome order-dependent), but it is abelian
 when starting from a stable configuration plus a single addition.
 
 Sites are numbered 1..N to match the usual convention for this model.
-Leftmost relaxation after single additions also exists as a compiled kernel
-(``_drive.c``), which ``chain_kernel`` builds and loads; the same library holds
-the coupling's pre-merge phases and the lattice clock of
+One routine, ``_relax_leftmost``, relaxes leftmost-first for every caller:
+``stabilize_chain``, the chain process, the coupling engine and the
+contraction check.  It runs the step-back scan of ``relax`` in the compiled
+kernel (``_drive.c``), which ``chain_kernel`` builds and loads, so the two
+backends topple in the same order with the same float operations.
+Rightmost-first relaxation is leftmost-first on the mirrored chain.  The same
+library holds the coupling's pre-merge phases and the lattice clock of
 ``lattice.MarkovToppling``.
 """
 
@@ -137,6 +141,17 @@ def is_stable(config) -> bool:
     return bool((np.asarray(config, dtype=float) < 1.0).all())
 
 
+def stable_heights(config, n: int | None = None) -> list[float]:
+    """``config`` as a list of floats, once it is checked to be a stable chain:
+    ``n`` heights (if ``n`` is given), each finite, nonnegative and below 1."""
+    arr = _as_heights(config)
+    if n is not None and arr.size != n:
+        raise ValueError(f"heights length {arr.size} != n={n}")
+    if not is_stable(arr):
+        raise ValueError("initial configuration must be stable (all heights < 1)")
+    return arr.tolist()
+
+
 def topple_chain(config, x: int) -> np.ndarray:
     """Apply the toppling operator at 1-based site ``x``; returns a new array.
 
@@ -160,46 +175,56 @@ def topple_chain(config, x: int) -> np.ndarray:
     return h
 
 
-def _relax_leftmost(h: list, start: int, cap: int = DEFAULT_TOPPLE_CAP) -> int:
-    """In-place leftmost-first relaxation after a single site was loaded.
+def _relax_leftmost(h: list, start: int, cap: int = DEFAULT_TOPPLE_CAP,
+                    counts: np.ndarray | None = None, sequence: list | None = None) -> int:
+    """In-place leftmost-first relaxation of the plain float list ``h``, by the
+    step-back scan of ``relax`` in ``_drive.c``.
 
-    ``h`` is a plain list of floats (hot path for the Markov process and the
-    coupling engine).  Returns the number of topplings.
+    The scan topples the site under the cursor if its height is at least 1,
+    steps back to x-1 if that site became unstable, and otherwise moves right,
+    up to the chain end.  Every site left of the cursor stays stable, so each
+    toppling is at the leftmost unstable site.  Started at site 0 it
+    stabilizes any configuration; after a single addition to a stable chain
+    it starts at the loaded site.  ``counts`` and ``sequence``, if given,
+    receive the per-site topplings and the 1-based toppling order.  Returns
+    the number of topplings.
     """
-    if h[start] < 1.0:
-        return 0
     n = len(h)
-    active = [start]
+    x = start
     total = 0
-    while active:
-        x = active[0]
-        del active[0]
+    while x < n:
         hx = h[x]
+        if hx < 1.0:
+            x += 1
+            continue
         h[x] = 0.0
         total += 1
         if total > cap:
             raise cap_error(cap)
+        if counts is not None:
+            counts[x] += 1
+        if sequence is not None:
+            sequence.append(x + 1)
         half = hx * 0.5
+        if x < n - 1:
+            h[x + 1] += half
         if x > 0:
             v = h[x - 1] + half
             h[x - 1] = v
-            if v >= 1.0 and x - 1 not in active:
-                insort(active, x - 1)
-        if x < n - 1:
-            v = h[x + 1] + half
-            h[x + 1] = v
-            if v >= 1.0 and x + 1 not in active:
-                insort(active, x + 1)
+            if v >= 1.0:
+                x -= 1
+                continue
+        x += 1
     return total
 
 
 # ---------------------------------------------------------------------------
 # compiled kernel
 # ---------------------------------------------------------------------------
-# _drive.c does the float operations of _relax_leftmost, of the coupling's
-# pre-merge phases and of the lattice clock in the same order, so both backends
-# give bit-identical results.  It is compiled with gcc on first use and cached
-# next to the bytecode; wherever the build or the load fails, the callers run
+# _drive.c does the float operations of _relax_leftmost (the same step-back
+# scan), of the coupling's pre-merge phases and of the lattice clock in the
+# same order, so both backends give bit-identical results.  It is compiled
+# with gcc on first use and cached next to the bytecode; wherever the build or the load fails, the callers run
 # their Python loops instead.
 
 _KERNEL_SOURCE = Path(__file__).with_name("_drive.c")
@@ -344,20 +369,15 @@ def kernel_drive_pair(lib, hA: np.ndarray, hB: np.ndarray, sites: np.ndarray,
     return done, status.value, differed.value
 
 
-def _relax_sequential(h: list, policy: TopplingPolicy, rng, cap: int,
-                      counts: np.ndarray, sequence: list) -> int:
-    # Sites already queued stay unstable until they topple (neighbour updates
-    # only add mass), so the queue never holds stale entries.
-    active = sorted(i for i, v in enumerate(h) if v >= 1.0)
+def _relax_random(h: list, rng, cap: int, counts: np.ndarray, sequence: list) -> None:
+    # The rng draw indexes the sorted list of unstable sites.  Sites already
+    # queued stay unstable until they topple (neighbour updates only add
+    # mass), so the list never holds stale entries.
+    active = [i for i, v in enumerate(h) if v >= 1.0]
     n = len(h)
     total = 0
     while active:
-        if policy is TopplingPolicy.LEFTMOST:
-            x = active.pop(0)
-        elif policy is TopplingPolicy.RIGHTMOST:
-            x = active.pop()
-        else:  # uniform-random
-            x = active.pop(int(rng.integers(len(active))))
+        x = active.pop(int(rng.integers(len(active))))
         hx = h[x]
         h[x] = 0.0
         total += 1
@@ -376,7 +396,6 @@ def _relax_sequential(h: list, policy: TopplingPolicy, rng, cap: int,
             h[x + 1] = v
             if v >= 1.0 and x + 1 not in active:
                 insort(active, x + 1)
-    return total
 
 
 def _relax_parallel(h: list, cap: int, counts: np.ndarray, rounds: list) -> int:
@@ -420,40 +439,56 @@ def stabilize_chain(config, policy: str | TopplingPolicy = TopplingPolicy.LEFTMO
     log = TopplingLog(counts=counts)
     if pol is TopplingPolicy.PARALLEL:
         _relax_parallel(h, cap, counts, log.rounds)
+    elif pol is TopplingPolicy.RANDOM:
+        _relax_random(h, rng, cap, counts, log.sequence)
+    elif pol is TopplingPolicy.LEFTMOST:
+        _relax_leftmost(h, 0, cap, counts, log.sequence)
     else:
-        _relax_sequential(h, pol, rng, cap, counts, log.sequence)
+        # rightmost-first is leftmost-first on the mirrored chain
+        h.reverse()
+        _relax_leftmost(h, 0, cap, counts, log.sequence)
+        h.reverse()
+        n = len(h)
+        log.counts = counts[::-1].copy()
+        log.sequence = [n + 1 - s for s in log.sequence]
     return np.array(h), log
 
 
-def in_class_E(config, x: int) -> bool:
-    """True iff the config is empty at 1-based site ``x`` and full everywhere else."""
-    h = np.asarray(config, dtype=float)
-    n = h.size
-    if not 1 <= x <= n:
-        raise ValueError(f"site index {x} out of range 1..{n}")
-    i = x - 1
-    if h[i] != 0.0:
-        return False
-    others = np.delete(h, i)
-    return bool(((others >= 0.5) & (others < 1.0)).all())
-
-
-def empty_site_of_E_class(config) -> int | None:
-    """The 1-based site x with config in E_x, or None if not in any E_x."""
-    h = np.asarray(config, dtype=float)
-    empty = None
+def _e_class_0(h: list) -> int | None:
+    """0-based empty site if the list is in some E_x, else None."""
+    empty = -1
     for i, v in enumerate(h):
         if v == 0.0:
-            if empty is not None:
+            if empty >= 0:
                 return None
             empty = i
         elif not 0.5 <= v < 1.0:
             return None
-    return None if empty is None else empty + 1
+    return empty if empty >= 0 else None
+
+
+def _eb_side(h: list) -> int | None:
+    """0-based empty boundary site if the list is in E_b, else None."""
+    e = _e_class_0(h)
+    if e is None or (e != 0 and e != len(h) - 1):
+        return None
+    return e
+
+
+def in_class_E(config, x: int) -> bool:
+    """True iff the config is empty at 1-based site ``x`` and full everywhere else."""
+    h = np.asarray(config, dtype=float).tolist()
+    if not 1 <= x <= len(h):
+        raise ValueError(f"site index {x} out of range 1..{len(h)}")
+    return _e_class_0(h) == x - 1
+
+
+def empty_site_of_E_class(config) -> int | None:
+    """The 1-based site x with config in E_x, or None if not in any E_x."""
+    e = _e_class_0(np.asarray(config, dtype=float).tolist())
+    return None if e is None else e + 1
 
 
 def in_E_b(config) -> bool:
     """True iff the config is empty at exactly one boundary site and full elsewhere."""
-    n = np.asarray(config, dtype=float).size
-    x = empty_site_of_E_class(config)
-    return x is not None and (x == 1 or x == n)
+    return _eb_side(np.asarray(config, dtype=float).tolist()) is not None

@@ -36,11 +36,13 @@ from .core import (
     CouplingState,
     InvariantViolation,
     _c_array,
+    _e_class_0,
+    _eb_side,
     _relax_leftmost,
     cap_error,
     chain_kernel,
-    is_stable,
     kernel_drive_pair,
+    stable_heights,
 )
 from .seeding import AdditionStream, substreams
 
@@ -234,27 +236,6 @@ class CoefficientTracker:
 # the coupling engine
 # ---------------------------------------------------------------------------
 
-def _e_class_0(h: list) -> int | None:
-    """0-based empty site if the list is in some E_x, else None."""
-    empty = -1
-    for i, v in enumerate(h):
-        if v == 0.0:
-            if empty >= 0:
-                return None
-            empty = i
-        elif not 0.5 <= v < 1.0:
-            return None
-    return empty if empty >= 0 else None
-
-
-def _eb_side(h: list) -> int | None:
-    """0-based empty boundary site if the list is in E_b, else None."""
-    e = _e_class_0(h)
-    if e is None or (e != 0 and e != len(h) - 1):
-        return None
-    return e
-
-
 @dataclass
 class CouplingResult:
     seed: int | None
@@ -278,14 +259,10 @@ class Coupling:
     def __init__(self, eta_a, eta_b, a: float, b: float, seed: int | None = None,
                  record_streams: bool = False, cap: int = DEFAULT_TOPPLE_CAP,
                  _streams=None):
-        eta_a = [float(v) for v in eta_a]
-        eta_b = [float(v) for v in eta_b]
+        eta_a = stable_heights(eta_a)
         n = len(eta_a)
-        if len(eta_b) != n:
-            raise ValueError("the two configurations must have equal length")
+        eta_b = stable_heights(eta_b, n)
         _validate_abn(a, b, n)
-        if not (is_stable(eta_a) and is_stable(eta_b)):
-            raise ValueError("both initial configurations must be stable")
         self.n = n
         self.a = a
         self.b = b
@@ -756,10 +733,7 @@ def _init_config(mode, n: int, gen: np.random.Generator) -> list:
         if mode == "random":
             return gen.uniform(0.0, 1.0, n).tolist()
         raise ValueError(f"unknown init mode {mode!r}")
-    vals = [float(v) for v in mode]
-    if len(vals) != n:
-        raise ValueError(f"literal init has length {len(vals)}, expected {n}")
-    return vals
+    return stable_heights(mode, n)
 
 
 def _sweep_one(args) -> CouplingResult:

@@ -301,7 +301,10 @@ class MarkovToppling:
             raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
         if max_events is not None and max_events < 0:
             raise ValueError(f"max_events must be >= 0, got {max_events}")
-        t_max = float(t_max)                # an int t_max would leave an int clock
+        try:
+            t_max = float(t_max)            # an int t_max would leave an int clock
+        except OverflowError:
+            raise ValueError("t_max must fit in a float") from None
         if not self.unstable or t_max <= self.t:
             return
         next_snap = math.inf                # no snapshot is due while it is inf

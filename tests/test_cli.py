@@ -359,11 +359,16 @@ def test_nonfinite_lattice_inputs_exit_1(tmp_path, argv):
      "--tmax", "inf"],
     ["sweep", "--d", "1", "--side", "16", "--gen", "constant", "--rho", "1.1",
      "--tmax", "inf"],
+    ["couple", "--n", "3", "--a", "0", "--b", "1", "--init-a=-0.5,0.2,0.1",
+     "--init-b", "zeros", "--max-steps", "2000"],
+    ["couple", "--n", "3", "--a", "0", "--b", "1", "--init-a", "zeros",
+     "--init-b=0.2,-inf,0.1", "--max-steps", "2000"],
 ])
 def test_bad_heights_and_unbounded_runs_exit_1(tmp_path, argv):
     # a NaN height was printed as a result, an inf one toppled until the cap,
-    # a zero side raised a traceback, and --tmax inf without --max-events
-    # never ended; each must now exit 1 within the subprocess timeout
+    # a zero side raised a traceback, --tmax inf without --max-events never
+    # ended, and a negative literal coupling start ran and exited 0; each
+    # must now exit 1 within the subprocess timeout
     proc = _run_cli(tmp_path, argv)
     assert proc.returncode == 1, proc.stderr
     assert "error" in proc.stderr

@@ -29,12 +29,14 @@ def reference_stabilize(heights, order):
     """
     h = [float(v) for v in heights]
     counts = [0] * len(h)
+    sequence = []
     while True:
         unstable = [i for i, v in enumerate(h) if v >= 1.0]
         if not unstable:
-            return h, counts
+            return h, counts, sequence
         x = order(unstable)
         counts[x] += 1
+        sequence.append(x + 1)
         hx = h[x]
         h[x] = 0.0
         if x > 0:
@@ -153,19 +155,39 @@ def test_log_counts_match_sequence():
         assert is_stable(final)
 
 
+def assert_matches_oracle(h):
+    # the same bits, per-site counts and toppling order as the naive oracle
+    for policy, order in (("left", lambda u: u[0]), ("right", lambda u: u[-1])):
+        got, log = stabilize_chain(h, policy)
+        want, want_counts, want_sequence = reference_stabilize(h, order)
+        assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+        assert log.counts.tolist() == want_counts
+        assert log.sequence == want_sequence
+
+
 def test_stabilize_matches_reference_oracle():
     rng = np.random.default_rng(3)
     for _ in range(100):
         n = int(rng.integers(2, 10))
-        h = rng.uniform(0, 1.8, n)
-        got, log = stabilize_chain(h, "left")
-        want, want_counts = reference_stabilize(h, order=lambda u: u[0])
-        assert np.allclose(got, want, atol=1e-12)
-        assert log.counts.tolist() == want_counts
-        got, log = stabilize_chain(h, "right")
-        want, want_counts = reference_stabilize(h, order=lambda u: u[-1])
-        assert np.allclose(got, want, atol=1e-12)
-        assert log.counts.tolist() == want_counts
+        assert_matches_oracle(rng.uniform(0, 1.8, n))
+
+
+@st.composite
+def oracle_inputs(draw):
+    # any heights, a stable chain, or a stable chain with one loaded site
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["any", "stable", "loaded"]))
+    top = 2.5 if kind == "any" else 1.0
+    h = draw(st.lists(st.floats(0.0, top, exclude_max=True), min_size=n, max_size=n))
+    if kind == "loaded":
+        h[draw(st.integers(0, n - 1))] += draw(st.floats(0.0, 3.0))
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_inputs())
+def test_stabilize_matches_reference_oracle_on_any_chain(h):
+    assert_matches_oracle(h)
 
 
 def test_single_addition_is_abelian():

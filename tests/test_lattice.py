@@ -169,6 +169,7 @@ def test_engine_run_rejects_bad_arguments():
     # sits in a bounded subprocess so that such a hang fails the test
     bad = {"t_max=0": "t_max must be positive",
            "t_max=math.nan": "t_max must be positive",
+           "t_max=10**400": "t_max must fit in a float",
            "t_max=5, snapshot_every=0": "snapshot_every must be positive",
            "t_max=5, snapshot_every=-1": "snapshot_every must be positive",
            "t_max=5, snapshot_every=math.nan": "snapshot_every must be positive",
