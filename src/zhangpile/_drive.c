@@ -5,7 +5,8 @@
  * core._relax_leftmost, the one Python relaxation, runs line for line, so
  * heights stay bit-identical to the Python reference.
  * Status codes: 0 done, 1 topple cap exceeded, 2 a full site failed to topple.
- * zp_couple runs the coupling's independent and contraction phases.
+ * zp_couple runs the coupling's three phases, from the first step to the
+ * merge; it calls fmod and nextafter from libm.
  * zp_lattice runs the lattice clock of lattice.MarkovToppling.run, and
  * zp_fsum the exact sum of its snapshots.
  */
@@ -131,64 +132,248 @@ static int64_t eb_side(const double *h, int64_t n)
     return e == 0 || e == n - 1 ? e : -1;
 }
 
-/* The pre-merge state of coupling.Coupling (core.CouplingState).  ebA, ebB
- * use -1 for None; posA, posB, posC index the stream chunks; n_rec counts
- * the rows written to the recording arrays. */
+/* The state of coupling.Coupling (core.CouplingState).  ebA, ebB use -1 for
+ * None; posA, posB, posC index the stream chunks; n_rec counts the rows
+ * written to the recording arrays.  mk, merging_steps, Dk and the windows
+ * between_hi, av_lo, av_hi and thresh are the merging stage that
+ * Coupling._stage_init set up.  causes counts the restarts by cause. */
 typedef struct {
-    double half, eps1;
-    int64_t t, t_stop, phase, restarts, steps_ind, steps_con, flip, k_aval,
-        target, ebA, ebB, posA, posB, posC, n_rec;
+    double half, eps1, tol, a, b, Dk, between_hi, av_lo, av_hi, thresh;
+    int64_t t, t_stop, phase, steps_ind, steps_con, steps_mer, flip, k_aval, target,
+        ebA, ebB, posA, posB, posC, n_rec, mk, merging_steps;
+    int64_t causes[5];
 } zp_pair;
 
-/* Phases, and why zp_couple returned.  ZC_MERGING: the merging phase began
- * after an independent step, which is counted; ZC_MERGING_IN_STEP: it began
- * inside a contraction step, which the caller counts once it has entered the
- * merging phase.  The gates leave the failing step uncounted. */
-enum { ZC_INDEPENDENT, ZC_CONTRACTION };
-enum { ZC_BUDGET, ZC_REFILL, ZC_MERGING, ZC_MERGING_IN_STEP, ZC_CAP, ZC_DESYNC,
-       ZC_NOT_EN, ZC_BAD_SITE };
+/* Phases; restart causes, in the order of coupling.RESTART_CAUSES; and why
+ * zp_couple returned.  ZC_DONE: t reached t_stop or the pair merged.  Past
+ * ZC_BAD_SITE the statuses are the merging gates: an ill-formed stage or a
+ * |D_k| past its bound, an avalanche that failed to fire, more than n-1
+ * avalanches, a site left unequal, unequal at completion.  The gates leave
+ * the failing step uncounted, as Coupling.step does. */
+enum { ZC_INDEPENDENT, ZC_CONTRACTION, ZC_MERGING, ZC_MERGED };
+enum { ZC_CON_SITE, ZC_CON_LIGHT, ZC_MER_SITE, ZC_MER_WINDOW, ZC_MER_TOPPLE };
+enum { ZC_DONE, ZC_REFILL, ZC_CAP, ZC_DESYNC, ZC_NOT_EN, ZC_BAD_SITE, ZC_STAGE,
+       ZC_NO_FIRE, ZC_COUNT, ZC_SITE, ZC_UNEQUAL };
 
-/* coupling.Coupling._maxdiff */
+/* The arrays of one zp_couple call: the heights, the eps schedule and the
+ * bounds d_k (n-1 values each), and the recording arrays (or NULL). */
+typedef struct {
+    double *hA, *hB;
+    int64_t n, cap;
+    const double *eps, *dbound;
+    int64_t *rec_sites;
+    double *rec_amts;
+} pair_arrays;
+
+/* coupling.Coupling._phys: the 0-based index of the 1-based logical site s */
+static int64_t phys(const zp_pair *st, int64_t n, int64_t s)
+{
+    return st->flip ? n - s : s - 1;
+}
+
+/* coupling.Coupling._maxdiff, NaN if some difference is NaN */
 static double maxdiff(const double *hA, const double *hB, int64_t n)
 {
     double d = 0.0;
     for (int64_t i = 0; i < n; i++) {
         double v = fabs(hA[i] - hB[i]);
-        if (v > d)
+        if (v > d || v != v)
             d = v;
     }
     return d;
 }
 
-/* coupling.Coupling._maybe_enter_coupled once both chains sit in E_b on the
- * same side: 1 if the merging phase begins, else 0 (contraction). */
-static int enter_coupled(const double *hA, const double *hB, int64_t n, zp_pair *st)
+/* coupling.coupled_amount: a + (u + D - a) mod (b - a), with the float % of
+ * CPython (fmod, then the divisor's sign), and the largest double below b
+ * where rounding lands on b itself. */
+static double coupled_amount(double u, double D, double a, double b)
 {
-    st->flip = st->ebA == 0;
-    if (maxdiff(hA, hB, n) < st->eps1)
-        return 1;
-    st->phase = ZC_CONTRACTION;
-    st->k_aval = 0;
-    st->target = n;
-    return 0;
+    double w = b - a;
+    double m = fmod(u + D - a, w);
+    if (m != 0.0) {
+        if ((w < 0.0) != (m < 0.0))
+            m += w;
+    } else {
+        m = copysign(0.0, w);
+    }
+    double v = a + m;
+    return v < b ? v : nextafter(b, a);
 }
 
-/* The independent and contraction phases of coupling.Coupling, restarts
- * included, with the float operations of Coupling._run_independent and
- * Coupling._step_contraction in the same order.  Chains A and B read the
- * chunks (sitesA, amtsA) and (sitesB, amtsB) in the independent phase; both
- * read (sitesC, amtsC) in the contraction phase.  Each consumed pair of
- * additions becomes one row of rec_sites and rec_amts (two columns: A, B)
- * unless they are NULL.  Runs until t reaches t_stop, a chunk the running
- * phase needs is used up, the merging phase begins or a gate trips. */
+/* Hand one consumed pair of additions to the recording arrays. */
+static void record(const pair_arrays *c, zp_pair *st, int64_t xA, double uA, int64_t xB,
+                   double uB)
+{
+    if (!c->rec_sites)
+        return;
+    c->rec_sites[2 * st->n_rec] = xA;
+    c->rec_sites[2 * st->n_rec + 1] = xB;
+    c->rec_amts[2 * st->n_rec] = uA;
+    c->rec_amts[2 * st->n_rec + 1] = uB;
+    st->n_rec++;
+}
+
+/* coupling.Coupling._stage_init: the windows of merging stage mk and its
+ * correction D_mk = sum_{y=1}^{n-mk} 2^(y-1) (hA - hB) at logical site y. */
+static int32_t stage_init(const pair_arrays *c, zp_pair *st)
+{
+    int64_t k = st->mk, n = c->n;
+    double eps_k = c->eps[k - 1];
+    double a2 = st->half;
+    double ap = a2 + 3.0 * eps_k;
+    if (!(ap < st->b && a2 + 2.0 * eps_k <= st->b))
+        return ZC_STAGE;
+    st->between_hi = a2 + 2.0 * eps_k;
+    double q = 0.25 * (st->b - ap);
+    st->av_lo = ap + q;
+    st->av_hi = st->b - q;
+    st->thresh = 1.0 - a2 - 2.0 * eps_k;
+    double D = 0.0, w = 1.0;
+    for (int64_t y = 1; y <= n - k; y++) {
+        int64_t p = phys(st, n, y);
+        D += w * (c->hA[p] - c->hB[p]);
+        w *= 2.0;
+    }
+    if (!(fabs(D) <= c->dbound[k - 1] + st->tol))
+        return ZC_STAGE;
+    st->Dk = D;
+    return ZC_DONE;
+}
+
+/* coupling.Coupling._enter_merging */
+static int32_t enter_merging(const pair_arrays *c, zp_pair *st)
+{
+    st->phase = ZC_MERGING;
+    st->mk = 1;
+    st->merging_steps = 0;
+    return stage_init(c, st);
+}
+
+/* coupling.Coupling._maybe_enter_coupled: once both chains sit in E_b on the
+ * same side, the contraction phase begins, or the merging phase if they are
+ * already within eps1. */
+static int32_t maybe_enter_coupled(const pair_arrays *c, zp_pair *st)
+{
+    if (st->ebA < 0 || st->ebA != st->ebB)
+        return ZC_DONE;
+    st->flip = st->ebA == 0;
+    if (maxdiff(c->hA, c->hB, c->n) < st->eps1)
+        return enter_merging(c, st);
+    st->phase = ZC_CONTRACTION;
+    st->k_aval = 0;
+    st->target = c->n;
+    return ZC_DONE;
+}
+
+/* coupling.Coupling._restart: a draw broke the running phase's requirements,
+ * so both chains take it (unless applied), then the pair returns to the
+ * independent phase. */
+static int32_t restart(const pair_arrays *c, zp_pair *st, int64_t x, double u, int applied,
+                       int cause)
+{
+    if (!applied) {
+        if (add(c->hA, c->n, x, u, c->cap) < 0 || add(c->hB, c->n, x, u, c->cap) < 0)
+            return ZC_CAP;
+        record(c, st, x, u, x, u);
+    }
+    st->ebA = eb_side(c->hA, c->n);
+    st->ebB = eb_side(c->hB, c->n);
+    st->causes[cause]++;
+    st->phase = ZC_INDEPENDENT;
+    return maybe_enter_coupled(c, st);
+}
+
+/* coupling.Coupling._step_contraction */
+static int32_t contraction_step(const pair_arrays *c, zp_pair *st, int64_t x, double u)
+{
+    double *hA = c->hA, *hB = c->hB;
+    int64_t n = c->n, nA, nB = 0;
+    int64_t target = phys(st, n, st->target);
+    if (x != target || u < st->half)
+        return restart(c, st, x, u, 0, x != target ? ZC_CON_SITE : ZC_CON_LIGHT);
+    if ((nA = add(hA, n, x, u, c->cap)) < 0 || (nB = add(hB, n, x, u, c->cap)) < 0)
+        return ZC_CAP;
+    record(c, st, x, u, x, u);
+    if ((nA > 0) != (nB > 0))
+        return ZC_DESYNC;
+    if (nA) {
+        st->k_aval++;
+        st->target = st->target == n ? 1 : n;
+        if (st->k_aval % 2 == 0) {
+            /* after an even number of full sweeps both sit in logical E_N */
+            int64_t pN = phys(st, n, n);
+            if (e_class(hA, n) != pN || e_class(hB, n) != pN)
+                return ZC_NOT_EN;
+            if (maxdiff(hA, hB, n) < st->eps1)
+                return enter_merging(c, st);
+        }
+    }
+    return ZC_DONE;
+}
+
+/* coupling.Coupling._step_merging */
+static int32_t merging_step(const pair_arrays *c, zp_pair *st, int64_t x, double u)
+{
+    double *hA = c->hA, *hB = c->hB;
+    int64_t n = c->n, nA, nB = 0;
+    st->merging_steps++;
+    int64_t p1 = phys(st, n, 1);
+    /* Python's max(hA[p1], hB[p1]) */
+    double leader = hB[p1] > hA[p1] ? hB[p1] : hA[p1];
+    if (!(leader > st->thresh)) {
+        if (x != p1 || !(st->half <= u && u <= st->between_hi))
+            return restart(c, st, x, u, 0, x != p1 ? ZC_MER_SITE : ZC_MER_WINDOW);
+        if ((nA = add(hA, n, x, u, c->cap)) < 0 || (nB = add(hB, n, x, u, c->cap)) < 0)
+            return ZC_CAP;
+        record(c, st, x, u, x, u);
+        /* a sub-threshold addition toppled (exact-boundary edge): retry */
+        return nA || nB ? restart(c, st, x, u, 1, ZC_MER_TOPPLE) : ZC_DONE;
+    }
+    /* this draw must trigger avalanche number mk in both chains */
+    if (x != p1 || !(st->av_lo <= u && u <= st->av_hi))
+        return restart(c, st, x, u, 0, x != p1 ? ZC_MER_SITE : ZC_MER_WINDOW);
+    double uB = coupled_amount(u, st->Dk, st->a, st->b);
+    if ((nA = add(hA, n, x, u, c->cap)) < 0 || (nB = add(hB, n, x, uB, c->cap)) < 0)
+        return ZC_CAP;
+    record(c, st, x, u, x, uB);
+    if (nA == 0 || nB == 0)
+        return ZC_NO_FIRE;
+    int64_t k = st->mk;
+    if (k > n - 1)
+        return ZC_COUNT;
+    for (int64_t s = n - k + 1; s <= n; s++) {
+        int64_t p = phys(st, n, s);
+        if (!(fabs(hA[p] - hB[p]) <= st->tol))
+            return ZC_SITE;
+    }
+    if (++st->mk <= n - 1)
+        return stage_init(c, st);
+    if (!(maxdiff(hA, hB, n) <= st->tol))
+        return ZC_UNEQUAL;
+    /* exact equality in theory: drop the float dust, as the Python path does */
+    memcpy(hB, hA, (size_t)n * sizeof(double));
+    st->phase = ZC_MERGED;
+    return ZC_DONE;
+}
+
+/* The coupling of coupling.Coupling from its current phase to the merge,
+ * restarts included, with the float operations of Coupling._run_independent,
+ * _step_contraction and _step_merging in the same order.  Chains A and B read
+ * the chunks (sitesA, amtsA) and (sitesB, amtsB) in the independent phase;
+ * both read (sitesC, amtsC) in the contraction and merging phases.  Each
+ * consumed pair of additions becomes one row of rec_sites and rec_amts (two
+ * columns: A, B) unless they are NULL.  Runs until t reaches t_stop, the pair
+ * merges, a chunk the running phase needs is used up or a gate trips. */
 int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
                   const int64_t *sitesA, const double *amtsA, int64_t lenA,
                   const int64_t *sitesB, const double *amtsB, int64_t lenB,
                   const int64_t *sitesC, const double *amtsC, int64_t lenC,
-                  zp_pair *st, int64_t *rec_sites, double *rec_amts)
+                  const double *eps, const double *dbound, zp_pair *st,
+                  int64_t *rec_sites, double *rec_amts)
 {
-    int32_t status = ZC_BUDGET;
-    while (st->t < st->t_stop) {
+    const pair_arrays c = {hA, hB, n, cap, eps, dbound, rec_sites, rec_amts};
+    int32_t status = ZC_DONE;
+    while (st->t < st->t_stop && st->phase != ZC_MERGED) {
         if (st->phase == ZC_INDEPENDENT) {
             if (st->posA >= lenA || st->posB >= lenB) {
                 status = ZC_REFILL;
@@ -226,19 +411,11 @@ int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
             } else if (xB == st->ebB) {
                 st->ebB = -1;
             }
-            if (rec_sites) {
-                rec_sites[2 * st->n_rec] = xA;
-                rec_sites[2 * st->n_rec + 1] = xB;
-                rec_amts[2 * st->n_rec] = uA;
-                rec_amts[2 * st->n_rec + 1] = uB;
-                st->n_rec++;
-            }
+            record(&c, st, xA, uA, xB, uB);
             st->steps_ind++;
             st->t++;
-            if (st->ebA >= 0 && st->ebA == st->ebB && enter_coupled(hA, hB, n, st)) {
-                status = ZC_MERGING;
+            if ((status = maybe_enter_coupled(&c, st)))
                 break;
-            }
             continue;
         }
         if (st->posC >= lenC) {
@@ -251,50 +428,16 @@ int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
             status = ZC_BAD_SITE;
             break;
         }
-        int64_t target = st->flip ? n - st->target : st->target - 1;
-        int64_t nA, nB = 0;
-        if ((nA = add(hA, n, x, u, cap)) < 0 || (nB = add(hB, n, x, u, cap)) < 0) {
-            status = ZC_CAP;
-            break;
-        }
-        if (rec_sites) {
-            rec_sites[2 * st->n_rec] = rec_sites[2 * st->n_rec + 1] = x;
-            rec_amts[2 * st->n_rec] = rec_amts[2 * st->n_rec + 1] = u;
-            st->n_rec++;
-        }
-        if (x != target || u < st->half) {
-            /* restart: back to the independent phase after the equal step */
-            st->ebA = eb_side(hA, n);
-            st->ebB = eb_side(hB, n);
-            st->restarts++;
-            st->phase = ZC_INDEPENDENT;
-            if (st->ebA >= 0 && st->ebA == st->ebB && enter_coupled(hA, hB, n, st)) {
-                status = ZC_MERGING_IN_STEP;
+        /* the step counts in the phase it began in, as in Coupling.step */
+        if (st->phase == ZC_CONTRACTION) {
+            if ((status = contraction_step(&c, st, x, u)))
                 break;
-            }
+            st->steps_con++;
         } else {
-            if ((nA > 0) != (nB > 0)) {
-                status = ZC_DESYNC;
+            if ((status = merging_step(&c, st, x, u)))
                 break;
-            }
-            if (nA) {
-                st->k_aval++;
-                st->target = st->target == n ? 1 : n;
-                if (st->k_aval % 2 == 0) {
-                    /* after an even number of full sweeps both sit in logical E_N */
-                    int64_t pN = st->flip ? 0 : n - 1;
-                    if (e_class(hA, n) != pN || e_class(hB, n) != pN) {
-                        status = ZC_NOT_EN;
-                        break;
-                    }
-                    if (maxdiff(hA, hB, n) < st->eps1) {
-                        status = ZC_MERGING_IN_STEP;
-                        break;
-                    }
-                }
-            }
+            st->steps_mer++;
         }
-        st->steps_con++;
         st->t++;
     }
     return status;

@@ -15,7 +15,7 @@ contraction check.  It runs the step-back scan of ``relax`` in the compiled
 kernel (``_drive.c``), which ``chain_kernel`` builds and loads, so the two
 backends topple in the same order with the same float operations.
 Rightmost-first relaxation is leftmost-first on the mirrored chain.  The same
-library holds the coupling's pre-merge phases and the lattice clock of
+library holds the coupling up to the merge and the lattice clock of
 ``lattice.MarkovToppling``.
 """
 
@@ -222,13 +222,15 @@ def _relax_leftmost(h: list, start: int, cap: int = DEFAULT_TOPPLE_CAP,
 # compiled kernel
 # ---------------------------------------------------------------------------
 # _drive.c does the float operations of _relax_leftmost (the same step-back
-# scan), of the coupling's pre-merge phases and of the lattice clock in the
+# scan), of the coupling up to the merge and of the lattice clock in the
 # same order, so both backends give bit-identical results.  It is compiled
 # with gcc on first use and cached next to the bytecode; wherever the build or the load fails, the callers run
 # their Python loops instead.
 
 _KERNEL_SOURCE = Path(__file__).with_name("_drive.c")
-_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# after the source file, so that the linker keeps libm, which the merging
+# phase calls, among the library's dependencies
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-lm")
 _kernel: list = []      # the one load result of this process (CDLL or None), once tried
 
 
@@ -249,7 +251,7 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
             fd, tmp = tempfile.mkstemp(prefix="_drive-", suffix=".tmp", dir=cache)
             os.close(fd)
             try:
-                subprocess.run([cc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+                subprocess.run([cc, "-o", tmp, str(_KERNEL_SOURCE), *_KERNEL_FLAGS],
                                check=True, capture_output=True)
                 os.replace(tmp, path)
             finally:
@@ -272,7 +274,7 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
                                i64, ctypes.POINTER(LatticeClock), ptr, i64]
     lib.zp_lattice.restype = ctypes.c_int32
     lib.zp_couple.argtypes = [ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, i64,
-                              ctypes.POINTER(CouplingState), ptr, ptr]
+                              ptr, ptr, ctypes.POINTER(CouplingState), ptr, ptr]
     lib.zp_couple.restype = ctypes.c_int32
     return lib
 
@@ -287,13 +289,15 @@ class LatticeClock(ctypes.Structure):
 
 
 class CouplingState(ctypes.Structure):
-    """The pre-merge state that ``zp_couple`` reads and updates (``zp_pair`` in _drive.c)."""
+    """The coupling state that ``zp_couple`` reads and updates (``zp_pair`` in _drive.c)."""
 
-    _fields_ = ([(f, ctypes.c_double) for f in ("half", "eps1")]
-                + [(f, ctypes.c_int64) for f in ("t", "t_stop", "phase", "restarts",
-                                                  "steps_ind", "steps_con", "flip", "k_aval",
+    _fields_ = ([(f, ctypes.c_double) for f in ("half", "eps1", "tol", "a", "b", "Dk",
+                                                 "between_hi", "av_lo", "av_hi", "thresh")]
+                + [(f, ctypes.c_int64) for f in ("t", "t_stop", "phase", "steps_ind",
+                                                  "steps_con", "steps_mer", "flip", "k_aval",
                                                   "target", "ebA", "ebB", "posA", "posB",
-                                                  "posC", "n_rec")])
+                                                  "posC", "n_rec", "mk", "merging_steps")]
+                + [("causes", ctypes.c_int64 * 5)])
 
 
 # zp_fsum's failure statuses, as the exceptions math.fsum raises for them

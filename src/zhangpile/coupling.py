@@ -55,12 +55,21 @@ _CHUNK = 8192
 _EQ_TOL = 1e-9      # float slack on mathematically exact equalities
 _REC_ROWS = 2 * _CHUNK  # steps per zp_couple call while recording streams
 
+# why a draw sent the pair back to the independent phase (Coupling.restarts_by_cause)
+RESTART_CAUSES = ("contraction-site", "contraction-light", "merging-site",
+                  "merging-window", "merging-topple")
+
 # zp_couple's phase numbers and return statuses (_drive.c)
-_KERNEL_PHASES = (PHASE_INDEPENDENT, PHASE_CONTRACTION)
-(_ZC_BUDGET, _ZC_REFILL, _ZC_MERGING, _ZC_MERGING_IN_STEP, _ZC_CAP, _ZC_DESYNC,
- _ZC_NOT_EN, _ZC_BAD_SITE) = range(8)
+_KERNEL_PHASES = (PHASE_INDEPENDENT, PHASE_CONTRACTION, PHASE_MERGING, PHASE_MERGED)
+(_ZC_DONE, _ZC_REFILL, _ZC_CAP, _ZC_DESYNC, _ZC_NOT_EN, _ZC_BAD_SITE, _ZC_STAGE,
+ _ZC_NO_FIRE, _ZC_COUNT, _ZC_SITE, _ZC_UNEQUAL) = range(11)
 _DESYNC = "contraction avalanches desynchronized"
 _NOT_EN = "contraction avalanche did not land in E_N"
+_NO_FIRE = "scheduled merge avalanche failed to fire"
+_COUNT = "merge avalanche count exceeded n-1"
+_UNEQUAL = "merge completed with unequal configurations"
+_GATE_MESSAGES = {_ZC_DESYNC: _DESYNC, _ZC_NOT_EN: _NOT_EN, _ZC_NO_FIRE: _NO_FIRE,
+                  _ZC_COUNT: _COUNT, _ZC_UNEQUAL: _UNEQUAL}
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +291,18 @@ class Coupling:
         self.eps1 = consts.eps1
         self._half = 0.5 * (a + b)
         self.t = 0
-        self.restarts = 0
+        self.restarts_by_cause = dict.fromkeys(RESTART_CAUSES, 0)
         self.merge_time: int | None = None
         self.phase_steps = {PHASE_INDEPENDENT: 0, PHASE_CONTRACTION: 0,
                             PHASE_MERGING: 0, PHASE_MERGED: 0}
         self.flip = False
         self._k_aval = 0            # contraction avalanches, and the next
         self._targetL = n           # logical target site of the contraction
+        # the merging stage: avalanche number, steps of this attempt, the
+        # correction D_k and the addition windows (_stage_init)
+        self._mk = 0
+        self._merging_steps = 0
+        self._Dk = self._between_hi = self._av_lo = self._av_hi = self._thresh = 0.0
         self.final_merging_steps: int | None = None
         self.record_streams = record_streams
         self.streamA: list[tuple[int, float]] = []
@@ -314,10 +328,19 @@ class Coupling:
             return _relax_leftmost(h, x, self.cap)
         return 0
 
+    @property
+    def restarts(self) -> int:
+        """Restarts so far: the sum of ``restarts_by_cause``."""
+        return sum(self.restarts_by_cause.values())
+
     def _maxdiff(self) -> float:
-        hA = self.hA
-        hB = self.hB
-        return max(abs(hA[i] - hB[i]) for i in range(self.n))
+        """The largest |hA - hB| over the sites; NaN if some difference is NaN."""
+        d = 0.0
+        for x, y in zip(self.hA, self.hB):
+            v = abs(x - y)
+            if v > d or v != v:
+                d = v
+        return d
 
     # -- phase transitions ----------------------------------------------------
 
@@ -354,11 +377,18 @@ class Coupling:
         diff = [self.hA[self._phys(y)] - self.hB[self._phys(y)] for y in range(1, n - k + 1)]
         D = correction_D(diff, k, n)
         dk = self.constants.d_bounds[k - 1]
-        if abs(D) > dk + _EQ_TOL:
+        if not abs(D) <= dk + _EQ_TOL:
             raise InvariantViolation(f"|D_{k}|={abs(D):.3e} exceeds its bound {dk:.3e}")
         self._Dk = D
 
-    def _restart(self, x: int, u: float, applied: bool = False) -> None:
+    def _check_stage_sites(self, k: int) -> None:
+        # after merge avalanche k, logical sites n-k+1..n must agree
+        for s in range(self.n - k + 1, self.n + 1):
+            p = self._phys(s)
+            if not abs(self.hA[p] - self.hB[p]) <= _EQ_TOL:
+                raise InvariantViolation(f"merge avalanche {k} left site {s} unequal")
+
+    def _restart(self, x: int, u: float, cause: str, applied: bool = False) -> None:
         # a draw broke the running phase's requirements: both chains still
         # take the (equal) step, then everything returns to phase 1
         if not applied:
@@ -369,7 +399,7 @@ class Coupling:
                 self.streamB.append((x, u))
         self._ebA = _eb_side(self.hA)
         self._ebB = _eb_side(self.hB)
-        self.restarts += 1
+        self.restarts_by_cause[cause] += 1
         self.phase = PHASE_INDEPENDENT
         self._maybe_enter_coupled()
 
@@ -394,8 +424,9 @@ class Coupling:
 
     def _step_contraction(self) -> None:
         x, u = self._addC.draw()
-        if x != self._phys(self._targetL) or u < self._half:
-            self._restart(x, u)
+        target = self._phys(self._targetL)
+        if x != target or u < self._half:
+            self._restart(x, u, "contraction-site" if x != target else "contraction-light")
             return
         nA = self._apply(self.hA, x, u)
         nB = self._apply(self.hB, x, u)
@@ -423,7 +454,7 @@ class Coupling:
         if leader > self._thresh:
             # this draw must trigger avalanche number _mk in both chains
             if x != p1 or not self._av_lo <= u <= self._av_hi:
-                self._restart(x, u)
+                self._restart(x, u, "merging-site" if x != p1 else "merging-window")
                 return
             uB = coupled_amount(u, self._Dk, self.a, self.b)
             nA = self._apply(self.hA, x, u)
@@ -432,19 +463,15 @@ class Coupling:
                 self.streamA.append((x, u))
                 self.streamB.append((x, uB))
             if nA == 0 or nB == 0:
-                raise InvariantViolation("scheduled merge avalanche failed to fire")
+                raise InvariantViolation(_NO_FIRE)
             k = self._mk
             if k > self.n - 1:
-                raise InvariantViolation("merge avalanche count exceeded n-1")
-            for s in range(self.n - k + 1, self.n + 1):
-                p = self._phys(s)
-                if abs(self.hA[p] - self.hB[p]) > _EQ_TOL:
-                    raise InvariantViolation(
-                        f"merge avalanche {k} left site {s} unequal")
+                raise InvariantViolation(_COUNT)
+            self._check_stage_sites(k)
             self._mk += 1
             if self._mk > self.n - 1:
-                if self._maxdiff() > _EQ_TOL:
-                    raise InvariantViolation("merge completed with unequal configurations")
+                if not self._maxdiff() <= _EQ_TOL:
+                    raise InvariantViolation(_UNEQUAL)
                 # mathematically exact equality; drop the float dust so the
                 # merged pair is bitwise identical from here on
                 self.hB = self.hA.copy()
@@ -454,7 +481,7 @@ class Coupling:
                 self._stage_init()
         else:
             if x != p1 or not self._half <= u <= self._between_hi:
-                self._restart(x, u)
+                self._restart(x, u, "merging-site" if x != p1 else "merging-window")
                 return
             nA = self._apply(self.hA, x, u)
             nB = self._apply(self.hB, x, u)
@@ -463,7 +490,7 @@ class Coupling:
                 self.streamB.append((x, u))
             if nA or nB:
                 # sub-threshold addition toppled (exact-boundary edge); retry
-                self._restart(x, u, applied=True)
+                self._restart(x, u, "merging-topple", applied=True)
 
     def _step_merged(self) -> None:
         x, u = self._addC.draw()
@@ -478,13 +505,11 @@ class Coupling:
     def run(self, max_steps: int) -> None:
         """Step until merged or ``max_steps`` total steps.
 
-        The independent and contraction phases run on the compiled kernel if
-        it loads; the merging phase always runs here.
+        The whole coupling up to the merge, restarts included, runs on the
+        compiled kernel if it loads, in one call per stream chunk.
         """
         while self.t < max_steps and self.phase != PHASE_MERGED:
-            if self.phase == PHASE_MERGING:
-                self.step()
-            elif (lib := chain_kernel()) is not None:
+            if (lib := chain_kernel()) is not None:
                 self._run_coupled(lib, max_steps)
             elif self.phase == PHASE_INDEPENDENT:
                 self._run_independent(max_steps)
@@ -561,21 +586,29 @@ class Coupling:
         self._maybe_enter_coupled()
 
     def _run_coupled(self, lib, max_steps: int) -> None:
-        # _run_independent and _step_contraction in zp_couple, restarts
-        # included, until the merging phase begins, max_steps or a gate; kernel
-        # calls end where a stream chunk the running phase needs runs out
+        # _run_independent, _step_contraction and _step_merging in zp_couple,
+        # restarts included, until the pair merges, max_steps or a gate;
+        # kernel calls end where a stream chunk the running phase needs runs out
+        n = self.n
+        consts = self.constants
         streams = (self._addA, self._addB, self._addC)
-        hA = (ctypes.c_double * self.n)(*self.hA)
-        hB = (ctypes.c_double * self.n)(*self.hB)
+        hA = (ctypes.c_double * n)(*self.hA)
+        hB = (ctypes.c_double * n)(*self.hB)
+        eps = (ctypes.c_double * (n - 1))(*consts.eps_schedule[:n - 1])
+        dbound = (ctypes.c_double * (n - 1))(*consts.d_bounds)
         st = CouplingState(
-            half=self._half, eps1=self.eps1, t=self.t,
-            phase=_KERNEL_PHASES.index(self.phase), restarts=self.restarts,
+            half=self._half, eps1=self.eps1, tol=_EQ_TOL, a=self.a, b=self.b, Dk=self._Dk,
+            between_hi=self._between_hi, av_lo=self._av_lo, av_hi=self._av_hi,
+            thresh=self._thresh, t=self.t, phase=_KERNEL_PHASES.index(self.phase),
             steps_ind=self.phase_steps[PHASE_INDEPENDENT],
-            steps_con=self.phase_steps[PHASE_CONTRACTION], flip=self.flip,
+            steps_con=self.phase_steps[PHASE_CONTRACTION],
+            steps_mer=self.phase_steps[PHASE_MERGING], flip=self.flip,
             k_aval=self._k_aval, target=self._targetL,
             ebA=-1 if self._ebA is None else self._ebA,
             ebB=-1 if self._ebB is None else self._ebB,
-            posA=streams[0].pos, posB=streams[1].pos, posC=streams[2].pos)
+            posA=streams[0].pos, posB=streams[1].pos, posC=streams[2].pos,
+            mk=self._mk, merging_steps=self._merging_steps,
+            causes=(ctypes.c_int64 * len(RESTART_CAUSES))(*self.restarts_by_cause.values()))
         rec_sites = rec_amts = None
         if self.record_streams:
             # a gate can record the step it fails on, one row past the budget
@@ -587,7 +620,7 @@ class Coupling:
                                                                      st.t + _REC_ROWS)
                 st.n_rec = 0
                 status = lib.zp_couple(
-                    hA, hB, self.n, self.cap, *self._kernel_chunks(streams),
+                    hA, hB, n, self.cap, *self._kernel_chunks(streams), eps, dbound,
                     ctypes.byref(st), None if rec_sites is None else rec_sites.ctypes.data,
                     None if rec_amts is None else rec_amts.ctypes.data)
                 if rec_sites is not None and st.n_rec:
@@ -606,34 +639,45 @@ class Coupling:
                     else:
                         streams[2].refill()
                         st.posC = 0
-                elif status != _ZC_BUDGET or st.t >= max_steps:
+                elif (status != _ZC_DONE or st.t >= max_steps
+                      or _KERNEL_PHASES[st.phase] == PHASE_MERGED):
                     break
         finally:
             self.hA[:] = hA
             self.hB[:] = hB
             streams[0].pos, streams[1].pos, streams[2].pos = st.posA, st.posB, st.posC
             self.t = st.t
-            self.restarts = st.restarts
+            self.restarts_by_cause = dict(zip(RESTART_CAUSES, st.causes))
             self.phase_steps[PHASE_INDEPENDENT] = st.steps_ind
             self.phase_steps[PHASE_CONTRACTION] = st.steps_con
+            self.phase_steps[PHASE_MERGING] = st.steps_mer
             self.phase = _KERNEL_PHASES[st.phase]
             self.flip = bool(st.flip)
             self._k_aval = st.k_aval
             self._targetL = st.target
             self._ebA = None if st.ebA < 0 else st.ebA
             self._ebB = None if st.ebB < 0 else st.ebB
-        if status in (_ZC_MERGING, _ZC_MERGING_IN_STEP):
-            self._enter_merging()
-            if status == _ZC_MERGING_IN_STEP:
-                # count the contraction step as step() does, after the entry
-                self.phase_steps[PHASE_CONTRACTION] += 1
-                self.t += 1
+            self._mk = st.mk
+            self._merging_steps = st.merging_steps
+            self._Dk = st.Dk
+            self._between_hi, self._av_lo = st.between_hi, st.av_lo
+            self._av_hi, self._thresh = st.av_hi, st.thresh
+        if self.phase == PHASE_MERGED:
+            self.merge_time = self.t
+            self.final_merging_steps = self._merging_steps
         elif status == _ZC_CAP:
             raise cap_error(self.cap)
-        elif status in (_ZC_DESYNC, _ZC_NOT_EN):
-            raise InvariantViolation(_DESYNC if status == _ZC_DESYNC else _NOT_EN)
         elif status == _ZC_BAD_SITE:
-            raise ValueError(f"kernel argument sites: need values in 0..{self.n - 1}")
+            raise ValueError(f"kernel argument sites: need values in 0..{n - 1}")
+        elif status in (_ZC_STAGE, _ZC_SITE):
+            # the Python check reruns on the same bits and raises with its message
+            if status == _ZC_STAGE:
+                self._stage_init()
+            else:
+                self._check_stage_sites(self._mk)
+            raise InvariantViolation(f"zp_couple gate {status} did not recur in Python")
+        elif status in _GATE_MESSAGES:
+            raise InvariantViolation(_GATE_MESSAGES[status])
 
     def _kernel_chunks(self, streams) -> list:
         # zp_couple's (sites, amts, length) arguments of the stream chunks; a

@@ -190,7 +190,7 @@ def test_stabilize_matches_reference_oracle_on_any_chain(h):
     assert_matches_oracle(h)
 
 
-def test_single_addition_is_abelian():
+def test_single_addition_is_abelian_seeded():
     # stable start + one addition: final state and counts are policy-free
     rng = np.random.default_rng(4)
     for _ in range(300):

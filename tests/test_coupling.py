@@ -498,3 +498,11 @@ def test_opposite_side_E_b_stays_independent():
     # chain A empty at site 1, chain B empty at site N: no shared frame exists
     c = Coupling([0.0, 0.9, 0.6], [0.6, 0.9, 0.0], 0.2, 0.9, seed=7)
     assert c.phase == "independent"
+
+
+def test_maxdiff_is_nan_if_a_difference_is():
+    # the merge-completion gate compares it with `not (d <= tol)`
+    c = Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9, seed=1)
+    assert c._maxdiff() == abs(0.1 - 0.8)
+    c.hB[2] = math.nan
+    assert math.isnan(c._maxdiff())

@@ -4,10 +4,13 @@ Every check runs both backends on the same inputs and requires bit-equal
 results, or shows that a kernel gate fails where the Python one does.
 """
 
+import copy
 import ctypes
+import dataclasses
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -241,7 +244,7 @@ def test_topple_cap_raises_in_merged_pair(backend):
 
 
 # ---------------------------------------------------------------------------
-# pre-merge coupling: differential test
+# coupling to the merge: differential test
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -262,11 +265,13 @@ def couplings(draw):
             h = rng.uniform(0.0, 1.0, n)
         starts.append(h.tolist())
     eta_a, eta_b = starts[0], starts[kind != "equal"]
-    # run() to budgets that cut phases and chunks anywhere, and step()s; the
-    # last run() alone passes the first 8192-addition chunks of streams A, B
+    # run() to budgets that cut phases and chunks anywhere, run() to a clock
+    # inside the merging phase, and step()s; the last run() alone passes the
+    # first 8192-addition chunks of streams A, B
     plan = draw(st.lists(st.one_of(st.tuples(st.just("run"), st.integers(0, 20_000)),
+                                   st.tuples(st.just("merging"), st.integers(1, 40)),
                                    st.tuples(st.just("step"), st.integers(1, 300))),
-                         max_size=3))
+                         max_size=4))
     plan.append(("run", 8193 + draw(st.integers(0, 12_000))))
     # short stream chunks and recording blocks make every kernel call end
     # at many chunk ends and block ends
@@ -277,10 +282,29 @@ def couplings(draw):
 
 def _coupling_state(c):
     streams = (c._addA, c._addB, c._addC)
-    return (_bits(c.hA), _bits(c.hB), c.t, c.restarts, c.phase_steps, c.phase, c.flip,
-            c._k_aval, c._targetL, c._ebA, c._ebB, c.merge_time, c.final_merging_steps,
-            getattr(c, "_mk", None), [(s.pos, s.site_array.tobytes()) for s in streams],
-            c.streamA, c.streamB)
+    return (_bits(c.hA), _bits(c.hB), c.t, c.restarts, c.restarts_by_cause, c.phase_steps,
+            c.phase, c.flip, c._k_aval, c._targetL, c._ebA, c._ebB, c.merge_time,
+            c.final_merging_steps, c._mk, c._merging_steps,
+            _bits([c._Dk, c._between_hi, c._av_lo, c._av_hi, c._thresh]),
+            [(s.pos, s.site_array.tobytes()) for s in streams], c.streamA, c.streamB)
+
+
+def _merging_clock(c, merging_steps, limit=20_000):
+    """The first clock at which a copy of ``c``, driven by the Python loops, is
+    in the merging phase after ``merging_steps`` more merging-phase steps; the
+    last clock tried if there is none."""
+    ref = copy.deepcopy(c)
+    goal = ref.phase_steps["merging"] + merging_steps
+    stop = c.t + limit
+    with _kernel_set(None):
+        while ref.t < stop and ref.phase != "merged":
+            if ref.phase == "independent":
+                ref._run_independent(stop)      # to the next coupled phase
+            else:
+                ref.step()
+            if ref.phase == "merging" and ref.phase_steps["merging"] >= goal:
+                break
+    return ref.t
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,6 +318,9 @@ def test_coupling_kernel_matches_python_reference(spec):
         pairs = {kernel: Coupling(eta_a, eta_b, a, b, seed=seed, record_streams=record)
                  for kernel in (None, lib)}
         for how, count in plan:
+            if how == "merging":
+                # run() stops inside a merging attempt (if one begins soon)
+                how, count = "run", _merging_clock(pairs[None], count) - pairs[None].t
             for kernel, c in pairs.items():
                 with _kernel_set(kernel):
                     if how == "run":
@@ -304,8 +331,81 @@ def test_coupling_kernel_matches_python_reference(spec):
             assert _coupling_state(pairs[lib]) == _coupling_state(pairs[None])
 
 
+def _merge_draws(c):
+    """The shared additions that take the merging pair ``c`` (a copy of it)
+    to the merge without a restart: each at logical site 1, in the middle of
+    the window its stage asks for."""
+    ref = copy.deepcopy(c)
+    draws = []
+    with _kernel_set(None):
+        while ref.phase == "merging":
+            p1 = ref._phys(1)
+            if max(ref.hA[p1], ref.hB[p1]) > ref._thresh:
+                u = 0.5 * (ref._av_lo + ref._av_hi)
+            else:
+                u = 0.5 * (ref._half + ref._between_hi)
+            draws.append((p1, u))
+            _force_additions(ref._addC, [p1], [u])
+            ref.step()
+    assert ref.phase == "merged" and ref.restarts == 0
+    return draws
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_coupling_kernel_merges_like_python(lib, n, record):
+    # two E_b starts on either side, closer than eps1, enter the merging
+    # phase at once; forced draws take them through all n-1 stages
+    a, b = 0.2, 0.9
+    eps1 = coupling.epsilon_abn(a, b, n)
+    rng = np.random.default_rng(n)
+    eta_a = rng.uniform(0.5, 0.95, n)
+    eta_a[(n - 1) * (n % 2)] = 0.0
+    eta_b = eta_a + rng.uniform(-0.2, 0.2, n) * eps1 / n
+    eta_b[eta_a == 0.0] = 0.0
+    pairs = {kernel: Coupling(eta_a, eta_b, a, b, seed=n, record_streams=record)
+             for kernel in (None, lib)}
+    draws = _merge_draws(pairs[None])
+    assert len(draws) >= n - 1
+    for kernel, c in pairs.items():
+        assert c.phase == "merging" and c.flip == (n % 2 == 0)
+        _force_additions(c._addC, *zip(*draws))
+        with _kernel_set(kernel):
+            # run() stops inside the merging phase, step() takes over from
+            # its state, and run() resumes from step()'s
+            c.run(len(draws) // 2)
+            assert c.phase == "merging"
+            c.step()
+            c.run(10 * len(draws))
+        assert c.phase == "merged" and c.hA == c.hB
+        assert (c.merge_time, c.final_merging_steps) == (len(draws), len(draws))
+    assert _coupling_state(pairs[lib]) == _coupling_state(pairs[None])
+
+
+def test_one_kernel_call_per_stream_chunk(lib, monkeypatch):
+    # a couple-verify seed: every restart of the merging phase stays inside
+    # zp_couple, so only a stream refill starts another call
+    calls = []
+    refill = coupling.AdditionStream.refill
+    monkeypatch.setattr(coupling.AdditionStream, "refill",
+                        lambda add: (calls.append("refill"), refill(add))[1])
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def zp_couple(self, *args):
+            calls.append("zp_couple")
+            return lib.zp_couple(*args)
+
+    monkeypatch.setattr(core, "_kernel", [Counting()])
+    r = coupling.coupling_sweep(3, 0.2, 0.9, [1], 1_000_000)[0]
+    assert r.merged and r.restarts > 100
+    assert 1 <= calls.count("zp_couple") <= 1 + calls.count("refill")
+
+
 # ---------------------------------------------------------------------------
-# pre-merge coupling: crafted gates and phase entries, on both backends
+# coupling to the merge: crafted gates, restarts and phase entries, on both backends
 # ---------------------------------------------------------------------------
 
 def _contraction_pair(eta_a, eta_b, k_aval, target, cap=100):
@@ -392,6 +492,143 @@ def test_contraction_sweep_close_together_starts_merging(backend):
     assert (c.phase, c.t, c.phase_steps["contraction"], c._k_aval, c._addC.pos) == (
         "merging", 1, 1, 2, 1)
     assert c.hA[2] == c.hB[2] == 0.0
+
+
+def _craft_unequal_completion(c):
+    # the last stage: sites 2 and 3 end equal, site 1 ends 1e-3 apart
+    c.hA[:] = [0.6, 0.7, 0.1]
+    c.hB[:] = [0.6, 0.698, 0.101]
+    c._mk = 2
+    c._stage_init()
+
+
+def _craft_mirrored_nan(c):
+    # in the mirrored frame the avalanche runs leftwards and stops short of a
+    # NaN at logical site 3, which a comparison by > lets through all stages
+    # to a merge that overwrites it
+    c.hA.reverse()
+    c.hB.reverse()
+    c.flip = True
+    c._stage_init()
+    c.hB[0] = math.nan
+
+
+# (how to break a merging pair, the message of the gate that must then fire)
+_MERGING_GATES = {
+    "ill-formed": (lambda c: setattr(c, "constants", dataclasses.replace(
+        c.constants, eps_schedule=[c.eps1, 1.0, 1.0])),
+        r"merge-phase addition intervals are ill-formed"),
+    "D-bound": (lambda c: setattr(c, "constants", dataclasses.replace(
+        c.constants, d_bounds=[c.constants.d_bounds[0], -1.0])),
+        r"\|D_2\|=\d\.\d{3}e[+-]\d\d exceeds its bound -1\.000e\+00"),
+    "no-fire": (lambda c: c.hB.__setitem__(0, 0.1),
+                r"scheduled merge avalanche failed to fire"),
+    # site 1 of chain A alone sets the leader, as in Python's max
+    "no-fire-NaN": (lambda c: c.hB.__setitem__(0, math.nan),
+                    r"scheduled merge avalanche failed to fire"),
+    # both chains topple the NaN on to site 1, which D_2 then reads
+    "D-bound-NaN": (lambda c: (c.hA.__setitem__(1, math.nan), c.hB.__setitem__(1, math.nan)),
+                    r"\|D_2\|=nan exceeds its bound \d\.\d{3}e-02"),
+    "count": (lambda c: setattr(c, "_mk", 3), r"merge avalanche count exceeded n-1"),
+    "site": (lambda c: c.hB.__setitem__(1, 0.8), r"merge avalanche 1 left site 3 unequal"),
+    "site-NaN": (_craft_mirrored_nan, r"merge avalanche 1 left site 3 unequal"),
+    "completion": (_craft_unequal_completion,
+                   r"merge completed with unequal configurations"),
+}
+
+
+@pytest.mark.parametrize("gate", _MERGING_GATES)
+def test_merging_gates_raise_alike(lib, gate):
+    # a pair in E_3 a hair apart starts in the merging phase with site 1
+    # above the threshold, so a draw of 0.75 there is the scheduled avalanche
+    craft, message = _MERGING_GATES[gate]
+    after = {}
+    for kernel in (None, lib):
+        c = Coupling([0.6, 0.7, 0.0], [0.6, 0.7 + 1e-6, 0.0], 0.2, 0.9, seed=4,
+                     record_streams=True)
+        assert (c.phase, c._mk, c.flip) == ("merging", 1, False)
+        craft(c)
+        p1 = c._phys(1)
+        _force_additions(c._addC, [p1], [0.75])
+        with _kernel_set(kernel), pytest.raises(InvariantViolation) as err:
+            c.run(10)
+        assert re.fullmatch(message, str(err.value))
+        assert (c.t, c.phase_steps["merging"], c.restarts, c._addC.pos) == (0, 0, 0, 1)
+        assert c.streamA == [(p1, 0.75)] and c._merging_steps == 1
+        after[kernel] = (str(err.value), _coupling_state(c))
+    assert after[lib] == after[None]
+
+
+@pytest.mark.parametrize("stage", ["between", "avalanche"])
+@pytest.mark.parametrize("edge", ["lo", "hi"])
+@pytest.mark.parametrize("outside", [False, True])
+def test_merging_window_edges_alike(lib, stage, edge, outside):
+    # a draw on a window's closed edge is taken, the next double out restarts
+    after = {}
+    for kernel in (None, lib):
+        c = Coupling([0.6, 0.7, 0.0], [0.6, 0.7 + 1e-6, 0.0], 0.2, 0.9, seed=4)
+        if stage == "between":
+            c.hA[0] = c.hB[0] = 0.3             # below the threshold
+            lo, hi = c._half, c._between_hi
+        else:
+            lo, hi = c._av_lo, c._av_hi
+        u = lo if edge == "lo" else hi
+        if outside:
+            u = math.nextafter(u, -math.inf if edge == "lo" else math.inf)
+        _force_additions(c._addC, [0], [u])
+        with _kernel_set(kernel):
+            c.run(1)
+        assert c.restarts_by_cause["merging-window"] == outside
+        assert c._mk == 1 + (stage == "avalanche" and not outside)
+        after[kernel] = _coupling_state(c)
+    assert after[lib] == after[None]
+
+
+# offsets D_k for a draw of 0.65 at a=0.25, b=0.75: a remainder above zero,
+# below zero, exactly zero, -0.0, one that rounds up to b - a (a + (b - a) is
+# b, so the result steps back below b), and NaN
+@pytest.mark.parametrize("Dk", [0.3, -0.6, -0.4, 0.1, -0.9, -0.4000000000000001, math.nan])
+def test_kernel_coupled_amount_is_pythons(lib, Dk):
+    after = {}
+    for kernel in (None, lib):
+        c = Coupling([0.6, 0.7, 0.0], [0.6, 0.7 + 1e-6, 0.0], 0.25, 0.75, seed=4,
+                     record_streams=True)
+        assert c.phase == "merging"
+        c._Dk = Dk
+        _force_additions(c._addC, [0], [0.65])
+        message = None
+        with _kernel_set(kernel):
+            try:
+                c.run(1)
+            except InvariantViolation as exc:     # chain B's amount may not fire
+                message = str(exc)
+        assert _bits(c.streamB[0][1]) == _bits(coupling.coupled_amount(0.65, Dk, 0.25, 0.75))
+        after[kernel] = (message, _coupling_state(c))
+    assert after[lib] == after[None]
+
+
+@pytest.mark.parametrize("cause, draw", [
+    ("contraction-site", (1, 0.6)), ("contraction-light", (2, 0.3)),
+    ("merging-site", (2, 0.3)), ("merging-window", (0, 0.9)),
+    ("merging-topple", (0, 0.56))])
+def test_restart_causes_alike(lib, cause, draw):
+    # one draw that breaks the running phase, counted in its own bin
+    after = {}
+    for kernel in (None, lib):
+        if cause.startswith("contraction"):
+            c = _contraction_pair([0.1, 0.1, 0.1], [0.1, 0.2, 0.1], 0, 3)
+        else:
+            c = Coupling([0.6, 0.7, 0.0], [0.6, 0.7 + 1e-6, 0.0], 0.2, 0.9, seed=4,
+                         record_streams=True)
+            if cause == "merging-topple":
+                c._thresh = 0.9         # site 1 (0.6) then reads as below it
+        _force_additions(c._addC, *zip(draw))
+        with _kernel_set(kernel):
+            c.run(1)
+        assert c.restarts_by_cause == {k: int(k == cause) for k in coupling.RESTART_CAUSES}
+        assert (c.t, c.restarts, c.phase, c.streamA) == (1, 1, "independent", [draw])
+        after[kernel] = _coupling_state(c)
+    assert after[lib] == after[None]
 
 
 def test_coupling_kernel_rejects_sites_out_of_range(lib, monkeypatch):
