@@ -391,7 +391,7 @@ def main(argv=None) -> int:
     except (ConservationError, InvariantViolation, ToppleCapError) as exc:
         print(f"zhangpile: invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"zhangpile: error: {exc}", file=sys.stderr)
         return 1
     summary = f"zhangpile {args.subcommand}: {time.perf_counter() - t0:.2f}s wall"

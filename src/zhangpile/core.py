@@ -271,7 +271,7 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
     lib.zp_fsum.argtypes = [ptr, i64, ctypes.POINTER(ctypes.c_double)]
     lib.zp_fsum.restype = ctypes.c_int32
     lib.zp_lattice.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-                               i64, ctypes.POINTER(LatticeClock), ptr, i64]
+                               i64, ctypes.POINTER(LatticeClock), ptr, i64, ptr, ptr]
     lib.zp_lattice.restype = ctypes.c_int32
     lib.zp_couple.argtypes = [ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, i64,
                               ptr, ptr, ctypes.POINTER(CouplingState), ptr, ptr]
@@ -285,7 +285,9 @@ class LatticeClock(ctypes.Structure):
     _fields_ = ([(f, ctypes.c_double) for f in ("t", "t_max", "next_snap",
                                                  "snapshot_every", "diss", "diss_c")]
                 + [(f, ctypes.c_int64) for f in ("k", "events", "events_stop", "pos",
-                                                  "n_rows")])
+                                                  "n_rows", "n_top", "top_cap", "min_m",
+                                                  "n_min", "max_m")]
+                + [("acc", ctypes.c_int64 * 68)])       # ACC_LIMBS
 
 
 class CouplingState(ctypes.Structure):

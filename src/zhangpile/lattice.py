@@ -423,14 +423,23 @@ class MarkovToppling:
         if not ok:
             raise ValueError("engine state does not match its lattice")
         rows = np.empty((_SNAP_ROWS, 6))
+        # the snapshot state of the run (zp_clock in _drive.c).  A snapshot
+        # updates the previous exact sum over each toppled site and its 2d
+        # neighbours, two accumulator steps a site, unless more than top_cap
+        # toppled: then the one step a site of a full pass is cheaper
+        held = np.empty(n)
+        top_cap = n // (2 * (2 * self.d + 1))
+        toppled = np.empty(top_cap, dtype=np.int64)
         clock = LatticeClock(t=self.t, t_max=t_max, next_snap=next_snap,
                              snapshot_every=snapshot_every or 0.0, diss=led._diss,
                              diss_c=led._diss_c, k=k, events=self.events,
-                             events_stop=events_stop, pos=self._bufpos, n_rows=0)
+                             events_stop=events_stop, pos=self._bufpos, n_rows=0,
+                             n_top=top_cap + 1, top_cap=top_cap, min_m=-1, n_min=0)
         head = (h.ctypes.data, n, 2 * self.d, nbr.ctypes.data, missing.ctypes.data,
                 unstable.ctypes.data, where.ctypes.data, m.ctypes.data, lv.ctypes.data,
                 lc.ctypes.data)
-        tail = (_CHUNK, ctypes.byref(clock), rows.ctypes.data, _SNAP_ROWS)
+        tail = (_CHUNK, ctypes.byref(clock), rows.ctypes.data, _SNAP_ROWS,
+                held.ctypes.data, toppled.ctypes.data)
         try:
             while True:
                 status = lib.zp_lattice(*head, self._wait_buf.ctypes.data,
@@ -773,6 +782,11 @@ def generate(spec: DensitySpec, sides, boundary: str = TORUS,
     if rng is None:
         rng = np.random.default_rng(seed)
     rho = spec.rho
+    # every generator draws heights of at most 2 rho (constant: rho)
+    top = rho if spec.kind == "constant" else 2.0 * rho
+    if not math.isfinite(top * math.prod(sides)):
+        raise ValueError(f"rho={rho!r} is too large: the heights on {sides} or their "
+                         "total would not be finite")
     if spec.kind == "constant":
         h = np.full(sides, rho)
     elif spec.kind == "iid-uniform":

@@ -398,6 +398,33 @@ def test_bad_intervals_and_counts_exit_1(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+@pytest.mark.parametrize("gen", [["--gen", "iid"], ["--gen", "near-full"],
+                                 ["--gen", "checkerboard"],
+                                 ["--gen", "constant", "--boundary", "box"]])
+def test_huge_density_exits_1(tmp_path, monkeypatch, capsys, backend, gen):
+    # iid and near-full raised numpy's OverflowError while drawing, constant
+    # the fsum overflow of the first snapshot; both escaped as tracebacks
+    kernel = core.chain_kernel() if backend == "compiled" else None
+    if backend == "compiled" and kernel is None:
+        pytest.skip("needs the compiled kernel")
+    monkeypatch.setattr(core, "_kernel", [kernel])
+    argv = ["infinite", "--d", "2", "--side", "4", *gen, "--rho", "1e308",
+            "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    assert "rho=1e+308 is too large" in capsys.readouterr().err
+
+
+def test_overflow_in_a_run_exits_1(tmp_path, monkeypatch, capsys):
+    def overflow(*args, **kwargs):
+        raise OverflowError("intermediate overflow in fsum")
+
+    monkeypatch.setattr(lattice.MarkovToppling, "run", overflow)
+    argv = ["infinite", *_LINE, "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    assert "error: intermediate overflow in fsum" in capsys.readouterr().err
+
 def test_finite_run_negative_counts_exit_1(tmp_path):
     # with --events-out the run exited 0 and wrote a header-only file, while
     # the same run without it exited 1

@@ -683,21 +683,91 @@ def _engine_state(eng):
             _bits(eng._pick_buf), snaps)
 
 
-@settings(max_examples=30, deadline=None)
-@given(lattice_runs())
-def test_lattice_kernel_matches_python_reference(spec):
-    cfg, seed, runs = spec
-    lib = core.chain_kernel()
+def _differential(cfg, seed, runs, lib=None):
+    """Run ``cfg`` on the Python loop and on ``lib`` (the loaded kernel by
+    default) through the same resumed runs, checking the engines bit for bit
+    after each; returns the snapshots each run took."""
+    lib = lib or core.chain_kernel()
     assert lib is not None
     engines = {kernel: MarkovToppling(cfg, seed=seed) for kernel in (None, lib)}
+    taken = []
     for dt, max_events, every in runs:
         if dt is None and max_events is None:
             max_events = 5000                   # an unbounded run may never end
         t_max = math.inf if dt is None else engines[None].t + dt
+        before = len(engines[None].snapshots)
         for kernel, eng in engines.items():
             with _kernel_set(kernel):
                 eng.run(t_max=t_max, max_events=max_events, snapshot_every=every)
         assert _engine_state(engines[lib]) == _engine_state(engines[None])
+        taken.append(len(engines[None].snapshots) - before)
+    return engines[None], taken
+
+
+@settings(max_examples=30, deadline=None)
+@given(lattice_runs())
+def test_lattice_kernel_matches_python_reference(spec):
+    _differential(*spec)
+
+
+@st.composite
+def settling_boxes(draw):
+    # a snapshot updates the previous sum over the sites toppled since the
+    # last one when fewer than n / (2 (2d+1)) toppled, which a settling box
+    # at these densities does almost every time unit
+    sides = (draw(st.integers(24, 48)), draw(st.integers(24, 48)))
+    rho = draw(st.floats(0.55, 0.7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    every = st.floats(0.05, 1.0)
+    runs = [(draw(st.floats(0.5, 40.0)), draw(st.one_of(st.none(), st.integers(0, 5000))),
+             draw(every)) for _ in range(draw(st.integers(0, 2)))]
+    runs.append((None, 100_000, draw(every)))
+    return generate(DensitySpec("iid", rho), sides, BOX, seed=seed), seed, runs
+
+
+@settings(max_examples=25, deadline=None)
+@given(settling_boxes())
+def test_incremental_snapshot_sums_match_python_reference(spec):
+    _differential(*spec)
+
+
+SNAPSHOT_CASES = [
+    # settling boxes: resumed runs that change snapshot_every, each over
+    # more than 64 snapshot rows, and more than one 8192-draw chunk in all
+    ("iid", 0.65, (48, 48), BOX, [(20.0, None, 0.05), (15.5, 3000, 0.31),
+                                  (None, 100_000, 0.12)]),
+    ("iid", 0.7, (32, 40), BOX, [(None, 500, 1.0), (9.0, None, 0.07),
+                                 (None, 100_000, 0.5)]),
+    # dense tori: most snapshots follow more topplings than the update
+    # covers and take the full pass
+    ("iid", 1.1, (32, 32), TORUS, [(8.0, None, 0.1), (12.0, None, 1.0)]),
+    ("constant", 1.05, (32, 32), TORUS, [(6.5, None, 0.05), (30.0, None, 0.2)]),
+]
+
+
+def _snapshot_case(kind, rho, sides, boundary, runs, lib=None):
+    cfg = generate(DensitySpec(kind, rho), sides, boundary, seed=11)
+    eng, taken = _differential(cfg, 11, runs, lib)
+    assert max(taken) > 64
+    assert eng.events > 8192
+
+
+@pytest.mark.parametrize("case", SNAPSHOT_CASES,
+                         ids=["box-48", "box-32x40", "torus-iid", "torus-constant"])
+def test_snapshot_sums_cross_row_and_chunk_ends(case):
+    _snapshot_case(*case)
+
+
+def _check_fsum(lib, values):
+    x = np.array(values, dtype=np.float64)
+    out = ctypes.c_double()
+    status = lib.zp_fsum(x.ctypes.data, x.size, ctypes.byref(out))
+    try:
+        want = math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        assert core.FSUM_ERRORS[status] == (type(exc), str(exc))
+        return
+    assert status == 0 and _bits(out.value) == _bits(want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -709,16 +779,48 @@ def test_lattice_kernel_matches_python_reference(spec):
 @example(np.array([0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000003,
                    0x7FF0000000000000], dtype=np.uint64).view(np.float64).tolist())
 def test_kernel_fsum_matches_math_fsum(values):
-    lib = core.chain_kernel()
-    x = np.array(values, dtype=np.float64)
-    out = ctypes.c_double()
-    status = lib.zp_fsum(x.ctypes.data, x.size, ctypes.byref(out))
-    try:
-        want = math.fsum(values)
-    except (OverflowError, ValueError) as exc:
-        assert core.FSUM_ERRORS[status] == (type(exc), str(exc))
-        return
-    assert status == 0 and _bits(out.value) == _bits(want)
+    _check_fsum(core.chain_kernel(), values)
+
+
+_BELOW_2_961 = math.nextafter(2.0**961, 0.0)
+_TINY = 5e-324                                  # 2^-1074, the least subnormal
+
+# zp_fsum sums finite values below 2^961 in the fixed-point accumulator and
+# everything else by fsum's partials; both must give fsum's double
+FSUM_EDGES = {
+    "below-2^961": [_BELOW_2_961, 1.0, _BELOW_2_961, -0.5],
+    "at-2^961": [2.0**961, 1.0, -3.0],
+    "both-sides-of-2^961": [_BELOW_2_961, 2.0**961, -_BELOW_2_961, 1e-300],
+    "intermediate-overflow": [1.7e308, 1.7e308, -1.7e308],
+    "large-cancel": [2.0**960, 1.0, -2.0**960],
+    "large-cancel-tiny": [2.0**960, _TINY, -2.0**960],
+    "max-below-2^961": [_BELOW_2_961] * 8 + [-_BELOW_2_961] * 7,
+    # more additions to one limb than it takes before its carries move up
+    "one-limb-5000": [0.1] * 5000,
+    "one-limb-mixed-sign": [0.7] * 9000 + [-0.3] * 9001,
+    "one-limb-all-ones": [float(2**32 - 1)] * 10_000,
+    "carry-through-limbs": [2.0**31] * 4097 + [-1.0] + [2.0**-1000] * 4100,
+    # ties at the last place of 1.0, and a sticky bit far below either way
+    "tie-to-even-down": [1.0, 2.0**-53],
+    "tie-to-even-up": [1.0 + 2.0**-52, 2.0**-53],
+    "tie-sticky-up": [1.0, 2.0**-53, _TINY],
+    "tie-sticky-down": [1.0, 2.0**-53, -_TINY],
+    "tie-large": [2.0**900, 2.0**847],
+    "tie-negative": [-(1.0 + 2.0**-52), -(2.0**-53)],
+    "tie-sticky-large": [2.0**960, 2.0**907, 2.0**847],
+    "subnormals": [_TINY] * 3 + [2.0**-1060, -(2.0**-1070)],
+    "subnormal-to-normal": [2.0**-1022 - _TINY, _TINY],
+    "subnormal-cancel": [-_TINY, 2.0**-1022, -(2.0**-1022)],
+    "negative-zeros": [-0.0],
+    "many-negative-zeros": [-0.0] * 17,
+    "zeros-and-cancel": [-0.0, 1.5, -1.5, -0.0],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", FSUM_EDGES)
+def test_kernel_fsum_edge_cases(lib, name):
+    _check_fsum(lib, FSUM_EDGES[name])
 
 
 def test_snapshot_sum_overflow_raises_on_both_backends(backend):
@@ -816,6 +918,42 @@ def test_failed_build_falls_back_to_python(where, lib, tmp_path, monkeypatch, ca
         assert capsys.readouterr().err.endswith(f"coupling backend {name}\n")
         outs[name] = [f.read_bytes() for f in files]
     assert outs["compiled"] == outs["python"]
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    cmd = ["gcc", "-o", str(tmp_path / "k.so"), str(core._KERNEL_SOURCE),
+           *core._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# builds the kernel with the undefined-behaviour sanitizer, which aborts on
+# the first finding, and runs the exact-sum examples and one differential
+# lattice case on it
+_UBSAN_CHECK = """
+import sys
+from pathlib import Path
+import zhangpile.core as core
+core._KERNEL_FLAGS += ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+lib = core._build_kernel(Path(sys.argv[1]))
+if lib is None:
+    sys.exit("the sanitized kernel did not build")
+sys.path.insert(0, sys.argv[2])
+import test_kernel as tk
+for values in tk.FSUM_EDGES.values():
+    tk._check_fsum(lib, values)
+tk._snapshot_case(*tk.SNAPSHOT_CASES[0], lib=lib)
+print("ok")
+"""
+
+
+def test_kernel_is_clean_under_ubsan(tmp_path):
+    src = str(Path(zhangpile.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _UBSAN_CHECK, str(tmp_path),
+                           str(Path(__file__).parent)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stdout.split() == ["ok"], proc.stderr
 
 
 def test_import_and_version_build_nothing():
