@@ -125,11 +125,9 @@ def cmd_finite_run(args) -> int:
     columns = ["site", "mean", "var"] + [f"hist_bin_{i}" for i in range(args.bins)]
     rows = []
     if stats.count:
-        mean = stats.mean
-        var = stats.var
-        for i in range(args.n):
-            rows.append([i + 1, float(mean[i]), float(var[i])]
-                        + [int(c) for c in stats.hist[i]])
+        rows = [[i + 1, mean, var] + hist for i, (mean, var, hist) in
+                enumerate(zip(stats.mean.tolist(), stats.var.tolist(),
+                              stats.hist.tolist()))]
     rec = RunRecord(spec=spec, version=__version__, seed=args.seed,
                     columns=columns, rows=rows)
     with _out_stream(args.out) as f:
@@ -269,10 +267,17 @@ def cmd_sweep(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
+def build_parser(subcommand: str | None = None) -> _Parser:
+    """Given ``subcommand``, only that subcommand's arguments are added (none if
+    no subcommand has the name): each ``add_argument`` reads the terminal size."""
     p = _Parser(prog="zhangpile", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="subcommand", required=True)
+
+    def add_parser(name, help_text, **defaults):
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(**defaults)
+        return sp if subcommand in (None, name) else None
 
     def common(sp, fmt_default="csv"):
         sp.add_argument("--seed", type=int, default=0)
@@ -281,38 +286,37 @@ def build_parser() -> _Parser:
         sp.add_argument("--config", default=None,
                         help="key=value defaults file; flags override")
 
-    sp = sub.add_parser("stabilize", help="relax one chain configuration")
-    sp.add_argument("--chain", default=None, help="comma-separated heights")
-    sp.add_argument("--infile", default=None, help="file with heights")
-    sp.add_argument("--policy", default="left",
-                    help="left | right | parallel | random")
-    common(sp)
-    sp.set_defaults(func=cmd_stabilize)
+    if sp := add_parser("stabilize", "relax one chain configuration", func=cmd_stabilize):
+        sp.add_argument("--chain", default=None, help="comma-separated heights")
+        sp.add_argument("--infile", default=None, help="file with heights")
+        sp.add_argument("--policy", default="left",
+                        help="left | right | parallel | random")
+        common(sp)
 
-    sp = sub.add_parser("finite-run", help="stationary statistics of the chain process")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--burn-in", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=0)
-    sp.add_argument("--bins", type=int, default=256)
-    sp.add_argument("--events-out", default=None,
-                    help="also write the burn-in event stream as JSON lines")
-    common(sp)
-    sp.set_defaults(func=cmd_finite_run, engine="chain")
+    if sp := add_parser("finite-run", "stationary statistics of the chain process",
+                        func=cmd_finite_run, engine="chain"):
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--a", type=float, required=True)
+        sp.add_argument("--b", type=float, required=True)
+        sp.add_argument("--burn-in", type=int, default=0)
+        sp.add_argument("--samples", type=int, default=0)
+        sp.add_argument("--bins", type=int, default=256)
+        sp.add_argument("--events-out", default=None,
+                        help="also write the burn-in event stream as JSON lines")
+        common(sp)
 
-    sp = sub.add_parser("couple", help="three-phase coupling runs over a seed range")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--seeds", type=int, default=1, help="number of seeds")
-    sp.add_argument("--seed0", type=int, default=0, help="first seed")
-    sp.add_argument("--max-steps", type=int, default=1_000_000)
-    sp.add_argument("--init-a", default="random", help="zeros | random | literal")
-    sp.add_argument("--init-b", default="random", help="zeros | random | literal")
-    sp.add_argument("--workers", type=int, default=1)
-    common(sp, fmt_default="jsonl")
-    sp.set_defaults(func=cmd_couple, engine="coupling")
+    if sp := add_parser("couple", "three-phase coupling runs over a seed range",
+                        func=cmd_couple, engine="coupling"):
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--a", type=float, required=True)
+        sp.add_argument("--b", type=float, required=True)
+        sp.add_argument("--seeds", type=int, default=1, help="number of seeds")
+        sp.add_argument("--seed0", type=int, default=0, help="first seed")
+        sp.add_argument("--max-steps", type=int, default=1_000_000)
+        sp.add_argument("--init-a", default="random", help="zeros | random | literal")
+        sp.add_argument("--init-b", default="random", help="zeros | random | literal")
+        sp.add_argument("--workers", type=int, default=1)
+        common(sp, fmt_default="jsonl")
 
     def lattice(sp):
         # the geometry, clock and pool flags of infinite and sweep
@@ -329,22 +333,21 @@ def build_parser() -> _Parser:
                              "draws only topplings, never rings at stable sites)")
         sp.add_argument("--workers", type=int, default=1)
         common(sp)
-        sp.set_defaults(engine="lattice")
 
-    sp = sub.add_parser("infinite", help="Poisson-clock toppling on a finite lattice")
-    sp.add_argument("--gen", required=True,
-                    help="iid | constant | checkerboard | near-full")
-    sp.add_argument("--rho", type=float, required=True)
-    sp.add_argument("--save-final", default=None,
-                    help="write replica-0 final heights (JSON header + values)")
-    lattice(sp)
-    sp.set_defaults(func=cmd_infinite)
+    if sp := add_parser("infinite", "Poisson-clock toppling on a finite lattice",
+                        func=cmd_infinite, engine="lattice"):
+        sp.add_argument("--gen", required=True,
+                        help="iid | constant | checkerboard | near-full")
+        sp.add_argument("--rho", type=float, required=True)
+        sp.add_argument("--save-final", default=None,
+                        help="write replica-0 final heights (JSON header + values)")
+        lattice(sp)
 
-    sp = sub.add_parser("sweep", help="stabilizability sweep over a density grid")
-    sp.add_argument("--gen", required=True, help="comma list of generator kinds")
-    sp.add_argument("--rho", required=True, help="comma list of densities")
-    lattice(sp)
-    sp.set_defaults(func=cmd_sweep)
+    if sp := add_parser("sweep", "stabilizability sweep over a density grid",
+                        func=cmd_sweep, engine="lattice"):
+        sp.add_argument("--gen", required=True, help="comma list of generator kinds")
+        sp.add_argument("--rho", required=True, help="comma list of densities")
+        lattice(sp)
     return p
 
 
@@ -380,7 +383,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"zhangpile: error: {exc}", file=sys.stderr)
             return 1
-    parser = build_parser()
+    # the top-level options take no values: the first other token names the
+    # subcommand, and without one (--help, --version) no arguments are needed
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -315,11 +315,16 @@ def chain_kernel() -> ctypes.CDLL | None:
     return _kernel[0]
 
 
+def kernel_buffer_ok(arr, dtype, size: int, out: bool = False) -> bool:
+    """Whether the kernel can take ``arr``: a C-contiguous ``dtype`` array of
+    ``size`` values, writable if the kernel writes it."""
+    return (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.size == size
+            and arr.flags.c_contiguous and (arr.flags.writeable or not out))
+
+
 def _c_array(arr, dtype, size: int, name: str, out: bool = False) -> int:
-    """Address of ``arr`` once it is a C-contiguous ``dtype`` array of ``size``
-    values (and writable if the kernel writes it)."""
-    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.size == size
-            and arr.flags.c_contiguous and (arr.flags.writeable or not out)):
+    """Address of ``arr`` once ``kernel_buffer_ok`` holds for it."""
+    if not kernel_buffer_ok(arr, dtype, size, out):
         raise ValueError(f"kernel argument {name}: need a C-contiguous "
                          f"{np.dtype(dtype)} array of {size} values")
     return arr.ctypes.data

@@ -11,7 +11,7 @@ changes nothing, so by Poisson thinning the engine draws only the effective
 events (the n-fold way of Bortz, Kalos and Lebowitz, J. Comput. Phys. 17,
 1975; Gillespie's direct method, 1977): with U the current unstable set, the
 next toppling comes after an Exp(|U|) wait at a uniformly chosen site of U.
-U is kept exactly as an indexable list with swap-remove, so stabilization is
+U is kept exactly as an indexable array with swap-remove, so stabilization is
 detected without scanning.  ``events`` and ``max_events`` count topplings.
 A finite run can only collect evidence about stabilizability:
 ``active-at-cutoff`` is evidence, never proof.
@@ -40,7 +40,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import FSUM_ERRORS, LatticeClock, chain_kernel, check_heights
+from .core import (
+    FSUM_ERRORS,
+    LatticeClock,
+    chain_kernel,
+    check_heights,
+    kernel_buffer_ok,
+)
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -150,9 +156,9 @@ class MassLedger:
     def __init__(self, shape):
         self.shape = tuple(int(s) for s in shape)
         n = int(np.prod(self.shape))
-        self._m = [0] * n
-        self._lv = [0.0] * n
-        self._lc = [0.0] * n
+        self._m = np.zeros(n, dtype=np.int64)
+        self._lv = np.zeros(n)
+        self._lc = np.zeros(n)
         self._diss = 0.0
         self._diss_c = 0.0
         self.t = 0.0
@@ -160,11 +166,11 @@ class MassLedger:
 
     @property
     def M(self) -> np.ndarray:
-        return np.array(self._m, dtype=np.int64).reshape(self.shape)
+        return self._m.reshape(self.shape).copy()
 
     @property
     def L(self) -> np.ndarray:
-        return np.array(self._lv).reshape(self.shape)
+        return self._lv.reshape(self.shape).copy()
 
     @property
     def dissipated(self) -> float:
@@ -172,9 +178,9 @@ class MassLedger:
 
     def copy(self) -> "MassLedger":
         out = MassLedger(self.shape)
-        out._m = list(self._m)
-        out._lv = list(self._lv)
-        out._lc = list(self._lc)
+        out._m = self._m.copy()
+        out._lv = self._lv.copy()
+        out._lc = self._lc.copy()
         out._diss = self._diss
         out._diss_c = self._diss_c
         out.t = self.t
@@ -244,8 +250,11 @@ class StabilizabilityVerdict:
 class MarkovToppling:
     """Resumable rejection-free toppling run on one lattice configuration.
 
-    ``unstable`` lists the sites with height >= 1 in no particular order;
-    ``_where[i]`` is the position of site ``i`` in that list, -1 if stable.
+    The state is numpy arrays for the engine's whole life, which the compiled
+    kernel updates in place: the heights ``h``, the ledger's arrays, and the
+    unstable set, whose ``_k`` sites fill the first slots of the n-slot buffer
+    ``_unstable`` in no particular order (``unstable`` is a view of them);
+    ``_where[i]`` is the slot of site ``i``, -1 if stable.
     """
 
     def __init__(self, config: LatticeConfig, seed: int | None = None,
@@ -255,17 +264,18 @@ class MarkovToppling:
         self.shape = config.sides
         self.d = config.dim
         self.n = config.n_sites
-        self.h = config.heights.ravel().tolist()
-        self.initial = config.heights.copy()
+        self.h = config.heights.astype(np.float64).ravel()
         self.ledger = MassLedger(self.shape)
         self.rng = rng if rng is not None else np.random.default_rng(seed)
-        self.unstable = [i for i, v in enumerate(self.h) if v >= 1.0]
-        self._where = [-1] * self.n
-        for k, i in enumerate(self.unstable):
-            self._where[i] = k
+        first = np.flatnonzero(self.h >= 1.0)
+        self._k = first.size
+        self._unstable = np.zeros(self.n, dtype=np.int64)
+        self._unstable[:self._k] = first
+        self._where = np.full(self.n, -1, dtype=np.int64)
+        self._where[first] = np.arange(self._k)
         self.t = 0.0
         self.events = 0
-        self.t_stab: float | None = 0.0 if not self.unstable else None
+        self.t_stab: float | None = 0.0 if not self._k else None
         self.min_m_threshold = min_m_threshold
         self.snapshots: list[Snapshot] = []
         # the current chunk of exponential waits and uniform picks
@@ -273,12 +283,9 @@ class MarkovToppling:
         self._pick_buf = np.empty(0)
         self._bufpos = _CHUNK
 
-    def _snapshot(self, t: float) -> None:
-        m = self.ledger._m
-        self.snapshots.append(Snapshot(
-            t=t, total_mass=math.fsum(self.h), n_unstable=len(self.unstable),
-            frac_unstable=len(self.unstable) / self.n,
-            min_m=min(m), max_m=max(m), dissipated=self.ledger._diss))
+    @property
+    def unstable(self) -> np.ndarray:
+        return self._unstable[:self._k]
 
     def _refill(self) -> None:
         self._wait_buf = self.rng.standard_exponential(_CHUNK)
@@ -305,7 +312,7 @@ class MarkovToppling:
             t_max = float(t_max)            # an int t_max would leave an int clock
         except OverflowError:
             raise ValueError("t_max must fit in a float") from None
-        if not self.unstable or t_max <= self.t:
+        if not self._k or t_max <= self.t:
             return
         next_snap = math.inf                # no snapshot is due while it is inf
         if snapshot_every is not None:
@@ -320,105 +327,104 @@ class MarkovToppling:
             self._run_compiled(lib, t_max, events_stop, next_snap, snapshot_every)
 
     def _run_python(self, t_max, events_stop, next_snap, snapshot_every) -> None:
-        """The reference loop, which ``zp_lattice`` follows operation by operation."""
-        h = self.h
+        """The reference loop, which ``zp_lattice`` follows operation by
+        operation.  It runs on lists of the state and writes them back."""
+        h, unstable, where = self.h.tolist(), self.unstable.tolist(), self._where.tolist()
         nbrs, missing = _neighbor_table(self.shape, self.boundary)
-        unstable = self.unstable
-        where = self._where
         led = self.ledger
-        m = led._m
-        lv = led._lv
-        lc = led._lc
-        diss = led._diss
-        diss_c = led._diss_c
+        m, lv, lc = led._m.tolist(), led._lv.tolist(), led._lc.tolist()
+        diss, diss_c = led._diss, led._diss_c
         twod = 2 * self.d
         t = self.t
         events = self.events
         chunk = _CHUNK
         pos = self._bufpos
         waits, picks = self._wait_buf.tolist(), self._pick_buf.tolist()
-        while events < events_stop:
-            if pos >= chunk:
-                self._refill()
-                waits, picks = self._wait_buf.tolist(), self._pick_buf.tolist()
-                pos = 0
-            k = len(unstable)
-            te = t + waits[pos] / k
-            while next_snap < te:
-                if next_snap > t_max:
-                    next_snap = math.inf
+        try:
+            while events < events_stop:
+                if pos >= chunk:
+                    self._refill()
+                    waits, picks = self._wait_buf.tolist(), self._pick_buf.tolist()
+                    pos = 0
+                k = len(unstable)
+                te = t + waits[pos] / k
+                while next_snap < te:
+                    if next_snap > t_max:
+                        next_snap = math.inf
+                        break
+                    self.snapshots.append(Snapshot(
+                        t=next_snap, total_mass=math.fsum(h), n_unstable=k,
+                        frac_unstable=k / self.n, min_m=min(m), max_m=max(m),
+                        dissipated=diss))
+                    next_snap += snapshot_every
+                if te > t_max:
+                    # discard the crossing draw: by memorylessness a resumed run
+                    # correctly starts from a fresh exponential wait at t_max
+                    pos += 1
+                    t = t_max
                     break
-                led._diss = diss
-                self._snapshot(next_snap)
-                next_snap += snapshot_every
-            if te > t_max:
-                # discard the crossing draw: by memorylessness a resumed run
-                # correctly starts from a fresh exponential wait at t_max
+                # u < 1 keeps int(u * k) < k for every k < 2**52
+                s = unstable[int(picks[pos] * k)]
                 pos += 1
-                t = t_max
-                break
-            # u < 1 keeps int(u * k) < k for every k < 2**52
-            s = unstable[int(picks[pos] * k)]
-            pos += 1
-            t = te
-            events += 1
-            # swap-remove s from the unstable list
-            last = unstable.pop()
-            if last != s:
-                i = where[s]
-                unstable[i] = last
-                where[last] = i
-            where[s] = -1
-            hx = h[s]
-            h[s] = 0.0
-            m[s] += 1
-            # compensated: L[s] += hx
-            y = hx - lc[s]
-            tt = lv[s] + y
-            lc[s] = (tt - lv[s]) - y
-            lv[s] = tt
-            share = hx / twod
-            for nb in nbrs[s]:
-                v = h[nb] + share
-                h[nb] = v
-                if v >= 1.0 and where[nb] < 0:
-                    where[nb] = len(unstable)
-                    unstable.append(nb)
-            if missing[s]:
-                y = share * missing[s] - diss_c
-                tt = diss + y
-                diss_c = (tt - diss) - y
-                diss = tt
-            if not unstable:
-                self.t_stab = t
-                break
-        self._bufpos = pos
-        self.t = t
-        self.events = events
-        led.t = t
-        led.events = events
-        led._diss = diss
-        led._diss_c = diss_c
+                t = te
+                events += 1
+                # swap-remove s from the unstable list
+                last = unstable.pop()
+                if last != s:
+                    i = where[s]
+                    unstable[i] = last
+                    where[last] = i
+                where[s] = -1
+                hx = h[s]
+                h[s] = 0.0
+                m[s] += 1
+                # compensated: L[s] += hx
+                y = hx - lc[s]
+                tt = lv[s] + y
+                lc[s] = (tt - lv[s]) - y
+                lv[s] = tt
+                share = hx / twod
+                for nb in nbrs[s]:
+                    v = h[nb] + share
+                    h[nb] = v
+                    if v >= 1.0 and where[nb] < 0:
+                        where[nb] = len(unstable)
+                        unstable.append(nb)
+                if missing[s]:
+                    y = share * missing[s] - diss_c
+                    tt = diss + y
+                    diss_c = (tt - diss) - y
+                    diss = tt
+                if not unstable:
+                    self.t_stab = t
+                    break
+        finally:
+            self.h[:] = h
+            self._k = len(unstable)
+            self._unstable[:self._k] = unstable
+            self._where[:] = where
+            led._m[:], led._lv[:], led._lc[:] = m, lv, lc
+            self._bufpos = pos
+            self.t = led.t = t
+            self.events = led.events = events
+            led._diss, led._diss_c = diss, diss_c
 
     def _run_compiled(self, lib, t_max, events_stop, next_snap, snapshot_every) -> None:
-        """``_run_python`` in ``zp_lattice``: the state moves into arrays for
-        the run and back into lists after it."""
+        """``_run_python`` in ``zp_lattice``, in place on the engine's arrays."""
         n = self.n
         led = self.ledger
         nbr, missing = _neighbor_arrays(self.shape, self.boundary)
-        k = len(self.unstable)
-        h = np.array(self.h, dtype=np.float64)
-        unstable = np.zeros(n, dtype=np.int64)
-        where = np.array(self._where, dtype=np.int64)
-        m = np.array(led._m, dtype=np.int64)
-        lv = np.array(led._lv, dtype=np.float64)
-        lc = np.array(led._lc, dtype=np.float64)
-        # the kernel indexes with these, so they must describe this lattice
-        ok = h.size == where.size == m.size == lv.size == lc.size == n and k <= n
+        h, unstable, where, k = self.h, self._unstable, self._where, self._k
+        m, lv, lc = led._m, led._lv, led._lc
+        # the kernel writes these buffers and indexes with the sites they
+        # hold, so they must be this lattice's, of the types it reads
+        buffers = {np.float64: (h, lv, lc), np.int64: (unstable, where, m)}
+        ok = 0 < k <= n and all(kernel_buffer_ok(a, dtype, n, out=True)
+                                for dtype, arrays in buffers.items() for a in arrays)
         if ok:
-            unstable[:k] = self.unstable
-            ok = (unstable[:k].min() >= 0 and unstable[:k].max() < n
-                  and np.array_equal(where[unstable[:k]], np.arange(k))
+            u = unstable[:k]
+            ok = (u.min() >= 0 and u.max() < n
+                  and np.array_equal(where[u], np.arange(k))
                   and np.count_nonzero(where >= 0) == k)
         if not ok:
             raise ValueError("engine state does not match its lattice")
@@ -459,10 +465,7 @@ class MarkovToppling:
                 elif status != _ROWS_FULL:
                     break
         finally:
-            self.h = h.tolist()
-            self.unstable = unstable[:clock.k].tolist()
-            self._where = where.tolist()
-            led._m, led._lv, led._lc = m.tolist(), lv.tolist(), lc.tolist()
+            self._k = clock.k
             self.t = led.t = clock.t
             self.events = led.events = clock.events
             led._diss, led._diss_c = clock.diss, clock.diss_c
@@ -471,17 +474,17 @@ class MarkovToppling:
             self.t_stab = clock.t
 
     def config(self) -> LatticeConfig:
-        return LatticeConfig(np.array(self.h).reshape(self.shape), self.boundary)
+        return LatticeConfig(self.h.reshape(self.shape), self.boundary)
 
     def verdict(self) -> StabilizabilityVerdict:
         m = self.ledger._m
-        stabilized = not self.unstable
-        min_m = min(m)
+        stabilized = not self._k
+        min_m = int(m.min())
         return StabilizabilityVerdict(
             outcome="stabilized" if stabilized else "active-at-cutoff",
             t_stab=self.t_stab if stabilized else None,
             t_end=self.t, events=self.events,
-            min_m=min_m, max_m=max(m), dissipated=self.ledger._diss,
+            min_m=min_m, max_m=int(m.max()), dissipated=self.ledger._diss,
             evidence_strong=(not stabilized) and min_m >= self.min_m_threshold,
             snapshots=list(self.snapshots))
 

@@ -76,7 +76,9 @@ def write_csv(fobj, spec: ExperimentSpec, version: str, columns, rows) -> None:
     fobj.write(echo_line(spec, version) + "\n")
     fobj.write(",".join(columns) + "\n")
     for row in rows:
-        fobj.write(",".join(_fmt_cell(v) for v in row) + "\n")
+        # exact int and str cells, the bulk of a histogram table, skip _fmt_cell
+        fobj.write(",".join([v if type(v) is str else str(v) if type(v) is int
+                             else _fmt_cell(v) for v in row]) + "\n")
 
 
 def write_jsonl(fobj, spec: ExperimentSpec, version: str, records) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -474,3 +475,61 @@ def test_config_file_defaults_and_override(tmp_path):
     payload = parse_echo(out2.read_text().split("\n", 1)[0])
     assert payload["spec"]["params"]["samples"] == 20    # flag wins
     assert main(["finite-run", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+
+# sha256 of each output file, then (infinite) of its --save-final file, as
+# the list-based lattice engine wrote them on both backends
+_PINNED = {
+    "infinite-d1-torus-csv": (
+        "infinite --d 1 --side 32 --gen iid --rho 0.8 --tmax 30 --replicas 3 --seed 5",
+        "37d6878d623018caade5551e330025d72f34b90716dbb4387dcd1e205413cd55"),
+    "infinite-d2-box-jsonl": (
+        "infinite --d 2 --side 10 --boundary box --gen near-full --rho 0.95 --tmax 20 "
+        "--replicas 2 --seed 7 --format jsonl",
+        "284b825eaf911ef1ded06e87c87d741c32509c920feae82bc4a9b93fe324b337"),
+    "infinite-d3-torus-csv": (
+        "infinite --d 3 --side 4 --gen checkerboard --rho 0.7 --tmax 15 --replicas 2 "
+        "--seed 3 --snap-every 0.5",
+        "29126573bfffd22387b57508f452642d1ab72ecc1298ef0d692bad894233136a"),
+    "sweep-d1-box-jsonl": (
+        "sweep --d 1 --side 24 --boundary box --gen iid,constant --rho 0.6,1.1 --tmax 20 "
+        "--replicas 2 --seed 11 --format jsonl",
+        "8a7e108c1997e4f92a43c931f7cee6d9042378401b5ac2ba2f58923f64981d75"),
+    "sweep-d2-torus-csv": (
+        "sweep --d 2 --side 8 --gen iid,near-full --rho 0.9 --tmax 10 --replicas 2 "
+        "--seed 2 --max-events 2000",
+        "3adc6b79030bb34b24f5235b4481311673960b2d132107422e44c16b1d10b0fa"),
+    "sweep-d3-box-jsonl": (
+        "sweep --d 3 --side 4,3,5 --boundary box --gen constant,iid --rho 1.05,0.7 "
+        "--tmax 10 --replicas 2 --seed 4 --format jsonl",
+        "241b7fbd20a22202eae2ca66fb1dc3549997f9f91aba185cda1b2a909e9117bf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_lattice_outputs_match_pinned_hashes(tmp_path, monkeypatch, name):
+    argv, want = _PINNED[name]
+    argv = argv.split() + ["--out", str(tmp_path / "out")]
+    if argv[0] == "infinite":
+        argv += ["--save-final", str(tmp_path / "final")]
+    for kernel in (None, core.chain_kernel()):
+        monkeypatch.setattr(core, "_kernel", [kernel])
+        assert main(argv) == 0
+        digest = hashlib.sha256((tmp_path / "out").read_bytes())
+        if argv[0] == "infinite":
+            digest.update((tmp_path / "final").read_bytes())
+        assert digest.hexdigest() == want
+
+
+def test_subcommand_parser_matches_the_full_parser():
+    # main builds the arguments of the invoked subcommand only (of none for
+    # --help and --version); its help, and so its arguments, must be those of
+    # the parser of every subcommand
+    full = cli.build_parser()
+    assert cli.build_parser("").format_help() == full.format_help()
+    for name in ("stabilize", "finite-run", "couple", "infinite", "sweep"):
+        one = cli.build_parser(name)
+        assert one.format_help() == full.format_help()
+        helps = [p._subparsers._group_actions[0].choices[name].format_help()
+                 for p in (one, full)]
+        assert helps[0] == helps[1]

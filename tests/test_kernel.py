@@ -677,7 +677,8 @@ def _engine_state(eng):
     led = eng.ledger
     snaps = [(_bits([s.t, s.total_mass, s.frac_unstable, s.dissipated]),
               s.n_unstable, s.min_m, s.max_m) for s in eng.snapshots]
-    return (_bits(eng.h), eng.unstable, eng._where, led._m, _bits(led._lv),
+    return (_bits(eng.h), eng.unstable.tolist(), eng._where.tolist(), led._m.tolist(),
+            _bits(led._lv),
             _bits(led._lc), _bits([led._diss, led._diss_c, eng.t, led.t]),
             eng.t_stab, eng.events, led.events, eng._bufpos, _bits(eng._wait_buf),
             _bits(eng._pick_buf), snaps)
@@ -834,9 +835,16 @@ def test_snapshot_sum_overflow_raises_on_both_backends(backend):
 
 def test_lattice_kernel_checks_engine_state(lib):
     cfg = generate(DensitySpec("constant", 1.1), (4, 4), TORUS, seed=1)
-    for corrupt in (lambda e: e.unstable.append(16), lambda e: e.unstable.pop(),
+    # k one too high and one too low, a wrong slot, a short h; then buffers
+    # of the right length but of the wrong type, strided, or read-only
+    for corrupt in (lambda e: setattr(e, "_k", e._k + 1),
+                    lambda e: setattr(e, "_k", e._k - 1),
                     lambda e: e._where.__setitem__(e.unstable[0], 3),
-                    lambda e: e.h.pop()):
+                    lambda e: setattr(e, "h", e.h[:-1]),
+                    lambda e: setattr(e.ledger, "_m", e.ledger._m.astype(np.int32)),
+                    lambda e: setattr(e, "_where", e._where.astype(np.float64)),
+                    lambda e: setattr(e, "h", np.repeat(e.h, 2)[::2]),
+                    lambda e: e.ledger._lc.setflags(write=False)):
         eng = MarkovToppling(cfg, seed=2)
         corrupt(eng)
         with _kernel_set(lib), pytest.raises(ValueError, match="engine state"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -25,6 +26,8 @@ from zhangpile.lattice import (
     _delta_matrix,
     _neighbor_sum,
     _neighbor_table,
+    _replica_jobs,
+    _replica_worker,
     bond_bound_check,
     count_internal_bonds,
     delta_matrix,
@@ -262,10 +265,10 @@ def test_resumed_run_to_an_earlier_time_is_a_no_op(t_max):
         eng = MarkovToppling(cfg, seed=2)
         with _kernel_set(kernel):
             eng.run(t_max=10.0)
-            before = (eng.t, eng._bufpos, eng.events, list(eng.h), eng.ledger.t)
+            before = (eng.t, eng._bufpos, eng.events, eng.h.tolist(), eng.ledger.t)
             assert before[:3] == (10.0, 79, 78)
             eng.run(t_max=t_max, snapshot_every=1.0)
-        assert (eng.t, eng._bufpos, eng.events, list(eng.h), eng.ledger.t) == before
+        assert (eng.t, eng._bufpos, eng.events, eng.h.tolist(), eng.ledger.t) == before
         assert eng.snapshots == []
 
 
@@ -276,9 +279,52 @@ def test_integer_t_max_leaves_a_float_clock():
         eng = MarkovToppling(cfg, seed=2)
         with _kernel_set(kernel):
             eng.run(t_max=10)
-        assert eng.unstable and eng.t == 10.0
+        assert len(eng.unstable) and eng.t == 10.0
         assert type(eng.t) is float and type(eng.ledger.t) is float
         assert type(eng.verdict().t_end) is float
+
+
+def _builtin(x) -> bool:
+    if isinstance(x, list):
+        return all(_builtin(v) for v in x)
+    return type(x) in (int, float, str, bool, type(None))
+
+
+def test_replica_rows_and_verdicts_hold_builtin_types():
+    # the rows go through json.dumps for --format jsonl, which rejects numpy
+    # scalars; one replica stabilizes, the other is active at the cutoff
+    cases = [(DensitySpec("iid", 0.6), (8, 8), BOX), (DensitySpec("constant", 1.1), (16,), TORUS)]
+    for kernel in _backends():
+        for spec, sides, boundary in cases:
+            job = _replica_jobs(spec, sides, boundary, 20.0, 1, 3, 1.0, 10, None, ())[0]
+            eng = MarkovToppling(generate(spec, sides, boundary, seed=3), seed=4)
+            with _kernel_set(kernel):
+                row = _replica_worker(job)
+                eng.run(t_max=20.0, snapshot_every=1.0)
+            assert all(_builtin(v) for v in row.values()), row
+            verdict = eng.verdict()
+            assert verdict.snapshots
+            fields = [getattr(verdict, f.name) for f in dataclasses.fields(verdict)
+                      if f.name != "snapshots"]
+            fields += [getattr(s, f.name) for s in verdict.snapshots
+                       for f in dataclasses.fields(s)]
+            assert all(_builtin(v) for v in fields), verdict
+
+
+def test_resumed_run_keeps_the_engine_arrays():
+    # the kernel works in place on the engine's own arrays, and the Python
+    # loop writes its lists back into them: no run replaces one
+    cfg = generate(DensitySpec("constant", 1.1), (6, 6), TORUS, seed=1)
+    for kernel in _backends():
+        eng = MarkovToppling(cfg, seed=2)
+        led = eng.ledger
+        arrays = (eng.h, eng._unstable, eng._where, led._m, led._lv, led._lc)
+        with _kernel_set(kernel):
+            eng.run(max_events=100)
+            eng.run(max_events=100, snapshot_every=1.0)
+        assert eng.events == 200 and len(eng.unstable)
+        assert all(a is b for a, b in zip(arrays, (eng.h, eng._unstable, eng._where,
+                                                   led._m, led._lv, led._lc)))
 
 
 def _ring_loop_reference(config, rng, t_max):
@@ -388,10 +434,11 @@ def test_unstable_index_tracks_heights(lattice, budgets):
             before = eng.events
             with _kernel_set(kernel):
                 eng.run(max_events=budget)
-            assert eng.events - before == budget or not eng.unstable
-            assert sorted(eng.unstable) == [i for i, v in enumerate(eng.h) if v >= 1.0]
-            assert all(eng._where[i] == k for k, i in enumerate(eng.unstable))
-            assert sum(w >= 0 for w in eng._where) == len(eng.unstable)
+            assert eng.events - before == budget or not len(eng.unstable)
+            assert sorted(eng.unstable.tolist()) == [i for i, v in enumerate(eng.h.tolist())
+                                                     if v >= 1.0]
+            assert all(eng._where[i] == k for k, i in enumerate(eng.unstable.tolist()))
+            assert sum(w >= 0 for w in eng._where.tolist()) == len(eng.unstable)
             assert eng.ledger.M.sum() == eng.events
             assert mass_identity_check(cfg, eng.config(), eng.ledger) <= 1e-9
 
@@ -557,7 +604,7 @@ def test_mass_identity_check_keeps_the_sparse_formula(data):
     initial = LatticeConfig(np.reshape(data.draw(heights), shape), boundary)
     current = LatticeConfig(np.reshape(data.draw(heights), shape), boundary)
     ledger = MassLedger(shape)
-    ledger._lv = data.draw(st.lists(_WIDE_FLOATS, min_size=n, max_size=n))
+    ledger._lv = np.array(data.draw(st.lists(_WIDE_FLOATS, min_size=n, max_size=n)))
     L = ledger.L
     with np.errstate(all="ignore"):
         pred = initial.heights - L + _neighbor_sum(L, boundary) / (2 * len(shape))
