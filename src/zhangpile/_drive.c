@@ -49,12 +49,15 @@ static int64_t relax(double *h, int64_t n, int64_t x, int64_t cap)
     return total;
 }
 
-/* One chain.  rows (steps x n heights) and tops (steps topplings) may be
- * NULL.  With check_heavy, an addition to a full site must topple.  Returns
- * the steps completed; on an error, the index of the failing step. */
+/* One chain.  rows (steps x n heights), tops (steps topplings) and counts
+ * (n x bins) may be NULL.  counts adds one to bin (int64)(h*bins), clipped to
+ * 0..bins-1, of each site after each completed step, as MarginalStats does.
+ * With check_heavy, an addition to a full site must topple.  Returns the
+ * steps completed; on an error, the index of the failing step. */
 int64_t zp_drive(double *h, int64_t n, const int64_t *sites, const double *amts,
                  int64_t steps, int64_t cap, int32_t check_heavy,
-                 double *rows, int64_t *tops, int32_t *status)
+                 double *rows, int64_t *tops, int64_t *counts, int64_t bins,
+                 int32_t *status)
 {
     *status = 0;
     for (int64_t i = 0; i < steps; i++) {
@@ -74,6 +77,13 @@ int64_t zp_drive(double *h, int64_t n, const int64_t *sites, const double *amts,
             tops[i] = top;
         if (rows)
             memcpy(rows + i * n, h, (size_t)n * sizeof(double));
+        if (counts)
+            for (int64_t j = 0; j < n; j++) {
+                /* numpy's astype then clip; NaN and negatives go to bin 0,
+                 * and no out-of-range value is cast */
+                double v = h[j] * (double)bins;
+                counts[j * bins + (v >= 0 ? (v < bins ? (int64_t)v : bins - 1) : 0)]++;
+            }
     }
     return steps;
 }

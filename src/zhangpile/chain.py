@@ -142,14 +142,24 @@ class MarginalStats:
         self.hist = np.zeros((n_sites, bins), dtype=np.int64)
         self._offsets = np.arange(n_sites, dtype=np.int64) * bins
 
-    def add_batch(self, block: np.ndarray) -> None:
-        """Accumulate a (samples, n_sites) block of stable configurations."""
+    def add_batch(self, block: np.ndarray, counts: np.ndarray | None = None) -> None:
+        """Accumulate a (samples, n_sites) block of stable configurations.
+
+        ``counts``, if given, is the block already binned into an (n_sites,
+        bins) histogram, which is added instead of binning the block again.
+        """
         block = np.asarray(block, dtype=float)
         if block.ndim != 2 or block.shape[1] != self.n_sites:
             raise ValueError("block must have shape (samples, n_sites)")
+        if counts is not None and np.shape(counts) != self.hist.shape:
+            raise ValueError("counts must have shape (n_sites, bins)")
         self.count += block.shape[0]
+        # numpy's sums, not the kernel's: with one site numpy sums pairwise
         self._sum += block.sum(axis=0)
         self._sumsq += (block * block).sum(axis=0)
+        if counts is not None:
+            self.hist += counts
+            return
         idx = (block * self.bins).astype(np.int64)
         np.clip(idx, 0, self.bins - 1, out=idx)
         flat = (idx + self._offsets).ravel()
@@ -212,6 +222,8 @@ def _drive_compiled(lib, proc: ChainProcess, steps: int, stats: MarginalStats | 
     add = proc._additions
     h = np.array(proc.heights)
     rows = None if stats is None else np.empty((_STATS_BLOCK, proc.n))
+    # the kernel bins each block's rows into counts, folded in at the flush
+    counts = None if stats is None else np.zeros((proc.n, stats.bins), dtype=np.int64)
     tops = None if event_sink is None else np.empty(_STATS_BLOCK, dtype=np.int64)
     filled = 0
     try:
@@ -223,7 +235,7 @@ def _drive_compiled(lib, proc: ChainProcess, steps: int, stats: MarginalStats | 
             done, status = kernel_drive(
                 lib, h, add.site_array[p:p + k], add.amt_array[p:p + k], proc.cap,
                 proc._check_heavy, None if rows is None else rows[filled:filled + k],
-                None if tops is None else tops[:k])
+                None if tops is None else tops[:k], counts)
             if event_sink is not None:
                 for i, ntop in enumerate(tops[:done].tolist()):
                     event_sink({"t": proc.t + i + 1, "site": add.sites[p + i] + 1,
@@ -241,10 +253,11 @@ def _drive_compiled(lib, proc: ChainProcess, steps: int, stats: MarginalStats | 
                 raise proc._heavy_violation()
             if filled == _STATS_BLOCK:
                 if stats is not None:
-                    stats.add_batch(rows)
+                    stats.add_batch(rows, counts=counts)
+                    counts.fill(0)
                 filled = 0
         if stats is not None and filled:
-            stats.add_batch(rows[:filled])
+            stats.add_batch(rows[:filled], counts=counts)
     finally:
         proc.heights[:] = h.tolist()
 

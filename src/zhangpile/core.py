@@ -262,8 +262,8 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
         return None
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
-    lib.zp_drive.argtypes = [ptr, i64, ptr, ptr, i64, i64, ctypes.c_int32, ptr, ptr,
-                             ctypes.POINTER(ctypes.c_int32)]
+    lib.zp_drive.argtypes = [ptr, i64, ptr, ptr, i64, i64, ctypes.c_int32, ptr, ptr, ptr,
+                             i64, ctypes.POINTER(ctypes.c_int32)]
     lib.zp_drive.restype = i64
     lib.zp_drive_pair.argtypes = [ptr, ptr, i64, ptr, ptr, i64, i64,
                                   ctypes.POINTER(i64), ctypes.POINTER(ctypes.c_int32)]
@@ -341,12 +341,15 @@ def _c_additions(sites, amts, n: int) -> tuple[int, int, int]:
 
 def kernel_drive(lib, h: np.ndarray, sites: np.ndarray, amts: np.ndarray, cap: int,
                  check_heavy: bool, rows: np.ndarray | None = None,
-                 tops: np.ndarray | None = None) -> tuple[int, int]:
+                 tops: np.ndarray | None = None,
+                 counts: np.ndarray | None = None) -> tuple[int, int]:
     """Add ``amts[i]`` at 0-based site ``sites[i]`` of the stable heights ``h``
     and relax, step after step, in place.
 
     ``rows`` (steps x n) and ``tops`` (steps), if given, receive each
-    completed step's heights and topplings.  Returns (steps completed,
+    completed step's heights and topplings.  ``counts`` (n x bins), if
+    given, gains each completed step's heights binned as
+    ``MarginalStats.add_batch`` bins them.  Returns (steps completed,
     status).  Status 1: the next step exceeded ``cap`` topplings.  Status 2
     (only with ``check_heavy``): the next step added to a full site, which
     then did not topple; that step's addition stays in ``h``.
@@ -356,8 +359,14 @@ def kernel_drive(lib, h: np.ndarray, sites: np.ndarray, amts: np.ndarray, cap: i
     steps, ps, pa = _c_additions(sites, amts, n)
     pr = None if rows is None else _c_array(rows, np.float64, steps * n, "rows", out=True)
     pt = None if tops is None else _c_array(tops, np.int64, steps, "tops", out=True)
+    pc, bins = None, 0
+    if counts is not None:
+        if np.ndim(counts) != 2 or np.shape(counts)[0] != n or not np.size(counts):
+            raise ValueError(f"kernel argument counts: need shape ({n}, bins >= 1)")
+        bins = np.shape(counts)[1]
+        pc = _c_array(counts, np.int64, n * bins, "counts", out=True)
     status = ctypes.c_int32()
-    done = lib.zp_drive(ph, n, ps, pa, steps, cap, int(check_heavy), pr, pt,
+    done = lib.zp_drive(ph, n, ps, pa, steps, cap, int(check_heavy), pr, pt, pc, bins,
                         ctypes.byref(status))
     return done, status.value
 

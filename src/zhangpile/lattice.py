@@ -854,7 +854,8 @@ def _replica_worker(args) -> dict:
         "min_m_slope": min_m_slope(verdict.snapshots),
         "mass_residual": residual,
         "mass_drift": drift,
-        "heights": final.heights.ravel().tolist(),    # flat, C order
+        "mass": total0,
+        "heights": final.heights.ravel(),    # flat float64, C order
     }
 
 

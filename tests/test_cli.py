@@ -289,9 +289,9 @@ def test_conservation_gate_exits_2(tmp_path, monkeypatch):
 
 
 def test_conservation_gate_trips_on_nan(tmp_path, monkeypatch):
-    ok = {"mass_residual": 0.0, "mass_drift": 0.0, "replica": 0}
+    ok = {"mass_residual": 0.0, "mass_drift": 0.0, "mass": 1.0, "replica": 0}
     cli._check_conservation([ok], cli.TORUS)
-    for key in ("mass_residual", "mass_drift"):
+    for key in ("mass_residual", "mass_drift", "mass"):
         with pytest.raises(cli.ConservationError):
             cli._check_conservation([ok, dict(ok, replica=1, **{key: math.nan})],
                                     cli.TORUS)
@@ -304,6 +304,24 @@ def test_conservation_gate_trips_on_nan(tmp_path, monkeypatch):
                    "--rho", "1.1", "--tmax", "2", "--seed", "37",
                    "--out", str(tmp_path / "v.csv")])
         assert rc == 2
+
+
+_HEAVY_TORUS = ["infinite", "--d", "2", "--side", "4", "--gen", "iid", "--rho", "1e7",
+                "--tmax", "5", "--seed", "0"]
+
+
+def test_conservation_gate_scales_with_the_mass(tmp_path, monkeypatch):
+    # a mass of ~1.6e8 leaves rounding residuals near 1e-8, above the absolute
+    # 1e-9 but far below 1e-9 of the mass; a residual of 1e-6 of the mass, or
+    # one that is not finite, must still trip the gate
+    argv = _HEAVY_TORUS + ["--out", str(tmp_path / "v.csv")]
+    for kernel in (None, core.chain_kernel()):
+        monkeypatch.setattr(core, "_kernel", [kernel])
+        assert main(argv) == 0
+    for scale, rc in ((math.nan, 2), (math.inf, 2), (1e-6, 2), (2e-9, 2), (0.5e-9, 0)):
+        monkeypatch.setattr(lattice, "mass_identity_check",
+                            lambda init, *rest, scale=scale: scale * init.total_mass())
+        assert main(argv) == rc
 
 
 def test_sweep_gate_names_the_first_failure_in_grid_order(tmp_path, monkeypatch, capsys):
@@ -328,13 +346,32 @@ def test_sweep_gate_names_the_first_failure_in_grid_order(tmp_path, monkeypatch,
     assert err.endswith("(replica 1)\n")
 
 
-def _run_cli(tmp_path, argv):
+def _run_cli(tmp_path, argv, preexec_fn=None):
     src = str(Path(zhangpile.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     cmd = [sys.executable, "-m", "zhangpile.cli", *argv,
            "--out", str(tmp_path / "out.txt")]
-    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60,
+                          preexec_fn=preexec_fn)
+
+
+def _one_gib_of_address_space():
+    # so that an oversized allocation fails at once whatever the host's
+    # overcommit policy
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("size", [["--n", "3", "--bins", "1000000000000"],
+                                  ["--n", "100000000000", "--bins", "4"]])
+def test_oversized_finite_run_exits_1(tmp_path, size):
+    # both ended with a MemoryError traceback
+    proc = _run_cli(tmp_path, ["finite-run", "--a", "0.6", "--b", "0.8", "--samples",
+                               "10", *size], preexec_fn=_one_gib_of_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("zhangpile: error: out of memory: ")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -85,13 +85,18 @@ def chains(draw):
     burn = draw(st.integers(0, 3000))
     # the sampled run always crosses the 4096-addition chunk boundary
     samples = 4097 - burn + draw(st.integers(0, 2500))
-    bins = draw(st.integers(1, 64))
+    # 256 is finite-run's default; 1 and a prime number of bins test the
+    # clip and the truncation of the bin index
+    bins = draw(st.sampled_from([1, 3, 7, 256]))
     seed = draw(st.integers(0, 2**32 - 1))
     return n, a, b, start, burn, samples, bins, seed
 
 
 @settings(max_examples=25, deadline=None)
 @given(chains())
+@example((1, 0.3, 0.9, [0.5], 100, 4500, 7, 11))      # numpy sums one site pairwise
+@example((1, 0.0, 1.0, [0.0], 0, 5000, 1, 12))
+@example((30, 0.6, 0.8, [0.0] * 30, 1000, 6000, 256, 13))
 def test_kernel_drive_matches_python_reference(spec):
     n, a, b, start, burn, samples, bins, seed = spec
     lib = core.chain_kernel()
@@ -159,6 +164,55 @@ def test_heavy_gate_raises_through_drive(backend):
     assert [e["t"] for e in events] == [1]
 
 
+def _stream_with(n, a, b, seed, at, site, amount):
+    """The first chunk of the additions of ``ChainProcess(n, a, b, seed=seed)``,
+    with addition ``at`` replaced by (``site``, ``amount``)."""
+    add = ChainProcess(n, a, b, seed=seed)._additions
+    add.refill()
+    sites, amts = add.site_array.copy(), add.amt_array.copy()
+    sites[at], amts[at] = site, amount
+    return sites, amts
+
+
+def _stats_after_trip(n, a, b, seed, sites, amts, cap, error):
+    # both backends run into the same gate in the middle of the second
+    # statistics block; the first block is folded, the second is not
+    out = []
+    for kernel in (None, core.chain_kernel()):
+        with _kernel_set(kernel):
+            p = ChainProcess(n, a, b, seed=seed, cap=cap)
+            _force_additions(p._additions, sites, amts)
+            stats = MarginalStats(n, bins=7)
+            with pytest.raises(error):
+                drive(p, 4000, stats=stats)
+        out.append((p.t, p._additions.pos, _bits(p.heights), stats.count,
+                    _bits(stats._sum), _bits(stats._sumsq), stats.hist.tobytes()))
+    assert out[0] == out[1]
+    assert out[0][3] == 2048
+    return out[0]
+
+
+def test_topple_cap_mid_block_leaves_stats_alike(lib):
+    # natural avalanches at n=30 stay far below the cap; the crafted addition
+    # of 1e6 at step 2101 does not
+    sites, amts = _stream_with(30, 0.6, 0.8, 5, 2100, 15, 1e6)
+    t = _stats_after_trip(30, 0.6, 0.8, 5, sites, amts, 10_000, ToppleCapError)[0]
+    assert t == 2100
+
+
+def test_heavy_gate_mid_block_leaves_stats_alike(lib):
+    # with a = 1/2 every natural addition to a full site topples; a crafted
+    # zero addition to a full site at step 2101 does not
+    p = ChainProcess(4, 0.5, 1.0, seed=6)
+    _drive_python(p, 2100, None, None)
+    full = int(np.argmax(p.heights))
+    assert p.heights[full] >= 0.5
+    sites, amts = _stream_with(4, 0.5, 1.0, 6, 2100, full, 0.0)
+    t = _stats_after_trip(4, 0.5, 1.0, 6, sites, amts, core.DEFAULT_TOPPLE_CAP,
+                          InvariantViolation)[0]
+    assert t == 2101
+
+
 def test_kernel_entry_reports_heavy_violation(lib):
     h = np.array([0.6, 0.2])
     sites = np.array([1, 0, 1], dtype=np.int64)
@@ -180,14 +234,39 @@ def test_kernel_entry_reports_heavy_violation(lib):
     {"amts": [0.5, 0.5]},
     {"rows": np.empty((1, 2))},
     {"tops": np.empty(2, dtype=np.float64)},
+    {"counts": np.zeros((2, 4))},
+    {"counts": np.zeros((2, 4), dtype=np.int32)},
+    {"counts": np.zeros(8, dtype=np.int64)},
+    {"counts": np.zeros((4, 2), dtype=np.int64)},
+    {"counts": np.zeros((2, 0), dtype=np.int64)},
+    {"counts": np.zeros((2, 8), dtype=np.int64)[:, ::2]},
+    {"counts": np.zeros((4, 2), dtype=np.int64).T},
+    {"counts": np.zeros((2, 4), dtype=np.int64)[None]},
+    {"counts": np.frombuffer(bytes(64), dtype=np.int64).reshape(2, 4)},   # read-only
 ])
 def test_kernel_entry_checks_its_arrays(lib, bad):
     args = {"h": np.array([0.1, 0.2]), "sites": np.array([0, 1], dtype=np.int64),
-            "amts": np.array([0.5, 0.5]), "rows": None, "tops": None}
+            "amts": np.array([0.5, 0.5]), "rows": None, "tops": None, "counts": None}
     args.update(bad)
     with pytest.raises(ValueError, match="kernel argument"):
         core.kernel_drive(lib, args["h"], args["sites"], args["amts"], 100, False,
-                          rows=args["rows"], tops=args["tops"])
+                          rows=args["rows"], tops=args["tops"], counts=args["counts"])
+
+
+def test_kernel_entry_bins_like_marginal_stats(lib):
+    # heights at and next to the edges of 3 bins, and (the kernel relaxes only
+    # the site it adds to) heights outside [0, 1), which numpy's clip and the
+    # kernel's both send to the first or the last bin
+    h = np.array([0.0, 1 / 3, 2 / 3, 1 - 2**-53, 0.5 - 2**-54, -0.0, -0.5, 1.5, 4.0])
+    n = h.size
+    rows = np.empty((1, n))
+    counts = np.zeros((n, 3), dtype=np.int64)
+    core.kernel_drive(lib, h, np.array([0], dtype=np.int64), np.array([0.0]), 100, False,
+                      rows=rows, counts=counts)
+    stats = MarginalStats(n, bins=3)
+    stats.add_batch(rows)
+    assert counts.tolist() == stats.hist.tolist()
+    assert counts.argmax(axis=1).tolist() == [0, 1, 2, 2, 1, 0, 0, 2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -951,6 +1030,8 @@ import test_kernel as tk
 for values in tk.FSUM_EDGES.values():
     tk._check_fsum(lib, values)
 tk._snapshot_case(*tk.SNAPSHOT_CASES[0], lib=lib)
+p = tk.ChainProcess(30, 0.6, 0.8, seed=1)
+tk._drive_compiled(lib, p, 3000, tk.MarginalStats(30, bins=7), None)
 print("ok")
 """
 

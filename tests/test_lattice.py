@@ -291,8 +291,10 @@ def _builtin(x) -> bool:
 
 
 def test_replica_rows_and_verdicts_hold_builtin_types():
-    # the rows go through json.dumps for --format jsonl, which rejects numpy
-    # scalars; one replica stabilizes, the other is active at the cutoff
+    # the rows' scalars go through json.dumps for --format jsonl, which
+    # rejects numpy scalars; the final heights stay a flat float64 array,
+    # which only --save-final turns into text.  One replica stabilizes, the
+    # other is active at the cutoff
     cases = [(DensitySpec("iid", 0.6), (8, 8), BOX), (DensitySpec("constant", 1.1), (16,), TORUS)]
     for kernel in _backends():
         for spec, sides, boundary in cases:
@@ -301,6 +303,8 @@ def test_replica_rows_and_verdicts_hold_builtin_types():
             with _kernel_set(kernel):
                 row = _replica_worker(job)
                 eng.run(t_max=20.0, snapshot_every=1.0)
+            heights = row.pop("heights")
+            assert (heights.dtype, heights.shape) == (np.float64, (math.prod(sides),))
             assert all(_builtin(v) for v in row.values()), row
             verdict = eng.verdict()
             assert verdict.snapshots
@@ -777,13 +781,18 @@ def test_three_dimensional_lattice():
     assert bands["low"] == pytest.approx(1 - 1 / 6)
 
 
+def _plain(rows):
+    # replica rows with their final heights as lists, so that == compares them
+    return [dict(r, heights=r["heights"].tolist()) for r in rows]
+
+
 def test_experiment_summary_and_determinism():
     spec = DensitySpec("iid", 0.3)
     s1 = stabilizability_experiment(spec, (32,), TORUS, t_max=50.0, replicas=4,
                                     seed=71)
     s2 = stabilizability_experiment(spec, (32,), TORUS, t_max=50.0, replicas=4,
                                     seed=71, workers=2)
-    assert s1.rows == s2.rows
+    assert _plain(s1.rows) == _plain(s2.rows)
     assert s1.fraction_stabilized == 1.0
     assert all(r["mass_residual"] < 1e-9 for r in s1.rows)
 
@@ -808,7 +817,7 @@ def test_sweep_is_one_experiment_per_grid_point(monkeypatch):
     for g, spec in enumerate(specs):
         alone = stabilizability_experiment(spec, **kw, _spawn_prefix=(g,))
         for s in (swept[g], serial[g]):
-            assert s.rows == alone.rows
+            assert _plain(s.rows) == _plain(alone.rows)
             assert np.array_equal(
                 [s.fraction_stabilized, s.median_t_stab, s.mean_min_m_slope],
                 [alone.fraction_stabilized, alone.median_t_stab, alone.mean_min_m_slope],
