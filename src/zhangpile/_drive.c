@@ -79,8 +79,8 @@ int64_t zp_drive(double *h, int64_t n, const int64_t *sites, const double *amts,
             memcpy(rows + i * n, h, (size_t)n * sizeof(double));
         if (counts)
             for (int64_t j = 0; j < n; j++) {
-                /* numpy's astype then clip; NaN and negatives go to bin 0,
-                 * and no out-of-range value is cast */
+                /* clipped before the cast, as in MarginalStats.add_batch:
+                 * NaN and negatives go to bin 0 */
                 double v = h[j] * (double)bins;
                 counts[j * bins + (v >= 0 ? (v < bins ? (int64_t)v : bins - 1) : 0)]++;
             }
@@ -683,10 +683,11 @@ int32_t zp_fsum(const double *x, int64_t n, double *out)
 /* The rejection-free lattice clock of lattice.MarkovToppling.run, with its
  * float operations in the same order, so both backends give the same bits.
  *
- * Sites 0..n-1 have twod neighbour slots each in nbr (-1 off the box, in the
- * order of lattice._neighbor_table); missing counts the -1 slots.  The first
- * k = st->k entries of unstable are the unstable sites, where[i] is the
- * position of site i there or -1.  waits and picks are the chunk of
+ * Sites 0..n-1 have twod int32 neighbour slots each in nbr (-1 off the box,
+ * in the order of lattice._neighbor_table); missing counts the -1 slots.  The
+ * first k = st->k entries of unstable are the unstable sites, where[i] is the
+ * position of site i there or -1; entries from k on are scratch, which the
+ * insertion writes.  waits and picks are the chunk of
  * exponential and uniform draws, read from st->pos on.  A due snapshot fills
  * one row of rows (t, total mass, unstable count, min M, max M, dissipated);
  * no snapshot is due while next_snap is +inf.
@@ -711,7 +712,7 @@ enum { ZP_EVENTS, ZP_T_MAX, ZP_STABLE, ZP_REFILL, ZP_ROWS_FULL };
 /* Bring acc and held up to h over the toppled sites and their neighbours:
  * each site whose height changed trades its held value for the current one.
  * 1 if a height is outside the accumulator's domain. */
-static int update_sum(const double *h, int64_t twod, const int64_t *nbr, double *held,
+static int update_sum(const double *h, int64_t twod, const int32_t *nbr, double *held,
                       const int64_t *toppled, zp_clock *st)
 {
     int64_t ops = 0;
@@ -739,7 +740,7 @@ static int update_sum(const double *h, int64_t twod, const int64_t *nbr, double 
  * row[4]: by update_sum when few sites toppled since the last snapshot, by a
  * full pass otherwise, and by fsum_partials outside the accumulator's
  * domain.  Returns 0 or the failing fsum_partials status. */
-static int32_t snapshot_sums(const double *h, int64_t n, int64_t twod, const int64_t *nbr,
+static int32_t snapshot_sums(const double *h, int64_t n, int64_t twod, const int32_t *nbr,
                              const int64_t *m, double *held, const int64_t *toppled,
                              zp_clock *st, double *row)
 {
@@ -777,7 +778,7 @@ static int32_t snapshot_sums(const double *h, int64_t n, int64_t twod, const int
     return 0;
 }
 
-int32_t zp_lattice(double *h, int64_t n, int64_t twod, const int64_t *nbr,
+int32_t zp_lattice(double *h, int64_t n, int64_t twod, const int32_t *nbr,
                    const int64_t *missing, int64_t *unstable, int64_t *where,
                    int64_t *m, double *lv, double *lc, const double *waits,
                    const double *picks, int64_t chunk, zp_clock *st, double *rows,
@@ -849,17 +850,25 @@ int32_t zp_lattice(double *h, int64_t n, int64_t twod, const int64_t *nbr,
         lc[s] = (tt - lv[s]) - y;
         lv[s] = tt;
         double share = hx / (double)twod;
-        const int64_t *row = nbr + s * twod;
+        const int32_t *row = nbr + s * twod;
         for (int64_t j = 0; j < twod; j++) {
             int64_t nb = row[j];
             if (nb < 0)
                 continue;
             double v = h[nb] + share;
             h[nb] = v;
-            if (v >= 1.0 && where[nb] < 0) {
-                where[nb] = k;
-                unstable[k++] = nb;
-            }
+            /* insert nb if it became unstable, without a branch on the
+             * outcome, which dense lattices mispredict: slot k lies past
+             * the live set, so writing it always is harmless, and reading
+             * it back would cost more than the store.  s is out of the set,
+             * so k < n here; the test keeps the store in the buffer even
+             * for a state that breaks that */
+            int64_t w = where[nb];
+            int64_t add = (v >= 1.0) & (w < 0);
+            where[nb] = add ? k : w;
+            if (k < n)
+                unstable[k] = nb;
+            k += add;
         }
         if (missing[s]) {
             y = share * (double)missing[s] - diss_c;

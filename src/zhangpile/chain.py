@@ -160,8 +160,10 @@ class MarginalStats:
         if counts is not None:
             self.hist += counts
             return
-        idx = (block * self.bins).astype(np.int64)
-        np.clip(idx, 0, self.bins - 1, out=idx)
+        # clipped in float, as the kernel bins: a product past 2^63 would cast
+        # to INT64_MIN, and NaN goes to bin 0
+        v = block * self.bins
+        idx = np.where(v >= 0, np.minimum(v, self.bins - 1), 0).astype(np.int64)
         flat = (idx + self._offsets).ravel()
         self.hist += np.bincount(flat, minlength=self.n_sites * self.bins) \
                        .reshape(self.n_sites, self.bins)

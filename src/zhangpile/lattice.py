@@ -60,6 +60,7 @@ _BOUNDARY_ALIASES = {"torus": TORUS, "box": BOX, "dissipative-box": BOX,
 _CHUNK = 8192           # exponential waits and uniform picks drawn per refill
 _SNAP_ROWS = 64         # snapshot rows the kernel fills before it returns
 _NO_LIMIT = 2**63 - 1   # event budget of a run without max_events
+_MAX_SITES = 2**31 - 1  # the neighbour table holds int32 site ids
 
 # zp_lattice return statuses (enum in _drive.c)
 _EVENTS, _T_MAX, _STABLE, _REFILL, _ROWS_FULL = range(5)
@@ -72,6 +73,15 @@ def parse_boundary(name: str) -> str:
         raise ValueError(f"unknown boundary mode: {name!r}") from None
 
 
+def _check_size(sides) -> None:
+    """Raise ValueError for a lattice of more than ``_MAX_SITES`` sites, which
+    the int32 neighbour table cannot index; it needs only the sides, so it
+    runs before any array of the lattice is allocated."""
+    n = math.prod(sides)
+    if n > _MAX_SITES:
+        raise ValueError(f"a lattice of {n} sites is too large: at most 2^31 - 1")
+
+
 @dataclass
 class LatticeConfig:
     """d-dimensional height array plus boundary mode."""
@@ -80,6 +90,7 @@ class LatticeConfig:
     boundary: str = TORUS
 
     def __post_init__(self):
+        _check_size(np.shape(self.heights))
         self.heights = np.array(self.heights, dtype=float)
         self.boundary = parse_boundary(self.boundary)
         if self.heights.ndim < 1:
@@ -114,9 +125,9 @@ class LatticeConfig:
 
 @lru_cache(maxsize=32)
 def _neighbor_arrays(shape: tuple, boundary: str):
-    """Flat int64 neighbour ids, shape (n, 2d), with -1 in the slots off the
-    box, and per site the count of those missing neighbours."""
-    idx = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
+    """Flat int32 neighbour ids, shape (n, 2d), with -1 in the slots off the
+    box, and per site the int64 count of those missing neighbours."""
+    idx = np.arange(math.prod(shape), dtype=np.int32).reshape(shape)
     d = len(shape)
     cols = []
     for ax in range(d):
@@ -254,7 +265,8 @@ class MarkovToppling:
     kernel updates in place: the heights ``h``, the ledger's arrays, and the
     unstable set, whose ``_k`` sites fill the first slots of the n-slot buffer
     ``_unstable`` in no particular order (``unstable`` is a view of them);
-    ``_where[i]`` is the slot of site ``i``, -1 if stable.
+    ``_where[i]`` is the slot of site ``i``, -1 if stable.  The slots from
+    ``_k`` on are scratch: the kernel writes them and never reads them.
     """
 
     def __init__(self, config: LatticeConfig, seed: int | None = None,
@@ -419,8 +431,10 @@ class MarkovToppling:
         # the kernel writes these buffers and indexes with the sites they
         # hold, so they must be this lattice's, of the types it reads
         buffers = {np.float64: (h, lv, lc), np.int64: (unstable, where, m)}
-        ok = 0 < k <= n and all(kernel_buffer_ok(a, dtype, n, out=True)
-                                for dtype, arrays in buffers.items() for a in arrays)
+        ok = (0 < k <= n and all(kernel_buffer_ok(a, dtype, n, out=True)
+                                 for dtype, arrays in buffers.items() for a in arrays)
+              and kernel_buffer_ok(nbr, np.int32, n * 2 * self.d)
+              and kernel_buffer_ok(missing, np.int64, n))
         if ok:
             u = unstable[:k]
             ok = (u.min() >= 0 and u.max() < n
@@ -780,6 +794,7 @@ def generate(spec: DensitySpec, sides, boundary: str = TORUS,
              seed: int | None = None) -> LatticeConfig:
     """Draw an initial configuration of the requested density."""
     sides = tuple(int(s) for s in sides)
+    _check_size(sides)
     boundary = parse_boundary(boundary)
     d = len(sides)
     if rng is None:

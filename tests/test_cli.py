@@ -374,6 +374,17 @@ def test_oversized_finite_run_exits_1(tmp_path, size):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("cmd", [["infinite", "--rho", "0.5"],
+                                 ["sweep", "--rho", "0.5,0.6", "--workers", "2"]])
+def test_oversized_lattice_exits_1(tmp_path, cmd):
+    # the neighbour table holds int32 ids; the check needs no allocation
+    proc = _run_cli(tmp_path, [*cmd, "--d", "2", "--side", "65536,32768", "--gen", "iid"],
+                    preexec_fn=_one_gib_of_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ("zhangpile: error: a lattice of 2147483648 sites is too large: "
+                           "at most 2^31 - 1\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["infinite", "--gen", "constant", "--rho", "1.1", "--tmax", "nan"],
     ["infinite", "--gen", "iid", "--rho", "nan"],

@@ -255,18 +255,21 @@ def test_kernel_entry_checks_its_arrays(lib, bad):
 
 def test_kernel_entry_bins_like_marginal_stats(lib):
     # heights at and next to the edges of 3 bins, and (the kernel relaxes only
-    # the site it adds to) heights outside [0, 1), which numpy's clip and the
-    # kernel's both send to the first or the last bin
-    h = np.array([0.0, 1 / 3, 2 / 3, 1 - 2**-53, 0.5 - 2**-54, -0.0, -0.5, 1.5, 4.0])
+    # the site it adds to) heights outside [0, 1), which both backends send
+    # to the first or the last bin: NaN to the first, and 1e300, whose bin
+    # index is past 2^63, to the last
+    h = np.array([0.0, 1 / 3, 2 / 3, 1 - 2**-53, 0.5 - 2**-54, -0.0, -0.5, 1.5, 4.0,
+                  1e300, math.nan])
     n = h.size
     rows = np.empty((1, n))
     counts = np.zeros((n, 3), dtype=np.int64)
     core.kernel_drive(lib, h, np.array([0], dtype=np.int64), np.array([0.0]), 100, False,
                       rows=rows, counts=counts)
     stats = MarginalStats(n, bins=3)
-    stats.add_batch(rows)
+    with np.errstate(over="ignore"):        # the second moment of 1e300 is inf
+        stats.add_batch(rows)
     assert counts.tolist() == stats.hist.tolist()
-    assert counts.argmax(axis=1).tolist() == [0, 1, 2, 2, 1, 0, 0, 2, 2]
+    assert counts.argmax(axis=1).tolist() == [0, 1, 2, 2, 1, 0, 0, 2, 2, 2, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -763,13 +766,22 @@ def _engine_state(eng):
             _bits(eng._pick_buf), snaps)
 
 
-def _differential(cfg, seed, runs, lib=None):
+_SENTINEL = -12345
+
+
+def _differential(cfg, seed, runs, lib=None, sentinel=False):
     """Run ``cfg`` on the Python loop and on ``lib`` (the loaded kernel by
     default) through the same resumed runs, checking the engines bit for bit
-    after each; returns the snapshots each run took."""
+    after each; returns the snapshots each run took.  With ``sentinel`` the
+    kernel's engine gets an unstable buffer one slot longer than the lattice,
+    whose last slot must stay untouched."""
     lib = lib or core.chain_kernel()
     assert lib is not None
     engines = {kernel: MarkovToppling(cfg, seed=seed) for kernel in (None, lib)}
+    if sentinel:
+        eng = engines[lib]
+        spare = np.append(eng._unstable, _SENTINEL)
+        eng._unstable = spare[:eng.n]
     taken = []
     for dt, max_events, every in runs:
         if dt is None and max_events is None:
@@ -780,6 +792,8 @@ def _differential(cfg, seed, runs, lib=None):
             with _kernel_set(kernel):
                 eng.run(t_max=t_max, max_events=max_events, snapshot_every=every)
         assert _engine_state(engines[lib]) == _engine_state(engines[None])
+        if sentinel:
+            assert spare[-1] == _SENTINEL
         taken.append(len(engines[None].snapshots) - before)
     return engines[None], taken
 
@@ -836,6 +850,31 @@ def _snapshot_case(kind, rho, sides, boundary, runs, lib=None):
                          ids=["box-48", "box-32x40", "torus-iid", "torus-constant"])
 def test_snapshot_sums_cross_row_and_chunk_ends(case):
     _snapshot_case(*case)
+
+
+# The kernel writes the unstable buffer's slot k on every neighbour visit,
+# inserted or not.  Side-2 tori list one neighbour twice, a dense box inserts
+# on most visits, and a start with all sites but one unstable keeps k next to
+# n; the snapshots and a resumed run cross an 8192-draw chunk end.
+SENTINEL_CASES = {
+    "ring-2": (generate(DensitySpec("constant", 1.1), (2,), TORUS, seed=3), 3,
+               [(5.0, None, 0.5), (None, 9000, 1.0)]),
+    "torus-2x2": (generate(DensitySpec("iid", 1.05), (2, 2), TORUS, seed=4), 4,
+                  [(3.0, None, 0.25), (None, 9000, 1.0)]),
+    "torus-2x2x2": (generate(DensitySpec("iid", 1.2), (2, 2, 2), TORUS, seed=5), 5,
+                    [(2.0, 100, 0.5), (None, 9000, 1.0)]),
+    "dense-box": (generate(DensitySpec("iid", 1.05), (32, 32), BOX, seed=6), 6,
+                  [(3.0, None, 0.5), (None, 20_000, 1.0)]),
+    "all-but-one": (LatticeConfig(np.where(np.arange(144) == 7, 0.3, 1.05).reshape(12, 12),
+                                  TORUS), 7,
+                    [(2.0, None, 0.25), (None, 9000, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("name", SENTINEL_CASES)
+def test_unstable_slots_past_k_are_scratch(name):
+    cfg, seed, runs = SENTINEL_CASES[name]
+    _differential(cfg, seed, runs, sentinel=True)
 
 
 def _check_fsum(lib, values):
@@ -1043,6 +1082,47 @@ def test_kernel_is_clean_under_ubsan(tmp_path):
                            str(Path(__file__).parent)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0 and proc.stdout.split() == ["ok"], proc.stderr
+
+
+# builds the kernel with the address and undefined-behaviour sanitizers and
+# runs the sentinel lattice cases on plain n-slot buffers, whose ends ASAN
+# guards, plus a chain drive and a coupling up to its merge
+_ASAN_CHECK = """
+import sys
+from pathlib import Path
+import zhangpile.core as core
+core._KERNEL_FLAGS += ("-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g")
+lib = core._build_kernel(Path(sys.argv[1]))
+if lib is None:
+    sys.exit("the sanitized kernel did not build")
+core._kernel[:] = [lib]
+sys.path.insert(0, sys.argv[2])
+import test_kernel as tk
+for cfg, seed, runs in tk.SENTINEL_CASES.values():
+    tk._differential(cfg, seed, runs, lib=lib)
+p = tk.ChainProcess(30, 0.6, 0.8, seed=1)
+tk._drive_compiled(lib, p, 3000, tk.MarginalStats(30, bins=7), None)
+tk._merged_pair()
+print("ok")
+"""
+
+
+def _libasan():
+    path = subprocess.run(["gcc", "-print-file-name=libasan.so"], capture_output=True,
+                          text=True).stdout.strip()
+    return path if os.path.isabs(path) and os.path.exists(path) else None
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None or _libasan() is None,
+                    reason="needs gcc and libasan")
+def test_kernel_is_clean_under_asan(tmp_path):
+    src = str(Path(zhangpile.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, LD_PRELOAD=_libasan(),
+               ASAN_OPTIONS="detect_leaks=0")
+    proc = subprocess.run([sys.executable, "-c", _ASAN_CHECK, str(tmp_path),
+                           str(Path(__file__).parent)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stdout.split() == ["ok"], proc.stderr[-4000:]
 
 
 def test_import_and_version_build_nothing():

@@ -22,6 +22,7 @@ from zhangpile.lattice import (
     LatticeConfig,
     MarkovToppling,
     MassLedger,
+    _check_size,
     _delta_apply,
     _delta_matrix,
     _neighbor_sum,
@@ -745,6 +746,39 @@ def test_generate_near_full_rejects_low_rho():
         near_full_bands(0.7, 2)      # below (2d-1)/(2d) = 0.75
     with pytest.raises(ValueError):
         generate(DensitySpec("near-full", 0.5), (8,), TORUS, seed=1)
+
+
+def test_check_size_rejects_2_31_sites():
+    for sides in [(65536, 32768), (2**31,), (1024, 1024, 2048), (2**40, 2**40)]:
+        with pytest.raises(ValueError, match="too large"):
+            _check_size(sides)
+    _check_size((2**31 - 1,))
+    _check_size((65536, 32767))
+
+
+# 1 GiB of address space, so that a check that came after an allocation of
+# the lattice would end in a MemoryError, whatever the host's overcommit
+_OVERSIZED = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+import numpy as np
+from zhangpile.lattice import DensitySpec, LatticeConfig, generate
+for make in (lambda: generate(DensitySpec("iid", 0.5), (65536, 32768)),
+             lambda: LatticeConfig(np.broadcast_to(0.0, (65536, 32768)))):
+    try:
+        make()
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_oversized_lattice_is_rejected_before_allocation():
+    src = str(Path(zhangpile.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _OVERSIZED], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["a lattice of 2147483648 sites is too large: "
+                                        "at most 2^31 - 1"] * 2
 
 
 def test_density_spec_validation():
