@@ -1,12 +1,12 @@
-/* Compiled loops of the chain, coupling and lattice engines; loaded with ctypes by core.py.
+/* Compiled loops of the chain, coupling and lattice engines, loaded by core.py.
  *
- * zp_drive and zp_drive_pair step the (N,[a,b]) chain: each step adds amts[i] to site sites[i] (0-based) of a stable chain and
- * relaxes it leftmost-first.  relax below is the step-back scan that
- * core._relax_leftmost, the one Python relaxation, runs line for line, so
- * heights stay bit-identical to the Python reference.
+ * zp_drive steps the (N,[a,b]) chain: each step adds amts[i] to site sites[i]
+ * (0-based) of a stable chain and relaxes it leftmost-first.  relax below is
+ * the step-back scan that core._relax_leftmost, the one Python relaxation,
+ * runs line for line, so heights stay bit-identical to the Python reference.
  * Status codes: 0 done, 1 topple cap exceeded, 2 a full site failed to topple.
- * zp_couple runs the coupling's three phases, from the first step to the
- * merge; it calls fmod and nextafter from libm.
+ * zp_couple runs the coupling's phases: the three that lead to the merge,
+ * and the merged pair after it; it calls fmod and nextafter from libm.
  * zp_lattice runs the lattice clock of lattice.MarkovToppling.run, snapshots
  * included.  zp_fsum returns math.fsum's correctly rounded sum: finite values
  * below 2^961 in magnitude go through an exact fixed-point accumulator, other
@@ -88,36 +88,6 @@ int64_t zp_drive(double *h, int64_t n, const int64_t *sites, const double *amts,
     return steps;
 }
 
-/* A merged pair: hA and hB each take the same additions and are relaxed
- * separately.  *differed counts the steps after which they were unequal. */
-int64_t zp_drive_pair(double *hA, double *hB, int64_t n, const int64_t *sites,
-                      const double *amts, int64_t steps, int64_t cap,
-                      int64_t *differed, int32_t *status)
-{
-    *status = 0;
-    *differed = 0;
-    for (int64_t i = 0; i < steps; i++) {
-        int64_t x = sites[i];
-        hA[x] += amts[i];
-        if (hA[x] >= 1.0 && relax(hA, n, x, cap) < 0) {
-            *status = 1;
-            return i;
-        }
-        hB[x] += amts[i];
-        if (hB[x] >= 1.0 && relax(hB, n, x, cap) < 0) {
-            *status = 1;
-            return i;
-        }
-        for (int64_t j = 0; j < n; j++) {
-            if (hA[j] != hB[j]) {
-                ++*differed;
-                break;
-            }
-        }
-    }
-    return steps;
-}
-
 /* Add u at site x and relax: the count of topplings, or -1 past cap. */
 static int64_t add(double *h, int64_t n, int64_t x, double u, int64_t cap)
 {
@@ -152,11 +122,12 @@ static int64_t eb_side(const double *h, int64_t n)
  * None; posA, posB, posC index the stream chunks; n_rec counts the rows
  * written to the recording arrays.  mk, merging_steps, Dk and the windows
  * between_hi, av_lo, av_hi and thresh are the merging stage that
- * Coupling._stage_init set up.  causes counts the restarts by cause. */
+ * Coupling._stage_init set up.  causes counts the restarts by cause, and
+ * differed the steps, in any phase, after which hA != hB. */
 typedef struct {
     double half, eps1, tol, a, b, Dk, between_hi, av_lo, av_hi, thresh;
-    int64_t t, t_stop, phase, steps_ind, steps_con, steps_mer, flip, k_aval, target,
-        ebA, ebB, posA, posB, posC, n_rec, mk, merging_steps;
+    int64_t t, t_stop, phase, steps_ind, steps_con, steps_mer, steps_mgd, flip, k_aval,
+        target, ebA, ebB, posA, posB, posC, n_rec, mk, merging_steps, differed;
     int64_t causes[5];
 } zp_pair;
 
@@ -185,6 +156,16 @@ typedef struct {
 static int64_t phys(const zp_pair *st, int64_t n, int64_t s)
 {
     return st->flip ? n - s : s - 1;
+}
+
+/* Whether hA and hB differ at some site, as Python's hA != hB on two lists
+ * of floats */
+static int differ(const double *hA, const double *hB, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        if (hA[i] != hB[i])
+            return 1;
+    return 0;
 }
 
 /* coupling.Coupling._maxdiff, NaN if some difference is NaN */
@@ -372,14 +353,51 @@ static int32_t merging_step(const pair_arrays *c, zp_pair *st, int64_t x, double
     return ZC_DONE;
 }
 
-/* The coupling of coupling.Coupling from its current phase to the merge,
- * restarts included, with the float operations of Coupling._run_independent,
- * _step_contraction and _step_merging in the same order.  Chains A and B read
- * the chunks (sitesA, amtsA) and (sitesB, amtsB) in the independent phase;
- * both read (sitesC, amtsC) in the contraction and merging phases.  Each
- * consumed pair of additions becomes one row of rec_sites and rec_amts (two
- * columns: A, B) unless they are NULL.  Runs until t reaches t_stop, the pair
- * merges, a chunk the running phase needs is used up or a gate trips. */
+/* coupling.Coupling._step_merged, step after step, until t reaches t_stop,
+ * the chunk ends or the topple cap trips: both chains take the same addition
+ * and relax on their own, so a broken merge still counts in differed.  The
+ * completed steps are recorded after the loop, which keeps the recording
+ * branch and its pointers out of the per-step loop. */
+static int32_t merged_steps(const pair_arrays *c, zp_pair *st, const int64_t *sites,
+                            const double *amts, int64_t len)
+{
+    double *hA = c->hA, *hB = c->hB;
+    int64_t n = c->n, cap = c->cap, left = st->t_stop - st->t, differed = 0, i;
+    int64_t k = left < len - st->posC ? left : len - st->posC;
+    int32_t status = ZC_DONE;
+    sites += st->posC;
+    amts += st->posC;
+    for (i = 0; i < k; i++) {
+        int64_t x = sites[i];
+        if (x < 0 || x >= n) {
+            status = ZC_BAD_SITE;
+            break;
+        }
+        if (add(hA, n, x, amts[i], cap) < 0 || add(hB, n, x, amts[i], cap) < 0) {
+            status = ZC_CAP;
+            break;
+        }
+        differed += differ(hA, hB, n);
+    }
+    if (c->rec_sites)
+        for (int64_t j = 0; j < i; j++)
+            record(c, st, sites[j], amts[j], sites[j], amts[j]);
+    st->steps_mgd += i;
+    st->differed += differed;
+    st->t += i;
+    st->posC += i + (status != ZC_DONE);
+    return status == ZC_DONE && i < left ? ZC_REFILL : status;
+}
+
+/* The coupling of coupling.Coupling from its current phase, restarts
+ * included, with the float operations of Coupling._run_independent,
+ * _step_contraction, _step_merging and _step_merged in the same order.
+ * Chains A and B read the chunks (sitesA, amtsA) and (sitesB, amtsB) in the
+ * independent phase; both read (sitesC, amtsC) in the others.  Each consumed
+ * pair of additions becomes one row of rec_sites and rec_amts (two columns:
+ * A, B) unless they are NULL.  Runs until t reaches t_stop, a chunk the
+ * running phase needs is used up or a gate trips; a call that reaches the
+ * merge returns there, and one that starts merged runs the merged pair. */
 int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
                   const int64_t *sitesA, const double *amtsA, int64_t lenA,
                   const int64_t *sitesB, const double *amtsB, int64_t lenB,
@@ -388,6 +406,8 @@ int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
                   int64_t *rec_sites, double *rec_amts)
 {
     const pair_arrays c = {hA, hB, n, cap, eps, dbound, rec_sites, rec_amts};
+    if (st->phase == ZC_MERGED)
+        return merged_steps(&c, st, sitesC, amtsC, lenC);
     int32_t status = ZC_DONE;
     while (st->t < st->t_stop && st->phase != ZC_MERGED) {
         if (st->phase == ZC_INDEPENDENT) {
@@ -430,6 +450,7 @@ int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
             record(&c, st, xA, uA, xB, uB);
             st->steps_ind++;
             st->t++;
+            st->differed += differ(hA, hB, n);
             if ((status = maybe_enter_coupled(&c, st)))
                 break;
             continue;
@@ -455,6 +476,7 @@ int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
             st->steps_mer++;
         }
         st->t++;
+        st->differed += differ(hA, hB, n);
     }
     return status;
 }

@@ -21,6 +21,7 @@ from .core import (
     _relax_leftmost,
     cap_error,
     chain_kernel,
+    check_window,
     kernel_drive,
     stable_heights,
 )
@@ -54,8 +55,7 @@ class ChainProcess:
                  cap: int = DEFAULT_TOPPLE_CAP):
         if n < 1:
             raise ValueError("n must be >= 1")
-        if not (0.0 <= a < b <= 1.0):
-            raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
+        check_window(a, b)
         self.n = n
         self.a = a
         self.b = b

@@ -15,8 +15,8 @@ contraction check.  It runs the step-back scan of ``relax`` in the compiled
 kernel (``_drive.c``), which ``chain_kernel`` builds and loads, so the two
 backends topple in the same order with the same float operations.
 Rightmost-first relaxation is leftmost-first on the mirrored chain.  The same
-library holds the coupling up to the merge and the lattice clock of
-``lattice.MarkovToppling``.
+library holds the coupling, its merged pair included, and the lattice clock
+of ``lattice.MarkovToppling``.
 """
 
 from __future__ import annotations
@@ -118,6 +118,13 @@ def classify_site(h: float) -> SiteLabel:
     if h < 1.0:
         return SiteLabel.FULL
     return SiteLabel.UNSTABLE
+
+
+def check_window(a: float, b: float) -> None:
+    """Raise ValueError unless 0 <= a < b <= 1, the addition window of an
+    (N,[a,b]) chain."""
+    if not (0.0 <= a < b <= 1.0):
+        raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
 
 
 def check_heights(arr: np.ndarray) -> None:
@@ -222,10 +229,10 @@ def _relax_leftmost(h: list, start: int, cap: int = DEFAULT_TOPPLE_CAP,
 # compiled kernel
 # ---------------------------------------------------------------------------
 # _drive.c does the float operations of _relax_leftmost (the same step-back
-# scan), of the coupling up to the merge and of the lattice clock in the
+# scan), of the coupling in all four phases and of the lattice clock in the
 # same order, so both backends give bit-identical results.  It is compiled
-# with gcc on first use and cached next to the bytecode; wherever the build or the load fails, the callers run
-# their Python loops instead.
+# with gcc on first use and cached next to the bytecode; wherever the build
+# or the load fails, the callers run their Python loops instead.
 
 _KERNEL_SOURCE = Path(__file__).with_name("_drive.c")
 # after the source file, so that the linker keeps libm, which the merging
@@ -265,9 +272,6 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
     lib.zp_drive.argtypes = [ptr, i64, ptr, ptr, i64, i64, ctypes.c_int32, ptr, ptr, ptr,
                              i64, ctypes.POINTER(ctypes.c_int32)]
     lib.zp_drive.restype = i64
-    lib.zp_drive_pair.argtypes = [ptr, ptr, i64, ptr, ptr, i64, i64,
-                                  ctypes.POINTER(i64), ctypes.POINTER(ctypes.c_int32)]
-    lib.zp_drive_pair.restype = i64
     lib.zp_fsum.argtypes = [ptr, i64, ctypes.POINTER(ctypes.c_double)]
     lib.zp_fsum.restype = ctypes.c_int32
     lib.zp_lattice.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
@@ -296,9 +300,10 @@ class CouplingState(ctypes.Structure):
     _fields_ = ([(f, ctypes.c_double) for f in ("half", "eps1", "tol", "a", "b", "Dk",
                                                  "between_hi", "av_lo", "av_hi", "thresh")]
                 + [(f, ctypes.c_int64) for f in ("t", "t_stop", "phase", "steps_ind",
-                                                  "steps_con", "steps_mer", "flip", "k_aval",
-                                                  "target", "ebA", "ebB", "posA", "posB",
-                                                  "posC", "n_rec", "mk", "merging_steps")]
+                                                  "steps_con", "steps_mer", "steps_mgd", "flip",
+                                                  "k_aval", "target", "ebA", "ebB", "posA",
+                                                  "posB", "posC", "n_rec", "mk",
+                                                  "merging_steps", "differed")]
                 + [("causes", ctypes.c_int64 * 5)])
 
 
@@ -330,15 +335,6 @@ def _c_array(arr, dtype, size: int, name: str, out: bool = False) -> int:
     return arr.ctypes.data
 
 
-def _c_additions(sites, amts, n: int) -> tuple[int, int, int]:
-    steps = np.size(sites)
-    ps = _c_array(sites, np.int64, steps, "sites")
-    pa = _c_array(amts, np.float64, steps, "amts")
-    if steps and not (sites.min() >= 0 and sites.max() < n):
-        raise ValueError(f"kernel argument sites: need values in 0..{n - 1}")
-    return steps, ps, pa
-
-
 def kernel_drive(lib, h: np.ndarray, sites: np.ndarray, amts: np.ndarray, cap: int,
                  check_heavy: bool, rows: np.ndarray | None = None,
                  tops: np.ndarray | None = None,
@@ -356,7 +352,11 @@ def kernel_drive(lib, h: np.ndarray, sites: np.ndarray, amts: np.ndarray, cap: i
     """
     n = np.size(h)
     ph = _c_array(h, np.float64, n, "h", out=True)
-    steps, ps, pa = _c_additions(sites, amts, n)
+    steps = np.size(sites)
+    ps = _c_array(sites, np.int64, steps, "sites")
+    pa = _c_array(amts, np.float64, steps, "amts")
+    if steps and not (sites.min() >= 0 and sites.max() < n):
+        raise ValueError(f"kernel argument sites: need values in 0..{n - 1}")
     pr = None if rows is None else _c_array(rows, np.float64, steps * n, "rows", out=True)
     pt = None if tops is None else _c_array(tops, np.int64, steps, "tops", out=True)
     pc, bins = None, 0
@@ -369,24 +369,6 @@ def kernel_drive(lib, h: np.ndarray, sites: np.ndarray, amts: np.ndarray, cap: i
     done = lib.zp_drive(ph, n, ps, pa, steps, cap, int(check_heavy), pr, pt, pc, bins,
                         ctypes.byref(status))
     return done, status.value
-
-
-def kernel_drive_pair(lib, hA: np.ndarray, hB: np.ndarray, sites: np.ndarray,
-                      amts: np.ndarray, cap: int) -> tuple[int, int, int]:
-    """Give two chains the same additions, each relaxed on its own, in place.
-
-    Returns (steps completed, status, steps after which ``hA`` != ``hB``);
-    status 1 means the next step exceeded ``cap`` topplings in one chain.
-    """
-    n = np.size(hA)
-    pA = _c_array(hA, np.float64, n, "hA", out=True)
-    pB = _c_array(hB, np.float64, n, "hB", out=True)
-    steps, ps, pa = _c_additions(sites, amts, n)
-    differed = ctypes.c_int64()
-    status = ctypes.c_int32()
-    done = lib.zp_drive_pair(pA, pB, n, ps, pa, steps, cap, ctypes.byref(differed),
-                             ctypes.byref(status))
-    return done, status.value, differed.value
 
 
 def _relax_random(h: list, rng, cap: int, counts: np.ndarray, sequence: list) -> None:

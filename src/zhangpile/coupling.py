@@ -41,7 +41,7 @@ from .core import (
     _relax_leftmost,
     cap_error,
     chain_kernel,
-    kernel_drive_pair,
+    check_window,
     stable_heights,
 )
 from .seeding import AdditionStream, substreams
@@ -79,8 +79,7 @@ _GATE_MESSAGES = {_ZC_DESYNC: _DESYNC, _ZC_NOT_EN: _NOT_EN, _ZC_NO_FIRE: _NO_FIR
 def _validate_abn(a: float, b: float, n: int) -> None:
     if n < 2:
         raise ValueError("coupling constants need n >= 2")
-    if not (0.0 <= a < b <= 1.0):
-        raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
+    check_window(a, b)
 
 
 def epsilon_abn(a: float, b: float, n: int) -> float:
@@ -506,7 +505,8 @@ class Coupling:
         """Step until merged or ``max_steps`` total steps.
 
         The whole coupling up to the merge, restarts included, runs on the
-        compiled kernel if it loads, in one call per stream chunk.
+        compiled kernel if it loads, in one ``zp_couple`` call per stream
+        chunk; the call that reaches the merge returns there.
         """
         while self.t < max_steps and self.phase != PHASE_MERGED:
             if (lib := chain_kernel()) is not None:
@@ -585,11 +585,14 @@ class Coupling:
             self._ebB = ebB
         self._maybe_enter_coupled()
 
-    def _run_coupled(self, lib, max_steps: int) -> None:
-        # _run_independent, _step_contraction and _step_merging in zp_couple,
-        # restarts included, until the pair merges, max_steps or a gate;
-        # kernel calls end where a stream chunk the running phase needs runs out
+    def _run_coupled(self, lib, max_steps: int) -> int:
+        # _run_independent, _step_contraction, _step_merging and _step_merged
+        # in zp_couple, restarts included, until the pair merges (if it has
+        # not yet), max_steps or a gate; kernel calls end where a stream chunk
+        # the running phase needs runs out.  Returns the steps after which
+        # hA != hB.
         n = self.n
+        was_merged = self.phase == PHASE_MERGED
         consts = self.constants
         streams = (self._addA, self._addB, self._addC)
         hA = (ctypes.c_double * n)(*self.hA)
@@ -602,7 +605,8 @@ class Coupling:
             thresh=self._thresh, t=self.t, phase=_KERNEL_PHASES.index(self.phase),
             steps_ind=self.phase_steps[PHASE_INDEPENDENT],
             steps_con=self.phase_steps[PHASE_CONTRACTION],
-            steps_mer=self.phase_steps[PHASE_MERGING], flip=self.flip,
+            steps_mer=self.phase_steps[PHASE_MERGING],
+            steps_mgd=self.phase_steps[PHASE_MERGED], flip=self.flip,
             k_aval=self._k_aval, target=self._targetL,
             ebA=-1 if self._ebA is None else self._ebA,
             ebB=-1 if self._ebB is None else self._ebB,
@@ -640,7 +644,7 @@ class Coupling:
                         streams[2].refill()
                         st.posC = 0
                 elif (status != _ZC_DONE or st.t >= max_steps
-                      or _KERNEL_PHASES[st.phase] == PHASE_MERGED):
+                      or (not was_merged and _KERNEL_PHASES[st.phase] == PHASE_MERGED)):
                     break
         finally:
             self.hA[:] = hA
@@ -651,6 +655,7 @@ class Coupling:
             self.phase_steps[PHASE_INDEPENDENT] = st.steps_ind
             self.phase_steps[PHASE_CONTRACTION] = st.steps_con
             self.phase_steps[PHASE_MERGING] = st.steps_mer
+            self.phase_steps[PHASE_MERGED] = st.steps_mgd
             self.phase = _KERNEL_PHASES[st.phase]
             self.flip = bool(st.flip)
             self._k_aval = st.k_aval
@@ -662,10 +667,10 @@ class Coupling:
             self._Dk = st.Dk
             self._between_hi, self._av_lo = st.between_hi, st.av_lo
             self._av_hi, self._thresh = st.av_hi, st.thresh
-        if self.phase == PHASE_MERGED:
+        if self.phase == PHASE_MERGED and not was_merged:
             self.merge_time = self.t
             self.final_merging_steps = self._merging_steps
-        elif status == _ZC_CAP:
+        if status == _ZC_CAP:
             raise cap_error(self.cap)
         elif status == _ZC_BAD_SITE:
             raise ValueError(f"kernel argument sites: need values in 0..{n - 1}")
@@ -678,6 +683,7 @@ class Coupling:
             raise InvariantViolation(f"zp_couple gate {status} did not recur in Python")
         elif status in _GATE_MESSAGES:
             raise InvariantViolation(_GATE_MESSAGES[status])
+        return st.differed
 
     def _kernel_chunks(self, streams) -> list:
         # zp_couple's (sites, amts, length) arguments of the stream chunks; a
@@ -695,52 +701,23 @@ class Coupling:
         return args
 
     def run_steps(self, steps: int, require_equal: bool = False) -> bool:
-        """Advance a fixed number of steps; optionally assert A == B throughout.
+        """Advance ``steps`` steps, in whatever phases they fall.
 
-        Once merged, the pair runs on the compiled chain kernel if it loads.
+        Returns False if ``require_equal`` is set and the chains differed
+        after some step, else True; on a merged pair that is the check that
+        the merge holds.  Every phase runs on the compiled kernel if it
+        loads, in one ``zp_couple`` call per stream chunk and one more past
+        the merge.
         """
-        ok = True
-        while steps > 0:
-            if self.phase == PHASE_MERGED and (lib := chain_kernel()) is not None:
-                equal = self._run_merged(lib, steps)
-                return ok and (equal or not require_equal)
-            self.step()
-            steps -= 1
-            if require_equal and self.hA != self.hB:
-                ok = False
-        return ok
-
-    def _run_merged(self, lib, steps: int) -> bool:
-        # _step_merged on the kernel, one call per stream chunk; both chains
-        # are relaxed on their own, so a broken merge still shows as unequal
-        add = self._addC
-        hA = np.array(self.hA)
-        hB = np.array(self.hB)
-        equal = True
-        try:
-            while steps > 0:
-                if add.pos >= add.site_array.size:
-                    add.refill()
-                p = add.pos
-                k = min(steps, add.site_array.size - p)
-                done, status, differed = kernel_drive_pair(
-                    lib, hA, hB, add.site_array[p:p + k], add.amt_array[p:p + k], self.cap)
-                if self.record_streams:
-                    pairs = list(zip(add.sites[p:p + done], add.amts[p:p + done]))
-                    self.streamA.extend(pairs)
-                    self.streamB.extend(pairs)
-                add.pos = p + done
-                self.t += done
-                self.phase_steps[PHASE_MERGED] += done
-                steps -= done
-                equal = equal and not differed
-                if status:
-                    add.pos += 1        # the failing step drew its addition
-                    raise cap_error(self.cap)
-        finally:
-            self.hA[:] = hA.tolist()
-            self.hB[:] = hB.tolist()
-        return equal
+        stop = self.t + steps
+        differed = 0
+        while self.t < stop:
+            if (lib := chain_kernel()) is not None:
+                differed += self._run_coupled(lib, stop)
+            else:
+                self.step()
+                differed += self.hA != self.hB
+        return not (require_equal and differed)
 
     def result(self, seed: int | None = None,
                post_merge_identical: bool | None = None) -> CouplingResult:
@@ -804,6 +781,8 @@ def coupling_sweep(n: int, a: float, b: float, seeds, max_steps: int,
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    if post_merge_steps < 0:
+        raise ValueError(f"post_merge_steps must be >= 0, got {post_merge_steps}")
     jobs = [(n, a, b, int(s), max_steps, init_a, init_b, cap, post_merge_steps)
             for s in seeds]
     if workers > 1 and len(jobs) > 1:

@@ -360,6 +360,12 @@ def test_coupling_merges_and_stays_identical():
         assert r.restarts >= 0
 
 
+def test_sweep_rejects_negative_post_merge_steps():
+    # a negative count ran no check, yet reported the merge as holding
+    with pytest.raises(ValueError, match="post_merge_steps must be >= 0, got -5"):
+        coupling_sweep(3, 0.2, 0.9, [0], 10**6, post_merge_steps=-5)
+
+
 def test_merge_time_bookkeeping_unmerged():
     # tiny budget: nothing merges, cutoff is reported as such
     res = coupling_sweep(3, 0.2, 0.9, range(3), 50)

@@ -302,20 +302,45 @@ def test_perturbed_merged_pair_fails_the_check(backend):
     assert c.run_steps(1000) is True            # the check is off
 
 
-def test_pair_kernel_counts_unequal_steps(lib):
-    hA = np.array([0.5, 0.5, 0.5])
-    hB = hA.copy()
-    hB[2] = 0.25
-    sites = np.array([0, 0, 1], dtype=np.int64)
-    amts = np.array([0.2, 0.2, 0.2])
-    done, status, differed = core.kernel_drive_pair(lib, hA, hB, sites, amts, 100)
-    assert (done, status, differed) == (3, 0, 3)
+def _split_merged_pair(sites, amts):
+    # a merged pair whose chain B differs at one site that no addition reaches
+    c = Coupling([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], 0.2, 0.9, seed=2)
+    assert c.phase == "merged"
+    c.hB[2] = 0.25
+    _force_additions(c._addC, sites, amts)
+    return c
+
+
+def test_merged_pair_counts_every_unequal_step(backend):
+    sites, amts = [0, 0, 1], [0.2, 0.2, 0.2]
+    c = _split_merged_pair(sites, amts)
+    for _ in sites:
+        assert c.run_steps(1, require_equal=True) is False
     ref = [0.5, 0.5, 0.5]
-    for x, u in zip(sites.tolist(), amts.tolist()):
+    for x, u in zip(sites, amts):
         ref[x] += u
         if ref[x] >= 1.0:
             _relax_leftmost(ref, x)
-    assert hA.tolist() == ref
+    assert (c.hA, c.hB[2], c.t, c.phase_steps["merged"], c._addC.pos) == (ref, 0.25, 3, 3, 3)
+
+
+def test_merged_kernel_counts_unequal_steps(lib):
+    c = _split_merged_pair([0, 0, 1], [0.2, 0.2, 0.2])
+    assert c._run_coupled(lib, 3) == 3
+
+
+def test_run_steps_through_the_merge_alike(lib):
+    # one run_steps takes an unmerged pair through its merge (t=30709) and
+    # past it, on the kernel as step() does it, streams included
+    after = {}
+    for kernel in (None, lib):
+        c = Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9, seed=1,
+                     record_streams=True)
+        with _kernel_set(kernel):
+            assert c.run_steps(40_000, require_equal=True) is False
+        assert (c.phase, c.merge_time, c.phase_steps["merged"]) == ("merged", 30709, 9291)
+        after[kernel] = _coupling_state(c)
+    assert after[lib] == after[None]
 
 
 def test_topple_cap_raises_in_merged_pair(backend):
@@ -348,13 +373,17 @@ def couplings(draw):
         starts.append(h.tolist())
     eta_a, eta_b = starts[0], starts[kind != "equal"]
     # run() to budgets that cut phases and chunks anywhere, run() to a clock
-    # inside the merging phase, and step()s; the last run() alone passes the
-    # first 8192-addition chunks of streams A, B
+    # inside the merging phase, step()s and run_steps(); the last run() alone
+    # passes the first 8192-addition chunks of streams A, B
     plan = draw(st.lists(st.one_of(st.tuples(st.just("run"), st.integers(0, 20_000)),
                                    st.tuples(st.just("merging"), st.integers(1, 40)),
-                                   st.tuples(st.just("step"), st.integers(1, 300))),
+                                   st.tuples(st.just("step"), st.integers(1, 300)),
+                                   st.tuples(st.just("run_steps"), st.integers(0, 3000),
+                                             st.booleans())),
                          max_size=4))
     plan.append(("run", 8193 + draw(st.integers(0, 12_000))))
+    # run_steps from wherever that left the pair: mostly past the merge
+    plan.append(("run_steps", draw(st.integers(0, 10_000)), draw(st.booleans())))
     # short stream chunks and recording blocks make every kernel call end
     # at many chunk ends and block ends
     sizes = draw(st.sampled_from([(8192, 16384), (64, 16384), (5, 3)]))
@@ -399,18 +428,22 @@ def test_coupling_kernel_matches_python_reference(spec):
             mock.patch.object(coupling, "_REC_ROWS", rec_rows):
         pairs = {kernel: Coupling(eta_a, eta_b, a, b, seed=seed, record_streams=record)
                  for kernel in (None, lib)}
-        for how, count in plan:
+        for how, count, *require_equal in plan:
             if how == "merging":
                 # run() stops inside a merging attempt (if one begins soon)
                 how, count = "run", _merging_clock(pairs[None], count) - pairs[None].t
+            returned = {}
             for kernel, c in pairs.items():
                 with _kernel_set(kernel):
                     if how == "run":
                         c.run(c.t + count)
+                    elif how == "run_steps":
+                        returned[kernel] = c.run_steps(count, *require_equal)
                     else:
                         for _ in range(count):
                             c.step()
             assert _coupling_state(pairs[lib]) == _coupling_state(pairs[None])
+            assert returned.get(lib) is returned.get(None)
 
 
 def _merge_draws(c):
@@ -471,6 +504,8 @@ def test_one_kernel_call_per_stream_chunk(lib, monkeypatch):
     refill = coupling.AdditionStream.refill
     monkeypatch.setattr(coupling.AdditionStream, "refill",
                         lambda add: (calls.append("refill"), refill(add))[1])
+    step = Coupling.step
+    monkeypatch.setattr(Coupling, "step", lambda c: (calls.append("step"), step(c))[1])
 
     class Counting:
         def __getattr__(self, name):
@@ -484,6 +519,43 @@ def test_one_kernel_call_per_stream_chunk(lib, monkeypatch):
     r = coupling.coupling_sweep(3, 0.2, 0.9, [1], 1_000_000)[0]
     assert r.merged and r.restarts > 100
     assert 1 <= calls.count("zp_couple") <= 1 + calls.count("refill")
+    # run_steps from t=0 to the merge, then a 1e5-step post-merge check: one
+    # more call past the merge, and no step() in Python
+    calls.clear()
+    gens = coupling.substreams(1, 5)
+    c = Coupling(*(coupling._init_config("random", 3, g) for g in gens[:2]), 0.2, 0.9,
+                 _streams=gens[2:])
+    assert c.run_steps(r.merge_time, require_equal=True) is False   # unequal until merged
+    assert c.phase == "merged"
+    assert c.run_steps(100_000, require_equal=True) is True
+    assert (c.merge_time, c.restarts, c.phase_steps["merged"]) == (
+        r.merge_time, r.restarts, 100_000)
+    assert "step" not in calls
+    assert 2 <= calls.count("zp_couple") <= 2 + calls.count("refill")
+
+
+def test_kernel_declares_every_entry_point(lib, monkeypatch):
+    # _build_kernel gives argtypes and restype to exactly the non-static zp_*
+    # functions of _drive.c: ctypes would call an undeclared one with int
+    # arguments, truncating int64 values, and a leftover declaration names a
+    # function that no longer exists
+    source = core._KERNEL_SOURCE.read_text()
+    defined = set(re.findall(r"^(?!static\b)\w+\s+\**(zp_\w+)\(", source, re.M))
+    assert {"zp_drive", "zp_couple", "zp_lattice", "zp_fsum"} <= defined
+    declared = {}
+
+    class Library:
+        def __init__(self, path):
+            pass
+
+        def __getattr__(self, name):
+            return declared.setdefault(name, type(name, (), {})())
+
+    monkeypatch.setattr(core.ctypes, "CDLL", Library)
+    core._build_kernel(core._KERNEL_SOURCE.parent / "__pycache__")   # cached by lib
+    assert set(declared) == defined
+    for name, entry in declared.items():
+        assert {"argtypes", "restype"} <= set(vars(entry)), name
 
 
 # ---------------------------------------------------------------------------
@@ -1086,7 +1158,7 @@ def test_kernel_is_clean_under_ubsan(tmp_path):
 
 # builds the kernel with the address and undefined-behaviour sanitizers and
 # runs the sentinel lattice cases on plain n-slot buffers, whose ends ASAN
-# guards, plus a chain drive and a coupling up to its merge
+# guards, plus a chain drive and a recording coupling through its merge
 _ASAN_CHECK = """
 import sys
 from pathlib import Path
@@ -1102,7 +1174,7 @@ for cfg, seed, runs in tk.SENTINEL_CASES.values():
     tk._differential(cfg, seed, runs, lib=lib)
 p = tk.ChainProcess(30, 0.6, 0.8, seed=1)
 tk._drive_compiled(lib, p, 3000, tk.MarginalStats(30, bins=7), None)
-tk._merged_pair()
+assert tk._merged_pair(record=True).run_steps(20_000, require_equal=True)
 print("ok")
 """
 
