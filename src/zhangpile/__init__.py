@@ -58,7 +58,6 @@ from .lattice import (
     StabilizabilityVerdict,
     bond_bound_check,
     count_internal_bonds,
-    delta_matrix,
     generate,
     markov_run,
     mass_identity_check,

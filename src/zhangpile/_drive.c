@@ -8,13 +8,9 @@
  * zp_couple runs the coupling's phases: the three that lead to the merge,
  * and the merged pair after it; it calls fmod and nextafter from libm.
  * zp_lattice runs the lattice clock of lattice.MarkovToppling.run, snapshots
- * included.  zp_fsum returns math.fsum's correctly rounded sum: finite values
- * below 2^961 in magnitude go through an exact fixed-point accumulator, other
- * inputs through a port of fsum's partials algorithm, which keeps its NaN,
- * inf and overflow results.  A lattice snapshot updates the accumulator of
- * the previous one over the sites toppled since then and their neighbours,
- * or makes a full pass after many topplings; max M is kept per toppling and
- * min M with the count of sites at it.
+ * included: max M is kept per toppling and min M with the count of sites at
+ * it, so a snapshot makes no pass over the lattice unless that count drops
+ * to 0.
  */
 #include <stdint.h>
 #include <math.h>
@@ -481,227 +477,6 @@ int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
     return status;
 }
 
-/* An exact sum of doubles, the fixed-point superaccumulator of Neal
- * (arXiv:1505.05571): limb i holds signed 32-bit digits of weight
- * 2^(32 i - 1074), so every finite double is a whole number of units and one
- * addition or subtraction touches three adjacent limbs.  The int64 limbs
- * absorb ACC_FLUSH such updates before acc_norm moves their carries up; the
- * top limb keeps the sign.  acc_add accepts finite values below 2^961 in
- * magnitude (biased exponent below ACC_EXP_LIMIT): the sum of fewer than
- * 2^62 of them stays below 2^1023 at every step, so no intermediate sum can
- * overflow and the value acc_round returns is the correctly rounded sum, the
- * one math.fsum returns. */
-#define ACC_LIMBS 68
-#define ACC_FLUSH 4096
-#define ACC_EXP_LIMIT (961 + 1023)
-#define DIGIT UINT64_C(0xFFFFFFFF)
-
-/* Move the carries up so that limbs below the top hold digits in [0, 2^32). */
-static void acc_norm(int64_t *limb)
-{
-    int64_t carry = 0;
-    for (int i = 0; i < ACC_LIMBS - 1; i++) {
-        int64_t v = limb[i] + carry;
-        int64_t digit = (int64_t)((uint64_t)v & DIGIT);
-        carry = (v - digit) / (INT64_C(1) << 32);
-        limb[i] = digit;
-    }
-    limb[ACC_LIMBS - 1] += carry;
-}
-
-/* limb += x; 1 (and limb unchanged) if x is outside the domain.  The caller
- * calls acc_norm at least every ACC_FLUSH updates. */
-static inline int acc_add(int64_t *limb, double x)
-{
-    uint64_t bits;
-    memcpy(&bits, &x, sizeof bits);
-    uint64_t e = (bits >> 52) & 0x7FF;
-    if (e >= ACC_EXP_LIMIT)
-        return 1;
-    uint64_t mant = bits & ((UINT64_C(1) << 52) - 1);
-    if (e)
-        mant |= UINT64_C(1) << 52;
-    else
-        e = 1;                      /* subnormals share the unit 2^-1074 */
-    uint64_t shift = e - 1, r = shift & 31;
-    int64_t *l = limb + (shift >> 5);
-    int64_t d0 = (int64_t)((mant << r) & DIGIT);
-    int64_t d1 = (int64_t)(((mant << r) >> 32) & DIGIT);
-    int64_t d2 = (int64_t)(mant >> 32 >> (32 - r));
-    if (bits >> 63) {
-        l[0] -= d0;
-        l[1] -= d1;
-        l[2] -= d2;
-    } else {
-        l[0] += d0;
-        l[1] += d1;
-        l[2] += d2;
-    }
-    return 0;
-}
-
-/* limb += x[0..n); 1 if some x[i] is outside the domain.  limb starts and
- * ends normalized. */
-static int acc_sum(int64_t *limb, const double *x, int64_t n)
-{
-    for (int64_t i = 0; i < n; i++) {
-        if (acc_add(limb, x[i]))
-            return 1;
-        if ((i & (ACC_FLUSH - 1)) == ACC_FLUSH - 1)
-            acc_norm(limb);
-    }
-    acc_norm(limb);
-    return 0;
-}
-
-/* Bits p .. p+63 of the digits u[0..top]. */
-static uint64_t acc_window(const uint64_t *u, int64_t top, int64_t p)
-{
-    int64_t i = p >> 5;
-    uint64_t r = (uint64_t)p & 31;
-    uint64_t w = u[i] >> r;
-    if (i + 1 <= top)
-        w |= u[i + 1] << (32 - r);
-    if (i + 2 <= top && r)
-        w |= u[i + 2] << (64 - r);
-    return w;
-}
-
-/* The normalized sum rounded half-even to a double; +0.0 for an exact zero,
- * as fsum. */
-static double acc_round(const int64_t *limb)
-{
-    int64_t v[ACC_LIMBS];
-    uint64_t u[ACC_LIMBS];
-    int neg = limb[ACC_LIMBS - 1] < 0;
-    for (int i = 0; i < ACC_LIMBS; i++)
-        v[i] = neg ? -limb[i] : limb[i];
-    if (neg)
-        acc_norm(v);
-    int64_t top = -1;
-    for (int i = 0; i < ACC_LIMBS; i++) {
-        u[i] = (uint64_t)v[i];
-        if (u[i])
-            top = i;
-    }
-    double mag;
-    if (top < 0) {
-        return 0.0;
-    } else if (top <= 1 && (top == 0 || u[1] < (UINT64_C(1) << 21))) {
-        /* below 2^53 units: exact, a subnormal or one of the smallest normals */
-        mag = ldexp((double)(u[0] | (top ? u[1] << 32 : 0)), -1074);
-    } else {
-        /* keep 53 bits from the top one; p is the position of the round bit */
-        int64_t bitlen = 32 * top + 64 - __builtin_clzll(u[top]);
-        int64_t p = bitlen - 54;
-        uint64_t w = acc_window(u, top, p);
-        uint64_t q = w >> 1;
-        int sticky = (u[p >> 5] & ((UINT64_C(1) << (p & 31)) - 1)) != 0;
-        for (int64_t i = 0; i < p >> 5 && !sticky; i++)
-            sticky = u[i] != 0;
-        if ((w & 1) && (sticky || (q & 1)))
-            q++;
-        mag = ldexp((double)q, (int)(p + 1 - 1074));
-    }
-    return neg ? -mag : mag;
-}
-
-/* fsum's special_sum += x as CPython's build does it: when x is a NaN the
- * result is x, quieted, whatever special holds.  Which NaN an addition of two
- * NaNs returns hangs on the operand order the compiler picks, so the choice
- * is spelled out to keep the payload bit for bit. */
-static double add_special(double special, double x)
-{
-    if (!isnan(x))
-        return special + x;
-    uint64_t u;
-    memcpy(&u, &x, sizeof u);
-    u |= UINT64_C(0x0008000000000000);
-    memcpy(&x, &u, sizeof u);
-    return x;
-}
-
-/* fsum's partials algorithm (Shewchuk's exact accumulation with its final
- * half-even fix-up), ported from CPython's math.fsum for the inputs the
- * accumulator does not take, so that NaNs, infinities and sums that overflow
- * end as they do in fsum.  Status: 0 ok, 1 an intermediate overflow, 2
- * -inf + inf; fsum raises on both.  Nonoverlapping partials occupy distinct
- * bits of the 2098 a finite double can hold, so the fixed array never
- * fills. */
-static int32_t fsum_partials(const double *x, int64_t n, double *out)
-{
-    double p[2112];
-    int64_t np = 0;
-    double special = 0.0, inf_sum = 0.0;
-    for (int64_t k = 0; k < n; k++) {
-        double v = x[k], xsave = v;
-        int64_t i = 0;
-        for (int64_t j = 0; j < np; j++) {
-            double y = p[j];
-            if (fabs(v) < fabs(y)) {
-                double t = v;
-                v = y;
-                y = t;
-            }
-            double hi = v + y;
-            double lo = y - (hi - v);
-            if (lo != 0.0)
-                p[i++] = lo;
-            v = hi;
-        }
-        np = i;
-        if (v != 0.0) {
-            if (!isfinite(v)) {
-                if (isfinite(xsave))
-                    return 1;
-                if (isinf(xsave))
-                    inf_sum += xsave;
-                special = add_special(special, xsave);
-                np = 0;
-            } else {
-                p[np++] = v;
-            }
-        }
-    }
-    if (special != 0.0) {
-        if (isnan(inf_sum))
-            return 2;
-        *out = special;
-        return 0;
-    }
-    double hi = 0.0;
-    if (np > 0) {
-        double lo = 0.0;
-        hi = p[--np];
-        while (np > 0) {
-            double v = hi, y = p[--np];
-            hi = v + y;
-            lo = y - (hi - v);
-            if (lo != 0.0)
-                break;
-        }
-        if (np > 0 && ((lo < 0.0 && p[np - 1] < 0.0) || (lo > 0.0 && p[np - 1] > 0.0))) {
-            double y = lo * 2.0;
-            double v = hi + y;
-            if (y == v - hi)
-                hi = v;
-        }
-    }
-    *out = hi;
-    return 0;
-}
-
-/* The correctly rounded sum of x[0..n), the double math.fsum returns, with
- * fsum_partials' statuses where it fails. */
-int32_t zp_fsum(const double *x, int64_t n, double *out)
-{
-    int64_t limb[ACC_LIMBS] = {0};
-    if (acc_sum(limb, x, n))
-        return fsum_partials(x, n, out);
-    *out = acc_round(limb);
-    return 0;
-}
-
 /* The rejection-free lattice clock of lattice.MarkovToppling.run, with its
  * float operations in the same order, so both backends give the same bits.
  *
@@ -711,100 +486,26 @@ int32_t zp_fsum(const double *x, int64_t n, double *out)
  * position of site i there or -1; entries from k on are scratch, which the
  * insertion writes.  waits and picks are the chunk of
  * exponential and uniform draws, read from st->pos on.  A due snapshot fills
- * one row of rows (t, total mass, unstable count, min M, max M, dissipated);
- * no snapshot is due while next_snap is +inf.
+ * one row of rows (t, unstable count, min M, max M, dissipated); no snapshot
+ * is due while next_snap is +inf.
  *
- * The snapshot state lasts for one run() (several calls): acc holds the
- * exact sum of held, a copy of h at the last snapshot, and the first n_top
- * entries of toppled list the sites toppled since then.  n_top past top_cap
- * asks for a full pass instead, as does a fresh state.  max_m is kept per
- * toppling, since M only grows, and min_m with n_min, the count of sites at
- * the minimum; a count of 0 asks for a rescan.  A full pass rescans both. */
+ * The snapshot state lasts for one run() (several calls).  max_m, which the
+ * caller sets to the largest M, is kept per toppling, since M only grows, and
+ * min_m with n_min, the count of sites at the minimum; a count of 0 asks for
+ * a rescan. */
 typedef struct {
     double t, t_max, next_snap, snapshot_every, diss, diss_c;
-    int64_t k, events, events_stop, pos, n_rows;
-    int64_t n_top, top_cap, min_m, n_min, max_m;
-    int64_t acc[ACC_LIMBS];
+    int64_t k, events, events_stop, pos, n_rows, min_m, n_min, max_m;
 } zp_clock;
 
-/* Why zp_lattice returned.  Past ZP_ROWS_FULL, the status less ZP_ROWS_FULL
- * is the failing fsum_partials status of a due snapshot. */
+/* Why zp_lattice returned. */
 enum { ZP_EVENTS, ZP_T_MAX, ZP_STABLE, ZP_REFILL, ZP_ROWS_FULL };
-
-/* Bring acc and held up to h over the toppled sites and their neighbours:
- * each site whose height changed trades its held value for the current one.
- * 1 if a height is outside the accumulator's domain. */
-static int update_sum(const double *h, int64_t twod, const int32_t *nbr, double *held,
-                      const int64_t *toppled, zp_clock *st)
-{
-    int64_t ops = 0;
-    for (int64_t j = 0; j < st->n_top; j++) {
-        int64_t s = toppled[j];
-        for (int64_t q = -1; q < twod; q++) {
-            int64_t i = q < 0 ? s : nbr[s * twod + q];
-            if (i < 0 || h[i] == held[i])
-                continue;
-            if (acc_add(st->acc, h[i]))
-                return 1;
-            acc_add(st->acc, -held[i]);
-            held[i] = h[i];
-            if ((ops += 2) >= ACC_FLUSH) {
-                acc_norm(st->acc);
-                ops = 0;
-            }
-        }
-    }
-    acc_norm(st->acc);
-    return 0;
-}
-
-/* Total mass, min M and max M of a due snapshot into row[1], row[3] and
- * row[4]: by update_sum when few sites toppled since the last snapshot, by a
- * full pass otherwise, and by fsum_partials outside the accumulator's
- * domain.  Returns 0 or the failing fsum_partials status. */
-static int32_t snapshot_sums(const double *h, int64_t n, int64_t twod, const int32_t *nbr,
-                             const int64_t *m, double *held, const int64_t *toppled,
-                             zp_clock *st, double *row)
-{
-    int full = st->n_top > st->top_cap || update_sum(h, twod, nbr, held, toppled, st);
-    st->n_top = 0;
-    if (full) {
-        memset(st->acc, 0, sizeof st->acc);
-        memcpy(held, h, (size_t)n * sizeof(double));
-        if (acc_sum(st->acc, h, n)) {
-            int32_t err = fsum_partials(h, n, &row[1]);
-            if (err)
-                return err;
-            st->n_top = st->top_cap + 1;
-        }
-        st->max_m = m[0];
-        for (int64_t i = 1; i < n; i++)
-            if (m[i] > st->max_m)
-                st->max_m = m[i];
-        st->n_min = 0;
-    }
-    if (st->n_top == 0)
-        row[1] = acc_round(st->acc);
-    if (st->n_min == 0) {
-        st->min_m = m[0];
-        for (int64_t i = 0; i < n; i++) {
-            if (m[i] < st->min_m) {
-                st->min_m = m[i];
-                st->n_min = 0;
-            }
-            st->n_min += m[i] == st->min_m;
-        }
-    }
-    row[3] = (double)st->min_m;
-    row[4] = (double)st->max_m;
-    return 0;
-}
 
 int32_t zp_lattice(double *h, int64_t n, int64_t twod, const int32_t *nbr,
                    const int64_t *missing, int64_t *unstable, int64_t *where,
                    int64_t *m, double *lv, double *lc, const double *waits,
                    const double *picks, int64_t chunk, zp_clock *st, double *rows,
-                   int64_t rows_cap, double *held, int64_t *toppled)
+                   int64_t rows_cap)
 {
     double t = st->t, diss = st->diss, diss_c = st->diss_c;
     int64_t k = st->k, events = st->events, pos = st->pos;
@@ -825,15 +526,22 @@ int32_t zp_lattice(double *h, int64_t n, int64_t twod, const int32_t *nbr,
                 status = ZP_ROWS_FULL;
                 goto out;
             }
-            double *row = rows + 6 * st->n_rows;
-            int32_t err = snapshot_sums(h, n, twod, nbr, m, held, toppled, st, row);
-            if (err) {
-                status = ZP_ROWS_FULL + err;
-                goto out;
+            if (st->n_min == 0) {
+                st->min_m = m[0];
+                for (int64_t i = 0; i < n; i++) {
+                    if (m[i] < st->min_m) {
+                        st->min_m = m[i];
+                        st->n_min = 0;
+                    }
+                    st->n_min += m[i] == st->min_m;
+                }
             }
+            double *row = rows + 5 * st->n_rows;
             row[0] = st->next_snap;
-            row[2] = (double)k;
-            row[5] = diss;
+            row[1] = (double)k;
+            row[2] = (double)st->min_m;
+            row[3] = (double)st->max_m;
+            row[4] = diss;
             st->n_rows++;
             st->next_snap += st->snapshot_every;
         }
@@ -862,10 +570,6 @@ int32_t zp_lattice(double *h, int64_t n, int64_t twod, const int32_t *nbr,
             if (m[s] > st->max_m)
                 st->max_m = m[s];
             st->n_min -= m[s] - 1 == st->min_m;
-            if (st->n_top < st->top_cap)
-                toppled[st->n_top++] = s;
-            else
-                st->n_top = st->top_cap + 1;
         }
         double y = hx - lc[s];
         double tt = lv[s] + y;

@@ -128,11 +128,16 @@ def check_window(a: float, b: float) -> None:
 
 
 def check_heights(arr: np.ndarray) -> None:
-    """Raise ValueError unless every height is finite and nonnegative."""
+    """Raise ValueError unless every height is finite and nonnegative, and so
+    is their total, which bounds every height a toppling can make."""
     if not np.isfinite(arr).all():
         raise ValueError("heights must be finite")
     if (arr < 0).any():
         raise ValueError("heights must be nonnegative")
+    with np.errstate(over="ignore"):
+        total = arr.sum()
+    if not np.isfinite(total):
+        raise ValueError("the total of the heights must be finite")
 
 
 def _as_heights(config) -> np.ndarray:
@@ -272,10 +277,8 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
     lib.zp_drive.argtypes = [ptr, i64, ptr, ptr, i64, i64, ctypes.c_int32, ptr, ptr, ptr,
                              i64, ctypes.POINTER(ctypes.c_int32)]
     lib.zp_drive.restype = i64
-    lib.zp_fsum.argtypes = [ptr, i64, ctypes.POINTER(ctypes.c_double)]
-    lib.zp_fsum.restype = ctypes.c_int32
     lib.zp_lattice.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-                               i64, ctypes.POINTER(LatticeClock), ptr, i64, ptr, ptr]
+                               i64, ctypes.POINTER(LatticeClock), ptr, i64]
     lib.zp_lattice.restype = ctypes.c_int32
     lib.zp_couple.argtypes = [ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, i64,
                               ptr, ptr, ctypes.POINTER(CouplingState), ptr, ptr]
@@ -289,9 +292,7 @@ class LatticeClock(ctypes.Structure):
     _fields_ = ([(f, ctypes.c_double) for f in ("t", "t_max", "next_snap",
                                                  "snapshot_every", "diss", "diss_c")]
                 + [(f, ctypes.c_int64) for f in ("k", "events", "events_stop", "pos",
-                                                  "n_rows", "n_top", "top_cap", "min_m",
-                                                  "n_min", "max_m")]
-                + [("acc", ctypes.c_int64 * 68)])       # ACC_LIMBS
+                                                  "n_rows", "min_m", "n_min", "max_m")])
 
 
 class CouplingState(ctypes.Structure):
@@ -305,11 +306,6 @@ class CouplingState(ctypes.Structure):
                                                   "posB", "posC", "n_rec", "mk",
                                                   "merging_steps", "differed")]
                 + [("causes", ctypes.c_int64 * 5)])
-
-
-# zp_fsum's failure statuses, as the exceptions math.fsum raises for them
-FSUM_ERRORS = {1: (OverflowError, "intermediate overflow in fsum"),
-               2: (ValueError, "-inf + inf in fsum")}
 
 
 def chain_kernel() -> ctypes.CDLL | None:

@@ -25,8 +25,8 @@ the same prefetched draws, so both backends give bit-identical runs.
 Per-site toppling counts M and emitted mass L feed the exact bookkeeping
 identity  eta(t) = eta(0) - L + (1/2d) * sum of neighbour L,  checked both
 directly and through the toppling matrix (diagonal -1, neighbours 1/(2d)).
-The check applies that matrix from a numpy table; only ``delta_matrix``, which
-hands it out as a ``scipy.sparse`` matrix, imports scipy.
+The check applies that matrix from a numpy table, summing each row in the
+order of scipy's CSR product, without importing scipy.
 """
 
 from __future__ import annotations
@@ -36,20 +36,15 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from multiprocessing import Pool
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (
-    FSUM_ERRORS,
     LatticeClock,
     chain_kernel,
     check_heights,
     kernel_buffer_ok,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 TORUS = "torus"
 BOX = "dissipative-box"
@@ -237,7 +232,6 @@ def topple_lattice(config: LatticeConfig, x, ledger: MassLedger | None = None
 @dataclass
 class Snapshot:
     t: float
-    total_mass: float
     n_unstable: int
     frac_unstable: float
     min_m: int
@@ -365,7 +359,7 @@ class MarkovToppling:
                         next_snap = math.inf
                         break
                     self.snapshots.append(Snapshot(
-                        t=next_snap, total_mass=math.fsum(h), n_unstable=k,
+                        t=next_snap, n_unstable=k,
                         frac_unstable=k / self.n, min_m=min(m), max_m=max(m),
                         dissipated=diss))
                     next_snap += snapshot_every
@@ -442,40 +436,30 @@ class MarkovToppling:
                   and np.count_nonzero(where >= 0) == k)
         if not ok:
             raise ValueError("engine state does not match its lattice")
-        rows = np.empty((_SNAP_ROWS, 6))
-        # the snapshot state of the run (zp_clock in _drive.c).  A snapshot
-        # updates the previous exact sum over each toppled site and its 2d
-        # neighbours, two accumulator steps a site, unless more than top_cap
-        # toppled: then the one step a site of a full pass is cheaper
-        held = np.empty(n)
-        top_cap = n // (2 * (2 * self.d + 1))
-        toppled = np.empty(top_cap, dtype=np.int64)
+        rows = np.empty((_SNAP_ROWS, 5))
+        # the snapshot state of the run (zp_clock in _drive.c): the kernel
+        # keeps max M from here on, and rescans min M at the first snapshot
         clock = LatticeClock(t=self.t, t_max=t_max, next_snap=next_snap,
                              snapshot_every=snapshot_every or 0.0, diss=led._diss,
                              diss_c=led._diss_c, k=k, events=self.events,
                              events_stop=events_stop, pos=self._bufpos, n_rows=0,
-                             n_top=top_cap + 1, top_cap=top_cap, min_m=-1, n_min=0)
+                             min_m=-1, n_min=0, max_m=int(m.max()))
         head = (h.ctypes.data, n, 2 * self.d, nbr.ctypes.data, missing.ctypes.data,
                 unstable.ctypes.data, where.ctypes.data, m.ctypes.data, lv.ctypes.data,
                 lc.ctypes.data)
-        tail = (_CHUNK, ctypes.byref(clock), rows.ctypes.data, _SNAP_ROWS,
-                held.ctypes.data, toppled.ctypes.data)
+        tail = (_CHUNK, ctypes.byref(clock), rows.ctypes.data, _SNAP_ROWS)
         try:
             while True:
                 status = lib.zp_lattice(*head, self._wait_buf.ctypes.data,
                                         self._pick_buf.ctypes.data, *tail)
                 self.snapshots.extend(
-                    Snapshot(t=r[0], total_mass=r[1], n_unstable=int(r[2]),
-                             frac_unstable=int(r[2]) / n, min_m=int(r[3]),
-                             max_m=int(r[4]), dissipated=r[5])
+                    Snapshot(t=r[0], n_unstable=int(r[1]), frac_unstable=int(r[1]) / n,
+                             min_m=int(r[2]), max_m=int(r[3]), dissipated=r[4])
                     for r in rows[:clock.n_rows].tolist())
                 clock.n_rows = 0
                 if status == _REFILL:
                     self._refill()
                     clock.pos = 0
-                elif status > _ROWS_FULL:
-                    exc, msg = FSUM_ERRORS[status - _ROWS_FULL]
-                    raise exc(msg)
                 elif status != _ROWS_FULL:
                     break
         finally:
@@ -616,9 +600,9 @@ def _delta_table(shape: tuple, boundary: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _delta_apply(shape: tuple, boundary: str, v: np.ndarray) -> np.ndarray:
-    """The toppling matrix times the flat vector ``v``, bit for bit as
-    ``delta_matrix(shape, boundary) @ v``: scipy's CSR product sums each row
-    from 0.0 entry by entry, and so does this, slot by slot.  Padding adds
+    """The toppling matrix times the flat vector ``v``, bit for bit as scipy's
+    product with the matrix in canonical CSR form: that sums each row from
+    0.0 entry by entry, and so does this, slot by slot.  Padding adds
     0.0 * 0.0 (a stored 0.0 at column n), which changes no sum."""
     cols, vals = _delta_table(shape, boundary)
     terms = np.append(v, 0.0)[cols]
@@ -628,26 +612,6 @@ def _delta_apply(shape: tuple, boundary: str, v: np.ndarray) -> np.ndarray:
         for slot in terms:
             out += slot
     return out
-
-
-@lru_cache(maxsize=32)
-def _delta_matrix(shape: tuple, boundary: str) -> scipy.sparse.csr_matrix:
-    """``delta_matrix``, built once per geometry and shared, hence read-only."""
-    import scipy.sparse     # here only: no engine or subcommand needs scipy
-
-    cols, vals = _delta_table(shape, boundary)
-    n = cols.shape[1]
-    keep = cols.T < n
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    mat = scipy.sparse.csr_matrix((vals.T[keep], cols.T[keep], indptr), shape=(n, n))
-    for arr in (mat.data, mat.indices, mat.indptr):
-        arr.flags.writeable = False
-    return mat
-
-
-def delta_matrix(shape, boundary: str = TORUS) -> scipy.sparse.csr_matrix:
-    """Toppling matrix: -1 on the diagonal, 1/(2d) for each neighbour bond."""
-    return _delta_matrix(tuple(int(s) for s in shape), parse_boundary(boundary)).copy()
 
 
 def mass_identity_check(initial: LatticeConfig, current: LatticeConfig,
@@ -922,15 +886,10 @@ def stabilizability_experiment(spec: DensitySpec, sides, boundary: str,
                                snapshot_every: float | None = 1.0,
                                min_m_threshold: int = 10,
                                max_events: int | None = None,
-                               workers: int = 1,
-                               _spawn_prefix: tuple = ()) -> ExperimentSummary:
-    """Replicated Markov runs from one density spec; replicas use split seeds.
-
-    With ``_spawn_prefix=(g,)`` the replicas are those of grid point ``g`` of
-    ``stabilizability_sweep`` with the same seed.
-    """
+                               workers: int = 1) -> ExperimentSummary:
+    """Replicated Markov runs from one density spec; replicas use split seeds."""
     jobs = _replica_jobs(spec, sides, boundary, t_max, replicas, seed, snapshot_every,
-                         min_m_threshold, max_events, _spawn_prefix)
+                         min_m_threshold, max_events, ())
     return _summaries([jobs], workers)[0]
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -453,8 +454,8 @@ def test_bad_intervals_and_counts_exit_1(tmp_path, argv):
                                  ["--gen", "checkerboard"],
                                  ["--gen", "constant", "--boundary", "box"]])
 def test_huge_density_exits_1(tmp_path, monkeypatch, capsys, backend, gen):
-    # iid and near-full raised numpy's OverflowError while drawing, constant
-    # the fsum overflow of the first snapshot; both escaped as tracebacks
+    # iid and near-full raised numpy's OverflowError while drawing, and
+    # constant built heights whose total is inf; each escaped as a traceback
     kernel = core.chain_kernel() if backend == "compiled" else None
     if backend == "compiled" and kernel is None:
         pytest.skip("needs the compiled kernel")
@@ -467,12 +468,25 @@ def test_huge_density_exits_1(tmp_path, monkeypatch, capsys, backend, gen):
 
 def test_overflow_in_a_run_exits_1(tmp_path, monkeypatch, capsys):
     def overflow(*args, **kwargs):
-        raise OverflowError("intermediate overflow in fsum")
+        raise OverflowError("cannot convert float infinity to integer")
 
     monkeypatch.setattr(lattice.MarkovToppling, "run", overflow)
     argv = ["infinite", *_LINE, "--out", str(tmp_path / "out.csv")]
     assert main(argv) == 1
-    assert "error: intermediate overflow in fsum" in capsys.readouterr().err
+    assert "error: cannot convert float infinity to integer" in capsys.readouterr().err
+
+
+def test_heights_with_an_infinite_total_exit_1_at_once(tmp_path, capsys):
+    # each height is finite but their total is not: the chain toppled inf
+    # 10^7 times, for seconds, and then exited 2 at the topple cap
+    t0 = time.perf_counter()
+    rc = main(["stabilize", "--chain", "1.6e308,1.5e308", "--out", str(tmp_path / "o")])
+    elapsed = time.perf_counter() - t0
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "zhangpile: error: the total of the heights must be finite\n")
+    assert elapsed < 1.0
+
 
 def test_finite_run_negative_counts_exit_1(tmp_path):
     # with --events-out the run exited 0 and wrote a header-only file, while

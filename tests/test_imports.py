@@ -22,8 +22,8 @@ _RUNS = [
 
 
 def test_no_subcommand_imports_scipy(tmp_path):
-    # scipy.sparse costs about half of every CLI call's start-up, and only
-    # delta_matrix needs it; the lattice runs check the mass identity, which
+    # scipy.sparse costs about half of every CLI call's start-up, and no
+    # runtime code needs it; the lattice runs check the mass identity, which
     # applies the toppling matrix without it
     src = str(Path(zhangpile.__file__).resolve().parents[1])
     runs = [[*argv, "--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(_RUNS)]

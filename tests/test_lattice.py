@@ -24,14 +24,14 @@ from zhangpile.lattice import (
     MassLedger,
     _check_size,
     _delta_apply,
-    _delta_matrix,
+    _delta_table,
     _neighbor_sum,
     _neighbor_table,
     _replica_jobs,
     _replica_worker,
+    _summaries,
     bond_bound_check,
     count_internal_bonds,
-    delta_matrix,
     generate,
     markov_run,
     mass_identity_check,
@@ -155,6 +155,14 @@ def test_stable_start_is_stabilized_at_zero():
     assert verdict.t_stab == 0.0
     assert ledger.M.sum() == 0
     assert np.array_equal(final.heights, cfg.heights)
+
+
+def test_config_rejects_heights_whose_total_is_not_finite():
+    # every height is finite, but the box would topple inf, and no gate
+    # checks a box's mass
+    with pytest.raises(ValueError, match="total of the heights must be finite"):
+        LatticeConfig(np.array([1.6e308, 0.0, 1.5e308]), BOX)
+    LatticeConfig(np.array([1.6e308, 0.0, 1.0e307]), BOX)
 
 
 def test_markov_run_rejects_bad_tmax():
@@ -527,11 +535,16 @@ def test_mass_identity_geometry_mismatch():
         mass_identity_check(a, a, MassLedger((5, 5)))
 
 
+def _delta_dense(shape, boundary):
+    n = math.prod(shape)
+    return np.column_stack([_delta_apply(shape, boundary, e) for e in np.eye(n)])
+
+
 def test_delta_matrix_columns():
     # torus columns sum to zero (toppling conserves), box boundary columns leak
-    m = delta_matrix((4, 4), TORUS).toarray()
+    m = _delta_dense((4, 4), TORUS)
     assert np.abs(m.sum(axis=0)).max() < 1e-12
-    m = delta_matrix((4,), BOX).toarray()
+    m = _delta_dense((4,), BOX)
     col_sums = m.sum(axis=0)
     assert col_sums[0] == -0.5 and col_sums[-1] == -0.5
     assert abs(col_sums[1]) < 1e-12
@@ -558,13 +571,17 @@ def _delta_matrix_loop(shape, boundary):
     ((48, 48), BOX), ((32, 32), TORUS), ((2, 2), TORUS), ((4, 4, 4), TORUS),
     ((5, 3, 2), BOX), ((2, 7), TORUS), ((1, 5), BOX)])
 def test_delta_matrix_matches_loop_reference(shape, boundary):
-    got = delta_matrix(shape, boundary)
+    # the table's columns, padding dropped, are the CSR rows of the matrix
+    # that the per-site loop builds
+    cols, vals = _delta_table(shape, boundary)
     want = _delta_matrix_loop(shape, boundary)
-    for attr in ("indptr", "indices", "data"):
-        a, b = getattr(got, attr), getattr(want, attr)
-        assert a.dtype == b.dtype and np.array_equal(a, b), attr
-    v = np.random.default_rng(5).uniform(0, 3, got.shape[0])
-    assert np.array_equal(got @ v, want @ v)
+    n = want.shape[0]
+    keep = cols.T < n
+    assert np.array_equal(np.cumsum(keep.sum(axis=1)), want.indptr[1:])
+    assert np.array_equal(cols.T[keep], want.indices)
+    assert np.array_equal(vals.T[keep], want.data)
+    v = np.random.default_rng(5).uniform(0, 3, n)
+    assert np.array_equal(_delta_apply(shape, boundary, v), want @ v)
 
 
 _WIDE_FLOATS = st.one_of(
@@ -591,7 +608,7 @@ def test_delta_apply_is_the_sparse_product_bit_for_bit(data):
     # +0.0 with -0.0 neighbours: a row sum that starts from -0.0 stays -0.0
     zeros = np.where(np.indices(shape).sum(axis=0).ravel() % 2, -0.0, 0.0)
     for v in (drawn, zeros):
-        want = delta_matrix(shape, boundary) @ v
+        want = _delta_matrix_loop(shape, boundary) @ v
         got = _delta_apply(shape, boundary, v)
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
@@ -622,14 +639,10 @@ def test_mass_identity_check_keeps_the_sparse_formula(data):
 
 
 def test_delta_matrix_is_built_once_per_geometry():
-    shared = _delta_matrix((6, 6), TORUS)
-    assert _delta_matrix((6, 6), TORUS) is shared
-    assert not any(a.flags.writeable for a in (shared.data, shared.indices, shared.indptr))
-    # the public builder hands out a copy, which its caller may change
-    mine = delta_matrix([6, 6], "torus")
-    mine.data[:] = 0.0
-    assert np.array_equal(delta_matrix((6, 6)).toarray(), shared.toarray())
-    assert shared.data.min() == -1.0
+    # the table is shared between the checks of one geometry, hence read-only
+    shared = _delta_table((6, 6), TORUS)
+    assert _delta_table((6, 6), TORUS) is shared
+    assert not any(a.flags.writeable for a in shared)
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +862,9 @@ def test_sweep_is_one_experiment_per_grid_point(monkeypatch):
     assert len(opened) == 1
     serial = stabilizability_sweep(specs, **kw)
     for g, spec in enumerate(specs):
-        alone = stabilizability_experiment(spec, **kw, _spawn_prefix=(g,))
+        job = _replica_jobs(spec, kw["sides"], kw["boundary"], kw["t_max"], kw["replicas"],
+                            kw["seed"], 1.0, 10, None, (g,))
+        alone = _summaries([job], 1)[0]
         for s in (swept[g], serial[g]):
             assert _plain(s.rows) == _plain(alone.rows)
             assert np.array_equal(
