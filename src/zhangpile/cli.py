@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 parameter error, 2 internal invariant violation
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -268,9 +269,18 @@ def cmd_sweep(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+# bounded, since main passes whatever token names the subcommand; the five
+# subcommands, "" and None fit
+@functools.lru_cache(maxsize=8)
 def build_parser(subcommand: str | None = None) -> _Parser:
     """Given ``subcommand``, only that subcommand's arguments are added (none if
-    no subcommand has the name): each ``add_argument`` reads the terminal size."""
+    no subcommand has the name): each ``add_argument`` reads the terminal size.
+
+    One parser is built per process and subcommand, and every ``main`` call
+    reuses it, so callers must not change it: ``parse_args`` returns a fresh
+    namespace each call, and help reads the terminal width when it is
+    formatted, not when it is built.
+    """
     p = _Parser(prog="zhangpile", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="subcommand", required=True)

@@ -250,7 +250,9 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
     """Compile the kernel into ``cache`` (once per source and flags) and load it.
 
     Returns None if the compiler is missing, the build fails or ``cache`` is
-    not writable.
+    not writable.  Once the load succeeds, the other ``_drive-*.so`` files in
+    ``cache``, builds of an older source or other flags, are deleted; the
+    ``.tmp`` files of builds in flight are left alone.
     """
     try:
         tag = hashlib.sha256(_KERNEL_SOURCE.read_bytes()
@@ -272,6 +274,12 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.CalledProcessError):
         return None
+    for old in cache.glob("_drive-*.so"):
+        if old != path:
+            try:
+                old.unlink()
+            except OSError:
+                pass
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
     lib.zp_drive.argtypes = [ptr, i64, ptr, ptr, i64, i64, ctypes.c_int32, ptr, ptr, ptr,

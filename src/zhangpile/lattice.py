@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from multiprocessing import Pool
 
@@ -53,7 +53,7 @@ _BOUNDARY_ALIASES = {"torus": TORUS, "box": BOX, "dissipative-box": BOX,
                      "dissipative": BOX}
 
 _CHUNK = 8192           # exponential waits and uniform picks drawn per refill
-_SNAP_ROWS = 64         # snapshot rows the kernel fills before it returns
+_SNAP_ROWS = 64         # snapshot rows of an engine's first row array
 _NO_LIMIT = 2**63 - 1   # event budget of a run without max_events
 _MAX_SITES = 2**31 - 1  # the neighbour table holds int32 site ids
 
@@ -239,6 +239,14 @@ class Snapshot:
     dissipated: float
 
 
+def _snapshots(rows: np.ndarray, n: int) -> list[Snapshot]:
+    """The ``Snapshot`` of each snapshot row (t, unstable count, min M, max M,
+    dissipated) of ``rows`` on a lattice of ``n`` sites."""
+    return [Snapshot(t=t, n_unstable=int(k), frac_unstable=int(k) / n, min_m=int(lo),
+                     max_m=int(hi), dissipated=diss)
+            for t, k, lo, hi, diss in rows.tolist()]
+
+
 @dataclass
 class StabilizabilityVerdict:
     outcome: str                # "stabilized" | "active-at-cutoff"
@@ -249,7 +257,19 @@ class StabilizabilityVerdict:
     max_m: int
     dissipated: float
     evidence_strong: bool       # active verdicts: min M reached the threshold
-    snapshots: list = field(default_factory=list)
+    # init-only, so that the fields stay scalars: the run's snapshot rows
+    # (a copy of MarkovToppling.snapshot_rows) and the lattice's site count
+    snapshot_rows: InitVar[np.ndarray]
+    n_sites: InitVar[int]
+
+    def __post_init__(self, snapshot_rows, n_sites):
+        self.snapshot_rows = snapshot_rows
+        self._n_sites = n_sites
+
+    @property
+    def snapshots(self) -> list[Snapshot]:
+        """The snapshot rows as ``Snapshot`` objects, built on each read."""
+        return _snapshots(self.snapshot_rows, self._n_sites)
 
 
 class MarkovToppling:
@@ -261,6 +281,8 @@ class MarkovToppling:
     ``_unstable`` in no particular order (``unstable`` is a view of them);
     ``_where[i]`` is the slot of site ``i``, -1 if stable.  The slots from
     ``_k`` on are scratch: the kernel writes them and never reads them.
+    The snapshots of every run so far are the first ``_n_rows`` rows of the
+    float64 array ``_rows`` (``snapshot_rows``), which doubles when full.
     """
 
     def __init__(self, config: LatticeConfig, seed: int | None = None,
@@ -283,7 +305,8 @@ class MarkovToppling:
         self.events = 0
         self.t_stab: float | None = 0.0 if not self._k else None
         self.min_m_threshold = min_m_threshold
-        self.snapshots: list[Snapshot] = []
+        self._rows = np.empty((0, 5))
+        self._n_rows = 0
         # the current chunk of exponential waits and uniform picks
         self._wait_buf = np.empty(0)
         self._pick_buf = np.empty(0)
@@ -292,6 +315,23 @@ class MarkovToppling:
     @property
     def unstable(self) -> np.ndarray:
         return self._unstable[:self._k]
+
+    @property
+    def snapshot_rows(self) -> np.ndarray:
+        """One row per snapshot taken: t, unstable count, min M, max M and
+        dissipated, as float64 (a view, shape (rows, 5))."""
+        return self._rows[:self._n_rows]
+
+    @property
+    def snapshots(self) -> list[Snapshot]:
+        """``snapshot_rows`` as ``Snapshot`` objects, built on each read."""
+        return _snapshots(self.snapshot_rows, self.n)
+
+    def _grow_rows(self, need: int) -> None:
+        """Make room for ``need`` snapshot rows, keeping the filled ones."""
+        rows = np.empty((max(need, 2 * len(self._rows), _SNAP_ROWS), 5))
+        rows[:self._n_rows] = self.snapshot_rows
+        self._rows = rows
 
     def _refill(self) -> None:
         self._wait_buf = self.rng.standard_exponential(_CHUNK)
@@ -302,11 +342,12 @@ class MarkovToppling:
             snapshot_every: float | None = None) -> None:
         """Advance until stabilized, ``t_max``, or ``max_events`` further topplings.
 
-        A ``Snapshot`` is taken at each multiple of ``snapshot_every`` that
-        the run passes.  The compiled kernel runs the loop when it loads, the
-        Python loop otherwise; both give the same bits, and a resumed run
-        continues the same draws.  A ``t_max`` at or below the engine's time
-        leaves the engine as it is.
+        A snapshot row is appended to ``snapshot_rows`` at each multiple of
+        ``snapshot_every`` that the run passes; no ``Snapshot`` object is
+        made unless ``snapshots`` is read.  The compiled kernel runs the
+        loop when it loads, the Python loop otherwise; both give the same
+        bits, and a resumed run continues the same draws.  A ``t_max`` at or
+        below the engine's time leaves the engine as it is.
         """
         if not t_max > 0:                   # also rejects NaN
             raise ValueError(f"t_max must be positive, got {t_max!r}")
@@ -334,7 +375,8 @@ class MarkovToppling:
 
     def _run_python(self, t_max, events_stop, next_snap, snapshot_every) -> None:
         """The reference loop, which ``zp_lattice`` follows operation by
-        operation.  It runs on lists of the state and writes them back."""
+        operation.  It runs on lists of the state and writes them back, the
+        snapshot rows it took included."""
         h, unstable, where = self.h.tolist(), self.unstable.tolist(), self._where.tolist()
         nbrs, missing = _neighbor_table(self.shape, self.boundary)
         led = self.ledger
@@ -346,6 +388,7 @@ class MarkovToppling:
         chunk = _CHUNK
         pos = self._bufpos
         waits, picks = self._wait_buf.tolist(), self._pick_buf.tolist()
+        snaps = []
         try:
             while events < events_stop:
                 if pos >= chunk:
@@ -358,10 +401,7 @@ class MarkovToppling:
                     if next_snap > t_max:
                         next_snap = math.inf
                         break
-                    self.snapshots.append(Snapshot(
-                        t=next_snap, n_unstable=k,
-                        frac_unstable=k / self.n, min_m=min(m), max_m=max(m),
-                        dissipated=diss))
+                    snaps.append((next_snap, k, min(m), max(m), diss))
                     next_snap += snapshot_every
                 if te > t_max:
                     # discard the crossing draw: by memorylessness a resumed run
@@ -414,9 +454,19 @@ class MarkovToppling:
             self.t = led.t = t
             self.events = led.events = events
             led._diss, led._diss_c = diss, diss_c
+            if snaps:
+                end = self._n_rows + len(snaps)
+                if end > len(self._rows):
+                    self._grow_rows(end)
+                self._rows[self._n_rows:end] = snaps
+                self._n_rows = end
 
     def _run_compiled(self, lib, t_max, events_stop, next_snap, snapshot_every) -> None:
-        """``_run_python`` in ``zp_lattice``, in place on the engine's arrays."""
+        """``_run_python`` in ``zp_lattice``, in place on the engine's arrays.
+
+        The kernel appends snapshot rows to ``_rows`` from row ``_n_rows`` on
+        and returns when the array is full, which then doubles.
+        """
         n = self.n
         led = self.ledger
         nbr, missing = _neighbor_arrays(self.shape, self.boundary)
@@ -428,7 +478,9 @@ class MarkovToppling:
         ok = (0 < k <= n and all(kernel_buffer_ok(a, dtype, n, out=True)
                                  for dtype, arrays in buffers.items() for a in arrays)
               and kernel_buffer_ok(nbr, np.int32, n * 2 * self.d)
-              and kernel_buffer_ok(missing, np.int64, n))
+              and kernel_buffer_ok(missing, np.int64, n)
+              and kernel_buffer_ok(self._rows, np.float64, self._rows.size, out=True)
+              and 0 <= self._n_rows <= len(self._rows) and self._rows.shape[1:] == (5,))
         if ok:
             u = unstable[:k]
             ok = (u.min() >= 0 and u.max() < n
@@ -436,33 +488,33 @@ class MarkovToppling:
                   and np.count_nonzero(where >= 0) == k)
         if not ok:
             raise ValueError("engine state does not match its lattice")
-        rows = np.empty((_SNAP_ROWS, 5))
         # the snapshot state of the run (zp_clock in _drive.c): the kernel
         # keeps max M from here on, and rescans min M at the first snapshot
         clock = LatticeClock(t=self.t, t_max=t_max, next_snap=next_snap,
                              snapshot_every=snapshot_every or 0.0, diss=led._diss,
                              diss_c=led._diss_c, k=k, events=self.events,
-                             events_stop=events_stop, pos=self._bufpos, n_rows=0,
+                             events_stop=events_stop, pos=self._bufpos,
+                             n_rows=self._n_rows,
                              min_m=-1, n_min=0, max_m=int(m.max()))
         head = (h.ctypes.data, n, 2 * self.d, nbr.ctypes.data, missing.ctypes.data,
                 unstable.ctypes.data, where.ctypes.data, m.ctypes.data, lv.ctypes.data,
                 lc.ctypes.data)
-        tail = (_CHUNK, ctypes.byref(clock), rows.ctypes.data, _SNAP_ROWS)
         try:
             while True:
                 status = lib.zp_lattice(*head, self._wait_buf.ctypes.data,
-                                        self._pick_buf.ctypes.data, *tail)
-                self.snapshots.extend(
-                    Snapshot(t=r[0], n_unstable=int(r[1]), frac_unstable=int(r[1]) / n,
-                             min_m=int(r[2]), max_m=int(r[3]), dissipated=r[4])
-                    for r in rows[:clock.n_rows].tolist())
-                clock.n_rows = 0
+                                        self._pick_buf.ctypes.data, _CHUNK,
+                                        ctypes.byref(clock), self._rows.ctypes.data,
+                                        len(self._rows))
                 if status == _REFILL:
                     self._refill()
                     clock.pos = 0
-                elif status != _ROWS_FULL:
+                elif status == _ROWS_FULL:
+                    self._n_rows = clock.n_rows
+                    self._grow_rows(self._n_rows + 1)
+                else:
                     break
         finally:
+            self._n_rows = clock.n_rows
             self._k = clock.k
             self.t = led.t = clock.t
             self.events = led.events = clock.events
@@ -484,7 +536,7 @@ class MarkovToppling:
             t_end=self.t, events=self.events,
             min_m=min_m, max_m=int(m.max()), dissipated=self.ledger._diss,
             evidence_strong=(not stabilized) and min_m >= self.min_m_threshold,
-            snapshots=list(self.snapshots))
+            snapshot_rows=self.snapshot_rows.copy(), n_sites=self.n)
 
 
 def markov_run(config: LatticeConfig, t_max: float, seed: int | None = None,
@@ -499,13 +551,18 @@ def markov_run(config: LatticeConfig, t_max: float, seed: int | None = None,
 
 
 def min_m_slope(snapshots) -> float | None:
-    """Least-squares slope of min per-site toppling count against time."""
-    pts = [(s.t, s.min_m) for s in snapshots]
-    if len(pts) < 2:
-        return None
-    t = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts], dtype=float)
-    if np.ptp(t) == 0:
+    """Least-squares slope of min per-site toppling count against time.
+
+    ``snapshots`` is a snapshot row array (``MarkovToppling.snapshot_rows``)
+    or a list of ``Snapshot``; both give the same float64 t and min M, and so
+    the same bits.
+    """
+    if isinstance(snapshots, np.ndarray):
+        t, y = snapshots[:, 0], snapshots[:, 2]
+    else:
+        t = np.array([s.t for s in snapshots], dtype=float)
+        y = np.array([s.min_m for s in snapshots], dtype=float)
+    if len(t) < 2 or np.ptp(t) == 0:
         return None
     return float(np.polyfit(t, y, 1)[0])
 
@@ -625,7 +682,7 @@ def mass_identity_check(initial: LatticeConfig, current: LatticeConfig,
         raise ValueError("initial and current geometries differ")
     if ledger.shape != initial.sides:
         raise ValueError("ledger geometry does not match the configurations")
-    L = ledger.L
+    L = ledger._lv.reshape(ledger.shape)     # a view: nothing below writes it
     d = initial.dim
     pred = initial.heights - L + _neighbor_sum(L, initial.boundary) / (2 * d)
     r1 = float(np.abs(current.heights - pred).max())
@@ -830,7 +887,7 @@ def _replica_worker(args) -> dict:
         "max_m": verdict.max_m,
         "dissipated": verdict.dissipated,
         "evidence_strong": verdict.evidence_strong,
-        "min_m_slope": min_m_slope(verdict.snapshots),
+        "min_m_slope": min_m_slope(verdict.snapshot_rows),
         "mass_residual": residual,
         "mass_drift": drift,
         "mass": total0,

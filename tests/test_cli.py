@@ -595,3 +595,59 @@ def test_subcommand_parser_matches_the_full_parser():
         helps = [p._subparsers._group_actions[0].choices[name].format_help()
                  for p in (one, full)]
         assert helps[0] == helps[1]
+
+
+def _fresh_cli(argv, columns):
+    """Exit code and stdout bytes of ``argv`` run in a new process."""
+    src = str(Path(zhangpile.__file__).resolve().parents[1])
+    env = dict(os.environ, COLUMNS=str(columns), PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "zhangpile.cli", *argv], env=env,
+                          capture_output=True, timeout=60)
+    return proc.returncode, proc.stdout
+
+
+def test_main_builds_one_parser_per_subcommand(tmp_path, monkeypatch):
+    made = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    argv = ["finite-run", "--n", "3", "--a", "0.2", "--b", "0.9", "--samples", "10"]
+    assert main(argv + ["--out", str(tmp_path / "1.csv")]) == 0
+    first = len(made)
+    assert first > 0
+    assert main(argv + ["--out", str(tmp_path / "2.csv")]) == 0
+    assert len(made) == first
+    info = cli.build_parser.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    cli.build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("columns", [80, 200])
+def test_main_calls_share_no_state(tmp_path, monkeypatch, capsys, columns):
+    # one process's main calls on the parsers it keeps: each call's output is
+    # that of the same call in a new process, help formatted at the width of
+    # the moment
+    monkeypatch.setenv("COLUMNS", str(columns))
+    base = ["finite-run", "--n", "3", "--a", "0.2", "--b", "0.9"]
+    run = base + ["--samples", "50", "--seed", "4"]
+    assert main(run + ["--frobnicate"]) == 1
+    out = tmp_path / "run.csv"
+    assert main(run + ["--out", str(out)]) == 0
+    assert _fresh_cli(run, columns) == (0, out.read_bytes())
+    capsys.readouterr()
+    for argv in (["--help"], ["infinite", "--help"], ["--version"]):
+        want = _fresh_cli(argv, columns)
+        for _ in range(2):
+            assert (main(argv), capsys.readouterr().out.encode()) == want
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples=10\nseed=5\n")
+    assert main(base + ["--config", str(cfg), "--out", str(tmp_path / "cfg.csv")]) == 0
+    assert main(base + ["--out", str(out)]) == 0
+    assert _fresh_cli(base, columns) == (0, out.read_bytes())
+    assert parse_echo(out.read_text().split("\n", 1)[0])["spec"]["params"]["samples"] == 0

@@ -834,7 +834,7 @@ def _engine_state(eng):
             _bits(led._lv),
             _bits(led._lc), _bits([led._diss, led._diss_c, eng.t, led.t]),
             eng.t_stab, eng.events, led.events, eng._bufpos, _bits(eng._wait_buf),
-            _bits(eng._pick_buf), snaps)
+            _bits(eng._pick_buf), _bits(eng.snapshot_rows), snaps)
 
 
 _SENTINEL = -12345
@@ -959,7 +959,8 @@ def test_lattice_kernel_checks_engine_state(lib):
                     lambda e: setattr(e.ledger, "_m", e.ledger._m.astype(np.int32)),
                     lambda e: setattr(e, "_where", e._where.astype(np.float64)),
                     lambda e: setattr(e, "h", np.repeat(e.h, 2)[::2]),
-                    lambda e: e.ledger._lc.setflags(write=False)):
+                    lambda e: e.ledger._lc.setflags(write=False),
+                    lambda e: setattr(e, "_n_rows", 1)):
         eng = MarkovToppling(cfg, seed=2)
         corrupt(eng)
         with _kernel_set(lib), pytest.raises(ValueError, match="engine state"):
@@ -1001,6 +1002,23 @@ def test_concurrent_builds_share_one_cache(tmp_path):
     assert [p.exitcode for p in procs] == [0, 0, 0, 0]
     names = sorted(os.listdir(cache))
     assert len(names) == 1 and names[0].startswith("_drive-") and names[0].endswith(".so")
+
+
+def test_build_removes_stale_libraries(tmp_path):
+    # a loaded build deletes the other builds in its cache, and only them;
+    # a failed build deletes nothing
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    keep = ["_drive-inflight.tmp", "drive-other.so", "_drive-notes.txt"]
+    for name in keep + ["_drive-0123456789abcdef.so", "_drive-fedcba9876543210.so"]:
+        (cache / name).write_text("")
+    assert core._build_kernel(cache, cc=str(tmp_path / "no-such-cc")) is None
+    assert len(os.listdir(cache)) == 5
+    assert core._build_kernel(cache) is not None
+    built = [n for n in os.listdir(cache) if n not in keep]
+    assert len(built) == 1 and built[0].startswith("_drive-") and built[0].endswith(".so")
+    assert core._build_kernel(cache) is not None
+    assert sorted(os.listdir(cache)) == sorted(keep + built)
 
 
 @pytest.mark.parametrize("where", ["missing-compiler", "failing-compiler",

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ from scipy import stats as sstats
 
 import zhangpile
 import zhangpile.core as core
+import zhangpile.lattice as lattice
 from zhangpile.lattice import (
     BOX,
     TORUS,
@@ -338,6 +340,103 @@ def test_resumed_run_keeps_the_engine_arrays():
         assert eng.events == 200 and len(eng.unstable)
         assert all(a is b for a, b in zip(arrays, (eng.h, eng._unstable, eng._where,
                                                    led._m, led._lv, led._lc)))
+
+
+# sha256 of repr(verdict.snapshots) and repr(min_m_slope(verdict.snapshots))
+# as the engine wrote them when it kept a list of Snapshot objects (the same
+# on both backends); repr tells an int from a float and a numpy scalar from
+# a Python one, and gives every float's bits
+_SNAPSHOT_LISTS = {
+    "box-48": (("iid", 0.65, (48, 48), BOX, 11),
+               [(20.0, None, 0.05), (15.5, 3000, 0.31), (None, 100_000, 0.12)], 1582,
+               "bbe0b8cc20ce712d3518c5a6511c1e2321123b7726cb723501f9a681403d9ed6", "0.0"),
+    "torus-16": (("constant", 1.05, (16, 16), TORUS, 3),
+                 [(6.5, None, 0.1), (None, 20000, 1.0)], 242,
+                 "d3f35b13a44a523c1ed7564555de1610b19b4afecc4e7726897e46296da4efd9",
+                 "0.3934565757720257"),
+    "line-40": (("iid", 0.8, (40,), BOX, 5), [(30.0, None, 1.0)], 30,
+                "287551ded0e8f9a0a8c26ff52f0def1ec7f14c8fc380c4aa2bcd65cd396801d2",
+                "0.04649610678531703"),
+}
+
+
+def _resumed_engine(case):
+    (kind, rho, sides, boundary, seed), runs = case
+    eng = MarkovToppling(generate(DensitySpec(kind, rho), sides, boundary, seed=seed),
+                         seed=seed)
+    for dt, max_events, every in runs:
+        t_max = math.inf if dt is None else eng.t + dt
+        eng.run(t_max=t_max, max_events=max_events, snapshot_every=every)
+    return eng
+
+
+@pytest.mark.parametrize("name", sorted(_SNAPSHOT_LISTS))
+def test_snapshot_rows_give_the_old_snapshot_lists(name):
+    # the rows cross the first array's 64 rows (box-48, torus-16) and
+    # 8192-draw chunk ends, over resumed runs that change snapshot_every
+    *case, count, digest, slope = _SNAPSHOT_LISTS[name]
+    for kernel in _backends():
+        with _kernel_set(kernel):
+            eng = _resumed_engine(case)
+        rows = eng.snapshot_rows
+        assert (rows.dtype, rows.shape) == (np.float64, (count, 5))
+        verdict = eng.verdict()
+        assert np.array_equal(verdict.snapshot_rows, rows)
+        for snaps in (eng.snapshots, verdict.snapshots):
+            assert hashlib.sha256(repr(snaps).encode()).hexdigest() == digest
+        assert repr(min_m_slope(rows)) == repr(min_m_slope(verdict.snapshots)) == slope
+
+
+def test_snapshot_rows_do_not_depend_on_where_runs_resume():
+    # snapshot_every 0.125 puts every snapshot time on the same float whether
+    # a run resumes or not, so a run cut by max_events anywhere (within the
+    # first rows, across array doublings and 8192-draw chunk ends) appends the
+    # rows of the uncut run
+    cfg = generate(DensitySpec("constant", 1.05), (16, 16), TORUS, seed=3)
+    rows = {}
+    for kernel in _backends():
+        with _kernel_set(kernel):
+            whole = MarkovToppling(cfg, seed=4)
+            whole.run(max_events=20_000, snapshot_every=0.125)
+            cut = MarkovToppling(cfg, seed=4)
+            for events in (1, 63, 700, 5000, 8192, 6044):
+                cut.run(max_events=events, snapshot_every=0.125)
+        assert cut.events == whole.events == 20_000
+        assert len(whole.snapshot_rows) > 512
+        assert whole.snapshot_rows.tobytes() == cut.snapshot_rows.tobytes()
+        rows[kernel] = whole.snapshot_rows.tobytes()
+    assert len(set(rows.values())) == 1
+
+
+def test_no_snapshots_give_an_empty_row_array():
+    cfg = generate(DensitySpec("constant", 1.1), (16,), TORUS, seed=1)
+    for kernel in _backends():
+        eng = MarkovToppling(cfg, seed=2)
+        assert eng.snapshot_rows.shape == (0, 5)
+        with _kernel_set(kernel):
+            eng.run(max_events=500)
+        verdict = eng.verdict()
+        for rows in (eng.snapshot_rows, verdict.snapshot_rows):
+            assert (rows.dtype, rows.shape) == (np.float64, (0, 5))
+        assert eng.snapshots == verdict.snapshots == []
+        assert min_m_slope(verdict.snapshot_rows) is None
+
+
+def test_replica_worker_builds_no_snapshot(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Snapshot was built")
+
+    job = _replica_jobs(DensitySpec("constant", 1.1), (16,), TORUS, 20.0, 1, 3, 1.0, 10,
+                        None, ())[0]
+    rows = [_replica_worker(job)]
+    monkeypatch.setattr(lattice, "Snapshot", refuse)
+    for kernel in _backends():
+        with _kernel_set(kernel):
+            rows.append(_replica_worker(job))
+    assert rows[0]["min_m_slope"] > 0
+    heights = [row.pop("heights") for row in rows]
+    assert all(np.array_equal(h, heights[0]) for h in heights)
+    assert all(row == rows[0] for row in rows)
 
 
 def _ring_loop_reference(config, rng, t_max):
