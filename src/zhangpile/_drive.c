@@ -4,6 +4,8 @@
  * (0-based) of a stable chain and relaxes it leftmost-first.  relax below is
  * the step-back scan that core._relax_leftmost, the one Python relaxation,
  * runs line for line, so heights stay bit-identical to the Python reference.
+ * For MarginalStats it bins each completed step's heights and adds them and
+ * their squares to per-site sums.
  * Status codes: 0 done, 1 topple cap exceeded, 2 a full site failed to topple.
  * zp_couple runs the coupling's phases: the three that lead to the merge,
  * and the merged pair after it; it calls fmod and nextafter from libm.
@@ -45,15 +47,18 @@ static int64_t relax(double *h, int64_t n, int64_t x, int64_t cap)
     return total;
 }
 
-/* One chain.  rows (steps x n heights), tops (steps topplings) and counts
- * (n x bins) may be NULL.  counts adds one to bin (int64)(h*bins), clipped to
- * 0..bins-1, of each site after each completed step, as MarginalStats does.
- * With check_heavy, an addition to a full site must topple.  Returns the
- * steps completed; on an error, the index of the failing step. */
+/* One chain.  rows (steps x n heights), tops (steps topplings), counts
+ * (n x bins), and sums with sumsq (n each) may be NULL.  After each completed step
+ * counts adds one to bin (int64)(h*bins), clipped to 0..bins-1, of each site,
+ * as MarginalStats does, and sums and sumsq add h and h*h of each site, in
+ * step order: the order of numpy's sum over axis 0 of a C-contiguous block
+ * with two or more columns.  With check_heavy, an addition to a full site
+ * must topple.  Returns the steps completed; on an error, the index of the
+ * failing step. */
 int64_t zp_drive(double *h, int64_t n, const int64_t *sites, const double *amts,
                  int64_t steps, int64_t cap, int32_t check_heavy,
                  double *rows, int64_t *tops, int64_t *counts, int64_t bins,
-                 int32_t *status)
+                 double *sums, double *sumsq, int32_t *status)
 {
     *status = 0;
     for (int64_t i = 0; i < steps; i++) {
@@ -79,6 +84,11 @@ int64_t zp_drive(double *h, int64_t n, const int64_t *sites, const double *amts,
                  * NaN and negatives go to bin 0 */
                 double v = h[j] * (double)bins;
                 counts[j * bins + (v >= 0 ? (v < bins ? (int64_t)v : bins - 1) : 0)]++;
+            }
+        if (sums)
+            for (int64_t j = 0; j < n; j++) {
+                sums[j] += h[j];
+                sumsq[j] += h[j] * h[j];
             }
     }
     return steps;

@@ -28,7 +28,7 @@ from .core import (
 from .seeding import AdditionStream
 
 _CHUNK = 4096
-_STATS_BLOCK = 2048     # configurations per MarginalStats.add_batch call
+_STATS_BLOCK = 2048     # configurations per statistics block
 
 
 @dataclass(frozen=True)
@@ -153,20 +153,24 @@ class MarginalStats:
             raise ValueError("block must have shape (samples, n_sites)")
         if counts is not None and np.shape(counts) != self.hist.shape:
             raise ValueError("counts must have shape (n_sites, bins)")
-        self.count += block.shape[0]
-        # numpy's sums, not the kernel's: with one site numpy sums pairwise
-        self._sum += block.sum(axis=0)
-        self._sumsq += (block * block).sum(axis=0)
-        if counts is not None:
-            self.hist += counts
-            return
-        # clipped in float, as the kernel bins: a product past 2^63 would cast
-        # to INT64_MIN, and NaN goes to bin 0
-        v = block * self.bins
-        idx = np.where(v >= 0, np.minimum(v, self.bins - 1), 0).astype(np.int64)
-        flat = (idx + self._offsets).ravel()
-        self.hist += np.bincount(flat, minlength=self.n_sites * self.bins) \
+        if counts is None:
+            # clipped in float, as the kernel bins: a product past 2^63 would
+            # cast to INT64_MIN, and NaN goes to bin 0
+            v = block * self.bins
+            idx = np.where(v >= 0, np.minimum(v, self.bins - 1), 0).astype(np.int64)
+            flat = (idx + self._offsets).ravel()
+            counts = np.bincount(flat, minlength=self.n_sites * self.bins) \
                        .reshape(self.n_sites, self.bins)
+        self._fold(block.shape[0], block.sum(axis=0), (block * block).sum(axis=0), counts)
+
+    def _fold(self, count: int, sums: np.ndarray, sumsq: np.ndarray,
+              counts: np.ndarray) -> None:
+        # a block of ``count`` configurations, given by its per-site sums,
+        # sums of squares and (n_sites, bins) histogram
+        self.count += count
+        self._sum += sums
+        self._sumsq += sumsq
+        self.hist += counts
 
     def add(self, heights) -> None:
         self.add_batch(np.asarray(heights, dtype=float)[None, :])
@@ -220,12 +224,19 @@ def _drive_python(proc: ChainProcess, steps: int, stats: MarginalStats | None,
 def _drive_compiled(lib, proc: ChainProcess, steps: int, stats: MarginalStats | None,
                     event_sink) -> None:
     # Kernel calls end at stream chunks and at stats blocks, so the stream,
-    # the add_batch blocks and the event records are those of the Python loop.
+    # the statistics blocks and the event records are those of the Python loop.
     add = proc._additions
     h = np.array(proc.heights)
-    rows = None if stats is None else np.empty((_STATS_BLOCK, proc.n))
-    # the kernel bins each block's rows into counts, folded in at the flush
-    counts = None if stats is None else np.zeros((proc.n, stats.bins), dtype=np.int64)
+    rows = sums = sumsq = counts = None
+    if stats is not None:
+        # the kernel bins each block and, with two or more sites, sums it as
+        # numpy would; numpy sums a one-site block pairwise, so there the
+        # block's rows go to add_batch
+        counts = np.zeros((proc.n, stats.bins), dtype=np.int64)
+        if proc.n == 1:
+            rows = np.empty((_STATS_BLOCK, 1))
+        else:
+            sums, sumsq = np.zeros(proc.n), np.zeros(proc.n)
     tops = None if event_sink is None else np.empty(_STATS_BLOCK, dtype=np.int64)
     filled = 0
     try:
@@ -237,7 +248,7 @@ def _drive_compiled(lib, proc: ChainProcess, steps: int, stats: MarginalStats | 
             done, status = kernel_drive(
                 lib, h, add.site_array[p:p + k], add.amt_array[p:p + k], proc.cap,
                 proc._check_heavy, None if rows is None else rows[filled:filled + k],
-                None if tops is None else tops[:k], counts)
+                None if tops is None else tops[:k], counts, sums, sumsq)
             if event_sink is not None:
                 for i, ntop in enumerate(tops[:done].tolist()):
                     event_sink({"t": proc.t + i + 1, "site": add.sites[p + i] + 1,
@@ -255,13 +266,24 @@ def _drive_compiled(lib, proc: ChainProcess, steps: int, stats: MarginalStats | 
                 raise proc._heavy_violation()
             if filled == _STATS_BLOCK:
                 if stats is not None:
-                    stats.add_batch(rows, counts=counts)
-                    counts.fill(0)
+                    _flush_block(stats, filled, rows, sums, sumsq, counts)
                 filled = 0
         if stats is not None and filled:
-            stats.add_batch(rows[:filled], counts=counts)
+            _flush_block(stats, filled, rows, sums, sumsq, counts)
     finally:
         proc.heights[:] = h.tolist()
+
+
+def _flush_block(stats: MarginalStats, filled: int, rows, sums, sumsq, counts) -> None:
+    # fold the kernel's outputs for one block of ``filled`` steps into stats
+    # and clear them for the next block
+    if rows is not None:
+        stats.add_batch(rows[:filled], counts=counts)
+    else:
+        stats._fold(filled, sums, sumsq, counts)
+        sums.fill(0.0)
+        sumsq.fill(0.0)
+    counts.fill(0)
 
 
 def run_stationary(proc: ChainProcess, burn_in: int, samples: int,

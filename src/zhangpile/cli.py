@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -74,6 +75,27 @@ def _out_stream(path: str | None):
     if path is None or path == "-":
         return nullcontext(sys.stdout)
     return open(path, "w", newline="")
+
+
+def _check_out_paths(args) -> None:
+    """Raise ValueError unless ``--out`` and ``--save-final`` (where given) can
+    be opened for writing: a writable file, or a new one in a writable
+    directory.  Checked before the run, and no file is created."""
+    for flag in ("out", "save_final"):
+        path = getattr(args, flag, None)
+        if path is None or path == "-":
+            continue
+        name = "--" + flag.replace("_", "-")
+        if os.path.isdir(path):
+            raise ValueError(f"{name} {path}: is a directory")
+        if os.path.exists(path):
+            target = path
+        else:
+            target = os.path.dirname(os.path.abspath(path))
+            if not os.path.isdir(target):
+                raise ValueError(f"{name} {path}: no directory {target}")
+        if not os.access(target, os.W_OK):
+            raise ValueError(f"{name} {path}: {target} is not writable")
 
 
 def _parse_init(text: str):
@@ -403,6 +425,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     t0 = time.perf_counter()
     try:
+        _check_out_paths(args)
         rc = args.func(args)
     except (ConservationError, InvariantViolation, ToppleCapError) as exc:
         print(f"zhangpile: invariant violation: {exc}", file=sys.stderr)

@@ -283,7 +283,7 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
     lib.zp_drive.argtypes = [ptr, i64, ptr, ptr, i64, i64, ctypes.c_int32, ptr, ptr, ptr,
-                             i64, ctypes.POINTER(ctypes.c_int32)]
+                             i64, ptr, ptr, ctypes.POINTER(ctypes.c_int32)]
     lib.zp_drive.restype = i64
     lib.zp_lattice.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
                                i64, ctypes.POINTER(LatticeClock), ptr, i64]
@@ -341,18 +341,23 @@ def _c_array(arr, dtype, size: int, name: str, out: bool = False) -> int:
 
 def kernel_drive(lib, h: np.ndarray, sites: np.ndarray, amts: np.ndarray, cap: int,
                  check_heavy: bool, rows: np.ndarray | None = None,
-                 tops: np.ndarray | None = None,
-                 counts: np.ndarray | None = None) -> tuple[int, int]:
+                 tops: np.ndarray | None = None, counts: np.ndarray | None = None,
+                 sums: np.ndarray | None = None,
+                 sumsq: np.ndarray | None = None) -> tuple[int, int]:
     """Add ``amts[i]`` at 0-based site ``sites[i]`` of the stable heights ``h``
     and relax, step after step, in place.
 
     ``rows`` (steps x n) and ``tops`` (steps), if given, receive each
     completed step's heights and topplings.  ``counts`` (n x bins), if
     given, gains each completed step's heights binned as
-    ``MarginalStats.add_batch`` bins them.  Returns (steps completed,
-    status).  Status 1: the next step exceeded ``cap`` topplings.  Status 2
-    (only with ``check_heavy``): the next step added to a full site, which
-    then did not topple; that step's addition stays in ``h``.
+    ``MarginalStats.add_batch`` bins them.  ``sums`` and ``sumsq`` (n each,
+    both or neither) gain each completed step's heights and their squares,
+    added in step order: with two or more sites, the order in which numpy
+    sums a block of rows over its first axis, so the same bits.  Returns
+    (steps completed, status).  Status 1: the next step exceeded ``cap``
+    topplings.  Status 2 (only with ``check_heavy``): the next step added to
+    a full site, which then did not topple; that step's addition stays in
+    ``h``.
     """
     n = np.size(h)
     ph = _c_array(h, np.float64, n, "h", out=True)
@@ -369,9 +374,13 @@ def kernel_drive(lib, h: np.ndarray, sites: np.ndarray, amts: np.ndarray, cap: i
             raise ValueError(f"kernel argument counts: need shape ({n}, bins >= 1)")
         bins = np.shape(counts)[1]
         pc = _c_array(counts, np.int64, n * bins, "counts", out=True)
+    if (sums is None) != (sumsq is None):
+        raise ValueError("kernel argument sums: need sums and sumsq, or neither")
+    pm = None if sums is None else _c_array(sums, np.float64, n, "sums", out=True)
+    pq = None if sumsq is None else _c_array(sumsq, np.float64, n, "sumsq", out=True)
     status = ctypes.c_int32()
     done = lib.zp_drive(ph, n, ps, pa, steps, cap, int(check_heavy), pr, pt, pc, bins,
-                        ctypes.byref(status))
+                        pm, pq, ctypes.byref(status))
     return done, status.value
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 
 
 def fmt_real(x: float) -> str:
@@ -72,13 +73,25 @@ def parse_echo(line: str) -> dict:
     return json.loads(line)
 
 
+def _fmt_row(row) -> str:
+    # a run of exact int cells, the bulk of a histogram table, is printed by
+    # one %d template; every other cell (bool, None, float, str, numpy
+    # scalar) by _fmt_cell
+    parts = []
+    for kind, cells in groupby(row, type):
+        if kind is int:
+            cells = tuple(cells)
+            parts.append(("%d," * len(cells))[:-1] % cells)
+        else:
+            parts.extend(map(_fmt_cell, cells))
+    return ",".join(parts)
+
+
 def write_csv(fobj, spec: ExperimentSpec, version: str, columns, rows) -> None:
     fobj.write(echo_line(spec, version) + "\n")
     fobj.write(",".join(columns) + "\n")
     for row in rows:
-        # exact int and str cells, the bulk of a histogram table, skip _fmt_cell
-        fobj.write(",".join([v if type(v) is str else str(v) if type(v) is int
-                             else _fmt_cell(v) for v in row]) + "\n")
+        fobj.write(_fmt_row(row) + "\n")
 
 
 def write_jsonl(fobj, spec: ExperimentSpec, version: str, records) -> None:

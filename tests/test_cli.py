@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -15,7 +17,14 @@ import zhangpile.cli as cli
 import zhangpile.core as core
 import zhangpile.lattice as lattice
 from zhangpile.cli import main
-from zhangpile.runio import ExperimentSpec, make_spec, parse_echo
+from zhangpile.runio import (
+    ExperimentSpec,
+    _fmt_cell,
+    echo_line,
+    make_spec,
+    parse_echo,
+    write_csv,
+)
 
 TABLE1 = "0,0,1.4,1.2,0,0"
 
@@ -581,6 +590,94 @@ def test_lattice_outputs_match_pinned_hashes(tmp_path, monkeypatch, name):
         if argv[0] == "infinite":
             digest.update((tmp_path / "final").read_bytes())
         assert digest.hexdigest() == want
+
+
+# sha256 of each finite-run output file, the same on both backends; the n=1
+# run takes the row-block route, whose sums are numpy's pairwise ones
+_FINITE_PINNED = {
+    "finite-run-n30-csv": (
+        "finite-run --n 30 --a 0.6 --b 0.8 --burn-in 1000 --samples 6000 --seed 10000",
+        "ef14246dffc0e0c88729a43df5ec2fbae00625c62e20fd39b4e6ccfed61a6d11"),
+    "finite-run-n1-jsonl": (
+        "finite-run --n 1 --a 0.3 --b 0.9 --burn-in 100 --samples 4500 --bins 7 --seed 11 "
+        "--format jsonl",
+        "14bfc773a5a350c33a6936bc6268d2b9993d2a843580b7c41ff598c611549c64"),
+    "finite-run-n7-csv": (
+        "finite-run --n 7 --a 0.0 --b 1.0 --burn-in 0 --samples 9000 --bins 3 --seed 12",
+        "33134382e630762c6ecce7895986ece064f0a72cce958115916f27ea09be1c8f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FINITE_PINNED))
+def test_finite_run_outputs_match_pinned_hashes(tmp_path, monkeypatch, name):
+    argv, want = _FINITE_PINNED[name]
+    argv = argv.split() + ["--out", str(tmp_path / "out")]
+    for kernel in (None, core.chain_kernel()):
+        monkeypatch.setattr(core, "_kernel", [kernel])
+        assert main(argv) == 0
+        assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == want
+
+
+def test_write_csv_matches_the_per_cell_format():
+    # runs of exact ints are printed in one call; every cell must still read
+    # as _fmt_cell prints it on its own
+    rows = [
+        [True, False, None, -3, 2**70, np.int64(-7), math.nan, math.inf, -math.inf, -0.0,
+         0.1, "x,y", "", 0, -1, 12],
+        [1, 2.5, 0.1 + 0.2] + list(range(-5, 300)),
+        list(range(256)) + [True] + list(range(40)),
+        list(range(256)) + [0.5] + list(range(40)),
+        [np.int64(3), 4, np.float64(0.25), 5, 2**64, None],
+        [7],
+        [],
+    ]
+    buf = io.StringIO()
+    spec = make_spec("finite-run", n=1)
+    write_csv(buf, spec, "0.0", ["c"], rows)
+    want = [echo_line(spec, "0.0"), "c"] + [",".join(map(_fmt_cell, r)) for r in rows]
+    assert buf.getvalue() == "\n".join(want) + "\n"
+    assert buf.getvalue().split("\n")[4].split(",")[256:258] == ["true", "0"]
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("the run started before the output path was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["finite-run", "--n", "3", "--a", "0.2", "--b", "0.9", "--samples", "1000000",
+     "--out", "{missing}/x.csv"],
+    ["finite-run", "--n", "3", "--a", "0.2", "--b", "0.9", "--samples", "10",
+     "--out", "{tmp}"],
+    ["infinite", "--d", "1", "--side", "8", "--gen", "iid", "--rho", "0.5",
+     "--out", "{tmp}/out.csv", "--save-final", "{missing}/final"],
+    ["sweep", "--d", "1", "--side", "8", "--gen", "iid", "--rho", "0.5",
+     "--out", "{missing}/out.csv"],
+])
+def test_bad_output_path_exits_1_before_the_run(tmp_path, monkeypatch, capsys, argv):
+    # an unwritable path fails before any simulation, not after it (a
+    # million finite-run samples take ~0.8 s)
+    monkeypatch.setattr(cli, "drive", _no_run)
+    monkeypatch.setattr(cli, "run_stationary", _no_run)
+    monkeypatch.setattr(cli, "stabilizability_experiment", _no_run)
+    monkeypatch.setattr(cli, "stabilizability_sweep", _no_run)
+    argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("zhangpile: error: --") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def test_writable_output_paths_pass_the_check(tmp_path, monkeypatch):
+    # an existing writable file (even one whose directory is not writable,
+    # as /dev/null) and a new file in a writable directory pass; no file is
+    # created by the check
+    existing = tmp_path / "old.csv"
+    existing.write_text("x")
+    for path in ("-", str(existing), str(tmp_path / "new.csv"), os.devnull, "rel.csv"):
+        args = argparse.Namespace(out=path, save_final=str(tmp_path / "f"))
+        monkeypatch.chdir(tmp_path)
+        cli._check_out_paths(args)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv"]
 
 
 def test_subcommand_parser_matches_the_full_parser():

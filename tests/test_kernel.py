@@ -242,14 +242,37 @@ def test_kernel_entry_reports_heavy_violation(lib):
     {"counts": np.zeros((4, 2), dtype=np.int64).T},
     {"counts": np.zeros((2, 4), dtype=np.int64)[None]},
     {"counts": np.frombuffer(bytes(64), dtype=np.int64).reshape(2, 4)},   # read-only
+    {"sums": np.zeros(2)},
+    {"sumsq": np.zeros(2)},
+    {"sums": np.zeros(3), "sumsq": np.zeros(3)},
+    {"sums": np.zeros(2, dtype=np.float32), "sumsq": np.zeros(2)},
+    {"sums": np.zeros(2), "sumsq": np.zeros(4)[::2]},
 ])
 def test_kernel_entry_checks_its_arrays(lib, bad):
     args = {"h": np.array([0.1, 0.2]), "sites": np.array([0, 1], dtype=np.int64),
-            "amts": np.array([0.5, 0.5]), "rows": None, "tops": None, "counts": None}
+            "amts": np.array([0.5, 0.5]), "rows": None, "tops": None, "counts": None,
+            "sums": None, "sumsq": None}
     args.update(bad)
     with pytest.raises(ValueError, match="kernel argument"):
         core.kernel_drive(lib, args["h"], args["sites"], args["amts"], 100, False,
-                          rows=args["rows"], tops=args["tops"], counts=args["counts"])
+                          rows=args["rows"], tops=args["tops"], counts=args["counts"],
+                          sums=args["sums"], sumsq=args["sumsq"])
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 30])
+def test_kernel_sums_are_numpys_block_sums(lib, n):
+    # the kernel adds each step's heights and their squares in step order,
+    # the order in which numpy sums a C-contiguous block of two or more
+    # columns over its first axis
+    add = ChainProcess(n, 0.2, 0.9, seed=n)._additions
+    add.refill()
+    h = np.zeros(n)
+    rows = np.empty((2048, n))
+    sums, sumsq = np.zeros(n), np.zeros(n)
+    assert core.kernel_drive(lib, h, add.site_array[:2048], add.amt_array[:2048], 10**6,
+                             False, rows=rows, sums=sums, sumsq=sumsq) == (2048, 0)
+    assert _bits(sums) == _bits(rows.sum(axis=0))
+    assert _bits(sumsq) == _bits((rows * rows).sum(axis=0))
 
 
 def test_kernel_entry_bins_like_marginal_stats(lib):
@@ -1099,7 +1122,8 @@ def test_kernel_is_clean_under_ubsan(tmp_path):
 
 # builds the kernel with the address and undefined-behaviour sanitizers and
 # runs the sentinel lattice cases on plain n-slot buffers, whose ends ASAN
-# guards, plus a chain drive and a recording coupling through its merge
+# guards, plus chain drives at n=30 and n=1 and a recording coupling through
+# its merge
 _ASAN_CHECK = """
 import sys
 from pathlib import Path
@@ -1115,6 +1139,8 @@ for cfg, seed, runs in tk.SENTINEL_CASES.values():
     tk._differential(cfg, seed, runs, lib=lib)
 p = tk.ChainProcess(30, 0.6, 0.8, seed=1)
 tk._drive_compiled(lib, p, 3000, tk.MarginalStats(30, bins=7), None)
+p = tk.ChainProcess(1, 0.3, 0.9, seed=2)     # one site: the row block
+tk._drive_compiled(lib, p, 3000, tk.MarginalStats(1, bins=7), None)
 assert tk._merged_pair(record=True).run_steps(20_000, require_equal=True)
 print("ok")
 """
