@@ -16,26 +16,10 @@ import sys
 import time
 from contextlib import nullcontext
 
-import numpy as np
-
 from . import __version__
-from .chain import ChainProcess, MarginalStats, drive, run_stationary
-from .core import (
-    InvariantViolation,
-    ToppleCapError,
-    chain_kernel,
-    parse_policy,
-    stabilize_chain,
-)
-from .coupling import coupling_sweep
-from .lattice import (
-    TORUS,
-    DensitySpec,
-    parse_boundary,
-    stabilizability_experiment,
-    stabilizability_sweep,
-)
-from .runio import RunRecord, fmt_real, make_spec, write_jsonl
+
+# Each subcommand imports its own engine (and with it numpy) when it runs, so
+# that --help, --version and a run of one engine load nothing else.
 
 CONSERVATION_TOL = 1e-9     # times max(total mass, 1)
 
@@ -109,6 +93,10 @@ def _parse_init(text: str):
 # ---------------------------------------------------------------------------
 
 def cmd_stabilize(args) -> int:
+    import numpy as np
+
+    from .core import parse_policy, stabilize_chain
+
     if args.chain is not None:
         heights = _parse_chain(args.chain)
     elif args.infile is not None:
@@ -127,6 +115,9 @@ def cmd_stabilize(args) -> int:
 
 
 def cmd_finite_run(args) -> int:
+    from .chain import ChainProcess, MarginalStats, drive, run_stationary
+    from .runio import RunRecord, make_spec, write_jsonl
+
     if args.burn_in < 0 or args.samples < 0:
         raise ValueError("--burn-in and --samples must be >= 0")
     spec = make_spec("finite-run", n=args.n, a=args.a, b=args.b, seed=args.seed,
@@ -159,6 +150,9 @@ def cmd_finite_run(args) -> int:
 
 
 def cmd_couple(args) -> int:
+    from .coupling import coupling_sweep
+    from .runio import RunRecord, make_spec
+
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     init_a = _parse_init(args.init_a)
@@ -199,6 +193,8 @@ def _verdict_rows(kind, rho, sides, boundary, seed, rows):
 
 
 def _check_conservation(rows, boundary) -> None:
+    from .lattice import TORUS
+
     if boundary != TORUS:
         return
     for r in rows:
@@ -211,7 +207,18 @@ def _check_conservation(rows, boundary) -> None:
                 f"drift={r['mass_drift']:.3e} (replica {r['replica']})")
 
 
+def stabilizability_experiment(*args, **kwargs):
+    """``lattice.stabilizability_experiment``, which ``cmd_infinite`` calls
+    through this name, so that a caller can wrap it here."""
+    from . import lattice
+
+    return lattice.stabilizability_experiment(*args, **kwargs)
+
+
 def cmd_infinite(args) -> int:
+    from .lattice import DensitySpec, parse_boundary
+    from .runio import RunRecord, make_spec
+
     sides = _parse_sides(args.d, args.side)
     boundary = parse_boundary(args.boundary)
     dspec = DensitySpec(args.gen, args.rho)
@@ -239,6 +246,8 @@ def cmd_infinite(args) -> int:
 
 
 def _save_final(path: str, sides, boundary, seed, row) -> None:
+    from .runio import fmt_real
+
     # the final heights of replica 0, as its own run left them
     header = {"dim": len(sides), "sides": list(sides), "boundary": boundary,
               "t": row["t_end"], "seed": seed}
@@ -249,6 +258,9 @@ def _save_final(path: str, sides, boundary, seed, row) -> None:
 
 
 def cmd_sweep(args) -> int:
+    from .lattice import DensitySpec, parse_boundary, stabilizability_sweep
+    from .runio import RunRecord, make_spec
+
     sides = _parse_sides(args.d, args.side)
     boundary = parse_boundary(args.boundary)
     gens = [g for g in args.gen.split(",") if g]
@@ -413,8 +425,9 @@ def main(argv=None) -> int:
         try:
             head, rest = argv[0], argv[1:]
             argv = [head] + _config_args(rest) + rest
-        except OSError as exc:
-            print(f"zhangpile: error: {exc}", file=sys.stderr)
+        except (OSError, ValueError) as exc:
+            # ValueError: a line without "=", or bytes that do not decode
+            print(f"zhangpile: error: --config: {exc}", file=sys.stderr)
             return 1
     # the top-level options take no values: the first other token names the
     # subcommand, and without one (--help, --version) no arguments are needed
@@ -423,6 +436,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    from .core import InvariantViolation, ToppleCapError, chain_kernel
+
     t0 = time.perf_counter()
     try:
         _check_out_paths(args)

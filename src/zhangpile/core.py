@@ -25,8 +25,6 @@ import ctypes
 import enum
 import hashlib
 import os
-import subprocess
-import tempfile
 from bisect import insort
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -259,6 +257,10 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
                              + " ".join(_KERNEL_FLAGS).encode()).hexdigest()[:16]
         path = cache / f"_drive-{tag}.so"
         if not path.exists():
+            # imported here: a process that finds the library built never needs them
+            import subprocess
+            import tempfile
+
             cache.mkdir(parents=True, exist_ok=True)
             # build into a private file and move it into place whole, so that
             # concurrent processes never load a partial library
@@ -268,11 +270,13 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
                 subprocess.run([cc, "-o", tmp, str(_KERNEL_SOURCE), *_KERNEL_FLAGS],
                                check=True, capture_output=True)
                 os.replace(tmp, path)
+            except subprocess.CalledProcessError:
+                return None
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
         lib = ctypes.CDLL(str(path))
-    except (OSError, subprocess.CalledProcessError):
+    except OSError:
         return None
     for old in cache.glob("_drive-*.so"):
         if old != path:

@@ -787,8 +787,9 @@ def coupling_sweep(n: int, a: float, b: float, seeds, max_steps: int,
             for s in seeds]
     if workers > 1 and len(jobs) > 1:
         chain_kernel()      # build and load once, before the workers fork
-        with Pool(workers) as pool:
-            return pool.map(_sweep_one, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
+        width = min(workers, len(jobs))     # no idle workers to fork
+        with Pool(width) as pool:
+            return pool.map(_sweep_one, jobs, chunksize=max(1, len(jobs) // (4 * width)))
     return [_sweep_one(j) for j in jobs]
 
 

@@ -916,7 +916,8 @@ def _summaries(grid: list, workers: int) -> list[ExperimentSummary]:
     jobs = [job for point in grid for job in point]
     if workers > 1 and len(jobs) > 1:
         chain_kernel()      # build and load once, before the workers fork
-        with Pool(workers) as pool:
+        # no idle workers to fork; map sizes its chunks from the pool's width
+        with Pool(min(workers, len(jobs))) as pool:
             rows = pool.map(_replica_worker, jobs)
     else:
         rows = [_replica_worker(j) for j in jobs]

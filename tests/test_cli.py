@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import zhangpile
+import zhangpile.chain as chain
 import zhangpile.cli as cli
 import zhangpile.core as core
+import zhangpile.coupling as coupling
 import zhangpile.lattice as lattice
 from zhangpile.cli import main
 from zhangpile.runio import (
@@ -151,6 +153,46 @@ def test_couple_reproducible_bytes(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2), "--workers", "2"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("argv, jobs", [
+    (["couple", "--n", "3", "--a", "0.2", "--b", "0.9", "--seeds", "2",
+      "--max-steps", "5000"], 2),
+    (["infinite", "--d", "1", "--side", "8", "--gen", "iid", "--rho", "0.5",
+      "--tmax", "5", "--replicas", "2"], 2),
+    (["sweep", "--d", "1", "--side", "8", "--gen", "iid", "--rho", "0.5,0.6",
+      "--tmax", "5", "--replicas", "2"], 4),
+])
+def test_pool_is_no_wider_than_its_jobs(tmp_path, monkeypatch, argv, jobs):
+    # a pool opens one worker per job at most; a recording stand-in for Pool
+    # runs the jobs in this process, and the bytes are those of one worker
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            self.processes = processes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=None):
+            opened.append((self.processes, len(items), chunksize))
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(coupling, "Pool", RecordingPool)
+    monkeypatch.setattr(lattice, "Pool", RecordingPool)
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert main(argv + ["--out", str(serial)]) == 0
+    assert opened == []
+    for workers in (3, 8):
+        assert main(argv + ["--out", str(pooled), "--workers", str(workers)]) == 0
+        assert pooled.read_bytes() == serial.read_bytes()
+    # coupling_sweep sizes its chunks from the width; _summaries leaves it to map
+    chunk = 1 if argv[0] == "couple" else None
+    assert opened == [(min(3, jobs), jobs, chunk), (jobs, jobs, chunk)]
 
 
 def test_finite_run_jsonl_format(tmp_path):
@@ -300,11 +342,11 @@ def test_conservation_gate_exits_2(tmp_path, monkeypatch):
 
 def test_conservation_gate_trips_on_nan(tmp_path, monkeypatch):
     ok = {"mass_residual": 0.0, "mass_drift": 0.0, "mass": 1.0, "replica": 0}
-    cli._check_conservation([ok], cli.TORUS)
+    cli._check_conservation([ok], lattice.TORUS)
     for key in ("mass_residual", "mass_drift", "mass"):
         with pytest.raises(cli.ConservationError):
             cli._check_conservation([ok, dict(ok, replica=1, **{key: math.nan})],
-                                    cli.TORUS)
+                                    lattice.TORUS)
     # end to end: a NaN residual from the identity check exits 2, on the
     # Python loop and on the compiled kernel alike
     monkeypatch.setattr(lattice, "mass_identity_check", lambda *a: math.nan)
@@ -548,6 +590,18 @@ def test_config_file_defaults_and_override(tmp_path):
     assert main(["finite-run", "--config", str(tmp_path / "nope.cfg")]) == 1
 
 
+@pytest.mark.parametrize("content", [b"n=3\nsamples 10\n", b"n=3\n\xff\xfe=1\n"])
+def test_bad_config_file_exits_1_without_a_traceback(tmp_path, content):
+    # a line without "=", or bytes that do not decode, is a bad parameter:
+    # one error line, not a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(content)
+    proc = _run_cli(tmp_path, ["finite-run", "--config", str(cfg), "--a", "0.2", "--b", "0.9"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("zhangpile: error: --config: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 # sha256 of each output file, then (infinite) of its --save-final file, as
 # the list-based lattice engine wrote them on both backends
 _PINNED = {
@@ -656,10 +710,10 @@ def _no_run(*args, **kwargs):
 def test_bad_output_path_exits_1_before_the_run(tmp_path, monkeypatch, capsys, argv):
     # an unwritable path fails before any simulation, not after it (a
     # million finite-run samples take ~0.8 s)
-    monkeypatch.setattr(cli, "drive", _no_run)
-    monkeypatch.setattr(cli, "run_stationary", _no_run)
+    monkeypatch.setattr(chain, "drive", _no_run)
+    monkeypatch.setattr(chain, "run_stationary", _no_run)
     monkeypatch.setattr(cli, "stabilizability_experiment", _no_run)
-    monkeypatch.setattr(cli, "stabilizability_sweep", _no_run)
+    monkeypatch.setattr(lattice, "stabilizability_sweep", _no_run)
     argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path) for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
