@@ -291,8 +291,8 @@ def run_stationary(proc: ChainProcess, burn_in: int, samples: int,
     """Advance ``burn_in`` steps, then record the configuration for ``samples`` steps."""
     if burn_in < 0 or samples < 0:
         raise ValueError("burn_in and samples must be >= 0")
+    stats = MarginalStats(proc.n, bins=bins)     # checks bins before the burn-in
     drive(proc, burn_in)
-    stats = MarginalStats(proc.n, bins=bins)
     drive(proc, samples, stats=stats)
     return stats
 

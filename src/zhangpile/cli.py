@@ -1,6 +1,7 @@
 """Command-line drivers for the simulation experiments.
 
-Subcommands: stabilize, finite-run, couple, infinite, sweep.  Outputs start
+Subcommands: stabilize, finite-run, couple, infinite, sweep; infinite is the
+one-point case of sweep, and both run through one command.  Outputs start
 with a spec-echo line and are byte-identical for identical spec + seed.
 Exit codes: 0 success, 1 parameter error, 2 internal invariant violation
 (e.g. a conservation residual above tolerance).
@@ -175,21 +176,13 @@ def cmd_couple(args) -> int:
     return 0
 
 
-_VERDICT_COLUMNS = ["spec", "geometry", "seed", "replica", "outcome", "t_stab",
-                    "min_M", "max_M", "dissipated", "min_m_slope",
-                    "mass_residual", "evidence_strong"]
-
-
-def _verdict_rows(kind, rho, sides, boundary, seed, rows):
-    spec_str = f"{kind}({rho:g})"
-    geom = f"{boundary}:" + "x".join(str(s) for s in sides)
-    out = []
-    for r in rows:
-        out.append([spec_str, geom, seed, r["replica"], r["outcome"],
-                    r["t_stab"] if r["t_stab"] is not None else "",
-                    r["min_m"], r["max_m"], r["dissipated"],
-                    r["min_m_slope"], r["mass_residual"], r["evidence_strong"]])
-    return out
+_LATTICE_COLUMNS = {
+    "infinite": ["spec", "geometry", "seed", "replica", "outcome", "t_stab", "min_M",
+                 "max_M", "dissipated", "min_m_slope", "mass_residual",
+                 "evidence_strong"],
+    "sweep": ["gen", "rho", "d", "sides", "boundary", "replica", "seed", "outcome",
+              "t_stab", "min_M", "max_M", "dissipated", "min_m_slope", "mass_residual"],
+}
 
 
 def _check_conservation(rows, boundary) -> None:
@@ -208,40 +201,63 @@ def _check_conservation(rows, boundary) -> None:
 
 
 def stabilizability_experiment(*args, **kwargs):
-    """``lattice.stabilizability_experiment``, which ``cmd_infinite`` calls
-    through this name, so that a caller can wrap it here."""
+    """``lattice.stabilizability_experiment``, which ``infinite`` calls through
+    this name, so that a caller can wrap it here."""
     from . import lattice
 
     return lattice.stabilizability_experiment(*args, **kwargs)
 
 
-def cmd_infinite(args) -> int:
-    from .lattice import DensitySpec, parse_boundary
+def cmd_lattice(args) -> int:
+    """``infinite`` and ``sweep``: replicated runs at each point of a density grid (one
+    for ``infinite``), whose library call checks the whole grid before any runs."""
+    from .lattice import DensitySpec, parse_boundary, stabilizability_sweep
     from .runio import RunRecord, make_spec
 
     sides = _parse_sides(args.d, args.side)
     boundary = parse_boundary(args.boundary)
-    dspec = DensitySpec(args.gen, args.rho)
-    spec = make_spec("infinite", d=args.d, sides=list(sides), boundary=boundary,
-                     gen=dspec.describe(args.d), tmax=args.tmax, seed=args.seed,
-                     replicas=args.replicas, snap_every=args.snap_every,
-                     min_m_threshold=args.min_m_threshold,
-                     max_events=args.max_events)
-    summary = stabilizability_experiment(
-        dspec, sides, boundary, t_max=args.tmax, replicas=args.replicas,
-        seed=args.seed, snapshot_every=args.snap_every,
-        min_m_threshold=args.min_m_threshold, max_events=args.max_events,
-        workers=args.workers)
-    _check_conservation(summary.rows, boundary)
-    rows = _verdict_rows(dspec.kind, args.rho, sides, boundary, args.seed,
-                         summary.rows)
+    infinite = args.subcommand == "infinite"
+    if infinite:
+        dspecs = [DensitySpec(args.gen, args.rho)]
+        grid = {"gen": dspecs[0].describe(args.d)}
+    else:
+        gens = [g for g in args.gen.split(",") if g]
+        rhos = [float(r) for r in args.rho.split(",") if r]
+        if not gens or not rhos:
+            raise ValueError("sweep needs at least one generator and one rho")
+        dspecs = [DensitySpec(kind, rho) for kind in gens for rho in rhos]
+        grid = {"gens": gens, "rhos": rhos}
+    spec = make_spec(args.subcommand, d=args.d, sides=list(sides), boundary=boundary,
+                     tmax=args.tmax, seed=args.seed, replicas=args.replicas,
+                     snap_every=args.snap_every, min_m_threshold=args.min_m_threshold,
+                     max_events=args.max_events, **grid)
+    run = dict(t_max=args.tmax, replicas=args.replicas, seed=args.seed,
+               snapshot_every=args.snap_every, min_m_threshold=args.min_m_threshold,
+               max_events=args.max_events, workers=args.workers)
+    # replica i has the spawn key (i,) in infinite, (g, i) at grid point g of a sweep
+    summaries = ([stabilizability_experiment(dspecs[0], sides, boundary, **run)] if infinite
+                 else stabilizability_sweep(dspecs, sides, boundary, **run))
+    sides_str = "x".join(str(s) for s in sides)
+    columns = _LATTICE_COLUMNS[args.subcommand]
+    rows = []
+    for dspec, summary in zip(dspecs, summaries):
+        # grid order: the first failing replica of the first failing point
+        _check_conservation(summary.rows, boundary)
+        for r in summary.rows:
+            cells = dict(r, spec=f"{dspec.kind}({dspec.rho:g})", gen=dspec.kind, d=args.d,
+                         rho=dspec.rho, geometry=f"{boundary}:{sides_str}", seed=args.seed,
+                         sides=sides_str, boundary=boundary, min_M=r["min_m"],
+                         max_M=r["max_m"], t_stab="" if r["t_stab"] is None else r["t_stab"])
+            rows.append([cells[c] for c in columns])
     rec = RunRecord(spec=spec, version=__version__, seed=args.seed,
-                    columns=_VERDICT_COLUMNS, rows=rows)
+                    columns=columns, rows=rows)
     with _out_stream(args.out) as f:
         rec.write(f, args.format)
-    if args.save_final:
-        _save_final(args.save_final, sides, boundary, args.seed, summary.rows[0])
-    print(f"stabilized fraction: {summary.fraction_stabilized:.3f}", file=sys.stderr)
+    if infinite:
+        if args.save_final:
+            _save_final(args.save_final, sides, boundary, args.seed, summaries[0].rows[0])
+        print(f"stabilized fraction: {summaries[0].fraction_stabilized:.3f}",
+              file=sys.stderr)
     return 0
 
 
@@ -255,48 +271,6 @@ def _save_final(path: str, sides, boundary, seed, row) -> None:
         f.write("# " + json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         for v in row["heights"].tolist():
             f.write(fmt_real(v) + "\n")
-
-
-def cmd_sweep(args) -> int:
-    from .lattice import DensitySpec, parse_boundary, stabilizability_sweep
-    from .runio import RunRecord, make_spec
-
-    sides = _parse_sides(args.d, args.side)
-    boundary = parse_boundary(args.boundary)
-    gens = [g for g in args.gen.split(",") if g]
-    rhos = [float(r) for r in args.rho.split(",") if r]
-    if not gens or not rhos:
-        raise ValueError("sweep needs at least one generator and one rho")
-    spec = make_spec("sweep", d=args.d, sides=list(sides), boundary=boundary,
-                     gens=gens, rhos=rhos, tmax=args.tmax, seed=args.seed,
-                     replicas=args.replicas, snap_every=args.snap_every,
-                     min_m_threshold=args.min_m_threshold,
-                     max_events=args.max_events)
-    columns = ["gen", "rho", "d", "sides", "boundary", "replica", "seed",
-               "outcome", "t_stab", "min_M", "max_M", "dissipated",
-               "min_m_slope", "mass_residual"]
-    dspecs = [DensitySpec(kind, rho) for kind in gens for rho in rhos]
-    summaries = stabilizability_sweep(
-        dspecs, sides, boundary, t_max=args.tmax, replicas=args.replicas,
-        seed=args.seed, snapshot_every=args.snap_every,
-        min_m_threshold=args.min_m_threshold, max_events=args.max_events,
-        workers=args.workers)
-    rows = []
-    sides_str = "x".join(str(s) for s in sides)
-    for dspec, summary in zip(dspecs, summaries):
-        # grid order: the first failing replica of the first failing point
-        _check_conservation(summary.rows, boundary)
-        for r in summary.rows:
-            rows.append([dspec.kind, dspec.rho, args.d, sides_str, boundary,
-                         r["replica"], args.seed, r["outcome"],
-                         r["t_stab"] if r["t_stab"] is not None else "",
-                         r["min_m"], r["max_m"], r["dissipated"],
-                         r["min_m_slope"], r["mass_residual"]])
-    rec = RunRecord(spec=spec, version=__version__, seed=args.seed,
-                    columns=columns, rows=rows)
-    with _out_stream(args.out) as f:
-        rec.write(f, args.format)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +354,7 @@ def build_parser(subcommand: str | None = None) -> _Parser:
         common(sp)
 
     if sp := add_parser("infinite", "Poisson-clock toppling on a finite lattice",
-                        func=cmd_infinite, engine="lattice"):
+                        func=cmd_lattice, engine="lattice"):
         sp.add_argument("--gen", required=True,
                         help="iid | constant | checkerboard | near-full")
         sp.add_argument("--rho", type=float, required=True)
@@ -389,7 +363,7 @@ def build_parser(subcommand: str | None = None) -> _Parser:
         lattice(sp)
 
     if sp := add_parser("sweep", "stabilizability sweep over a density grid",
-                        func=cmd_sweep, engine="lattice"):
+                        func=cmd_lattice, engine="lattice"):
         sp.add_argument("--gen", required=True, help="comma list of generator kinds")
         sp.add_argument("--rho", required=True, help="comma list of densities")
         lattice(sp)

@@ -747,14 +747,22 @@ def run_coupling(eta_a, eta_b, a: float, b: float, seed: int | None = None,
 # seed sweeps
 # ---------------------------------------------------------------------------
 
-def _init_config(mode, n: int, gen: np.random.Generator) -> list:
+def _check_init(mode, n: int):
+    """"zeros", "random", or ``mode`` as a checked stable chain of ``n`` heights."""
     if isinstance(mode, str):
-        if mode == "zeros":
-            return [0.0] * n
-        if mode == "random":
-            return gen.uniform(0.0, 1.0, n).tolist()
-        raise ValueError(f"unknown init mode {mode!r}")
+        if mode not in ("zeros", "random"):
+            raise ValueError(f"unknown init mode {mode!r}")
+        return mode
     return stable_heights(mode, n)
+
+
+def _init_config(mode, n: int, gen: np.random.Generator) -> list:
+    """The start that ``mode``, checked by ``_check_init``, names."""
+    if mode == "zeros":
+        return [0.0] * n
+    if mode == "random":
+        return gen.uniform(0.0, 1.0, n).tolist()
+    return mode
 
 
 def _sweep_one(args) -> CouplingResult:
@@ -783,6 +791,8 @@ def coupling_sweep(n: int, a: float, b: float, seeds, max_steps: int,
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     if post_merge_steps < 0:
         raise ValueError(f"post_merge_steps must be >= 0, got {post_merge_steps}")
+    init_a, init_b = _check_init(init_a, n), _check_init(init_b, n)
+    _validate_abn(a, b, n)
     jobs = [(n, a, b, int(s), max_steps, init_a, init_b, cap, post_merge_steps)
             for s in seeds]
     if workers > 1 and len(jobs) > 1:

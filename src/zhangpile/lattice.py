@@ -68,10 +68,15 @@ def parse_boundary(name: str) -> str:
         raise ValueError(f"unknown boundary mode: {name!r}") from None
 
 
-def _check_size(sides) -> None:
-    """Raise ValueError for a lattice of more than ``_MAX_SITES`` sites, which
-    the int32 neighbour table cannot index; it needs only the sides, so it
-    runs before any array of the lattice is allocated."""
+def _check_geometry(sides: tuple, boundary: str) -> None:
+    """Raise ValueError unless ``sides`` make a lattice of the parsed ``boundary`` of at
+    most ``_MAX_SITES`` sites; it reads no array, so it runs before any is allocated."""
+    if not sides:
+        raise ValueError("heights must be at least 1-dimensional")
+    if any(s < 1 for s in sides):
+        raise ValueError(f"every lattice side must be >= 1, got {sides}")
+    if boundary == TORUS and any(s < 2 for s in sides):
+        raise ValueError("torus sides must be >= 2")
     n = math.prod(sides)
     if n > _MAX_SITES:
         raise ValueError(f"a lattice of {n} sites is too large: at most 2^31 - 1")
@@ -85,16 +90,10 @@ class LatticeConfig:
     boundary: str = TORUS
 
     def __post_init__(self):
-        _check_size(np.shape(self.heights))
-        self.heights = np.array(self.heights, dtype=float)
         self.boundary = parse_boundary(self.boundary)
-        if self.heights.ndim < 1:
-            raise ValueError("heights must be at least 1-dimensional")
-        if any(s < 1 for s in self.heights.shape):
-            raise ValueError(f"every lattice side must be >= 1, got {self.heights.shape}")
+        _check_geometry(np.shape(self.heights), self.boundary)
+        self.heights = np.array(self.heights, dtype=float)
         check_heights(self.heights)
-        if self.boundary == TORUS and any(s < 2 for s in self.heights.shape):
-            raise ValueError("torus sides must be >= 2")
 
     @property
     def dim(self) -> int:
@@ -272,6 +271,20 @@ class StabilizabilityVerdict:
         return _snapshots(self.snapshot_rows, self._n_sites)
 
 
+def _check_run(t_max, snapshot_every, max_events) -> float:
+    """``t_max`` as a float (an int would leave an int clock) once a run's limits pass."""
+    if not t_max > 0:                   # also rejects NaN
+        raise ValueError(f"t_max must be positive, got {t_max!r}")
+    if snapshot_every is not None and not snapshot_every > 0:
+        raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
+    if max_events is not None and max_events < 0:
+        raise ValueError(f"max_events must be >= 0, got {max_events}")
+    try:
+        return float(t_max)
+    except OverflowError:
+        raise ValueError("t_max must fit in a float") from None
+
+
 class MarkovToppling:
     """Resumable rejection-free toppling run on one lattice configuration.
 
@@ -349,16 +362,7 @@ class MarkovToppling:
         bits, and a resumed run continues the same draws.  A ``t_max`` at or
         below the engine's time leaves the engine as it is.
         """
-        if not t_max > 0:                   # also rejects NaN
-            raise ValueError(f"t_max must be positive, got {t_max!r}")
-        if snapshot_every is not None and not snapshot_every > 0:
-            raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
-        if max_events is not None and max_events < 0:
-            raise ValueError(f"max_events must be >= 0, got {max_events}")
-        try:
-            t_max = float(t_max)            # an int t_max would leave an int clock
-        except OverflowError:
-            raise ValueError("t_max must fit in a float") from None
+        t_max = _check_run(t_max, snapshot_every, max_events)
         if not self._k or t_max <= self.t:
             return
         next_snap = math.inf                # no snapshot is due while it is inf
@@ -810,34 +814,42 @@ class DensitySpec:
         return out
 
 
+def _check_density(spec: DensitySpec, sides, boundary: str) -> tuple[tuple, str]:
+    """``sides`` and ``boundary`` parsed, once ``generate`` can draw ``spec`` on them:
+    finite heights, even torus sides for a checkerboard, reachable near-full bands."""
+    sides = tuple(int(s) for s in sides)
+    boundary = parse_boundary(boundary)
+    _check_geometry(sides, boundary)
+    # every generator draws heights of at most 2 rho (constant: rho)
+    top = spec.rho if spec.kind == "constant" else 2.0 * spec.rho
+    if not math.isfinite(top * math.prod(sides)):
+        raise ValueError(f"rho={spec.rho!r} is too large: the heights on {sides} or "
+                         "their total would not be finite")
+    if spec.kind == "checkerboard" and boundary == TORUS and any(s % 2 for s in sides):
+        raise ValueError("checkerboard on a torus needs even side lengths")
+    if spec.kind == "near-full":
+        near_full_bands(spec.rho, len(sides))
+    return sides, boundary
+
+
 def generate(spec: DensitySpec, sides, boundary: str = TORUS,
              rng: np.random.Generator | None = None,
              seed: int | None = None) -> LatticeConfig:
     """Draw an initial configuration of the requested density."""
-    sides = tuple(int(s) for s in sides)
-    _check_size(sides)
-    boundary = parse_boundary(boundary)
-    d = len(sides)
+    sides, boundary = _check_density(spec, sides, boundary)
     if rng is None:
         rng = np.random.default_rng(seed)
     rho = spec.rho
-    # every generator draws heights of at most 2 rho (constant: rho)
-    top = rho if spec.kind == "constant" else 2.0 * rho
-    if not math.isfinite(top * math.prod(sides)):
-        raise ValueError(f"rho={rho!r} is too large: the heights on {sides} or their "
-                         "total would not be finite")
     if spec.kind == "constant":
         h = np.full(sides, rho)
     elif spec.kind == "iid-uniform":
         h = rng.uniform(0.0, 2.0 * rho, sides)
     elif spec.kind == "checkerboard":
-        if boundary == TORUS and any(s % 2 for s in sides):
-            raise ValueError("checkerboard on a torus needs even side lengths")
         parity = int(rng.integers(2))
         grids = np.indices(sides).sum(axis=0)
         h = np.where((grids + parity) % 2 == 0, 2.0 * rho, 0.0)
     elif spec.kind == "near-full":
-        bands = near_full_bands(rho, d)
+        bands = near_full_bands(rho, len(sides))
         if bands["form"] == "interval":
             h = rng.uniform(bands["low"], bands["high"], sides)
         else:
@@ -898,13 +910,16 @@ def _replica_worker(args) -> dict:
 def _replica_jobs(spec: DensitySpec, sides, boundary: str, t_max: float, replicas: int,
                   seed, snapshot_every, min_m_threshold, max_events,
                   spawn_prefix: tuple) -> list:
+    # every check a replica meets runs here first, before any replica or worker starts
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     if t_max == math.inf and max_events is None:
         # a replica that never stabilizes would never end
         raise ValueError("t_max=inf needs max_events")
+    _check_run(t_max, snapshot_every, max_events)
+    sides, boundary = _check_density(spec, sides, boundary)
     entropy = np.random.SeedSequence(seed).entropy
-    return [(spec.kind, spec.rho, tuple(sides), parse_boundary(boundary), t_max,
+    return [(spec.kind, spec.rho, sides, boundary, t_max,
              entropy, spawn_prefix + (i,), snapshot_every, min_m_threshold,
              max_events)
             for i in range(replicas)]
@@ -957,9 +972,9 @@ def stabilizability_sweep(specs, sides, boundary: str, t_max: float, replicas: i
                           min_m_threshold: int = 10,
                           max_events: int | None = None,
                           workers: int = 1) -> list[ExperimentSummary]:
-    """``stabilizability_experiment`` at each density spec of a grid, in
-    order; grid point ``g`` seeds replica ``i`` with the spawn key (g, i).  All
-    replicas of the grid share one ``Pool``."""
+    """``stabilizability_experiment`` at each density spec of a grid, in order; grid
+    point ``g`` seeds replica ``i`` with the spawn key (g, i).  Every point is checked
+    before any replica runs, and all replicas of the grid share one ``Pool``."""
     grid = [_replica_jobs(spec, sides, boundary, t_max, replicas, seed, snapshot_every,
                           min_m_threshold, max_events, (g,))
             for g, spec in enumerate(specs)]

@@ -451,28 +451,35 @@ def test_nonfinite_lattice_inputs_exit_1(tmp_path, argv):
     assert "error" in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["stabilize", "--chain", "nan,0.5"],
-    ["stabilize", "--chain", "inf,0.5"],
-    ["infinite", "--d", "2", "--side", "0", "--boundary", "box", "--gen", "iid",
-     "--rho", "0.3"],
-    ["infinite", "--d", "1", "--side", "16", "--gen", "constant", "--rho", "1.1",
-     "--tmax", "inf"],
-    ["sweep", "--d", "1", "--side", "16", "--gen", "constant", "--rho", "1.1",
-     "--tmax", "inf"],
-    ["couple", "--n", "3", "--a", "0", "--b", "1", "--init-a=-0.5,0.2,0.1",
-     "--init-b", "zeros", "--max-steps", "2000"],
-    ["couple", "--n", "3", "--a", "0", "--b", "1", "--init-a", "zeros",
-     "--init-b=0.2,-inf,0.1", "--max-steps", "2000"],
-])
-def test_bad_heights_and_unbounded_runs_exit_1(tmp_path, argv):
+_BAD_INPUTS = [
+    (["stabilize", "--chain", "nan,0.5"], "heights must be finite"),
+    (["stabilize", "--chain", "inf,0.5"], "heights must be finite"),
+    (["infinite", "--d", "2", "--side", "0", "--boundary", "box", "--gen", "iid",
+      "--rho", "0.3"], "every lattice side must be >= 1"),
+    (["infinite", "--d", "1", "--side", "16", "--gen", "constant", "--rho", "1.1",
+      "--tmax", "inf"], "t_max=inf needs max_events"),
+    (["sweep", "--d", "1", "--side", "16", "--gen", "constant", "--rho", "1.1",
+      "--tmax", "inf"], "t_max=inf needs max_events"),
+    (["couple", "--n", "3", "--a", "0", "--b", "1", "--init-a=-0.5,0.2,0.1",
+      "--init-b", "zeros", "--max-steps", "2000"], "heights must be nonnegative"),
+    (["couple", "--n", "3", "--a", "0", "--b", "1", "--init-a", "zeros",
+      "--init-b=0.2,-inf,0.1", "--max-steps", "2000"], "heights must be finite"),
+    (["infinite", "--d", "1", "--side", "-4", "--gen", "iid", "--rho", "0.3"],
+     "every lattice side must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _BAD_INPUTS,
+                         ids=[f"argv{i}" for i in range(len(_BAD_INPUTS))])
+def test_bad_heights_and_unbounded_runs_exit_1(tmp_path, argv, message):
     # a NaN height was printed as a result, an inf one toppled until the cap,
     # a zero side raised a traceback, --tmax inf without --max-events never
-    # ended, and a negative literal coupling start ran and exited 0; each
-    # must now exit 1 within the subprocess timeout
+    # ended, a negative literal coupling start ran and exited 0, and a
+    # negative side showed numpy's "negative dimensions are not allowed"; each
+    # must now exit 1 within the subprocess timeout, with its own message
     proc = _run_cli(tmp_path, argv)
     assert proc.returncode == 1, proc.stderr
-    assert "error" in proc.stderr
+    assert proc.stderr.startswith(f"zhangpile: error: {message}"), proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -694,7 +701,7 @@ def test_write_csv_matches_the_per_cell_format():
 
 
 def _no_run(*args, **kwargs):
-    raise AssertionError("the run started before the output path was checked")
+    raise AssertionError("the run started before its inputs or output paths were checked")
 
 
 @pytest.mark.parametrize("argv", [
@@ -719,6 +726,58 @@ def test_bad_output_path_exits_1_before_the_run(tmp_path, monkeypatch, capsys, a
     err = capsys.readouterr().err
     assert err.startswith("zhangpile: error: --") and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_bad_bins_exit_1_before_the_burn_in(tmp_path, monkeypatch, capsys, bins):
+    # the stats that check --bins were built after the burn-in, which ran in full
+    monkeypatch.setattr(chain, "drive", _no_run)
+    argv = ["finite-run", "--n", "30", "--a", "0.6", "--b", "0.8", "--burn-in", "2000000",
+            "--samples", "10", "--bins", bins, "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "zhangpile: error: n_sites and bins must be positive\n"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "3", "--a", "0.9", "--b", "0.2"], "need 0 <= a < b <= 1"),
+    (["--n", "1", "--a", "0.2", "--b", "0.9"], "coupling constants need n >= 2"),
+    (["--n", "3", "--a", "0.2", "--b", "0.9", "--init-a", "0.1,0.2"],
+     "heights length 2 != n=3"),
+    (["--n", "3", "--a", "0.2", "--b", "0.9", "--init-b", "0.1,1.2,0.3"],
+     "initial configuration must be stable"),
+])
+def test_bad_coupling_inputs_exit_1_before_any_job(tmp_path, monkeypatch, capsys, workers,
+                                                   argv, message):
+    # each job checked them, so a pool was forked and every job in it failed
+    monkeypatch.setattr(coupling, "Pool", _no_run)
+    monkeypatch.setattr(coupling, "_sweep_one", _no_run)
+    argv = ["couple", *argv, "--seeds", "20000", "--workers", workers,
+            "--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"zhangpile: error: {message}")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("grid, message", [
+    (["--side", "8", "--gen", "constant,near-full", "--rho", "1.2,0.6"],
+     "near-full needs rho > 0.75 in dimension 2"),
+    (["--side", "9", "--gen", "iid,checkerboard", "--rho", "0.6"],
+     "checkerboard on a torus needs even side lengths"),
+    (["--side", "8,1", "--gen", "iid", "--rho", "0.6"], "torus sides must be >= 2"),
+    (["--side", "8", "--gen", "iid", "--rho", "0.6", "--snap-every", "0"],
+     "snapshot_every must be positive"),
+])
+def test_bad_sweep_point_exits_1_before_any_replica(tmp_path, monkeypatch, capsys, workers,
+                                                    grid, message):
+    # each replica checked its own point, so a sweep whose last point is bad
+    # ran the points before it first, forking a pool to do so
+    monkeypatch.setattr(lattice, "Pool", _no_run)
+    monkeypatch.setattr(lattice, "_replica_worker", _no_run)
+    argv = ["sweep", "--d", "2", *grid, "--tmax", "1000", "--replicas", "2",
+            "--workers", workers, "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"zhangpile: error: {message}")
 
 
 def test_writable_output_paths_pass_the_check(tmp_path, monkeypatch):
@@ -746,6 +805,11 @@ def test_subcommand_parser_matches_the_full_parser():
         helps = [p._subparsers._group_actions[0].choices[name].format_help()
                  for p in (one, full)]
         assert helps[0] == helps[1]
+
+
+def test_infinite_and_sweep_share_one_command():
+    subs = cli.build_parser()._subparsers._group_actions[0].choices
+    assert subs["infinite"].get_default("func") is subs["sweep"].get_default("func")
 
 
 def _fresh_cli(argv, columns):

@@ -24,7 +24,7 @@ from zhangpile.lattice import (
     LatticeConfig,
     MarkovToppling,
     MassLedger,
-    _check_size,
+    _check_geometry,
     _delta_apply,
     _delta_table,
     _neighbor_sum,
@@ -863,9 +863,9 @@ def test_generate_near_full_rejects_low_rho():
 def test_check_size_rejects_2_31_sites():
     for sides in [(65536, 32768), (2**31,), (1024, 1024, 2048), (2**40, 2**40)]:
         with pytest.raises(ValueError, match="too large"):
-            _check_size(sides)
-    _check_size((2**31 - 1,))
-    _check_size((65536, 32767))
+            _check_geometry(sides, TORUS)
+    _check_geometry((2**31 - 1,), TORUS)
+    _check_geometry((65536, 32767), TORUS)
 
 
 # 1 GiB of address space, so that a check that came after an allocation of
