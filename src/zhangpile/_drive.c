@@ -8,7 +8,9 @@
  * their squares to per-site sums.
  * Status codes: 0 done, 1 topple cap exceeded, 2 a full site failed to topple.
  * zp_couple runs the coupling's phases: the three that lead to the merge,
- * and the merged pair after it; it calls fmod and nextafter from libm.
+ * and the merged pair after it; it calls fmod and nextafter from libm.  It
+ * updates the pair's one state in place, which the Python reference also
+ * runs on; a pair that records its streams never calls it.
  * zp_lattice runs the lattice clock of lattice.MarkovToppling.run, snapshots
  * included: max M is kept per toppling and min M with the count of sites at
  * it, so a snapshot makes no pass over the lattice unless that count drops
@@ -124,17 +126,19 @@ static int64_t eb_side(const double *h, int64_t n)
     return e == 0 || e == n - 1 ? e : -1;
 }
 
-/* The state of coupling.Coupling (core.CouplingState).  ebA, ebB use -1 for
- * None; posA, posB, posC index the stream chunks; n_rec counts the rows
- * written to the recording arrays.  mk, merging_steps, Dk and the windows
- * between_hi, av_lo, av_hi and thresh are the merging stage that
- * Coupling._stage_init set up.  causes counts the restarts by cause, and
- * differed the steps, in any phase, after which hA != hB. */
+/* The state of a coupling.Coupling pair for its whole life
+ * (core.CouplingState), which the Python reference reads and writes too.
+ * ebA, ebB are the E_b side of each chain, -1 if it is not in E_b; posA,
+ * posB, posC index the stream chunks.  mk, merging_steps, Dk and the windows
+ * between_hi, av_lo, av_hi and thresh are the merging stage that stage_init
+ * set up.  steps counts the steps by phase, causes the restarts by cause, and
+ * differed the steps, in any phase, after which hA != hB since the caller
+ * last zeroed it. */
 typedef struct {
     double half, eps1, tol, a, b, Dk, between_hi, av_lo, av_hi, thresh;
-    int64_t t, t_stop, phase, steps_ind, steps_con, steps_mer, steps_mgd, flip, k_aval,
-        target, ebA, ebB, posA, posB, posC, n_rec, mk, merging_steps, differed;
-    int64_t causes[5];
+    int64_t t, t_stop, phase, flip, k_aval, target, ebA, ebB, posA, posB, posC, mk,
+        merging_steps, differed;
+    int64_t steps[4], causes[5];
 } zp_pair;
 
 /* Phases; restart causes, in the order of coupling.RESTART_CAUSES; and why
@@ -148,14 +152,12 @@ enum { ZC_CON_SITE, ZC_CON_LIGHT, ZC_MER_SITE, ZC_MER_WINDOW, ZC_MER_TOPPLE };
 enum { ZC_DONE, ZC_REFILL, ZC_CAP, ZC_DESYNC, ZC_NOT_EN, ZC_BAD_SITE, ZC_STAGE,
        ZC_NO_FIRE, ZC_COUNT, ZC_SITE, ZC_UNEQUAL };
 
-/* The arrays of one zp_couple call: the heights, the eps schedule and the
- * bounds d_k (n-1 values each), and the recording arrays (or NULL). */
+/* The arrays of one zp_couple call: the heights, and the eps schedule and
+ * the bounds d_k (n-1 values each). */
 typedef struct {
     double *hA, *hB;
     int64_t n, cap;
     const double *eps, *dbound;
-    int64_t *rec_sites;
-    double *rec_amts;
 } pair_arrays;
 
 /* coupling.Coupling._phys: the 0-based index of the 1-based logical site s */
@@ -201,19 +203,6 @@ static double coupled_amount(double u, double D, double a, double b)
     }
     double v = a + m;
     return v < b ? v : nextafter(b, a);
-}
-
-/* Hand one consumed pair of additions to the recording arrays. */
-static void record(const pair_arrays *c, zp_pair *st, int64_t xA, double uA, int64_t xB,
-                   double uB)
-{
-    if (!c->rec_sites)
-        return;
-    c->rec_sites[2 * st->n_rec] = xA;
-    c->rec_sites[2 * st->n_rec + 1] = xB;
-    c->rec_amts[2 * st->n_rec] = uA;
-    c->rec_amts[2 * st->n_rec + 1] = uB;
-    st->n_rec++;
 }
 
 /* coupling.Coupling._stage_init: the windows of merging stage mk and its
@@ -277,7 +266,6 @@ static int32_t restart(const pair_arrays *c, zp_pair *st, int64_t x, double u, i
     if (!applied) {
         if (add(c->hA, c->n, x, u, c->cap) < 0 || add(c->hB, c->n, x, u, c->cap) < 0)
             return ZC_CAP;
-        record(c, st, x, u, x, u);
     }
     st->ebA = eb_side(c->hA, c->n);
     st->ebB = eb_side(c->hB, c->n);
@@ -296,7 +284,6 @@ static int32_t contraction_step(const pair_arrays *c, zp_pair *st, int64_t x, do
         return restart(c, st, x, u, 0, x != target ? ZC_CON_SITE : ZC_CON_LIGHT);
     if ((nA = add(hA, n, x, u, c->cap)) < 0 || (nB = add(hB, n, x, u, c->cap)) < 0)
         return ZC_CAP;
-    record(c, st, x, u, x, u);
     if ((nA > 0) != (nB > 0))
         return ZC_DESYNC;
     if (nA) {
@@ -328,7 +315,6 @@ static int32_t merging_step(const pair_arrays *c, zp_pair *st, int64_t x, double
             return restart(c, st, x, u, 0, x != p1 ? ZC_MER_SITE : ZC_MER_WINDOW);
         if ((nA = add(hA, n, x, u, c->cap)) < 0 || (nB = add(hB, n, x, u, c->cap)) < 0)
             return ZC_CAP;
-        record(c, st, x, u, x, u);
         /* a sub-threshold addition toppled (exact-boundary edge): retry */
         return nA || nB ? restart(c, st, x, u, 1, ZC_MER_TOPPLE) : ZC_DONE;
     }
@@ -338,7 +324,6 @@ static int32_t merging_step(const pair_arrays *c, zp_pair *st, int64_t x, double
     double uB = coupled_amount(u, st->Dk, st->a, st->b);
     if ((nA = add(hA, n, x, u, c->cap)) < 0 || (nB = add(hB, n, x, uB, c->cap)) < 0)
         return ZC_CAP;
-    record(c, st, x, u, x, uB);
     if (nA == 0 || nB == 0)
         return ZC_NO_FIRE;
     int64_t k = st->mk;
@@ -361,9 +346,7 @@ static int32_t merging_step(const pair_arrays *c, zp_pair *st, int64_t x, double
 
 /* coupling.Coupling._step_merged, step after step, until t reaches t_stop,
  * the chunk ends or the topple cap trips: both chains take the same addition
- * and relax on their own, so a broken merge still counts in differed.  The
- * completed steps are recorded after the loop, which keeps the recording
- * branch and its pointers out of the per-step loop. */
+ * and relax on their own, so a broken merge still counts in differed. */
 static int32_t merged_steps(const pair_arrays *c, zp_pair *st, const int64_t *sites,
                             const double *amts, int64_t len)
 {
@@ -385,10 +368,7 @@ static int32_t merged_steps(const pair_arrays *c, zp_pair *st, const int64_t *si
         }
         differed += differ(hA, hB, n);
     }
-    if (c->rec_sites)
-        for (int64_t j = 0; j < i; j++)
-            record(c, st, sites[j], amts[j], sites[j], amts[j]);
-    st->steps_mgd += i;
+    st->steps[ZC_MERGED] += i;
     st->differed += differed;
     st->t += i;
     st->posC += i + (status != ZC_DONE);
@@ -399,19 +379,17 @@ static int32_t merged_steps(const pair_arrays *c, zp_pair *st, const int64_t *si
  * included, with the float operations of Coupling._run_independent,
  * _step_contraction, _step_merging and _step_merged in the same order.
  * Chains A and B read the chunks (sitesA, amtsA) and (sitesB, amtsB) in the
- * independent phase; both read (sitesC, amtsC) in the others.  Each consumed
- * pair of additions becomes one row of rec_sites and rec_amts (two columns:
- * A, B) unless they are NULL.  Runs until t reaches t_stop, a chunk the
- * running phase needs is used up or a gate trips; a call that reaches the
- * merge returns there, and one that starts merged runs the merged pair. */
+ * independent phase; both read (sitesC, amtsC) in the others.  Runs until t
+ * reaches t_stop, a chunk the running phase needs is used up or a gate
+ * trips; a call that reaches the merge returns there, and one that starts
+ * merged runs the merged pair. */
 int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
                   const int64_t *sitesA, const double *amtsA, int64_t lenA,
                   const int64_t *sitesB, const double *amtsB, int64_t lenB,
                   const int64_t *sitesC, const double *amtsC, int64_t lenC,
-                  const double *eps, const double *dbound, zp_pair *st,
-                  int64_t *rec_sites, double *rec_amts)
+                  const double *eps, const double *dbound, zp_pair *st)
 {
-    const pair_arrays c = {hA, hB, n, cap, eps, dbound, rec_sites, rec_amts};
+    const pair_arrays c = {hA, hB, n, cap, eps, dbound};
     if (st->phase == ZC_MERGED)
         return merged_steps(&c, st, sitesC, amtsC, lenC);
     int32_t status = ZC_DONE;
@@ -453,8 +431,7 @@ int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
             } else if (xB == st->ebB) {
                 st->ebB = -1;
             }
-            record(&c, st, xA, uA, xB, uB);
-            st->steps_ind++;
+            st->steps[ZC_INDEPENDENT]++;
             st->t++;
             st->differed += differ(hA, hB, n);
             if ((status = maybe_enter_coupled(&c, st)))
@@ -472,15 +449,11 @@ int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
             break;
         }
         /* the step counts in the phase it began in, as in Coupling.step */
-        if (st->phase == ZC_CONTRACTION) {
-            if ((status = contraction_step(&c, st, x, u)))
-                break;
-            st->steps_con++;
-        } else {
-            if ((status = merging_step(&c, st, x, u)))
-                break;
-            st->steps_mer++;
-        }
+        int64_t phase = st->phase;
+        if ((status = phase == ZC_CONTRACTION ? contraction_step(&c, st, x, u)
+                                              : merging_step(&c, st, x, u)))
+            break;
+        st->steps[phase]++;
         st->t++;
         st->differed += differ(hA, hB, n);
     }

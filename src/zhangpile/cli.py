@@ -48,6 +48,8 @@ def _parse_chain(text: str) -> list[float]:
 
 
 def _parse_sides(d: int, side_text: str) -> tuple[int, ...]:
+    if d < 1:
+        raise ValueError(f"--d must be >= 1, got {d}")
     vals = [int(v) for v in str(side_text).replace(",", " ").split()]
     if len(vals) == 1:
         vals = vals * d

@@ -293,7 +293,7 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
                                i64, ctypes.POINTER(LatticeClock), ptr, i64]
     lib.zp_lattice.restype = ctypes.c_int32
     lib.zp_couple.argtypes = [ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, i64,
-                              ptr, ptr, ctypes.POINTER(CouplingState), ptr, ptr]
+                              ptr, ptr, ctypes.POINTER(CouplingState)]
     lib.zp_couple.restype = ctypes.c_int32
     return lib
 
@@ -308,16 +308,15 @@ class LatticeClock(ctypes.Structure):
 
 
 class CouplingState(ctypes.Structure):
-    """The coupling state that ``zp_couple`` reads and updates (``zp_pair`` in _drive.c)."""
+    """The state of a ``coupling.Coupling`` pair, which ``zp_couple`` and the
+    Python reference both update (``zp_pair`` in _drive.c)."""
 
     _fields_ = ([(f, ctypes.c_double) for f in ("half", "eps1", "tol", "a", "b", "Dk",
                                                  "between_hi", "av_lo", "av_hi", "thresh")]
-                + [(f, ctypes.c_int64) for f in ("t", "t_stop", "phase", "steps_ind",
-                                                  "steps_con", "steps_mer", "steps_mgd", "flip",
-                                                  "k_aval", "target", "ebA", "ebB", "posA",
-                                                  "posB", "posC", "n_rec", "mk",
-                                                  "merging_steps", "differed")]
-                + [("causes", ctypes.c_int64 * 5)])
+                + [(f, ctypes.c_int64) for f in ("t", "t_stop", "phase", "flip", "k_aval",
+                                                  "target", "ebA", "ebB", "posA", "posB",
+                                                  "posC", "mk", "merging_steps", "differed")]
+                + [("steps", ctypes.c_int64 * 4), ("causes", ctypes.c_int64 * 5)])
 
 
 def chain_kernel() -> ctypes.CDLL | None:
@@ -473,25 +472,23 @@ def stabilize_chain(config, policy: str | TopplingPolicy = TopplingPolicy.LEFTMO
     return np.array(h), log
 
 
-def _e_class_0(h: list) -> int | None:
-    """0-based empty site if the list is in some E_x, else None."""
+def _e_class_0(h: list) -> int:
+    """0-based empty site if the list is in some E_x, else -1."""
     empty = -1
     for i, v in enumerate(h):
         if v == 0.0:
             if empty >= 0:
-                return None
+                return -1
             empty = i
         elif not 0.5 <= v < 1.0:
-            return None
-    return empty if empty >= 0 else None
+            return -1
+    return empty
 
 
-def _eb_side(h: list) -> int | None:
-    """0-based empty boundary site if the list is in E_b, else None."""
+def _eb_side(h: list) -> int:
+    """0-based empty boundary site if the list is in E_b, else -1."""
     e = _e_class_0(h)
-    if e is None or (e != 0 and e != len(h) - 1):
-        return None
-    return e
+    return e if e == 0 or e == len(h) - 1 else -1
 
 
 def in_class_E(config, x: int) -> bool:
@@ -505,9 +502,9 @@ def in_class_E(config, x: int) -> bool:
 def empty_site_of_E_class(config) -> int | None:
     """The 1-based site x with config in E_x, or None if not in any E_x."""
     e = _e_class_0(np.asarray(config, dtype=float).tolist())
-    return None if e is None else e + 1
+    return None if e < 0 else e + 1
 
 
 def in_E_b(config) -> bool:
     """True iff the config is empty at exactly one boundary site and full elsewhere."""
-    return _eb_side(np.asarray(config, dtype=float).tolist()) is not None
+    return _eb_side(np.asarray(config, dtype=float).tolist()) >= 0

@@ -53,14 +53,16 @@ PHASE_MERGED = "merged"
 
 _CHUNK = 8192
 _EQ_TOL = 1e-9      # float slack on mathematically exact equalities
-_REC_ROWS = 2 * _CHUNK  # steps per zp_couple call while recording streams
 
 # why a draw sent the pair back to the independent phase (Coupling.restarts_by_cause)
 RESTART_CAUSES = ("contraction-site", "contraction-light", "merging-site",
                   "merging-window", "merging-topple")
 
-# zp_couple's phase numbers and return statuses (_drive.c)
-_KERNEL_PHASES = (PHASE_INDEPENDENT, PHASE_CONTRACTION, PHASE_MERGING, PHASE_MERGED)
+# the phase numbers and restart causes of CouplingState, and zp_couple's
+# return statuses (_drive.c)
+_PHASES = (PHASE_INDEPENDENT, PHASE_CONTRACTION, PHASE_MERGING, PHASE_MERGED)
+_INDEPENDENT, _CONTRACTION, _MERGING, _MERGED = range(4)
+_CON_SITE, _CON_LIGHT, _MER_SITE, _MER_WINDOW, _MER_TOPPLE = range(5)
 (_ZC_DONE, _ZC_REFILL, _ZC_CAP, _ZC_DESYNC, _ZC_NOT_EN, _ZC_BAD_SITE, _ZC_STAGE,
  _ZC_NO_FIRE, _ZC_COUNT, _ZC_SITE, _ZC_UNEQUAL) = range(11)
 _DESYNC = "contraction avalanches desynchronized"
@@ -262,7 +264,18 @@ class CouplingResult:
 
 
 class Coupling:
-    """Coupled pair of (N,[a,b]) chains plus the three-phase bookkeeping."""
+    """Coupled pair of (N,[a,b]) chains plus the three-phase bookkeeping.
+
+    The pair's state, all but the heights and the stream positions, is one
+    ``core.CouplingState`` for the pair's whole life.  The compiled kernel
+    (``zp_couple``) updates it in place, and the Python reference (``step``
+    and the methods it calls) reads and writes the same fields with the
+    kernel's conventions: phase numbers, -1 for a chain not in E_b, and the
+    step and restart counts as arrays.  The heights ``hA`` and ``hB`` stay
+    lists, on which the reference relaxes; a kernel call copies them in and
+    out.  With ``record_streams`` every step runs on the Python reference,
+    which appends each chain's (site, amount) to ``streamA`` and ``streamB``.
+    """
 
     def __init__(self, eta_a, eta_b, a: float, b: float, seed: int | None = None,
                  record_streams: bool = False, cap: int = DEFAULT_TOPPLE_CAP,
@@ -288,38 +301,59 @@ class Coupling:
         consts = coupling_constants(a, b, n)
         self.constants = consts
         self.eps1 = consts.eps1
-        self._half = 0.5 * (a + b)
-        self.t = 0
-        self.restarts_by_cause = dict.fromkeys(RESTART_CAUSES, 0)
+        # zp_couple's arrays: the eps schedule and the bounds d_k, which the
+        # Python reference reads too, and the heights of a call
+        self._eps = (ctypes.c_double * (n - 1))(*consts.eps_schedule[:n - 1])
+        self._dbound = (ctypes.c_double * (n - 1))(*consts.d_bounds)
+        self._cA = (ctypes.c_double * n)()
+        self._cB = (ctypes.c_double * n)()
+        self._st = st = CouplingState(half=0.5 * (a + b), eps1=consts.eps1, tol=_EQ_TOL,
+                                      a=a, b=b, target=n, ebA=_eb_side(self.hA),
+                                      ebB=_eb_side(self.hB))
         self.merge_time: int | None = None
-        self.phase_steps = {PHASE_INDEPENDENT: 0, PHASE_CONTRACTION: 0,
-                            PHASE_MERGING: 0, PHASE_MERGED: 0}
-        self.flip = False
-        self._k_aval = 0            # contraction avalanches, and the next
-        self._targetL = n           # logical target site of the contraction
-        # the merging stage: avalanche number, steps of this attempt, the
-        # correction D_k and the addition windows (_stage_init)
-        self._mk = 0
-        self._merging_steps = 0
-        self._Dk = self._between_hi = self._av_lo = self._av_hi = self._thresh = 0.0
         self.final_merging_steps: int | None = None
         self.record_streams = record_streams
         self.streamA: list[tuple[int, float]] = []
         self.streamB: list[tuple[int, float]] = []
-        self._ebA = _eb_side(self.hA)
-        self._ebB = _eb_side(self.hB)
         if self.hA == self.hB:
-            self.phase = PHASE_MERGED
+            st.phase = _MERGED
             self.merge_time = 0
         else:
-            self.phase = PHASE_INDEPENDENT
             self._maybe_enter_coupled()
+
+    # -- the public view of the state ------------------------------------------
+
+    @property
+    def t(self) -> int:
+        return self._st.t
+
+    @property
+    def phase(self) -> str:
+        return _PHASES[self._st.phase]
+
+    @property
+    def flip(self) -> bool:
+        """Whether the coupled phases run in the mirrored frame (empty boundary at site 1)."""
+        return bool(self._st.flip)
+
+    @property
+    def phase_steps(self) -> dict[str, int]:
+        return dict(zip(_PHASES, self._st.steps))
+
+    @property
+    def restarts_by_cause(self) -> dict[str, int]:
+        return dict(zip(RESTART_CAUSES, self._st.causes))
+
+    @property
+    def restarts(self) -> int:
+        """Restarts so far: the sum of ``restarts_by_cause``."""
+        return sum(self._st.causes)
 
     # -- geometry helpers ---------------------------------------------------
 
     def _phys(self, s: int) -> int:
         """Physical 0-based index of 1-based logical site s."""
-        return self.n - s if self.flip else s - 1
+        return self.n - s if self._st.flip else s - 1
 
     def _apply(self, h: list, x: int, u: float) -> int:
         h[x] += u
@@ -327,10 +361,15 @@ class Coupling:
             return _relax_leftmost(h, x, self.cap)
         return 0
 
-    @property
-    def restarts(self) -> int:
-        """Restarts so far: the sum of ``restarts_by_cause``."""
-        return sum(self.restarts_by_cause.values())
+    def _add(self, x: int, u: float, uB: float) -> tuple[int, int]:
+        """Add ``u`` to chain A and ``uB`` to chain B at site ``x`` and relax
+        both, recording the pair if asked; the topplings of each."""
+        nA = self._apply(self.hA, x, u)
+        nB = self._apply(self.hB, x, uB)
+        if self.record_streams:
+            self.streamA.append((x, u))
+            self.streamB.append((x, uB))
+        return nA, nB
 
     def _maxdiff(self) -> float:
         """The largest |hA - hB| over the sites; NaN if some difference is NaN."""
@@ -344,41 +383,44 @@ class Coupling:
     # -- phase transitions ----------------------------------------------------
 
     def _maybe_enter_coupled(self) -> None:
-        if self._ebA is not None and self._ebA == self._ebB:
+        st = self._st
+        if st.ebA >= 0 and st.ebA == st.ebB:
             # shared frame flip so the empty boundary reads as logical site N
-            self.flip = self._ebA == 0
-            if self._maxdiff() < self.eps1:
+            st.flip = st.ebA == 0
+            if self._maxdiff() < st.eps1:
                 self._enter_merging()
             else:
-                self.phase = PHASE_CONTRACTION
-                self._k_aval = 0
-                self._targetL = self.n
+                st.phase = _CONTRACTION
+                st.k_aval = 0
+                st.target = self.n
 
     def _enter_merging(self) -> None:
-        self.phase = PHASE_MERGING
-        self._mk = 1
-        self._merging_steps = 0
+        st = self._st
+        st.phase = _MERGING
+        st.mk = 1
+        st.merging_steps = 0
         self._stage_init()
 
     def _stage_init(self) -> None:
-        k = self._mk
+        st = self._st
+        k = st.mk
         n = self.n
-        eps_k = self.constants.eps_schedule[k - 1]
-        a2 = self._half
+        eps_k = self._eps[k - 1]
+        a2 = st.half
         ap = a2 + 3.0 * eps_k
         if not (ap < self.b and a2 + 2.0 * eps_k <= self.b):
             raise InvariantViolation("merge-phase addition intervals are ill-formed")
-        self._between_hi = a2 + 2.0 * eps_k
+        st.between_hi = a2 + 2.0 * eps_k
         q = 0.25 * (self.b - ap)
-        self._av_lo = ap + q
-        self._av_hi = self.b - q
-        self._thresh = 1.0 - a2 - 2.0 * eps_k
+        st.av_lo = ap + q
+        st.av_hi = self.b - q
+        st.thresh = 1.0 - a2 - 2.0 * eps_k
         diff = [self.hA[self._phys(y)] - self.hB[self._phys(y)] for y in range(1, n - k + 1)]
         D = correction_D(diff, k, n)
-        dk = self.constants.d_bounds[k - 1]
+        dk = self._dbound[k - 1]
         if not abs(D) <= dk + _EQ_TOL:
             raise InvariantViolation(f"|D_{k}|={abs(D):.3e} exceeds its bound {dk:.3e}")
-        self._Dk = D
+        st.Dk = D
 
     def _check_stage_sites(self, k: int) -> None:
         # after merge avalanche k, logical sites n-k+1..n must agree
@@ -387,117 +429,100 @@ class Coupling:
             if not abs(self.hA[p] - self.hB[p]) <= _EQ_TOL:
                 raise InvariantViolation(f"merge avalanche {k} left site {s} unequal")
 
-    def _restart(self, x: int, u: float, cause: str, applied: bool = False) -> None:
+    def _restart(self, x: int, u: float, cause: int, applied: bool = False) -> None:
         # a draw broke the running phase's requirements: both chains still
         # take the (equal) step, then everything returns to phase 1
+        st = self._st
         if not applied:
-            self._apply(self.hA, x, u)
-            self._apply(self.hB, x, u)
-            if self.record_streams:
-                self.streamA.append((x, u))
-                self.streamB.append((x, u))
-        self._ebA = _eb_side(self.hA)
-        self._ebB = _eb_side(self.hB)
-        self.restarts_by_cause[cause] += 1
-        self.phase = PHASE_INDEPENDENT
+            self._add(x, u, u)
+        st.ebA = _eb_side(self.hA)
+        st.ebB = _eb_side(self.hB)
+        st.causes[cause] += 1
+        st.phase = _INDEPENDENT
         self._maybe_enter_coupled()
 
     # -- stepping ------------------------------------------------------------
 
     def step(self) -> None:
         """Advance the coupled pair by one time step."""
-        phase = self.phase
-        if phase == PHASE_INDEPENDENT:
-            self._run_independent(self.t + 1)    # keeps t and phase_steps itself
+        st = self._st
+        phase = st.phase
+        if phase == _INDEPENDENT:
+            self._run_independent(st.t + 1)     # keeps t and the step counts itself
             return
-        if phase == PHASE_CONTRACTION:
+        if phase == _CONTRACTION:
             self._step_contraction()
-        elif phase == PHASE_MERGING:
+        elif phase == _MERGING:
             self._step_merging()
         else:
             self._step_merged()
-        self.phase_steps[phase] += 1
-        self.t += 1
-        if self.phase == PHASE_MERGED and self.merge_time is None:
-            self.merge_time = self.t
+        st.steps[phase] += 1
+        st.t += 1
+        if st.phase == _MERGED and self.merge_time is None:
+            self.merge_time = st.t
 
     def _step_contraction(self) -> None:
+        st = self._st
         x, u = self._addC.draw()
-        target = self._phys(self._targetL)
-        if x != target or u < self._half:
-            self._restart(x, u, "contraction-site" if x != target else "contraction-light")
+        target = self._phys(st.target)
+        if x != target or u < st.half:
+            self._restart(x, u, _CON_SITE if x != target else _CON_LIGHT)
             return
-        nA = self._apply(self.hA, x, u)
-        nB = self._apply(self.hB, x, u)
-        if self.record_streams:
-            self.streamA.append((x, u))
-            self.streamB.append((x, u))
+        nA, nB = self._add(x, u, u)
         if (nA > 0) != (nB > 0):
             raise InvariantViolation(_DESYNC)
         if nA:
-            self._k_aval += 1
-            self._targetL = 1 if self._targetL == self.n else self.n
-            if self._k_aval % 2 == 0:
+            st.k_aval += 1
+            st.target = 1 if st.target == self.n else self.n
+            if st.k_aval % 2 == 0:
                 # after an even number of full sweeps both sit in logical E_N
                 pN = self._phys(self.n)
                 if _e_class_0(self.hA) != pN or _e_class_0(self.hB) != pN:
                     raise InvariantViolation(_NOT_EN)
-                if self._maxdiff() < self.eps1:
+                if self._maxdiff() < st.eps1:
                     self._enter_merging()
 
     def _step_merging(self) -> None:
+        st = self._st
         x, u = self._addC.draw()
-        self._merging_steps += 1
+        st.merging_steps += 1
         p1 = self._phys(1)
         leader = max(self.hA[p1], self.hB[p1])
-        if leader > self._thresh:
-            # this draw must trigger avalanche number _mk in both chains
-            if x != p1 or not self._av_lo <= u <= self._av_hi:
-                self._restart(x, u, "merging-site" if x != p1 else "merging-window")
+        if leader > st.thresh:
+            # this draw must trigger avalanche number mk in both chains
+            if x != p1 or not st.av_lo <= u <= st.av_hi:
+                self._restart(x, u, _MER_SITE if x != p1 else _MER_WINDOW)
                 return
-            uB = coupled_amount(u, self._Dk, self.a, self.b)
-            nA = self._apply(self.hA, x, u)
-            nB = self._apply(self.hB, x, uB)
-            if self.record_streams:
-                self.streamA.append((x, u))
-                self.streamB.append((x, uB))
+            nA, nB = self._add(x, u, coupled_amount(u, st.Dk, self.a, self.b))
             if nA == 0 or nB == 0:
                 raise InvariantViolation(_NO_FIRE)
-            k = self._mk
+            k = st.mk
             if k > self.n - 1:
                 raise InvariantViolation(_COUNT)
             self._check_stage_sites(k)
-            self._mk += 1
-            if self._mk > self.n - 1:
+            st.mk += 1
+            if st.mk > self.n - 1:
                 if not self._maxdiff() <= _EQ_TOL:
                     raise InvariantViolation(_UNEQUAL)
                 # mathematically exact equality; drop the float dust so the
                 # merged pair is bitwise identical from here on
                 self.hB = self.hA.copy()
-                self.final_merging_steps = self._merging_steps
-                self.phase = PHASE_MERGED
+                self.final_merging_steps = st.merging_steps
+                st.phase = _MERGED
             else:
                 self._stage_init()
         else:
-            if x != p1 or not self._half <= u <= self._between_hi:
-                self._restart(x, u, "merging-site" if x != p1 else "merging-window")
+            if x != p1 or not st.half <= u <= st.between_hi:
+                self._restart(x, u, _MER_SITE if x != p1 else _MER_WINDOW)
                 return
-            nA = self._apply(self.hA, x, u)
-            nB = self._apply(self.hB, x, u)
-            if self.record_streams:
-                self.streamA.append((x, u))
-                self.streamB.append((x, u))
+            nA, nB = self._add(x, u, u)
             if nA or nB:
                 # sub-threshold addition toppled (exact-boundary edge); retry
-                self._restart(x, u, "merging-topple", applied=True)
+                self._restart(x, u, _MER_TOPPLE, applied=True)
 
     def _step_merged(self) -> None:
         x, u = self._addC.draw()
-        self._apply(self.hA, x, u)
-        self._apply(self.hB, x, u)
-        if self.record_streams:
-            self.streamA.append((x, u))
-            self.streamB.append((x, u))
+        self._add(x, u, u)
 
     # -- driving ---------------------------------------------------------------
 
@@ -505,21 +530,47 @@ class Coupling:
         """Step until merged or ``max_steps`` total steps.
 
         The whole coupling up to the merge, restarts included, runs on the
-        compiled kernel if it loads, in one ``zp_couple`` call per stream
-        chunk; the call that reaches the merge returns there.
+        compiled kernel if it loads and the streams are not recorded, in one
+        ``zp_couple`` call per stream chunk; the call that reaches the merge
+        returns there.  Otherwise the Python reference steps the pair.
         """
-        while self.t < max_steps and self.phase != PHASE_MERGED:
-            if (lib := chain_kernel()) is not None:
-                self._run_coupled(lib, max_steps)
-            elif self.phase == PHASE_INDEPENDENT:
-                self._run_independent(max_steps)
+        self._drive(max_steps, past_merge=False)
+
+    def run_steps(self, steps: int, require_equal: bool = False) -> bool:
+        """Advance ``steps`` steps, in whatever phases they fall.
+
+        Returns False if ``require_equal`` is set and the chains differed
+        after some step, else True; on a merged pair that is the check that
+        the merge holds.  Every phase runs on the compiled kernel if it loads
+        and the streams are not recorded, in one ``zp_couple`` call per stream
+        chunk and one more past the merge; otherwise on the Python reference.
+        """
+        differed = self._drive(self.t + steps, past_merge=True)
+        return not (require_equal and differed)
+
+    def _drive(self, stop: int, past_merge: bool) -> int:
+        # run's and run_steps's loop, on the backend picked once: until the
+        # clock reaches stop or, unless past_merge, the pair merges.  Returns
+        # the steps after which hA != hB, which run ignores: its Python loop
+        # batches the independent phase and leaves those steps uncounted.
+        lib = None if self.record_streams else chain_kernel()
+        st = self._st
+        differed = 0
+        while st.t < stop and (past_merge or st.phase != _MERGED):
+            if lib is not None:
+                differed += self._run_coupled(lib, stop)
+            elif not past_merge and st.phase == _INDEPENDENT:
+                self._run_independent(stop)
             else:
                 self.step()
+                differed += self.hA != self.hB
+        return differed
 
     def _run_independent(self, max_steps: int) -> None:
         # hot loop: the independent phase dominates every run, so buffers and
         # state live in locals until the chains enter a coupled phase or the
         # clock reaches max_steps
+        st = self._st
         hA = self.hA
         hB = self.hB
         cap = self.cap
@@ -532,10 +583,10 @@ class Coupling:
         record = self.record_streams
         streamA = self.streamA
         streamB = self.streamB
-        ebA = self._ebA
-        ebB = self._ebB
+        ebA = st.ebA
+        ebB = st.ebB
         steps = 0
-        budget = max_steps - self.t
+        budget = max_steps - st.t
         relax = _relax_leftmost
         eb_side = _eb_side
         try:
@@ -557,7 +608,7 @@ class Coupling:
                     relax(hA, xA, cap)
                     ebA = eb_side(hA)
                 elif xA == ebA:
-                    ebA = None
+                    ebA = -1
                 xB = sitesB[pB]
                 uB = amtsB[pB]
                 pB += 1
@@ -567,73 +618,46 @@ class Coupling:
                     relax(hB, xB, cap)
                     ebB = eb_side(hB)
                 elif xB == ebB:
-                    ebB = None
+                    ebB = -1
                 if record:
                     streamA.append((xA, uA))
                     streamB.append((xB, uB))
                 steps += 1
-                if ebA is not None and ebA == ebB:
+                if ebA >= 0 and ebA == ebB:
                     break
         finally:
             # a topple-cap error keeps the completed steps and the failing
             # step's draws, as zp_couple does
             addA.pos = pA
             addB.pos = pB
-            self.t += steps
-            self.phase_steps[PHASE_INDEPENDENT] += steps
-            self._ebA = ebA
-            self._ebB = ebB
+            st.t += steps
+            st.steps[_INDEPENDENT] += steps
+            st.ebA = ebA
+            st.ebB = ebB
         self._maybe_enter_coupled()
 
-    def _run_coupled(self, lib, max_steps: int) -> int:
-        # _run_independent, _step_contraction, _step_merging and _step_merged
-        # in zp_couple, restarts included, until the pair merges (if it has
-        # not yet), max_steps or a gate; kernel calls end where a stream chunk
-        # the running phase needs runs out.  Returns the steps after which
-        # hA != hB.
+    def _run_coupled(self, lib, stop: int) -> int:
+        # the pair on zp_couple, restarts included, until it merges (if it has
+        # not yet), the clock reaches stop or a gate trips; kernel calls end
+        # where a stream chunk the running phase needs runs out.  Only the
+        # heights and the stream positions are copied in and out.  Returns
+        # the steps after which hA != hB.
         n = self.n
-        was_merged = self.phase == PHASE_MERGED
-        consts = self.constants
+        st = self._st
+        was_merged = st.phase == _MERGED
         streams = (self._addA, self._addB, self._addC)
-        hA = (ctypes.c_double * n)(*self.hA)
-        hB = (ctypes.c_double * n)(*self.hB)
-        eps = (ctypes.c_double * (n - 1))(*consts.eps_schedule[:n - 1])
-        dbound = (ctypes.c_double * (n - 1))(*consts.d_bounds)
-        st = CouplingState(
-            half=self._half, eps1=self.eps1, tol=_EQ_TOL, a=self.a, b=self.b, Dk=self._Dk,
-            between_hi=self._between_hi, av_lo=self._av_lo, av_hi=self._av_hi,
-            thresh=self._thresh, t=self.t, phase=_KERNEL_PHASES.index(self.phase),
-            steps_ind=self.phase_steps[PHASE_INDEPENDENT],
-            steps_con=self.phase_steps[PHASE_CONTRACTION],
-            steps_mer=self.phase_steps[PHASE_MERGING],
-            steps_mgd=self.phase_steps[PHASE_MERGED], flip=self.flip,
-            k_aval=self._k_aval, target=self._targetL,
-            ebA=-1 if self._ebA is None else self._ebA,
-            ebB=-1 if self._ebB is None else self._ebB,
-            posA=streams[0].pos, posB=streams[1].pos, posC=streams[2].pos,
-            mk=self._mk, merging_steps=self._merging_steps,
-            causes=(ctypes.c_int64 * len(RESTART_CAUSES))(*self.restarts_by_cause.values()))
-        rec_sites = rec_amts = None
-        if self.record_streams:
-            # a gate can record the step it fails on, one row past the budget
-            rec_sites = np.empty((_REC_ROWS + 1, 2), dtype=np.int64)
-            rec_amts = np.empty((_REC_ROWS + 1, 2))
+        hA, hB = self._cA, self._cB
+        hA[:] = self.hA
+        hB[:] = self.hB
+        st.t_stop = stop
+        st.differed = 0
+        st.posA, st.posB, st.posC = (add.pos for add in streams)
         try:
             while True:
-                st.t_stop = max_steps if rec_sites is None else min(max_steps,
-                                                                     st.t + _REC_ROWS)
-                st.n_rec = 0
-                status = lib.zp_couple(
-                    hA, hB, n, self.cap, *self._kernel_chunks(streams), eps, dbound,
-                    ctypes.byref(st), None if rec_sites is None else rec_sites.ctypes.data,
-                    None if rec_amts is None else rec_amts.ctypes.data)
-                if rec_sites is not None and st.n_rec:
-                    sites = rec_sites[:st.n_rec].T.tolist()
-                    amts = rec_amts[:st.n_rec].T.tolist()
-                    self.streamA.extend(zip(sites[0], amts[0]))
-                    self.streamB.extend(zip(sites[1], amts[1]))
+                status = lib.zp_couple(hA, hB, n, self.cap, *self._kernel_chunks(streams),
+                                       self._eps, self._dbound, ctypes.byref(st))
                 if status == _ZC_REFILL:
-                    if _KERNEL_PHASES[st.phase] == PHASE_INDEPENDENT:
+                    if st.phase == _INDEPENDENT:
                         if st.posA >= streams[0].site_array.size:
                             streams[0].refill()
                             st.posA = 0
@@ -643,33 +667,16 @@ class Coupling:
                     else:
                         streams[2].refill()
                         st.posC = 0
-                elif (status != _ZC_DONE or st.t >= max_steps
-                      or (not was_merged and _KERNEL_PHASES[st.phase] == PHASE_MERGED)):
+                elif (status != _ZC_DONE or st.t >= stop
+                      or (not was_merged and st.phase == _MERGED)):
                     break
         finally:
             self.hA[:] = hA
             self.hB[:] = hB
             streams[0].pos, streams[1].pos, streams[2].pos = st.posA, st.posB, st.posC
-            self.t = st.t
-            self.restarts_by_cause = dict(zip(RESTART_CAUSES, st.causes))
-            self.phase_steps[PHASE_INDEPENDENT] = st.steps_ind
-            self.phase_steps[PHASE_CONTRACTION] = st.steps_con
-            self.phase_steps[PHASE_MERGING] = st.steps_mer
-            self.phase_steps[PHASE_MERGED] = st.steps_mgd
-            self.phase = _KERNEL_PHASES[st.phase]
-            self.flip = bool(st.flip)
-            self._k_aval = st.k_aval
-            self._targetL = st.target
-            self._ebA = None if st.ebA < 0 else st.ebA
-            self._ebB = None if st.ebB < 0 else st.ebB
-            self._mk = st.mk
-            self._merging_steps = st.merging_steps
-            self._Dk = st.Dk
-            self._between_hi, self._av_lo = st.between_hi, st.av_lo
-            self._av_hi, self._thresh = st.av_hi, st.thresh
-        if self.phase == PHASE_MERGED and not was_merged:
-            self.merge_time = self.t
-            self.final_merging_steps = self._merging_steps
+        if st.phase == _MERGED and not was_merged:
+            self.merge_time = st.t
+            self.final_merging_steps = st.merging_steps
         if status == _ZC_CAP:
             raise cap_error(self.cap)
         elif status == _ZC_BAD_SITE:
@@ -679,7 +686,7 @@ class Coupling:
             if status == _ZC_STAGE:
                 self._stage_init()
             else:
-                self._check_stage_sites(self._mk)
+                self._check_stage_sites(st.mk)
             raise InvariantViolation(f"zp_couple gate {status} did not recur in Python")
         elif status in _GATE_MESSAGES:
             raise InvariantViolation(_GATE_MESSAGES[status])
@@ -700,36 +707,15 @@ class Coupling:
             args += held[2:]
         return args
 
-    def run_steps(self, steps: int, require_equal: bool = False) -> bool:
-        """Advance ``steps`` steps, in whatever phases they fall.
-
-        Returns False if ``require_equal`` is set and the chains differed
-        after some step, else True; on a merged pair that is the check that
-        the merge holds.  Every phase runs on the compiled kernel if it
-        loads, in one ``zp_couple`` call per stream chunk and one more past
-        the merge.
-        """
-        stop = self.t + steps
-        differed = 0
-        while self.t < stop:
-            if (lib := chain_kernel()) is not None:
-                differed += self._run_coupled(lib, stop)
-            else:
-                self.step()
-                differed += self.hA != self.hB
-        return not (require_equal and differed)
-
     def result(self, seed: int | None = None,
                post_merge_identical: bool | None = None) -> CouplingResult:
         return CouplingResult(
             seed=seed,
-            merged=self.phase == PHASE_MERGED,
+            merged=self._st.phase == _MERGED,
             merge_time=self.merge_time,
             restarts=self.restarts,
-            phase_times=[self.phase_steps[PHASE_INDEPENDENT],
-                         self.phase_steps[PHASE_CONTRACTION],
-                         self.phase_steps[PHASE_MERGING]],
-            steps=self.t,
+            phase_times=self._st.steps[:3],
+            steps=self._st.t,
             final_merging_steps=self.final_merging_steps,
             post_merge_identical=post_merge_identical,
         )
@@ -766,11 +752,11 @@ def _init_config(mode, n: int, gen: np.random.Generator) -> list:
 
 
 def _sweep_one(args) -> CouplingResult:
-    n, a, b, seed, max_steps, init_a, init_b, cap, post_merge_steps = args
+    n, a, b, seed, max_steps, init_a, init_b, post_merge_steps = args
     gens = substreams(seed, 5)
     eta_a = _init_config(init_a, n, gens[0])
     eta_b = _init_config(init_b, n, gens[1])
-    c = Coupling(eta_a, eta_b, a, b, cap=cap, _streams=gens[2:])
+    c = Coupling(eta_a, eta_b, a, b, _streams=gens[2:])
     c.run(max_steps)
     post_ok = None
     if post_merge_steps and c.phase == PHASE_MERGED:
@@ -780,7 +766,6 @@ def _sweep_one(args) -> CouplingResult:
 
 def coupling_sweep(n: int, a: float, b: float, seeds, max_steps: int,
                    init_a="random", init_b="random", workers: int = 1,
-                   cap: int = DEFAULT_TOPPLE_CAP,
                    post_merge_steps: int = 0) -> list[CouplingResult]:
     """One coupling run per seed; results in seed order regardless of workers.
 
@@ -793,8 +778,7 @@ def coupling_sweep(n: int, a: float, b: float, seeds, max_steps: int,
         raise ValueError(f"post_merge_steps must be >= 0, got {post_merge_steps}")
     init_a, init_b = _check_init(init_a, n), _check_init(init_b, n)
     _validate_abn(a, b, n)
-    jobs = [(n, a, b, int(s), max_steps, init_a, init_b, cap, post_merge_steps)
-            for s in seeds]
+    jobs = [(n, a, b, int(s), max_steps, init_a, init_b, post_merge_steps) for s in seeds]
     if workers > 1 and len(jobs) > 1:
         chain_kernel()      # build and load once, before the workers fork
         width = min(workers, len(jobs))     # no idle workers to fork

@@ -285,6 +285,13 @@ def _check_run(t_max, snapshot_every, max_events) -> float:
         raise ValueError("t_max must fit in a float") from None
 
 
+def _check_min_m(min_m_threshold) -> None:
+    """Raise ValueError unless ``min_m_threshold`` (the least count of
+    topplings per site that makes evidence strong) is >= 0."""
+    if not min_m_threshold >= 0:        # also rejects NaN
+        raise ValueError(f"min_m_threshold must be >= 0, got {min_m_threshold!r}")
+
+
 class MarkovToppling:
     """Resumable rejection-free toppling run on one lattice configuration.
 
@@ -301,6 +308,7 @@ class MarkovToppling:
     def __init__(self, config: LatticeConfig, seed: int | None = None,
                  rng: np.random.Generator | None = None,
                  min_m_threshold: int = 10):
+        _check_min_m(min_m_threshold)
         self.boundary = config.boundary
         self.shape = config.sides
         self.d = config.dim
@@ -917,6 +925,7 @@ def _replica_jobs(spec: DensitySpec, sides, boundary: str, t_max: float, replica
         # a replica that never stabilizes would never end
         raise ValueError("t_max=inf needs max_events")
     _check_run(t_max, snapshot_every, max_events)
+    _check_min_m(min_m_threshold)
     sides, boundary = _check_density(spec, sides, boundary)
     entropy = np.random.SeedSequence(seed).entropy
     return [(spec.kind, spec.rho, sides, boundary, t_max,

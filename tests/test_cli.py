@@ -466,6 +466,10 @@ _BAD_INPUTS = [
       "--init-b=0.2,-inf,0.1", "--max-steps", "2000"], "heights must be finite"),
     (["infinite", "--d", "1", "--side", "-4", "--gen", "iid", "--rho", "0.3"],
      "every lattice side must be >= 1"),
+    (["infinite", "--d", "0", "--side", "16", "--gen", "iid", "--rho", "0.3"],
+     "--d must be >= 1, got 0"),
+    (["sweep", "--d", "-2", "--side", "16", "--gen", "iid", "--rho", "0.3"],
+     "--d must be >= 1, got -2"),
 ]
 
 
@@ -475,8 +479,9 @@ def test_bad_heights_and_unbounded_runs_exit_1(tmp_path, argv, message):
     # a NaN height was printed as a result, an inf one toppled until the cap,
     # a zero side raised a traceback, --tmax inf without --max-events never
     # ended, a negative literal coupling start ran and exited 0, and a
-    # negative side showed numpy's "negative dimensions are not allowed"; each
-    # must now exit 1 within the subprocess timeout, with its own message
+    # negative side showed numpy's "negative dimensions are not allowed", and
+    # --d 0 or -2 blamed the heights or --side; each must now exit 1 within
+    # the subprocess timeout, with its own message
     proc = _run_cli(tmp_path, argv)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith(f"zhangpile: error: {message}"), proc.stderr
@@ -496,10 +501,13 @@ _COUPLE = ["couple", "--n", "3", "--a", "0.2", "--b", "0.9"]
     [*_COUPLE, "--max-steps", "-1"],
     [*_COUPLE, "--seeds", "-1"],
     [*_COUPLE, "--seeds", "0"],
+    ["infinite", *_LINE, "--min-m-threshold", "-1"],
 ])
 def test_bad_intervals_and_counts_exit_1(tmp_path, argv):
     # --snap-every 0 raised ZeroDivisionError, nan a conversion error and -1
-    # never ended; the negative counts exited 0 having done nothing
+    # never ended; the negative counts exited 0 having done nothing, and a
+    # negative --min-m-threshold called a run without a toppling strong
+    # evidence
     proc = _run_cli(tmp_path, argv)
     assert proc.returncode == 1, proc.stderr
     assert "error" in proc.stderr

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from zhangpile.core import InvariantViolation, _relax_leftmost, in_class_E
+from zhangpile.core import CouplingState, InvariantViolation, _relax_leftmost, in_class_E
 from zhangpile.coupling import (
     CoefficientTracker,
     Coupling,
@@ -442,6 +442,25 @@ def test_fast_and_recording_paths_agree():
         assert c1.phase_steps == c.phase_steps
         assert c1.hA == c.hA and c1.hB == c.hB
     assert c2.streamA == c3.streamA and c2.streamB == c3.streamB
+    # run_steps through the merge and past it: a recorded pair, which steps
+    # the Python reference, and an unrecorded one, which runs on the kernel
+    # if it loads, end in the same state
+    pairs = [Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9, record_streams=record, **kw)
+             for record in (True, False)]
+    for c in pairs:
+        assert c.run_steps(c1.merge_time + 3000, require_equal=True) is False
+        assert c.phase_steps["merged"] == 3000
+    assert _full_state(pairs[0]) == _full_state(pairs[1])
+    assert len(pairs[0].streamA) == len(pairs[0].streamB) == pairs[0].t
+
+
+def _full_state(c):
+    # the CouplingState bytes but for what only a kernel call sets (t_stop,
+    # differed and the stream positions, which the streams keep)
+    st = CouplingState.from_buffer_copy(c._st)
+    st.t_stop = st.differed = st.posA = st.posB = st.posC = 0
+    return (c.hA, c.hB, bytes(st), c.merge_time, c.final_merging_steps,
+            [(s.pos, s.site_array.tobytes()) for s in (c._addA, c._addB, c._addC)])
 
 
 def _addition_chunks(gen, n, a, b, chunk, count):

@@ -5,7 +5,6 @@ results, or shows that a kernel gate fails where the Python one does.
 """
 
 import copy
-import dataclasses
 import math
 import multiprocessing
 import os
@@ -34,7 +33,7 @@ from zhangpile.chain import (
 )
 from zhangpile.cli import main
 from zhangpile.core import InvariantViolation, ToppleCapError, _relax_leftmost
-from zhangpile.coupling import PHASE_CONTRACTION, Coupling
+from zhangpile.coupling import Coupling
 from zhangpile.lattice import BOX, TORUS, DensitySpec, LatticeConfig, MarkovToppling, generate
 
 pytestmark = pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
@@ -298,9 +297,8 @@ def test_kernel_entry_bins_like_marginal_stats(lib):
 # merged coupling
 # ---------------------------------------------------------------------------
 
-def _merged_pair(record=False):
-    c = Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9, seed=1,
-                 record_streams=record)
+def _merged_pair():
+    c = Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9, seed=1)
     c.run(100_000)
     assert c.phase == "merged"
     return c
@@ -310,10 +308,9 @@ def test_merged_kernel_matches_python_steps(lib, monkeypatch):
     runs = []
     for kernel in (lib, None):
         monkeypatch.setattr(core, "_kernel", [kernel])
-        c = _merged_pair(record=True)
+        c = _merged_pair()
         assert c.run_steps(20_000, require_equal=True)
-        runs.append((c.hA, c.hB, c.t, c.phase_steps, c.streamA, c.streamB,
-                     c._addC.pos))
+        runs.append(_coupling_state(c))
     assert runs[0] == runs[1]
 
 
@@ -353,11 +350,10 @@ def test_merged_kernel_counts_unequal_steps(lib):
 
 def test_run_steps_through_the_merge_alike(lib):
     # one run_steps takes an unmerged pair through its merge (t=30709) and
-    # past it, on the kernel as step() does it, streams included
+    # past it, on the kernel as step() does it
     after = {}
     for kernel in (None, lib):
-        c = Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9, seed=1,
-                     record_streams=True)
+        c = Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9, seed=1)
         with _kernel_set(kernel):
             assert c.run_steps(40_000, require_equal=True) is False
         assert (c.phase, c.merge_time, c.phase_steps["merged"]) == ("merged", 30709, 9291)
@@ -406,19 +402,24 @@ def couplings(draw):
     plan.append(("run", 8193 + draw(st.integers(0, 12_000))))
     # run_steps from wherever that left the pair: mostly past the merge
     plan.append(("run_steps", draw(st.integers(0, 10_000)), draw(st.booleans())))
-    # short stream chunks and recording blocks make every kernel call end
-    # at many chunk ends and block ends
-    sizes = draw(st.sampled_from([(8192, 16384), (64, 16384), (5, 3)]))
-    return (n, a, b, eta_a, eta_b, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()),
-            plan, sizes)
+    # short stream chunks make every kernel call end at many chunk ends
+    chunk = draw(st.sampled_from([8192, 64, 5]))
+    return n, a, b, eta_a, eta_b, draw(st.integers(0, 2**32 - 1)), plan, chunk
+
+
+def _pair_state(c):
+    """The bytes of ``c``'s CouplingState but for what only a kernel call
+    sets: t_stop, differed and the stream positions (the streams keep them)."""
+    st = core.CouplingState.from_buffer_copy(c._st)
+    st.t_stop = st.differed = st.posA = st.posB = st.posC = 0
+    return bytes(st)
 
 
 def _coupling_state(c):
+    """The whole state of the pair ``c``; its recorded streams come last."""
     streams = (c._addA, c._addB, c._addC)
-    return (_bits(c.hA), _bits(c.hB), c.t, c.restarts, c.restarts_by_cause, c.phase_steps,
-            c.phase, c.flip, c._k_aval, c._targetL, c._ebA, c._ebB, c.merge_time,
-            c.final_merging_steps, c._mk, c._merging_steps,
-            _bits([c._Dk, c._between_hi, c._av_lo, c._av_hi, c._thresh]),
+    return (_bits(c.hA), _bits(c.hB), c.t, c.restarts_by_cause, c.phase_steps, c.phase,
+            c.merge_time, c.final_merging_steps, _pair_state(c),
             [(s.pos, s.site_array.tobytes()) for s in streams], c.streamA, c.streamB)
 
 
@@ -443,13 +444,11 @@ def _merging_clock(c, merging_steps, limit=20_000):
 @settings(max_examples=40, deadline=None)
 @given(couplings())
 def test_coupling_kernel_matches_python_reference(spec):
-    n, a, b, eta_a, eta_b, seed, record, plan, (chunk, rec_rows) = spec
+    n, a, b, eta_a, eta_b, seed, plan, chunk = spec
     lib = core.chain_kernel()
     assert lib is not None
-    with mock.patch.object(coupling, "_CHUNK", chunk), \
-            mock.patch.object(coupling, "_REC_ROWS", rec_rows):
-        pairs = {kernel: Coupling(eta_a, eta_b, a, b, seed=seed, record_streams=record)
-                 for kernel in (None, lib)}
+    with mock.patch.object(coupling, "_CHUNK", chunk):
+        pairs = {kernel: Coupling(eta_a, eta_b, a, b, seed=seed) for kernel in (None, lib)}
         for how, count, *require_equal in plan:
             if how == "merging":
                 # run() stops inside a merging attempt (if one begins soon)
@@ -477,10 +476,11 @@ def _merge_draws(c):
     with _kernel_set(None):
         while ref.phase == "merging":
             p1 = ref._phys(1)
-            if max(ref.hA[p1], ref.hB[p1]) > ref._thresh:
-                u = 0.5 * (ref._av_lo + ref._av_hi)
+            st_ = ref._st
+            if max(ref.hA[p1], ref.hB[p1]) > st_.thresh:
+                u = 0.5 * (st_.av_lo + st_.av_hi)
             else:
-                u = 0.5 * (ref._half + ref._between_hi)
+                u = 0.5 * (st_.half + st_.between_hi)
             draws.append((p1, u))
             _force_additions(ref._addC, [p1], [u])
             ref.step()
@@ -492,7 +492,9 @@ def _merge_draws(c):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_coupling_kernel_merges_like_python(lib, n, record):
     # two E_b starts on either side, closer than eps1, enter the merging
-    # phase at once; forced draws take them through all n-1 stages
+    # phase at once; forced draws take them through all n-1 stages.  With
+    # record, the Python pair records its streams, which must not change
+    # its path.
     a, b = 0.2, 0.9
     eps1 = coupling.epsilon_abn(a, b, n)
     rng = np.random.default_rng(n)
@@ -500,7 +502,8 @@ def test_coupling_kernel_merges_like_python(lib, n, record):
     eta_a[(n - 1) * (n % 2)] = 0.0
     eta_b = eta_a + rng.uniform(-0.2, 0.2, n) * eps1 / n
     eta_b[eta_a == 0.0] = 0.0
-    pairs = {kernel: Coupling(eta_a, eta_b, a, b, seed=n, record_streams=record)
+    pairs = {kernel: Coupling(eta_a, eta_b, a, b, seed=n,
+                              record_streams=record and kernel is None)
              for kernel in (None, lib)}
     draws = _merge_draws(pairs[None])
     assert len(draws) >= n - 1
@@ -509,14 +512,17 @@ def test_coupling_kernel_merges_like_python(lib, n, record):
         _force_additions(c._addC, *zip(*draws))
         with _kernel_set(kernel):
             # run() stops inside the merging phase, step() takes over from
-            # its state, and run() resumes from step()'s
+            # its state, and run() resumes from step()'s; n=2 merges in one
+            # draw, which run() takes, so that the kernel runs it too
             c.run(len(draws) // 2)
             assert c.phase == "merging"
-            c.step()
+            if len(draws) > 1:
+                c.step()
             c.run(10 * len(draws))
         assert c.phase == "merged" and c.hA == c.hB
         assert (c.merge_time, c.final_merging_steps) == (len(draws), len(draws))
-    assert _coupling_state(pairs[lib]) == _coupling_state(pairs[None])
+    assert _coupling_state(pairs[lib])[:-2] == _coupling_state(pairs[None])[:-2]
+    assert len(pairs[None].streamA) == len(draws) * record
 
 
 def test_one_kernel_call_per_stream_chunk(lib, monkeypatch):
@@ -554,6 +560,16 @@ def test_one_kernel_call_per_stream_chunk(lib, monkeypatch):
         r.merge_time, r.restarts, 100_000)
     assert "step" not in calls
     assert 2 <= calls.count("zp_couple") <= 2 + calls.count("refill")
+    # a pair that records its streams runs on the Python reference alone
+    calls.clear()
+    gens = coupling.substreams(1, 5)
+    c = Coupling(*(coupling._init_config("random", 3, g) for g in gens[:2]), 0.2, 0.9,
+                 record_streams=True, _streams=gens[2:])
+    c.run(r.merge_time)
+    assert c.run_steps(1000, require_equal=True) is True
+    assert (c.merge_time, c.restarts, len(c.streamA)) == (r.merge_time, r.restarts,
+                                                          r.merge_time + 1000)
+    assert "zp_couple" not in calls and "step" in calls
 
 
 def test_kernel_declares_every_entry_point(lib, monkeypatch):
@@ -587,17 +603,17 @@ def test_kernel_declares_every_entry_point(lib, monkeypatch):
 def _contraction_pair(eta_a, eta_b, k_aval, target, cap=100):
     # a pair put straight into the contraction phase (n=3, a=0.2, b=0.9: a
     # draw of at least 0.55 at the target site keeps it there)
-    c = Coupling(eta_a, eta_b, 0.2, 0.9, seed=4, record_streams=True, cap=cap)
+    c = Coupling(eta_a, eta_b, 0.2, 0.9, seed=4, cap=cap)
     assert c.phase == "independent"
-    c.phase = PHASE_CONTRACTION
-    c._k_aval = k_aval
-    c._targetL = target
+    c._st.phase = coupling._CONTRACTION
+    c._st.k_aval = k_aval
+    c._st.target = target
     return c
 
 
 def _after_gate(c):
     return (c.hA, c.hB, c.t, c.phase_steps, c.restarts, c._addA.pos, c._addB.pos,
-            c._addC.pos, c.streamA, c.streamB)
+            c._addC.pos)
 
 
 def test_contraction_desync_gate_raises(backend):
@@ -607,8 +623,7 @@ def test_contraction_desync_gate_raises(backend):
     with pytest.raises(InvariantViolation, match="^contraction avalanches desynchronized$"):
         c.run(10)
     assert _after_gate(c) == ([0.1, 0.1 + 0.75, 0.0], [0.1, 0.1, 0.7], 0,
-                              dict.fromkeys(c.phase_steps, 0), 0, 0, 0, 1, [(2, 0.6)],
-                              [(2, 0.6)])
+                              dict.fromkeys(c.phase_steps, 0), 0, 0, 0, 1)
 
 
 def test_contraction_lands_outside_E_N_gate_raises(backend):
@@ -618,9 +633,9 @@ def test_contraction_lands_outside_E_N_gate_raises(backend):
     with pytest.raises(InvariantViolation,
                        match="^contraction avalanche did not land in E_N$"):
         c.run(10)
-    assert _after_gate(c)[:8] == ([0.0, 0.1 + 0.75, 0.1], [0.0, 0.2 + 0.7, 0.1], 0,
-                                  dict.fromkeys(c.phase_steps, 0), 0, 0, 0, 1)
-    assert (c._k_aval, c._targetL) == (2, 3)
+    assert _after_gate(c) == ([0.0, 0.1 + 0.75, 0.1], [0.0, 0.2 + 0.7, 0.1], 0,
+                              dict.fromkeys(c.phase_steps, 0), 0, 0, 0, 1)
+    assert (c._st.k_aval, c._st.target) == (2, 3)
 
 
 @pytest.mark.parametrize("where", ["contraction", "restart", "independent-A",
@@ -629,9 +644,9 @@ def test_topple_cap_raises_before_the_merge(backend, where):
     # site 3 at 0.9 next to 0.9: a 0.6 there topples twice, past a cap of 1
     c = _contraction_pair([0.1, 0.9, 0.9], [0.1, 0.9, 0.9 - 1e-3], 0, 3, cap=1)
     if where == "restart":
-        c._targetL = 1                          # a draw off the target restarts
+        c._st.target = 1                        # a draw off the target restarts
     if where.startswith("independent"):
-        c.phase = "independent"
+        c._st.phase = coupling._INDEPENDENT
         first, second = (c._addA, c._addB) if where.endswith("A") else (c._addB, c._addA)
         _force_additions(first, [2], [0.6])
         _force_additions(second, [0], [0.3])
@@ -645,7 +660,7 @@ def test_topple_cap_raises_before_the_merge(backend, where):
     failing = [0.1, 0.0, 0.0]
     other = [0.1 + (where == "independent-B") * 0.3, 0.9, 0.9]
     hA, hB = (other, failing) if where == "independent-B" else (failing, [0.1, 0.9, 0.9 - 1e-3])
-    assert _after_gate(c) == (hA, hB, 0, dict.fromkeys(c.phase_steps, 0), 0, *pos, [], [])
+    assert _after_gate(c) == (hA, hB, 0, dict.fromkeys(c.phase_steps, 0), 0, *pos)
 
 
 def test_entering_E_b_close_together_starts_merging(backend):
@@ -665,7 +680,7 @@ def test_contraction_sweep_close_together_starts_merging(backend):
     c = _contraction_pair([0.9, 0.6, 0.6], [0.9, 0.6, 0.6 + 1e-12], 1, 1)
     _force_additions(c._addC, [0], [0.6])
     c.run(1)
-    assert (c.phase, c.t, c.phase_steps["contraction"], c._k_aval, c._addC.pos) == (
+    assert (c.phase, c.t, c.phase_steps["contraction"], c._st.k_aval, c._addC.pos) == (
         "merging", 1, 1, 2, 1)
     assert c.hA[2] == c.hB[2] == 0.0
 
@@ -674,7 +689,7 @@ def _craft_unequal_completion(c):
     # the last stage: sites 2 and 3 end equal, site 1 ends 1e-3 apart
     c.hA[:] = [0.6, 0.7, 0.1]
     c.hB[:] = [0.6, 0.698, 0.101]
-    c._mk = 2
+    c._st.mk = 2
     c._stage_init()
 
 
@@ -684,19 +699,17 @@ def _craft_mirrored_nan(c):
     # to a merge that overwrites it
     c.hA.reverse()
     c.hB.reverse()
-    c.flip = True
+    c._st.flip = True
     c._stage_init()
     c.hB[0] = math.nan
 
 
 # (how to break a merging pair, the message of the gate that must then fire)
 _MERGING_GATES = {
-    "ill-formed": (lambda c: setattr(c, "constants", dataclasses.replace(
-        c.constants, eps_schedule=[c.eps1, 1.0, 1.0])),
-        r"merge-phase addition intervals are ill-formed"),
-    "D-bound": (lambda c: setattr(c, "constants", dataclasses.replace(
-        c.constants, d_bounds=[c.constants.d_bounds[0], -1.0])),
-        r"\|D_2\|=\d\.\d{3}e[+-]\d\d exceeds its bound -1\.000e\+00"),
+    "ill-formed": (lambda c: c._eps.__setitem__(1, 1.0),
+                   r"merge-phase addition intervals are ill-formed"),
+    "D-bound": (lambda c: c._dbound.__setitem__(1, -1.0),
+                r"\|D_2\|=\d\.\d{3}e[+-]\d\d exceeds its bound -1\.000e\+00"),
     "no-fire": (lambda c: c.hB.__setitem__(0, 0.1),
                 r"scheduled merge avalanche failed to fire"),
     # site 1 of chain A alone sets the leader, as in Python's max
@@ -705,7 +718,7 @@ _MERGING_GATES = {
     # both chains topple the NaN on to site 1, which D_2 then reads
     "D-bound-NaN": (lambda c: (c.hA.__setitem__(1, math.nan), c.hB.__setitem__(1, math.nan)),
                     r"\|D_2\|=nan exceeds its bound \d\.\d{3}e-02"),
-    "count": (lambda c: setattr(c, "_mk", 3), r"merge avalanche count exceeded n-1"),
+    "count": (lambda c: setattr(c._st, "mk", 3), r"merge avalanche count exceeded n-1"),
     "site": (lambda c: c.hB.__setitem__(1, 0.8), r"merge avalanche 1 left site 3 unequal"),
     "site-NaN": (_craft_mirrored_nan, r"merge avalanche 1 left site 3 unequal"),
     "completion": (_craft_unequal_completion,
@@ -720,9 +733,8 @@ def test_merging_gates_raise_alike(lib, gate):
     craft, message = _MERGING_GATES[gate]
     after = {}
     for kernel in (None, lib):
-        c = Coupling([0.6, 0.7, 0.0], [0.6, 0.7 + 1e-6, 0.0], 0.2, 0.9, seed=4,
-                     record_streams=True)
-        assert (c.phase, c._mk, c.flip) == ("merging", 1, False)
+        c = Coupling([0.6, 0.7, 0.0], [0.6, 0.7 + 1e-6, 0.0], 0.2, 0.9, seed=4)
+        assert (c.phase, c._st.mk, c.flip) == ("merging", 1, False)
         craft(c)
         p1 = c._phys(1)
         _force_additions(c._addC, [p1], [0.75])
@@ -730,7 +742,7 @@ def test_merging_gates_raise_alike(lib, gate):
             c.run(10)
         assert re.fullmatch(message, str(err.value))
         assert (c.t, c.phase_steps["merging"], c.restarts, c._addC.pos) == (0, 0, 0, 1)
-        assert c.streamA == [(p1, 0.75)] and c._merging_steps == 1
+        assert c._st.merging_steps == 1
         after[kernel] = (str(err.value), _coupling_state(c))
     assert after[lib] == after[None]
 
@@ -745,9 +757,9 @@ def test_merging_window_edges_alike(lib, stage, edge, outside):
         c = Coupling([0.6, 0.7, 0.0], [0.6, 0.7 + 1e-6, 0.0], 0.2, 0.9, seed=4)
         if stage == "between":
             c.hA[0] = c.hB[0] = 0.3             # below the threshold
-            lo, hi = c._half, c._between_hi
+            lo, hi = c._st.half, c._st.between_hi
         else:
-            lo, hi = c._av_lo, c._av_hi
+            lo, hi = c._st.av_lo, c._st.av_hi
         u = lo if edge == "lo" else hi
         if outside:
             u = math.nextafter(u, -math.inf if edge == "lo" else math.inf)
@@ -755,7 +767,7 @@ def test_merging_window_edges_alike(lib, stage, edge, outside):
         with _kernel_set(kernel):
             c.run(1)
         assert c.restarts_by_cause["merging-window"] == outside
-        assert c._mk == 1 + (stage == "avalanche" and not outside)
+        assert c._st.mk == 1 + (stage == "avalanche" and not outside)
         after[kernel] = _coupling_state(c)
     assert after[lib] == after[None]
 
@@ -767,10 +779,9 @@ def test_merging_window_edges_alike(lib, stage, edge, outside):
 def test_kernel_coupled_amount_is_pythons(lib, Dk):
     after = {}
     for kernel in (None, lib):
-        c = Coupling([0.6, 0.7, 0.0], [0.6, 0.7 + 1e-6, 0.0], 0.25, 0.75, seed=4,
-                     record_streams=True)
+        c = Coupling([0.6, 0.7, 0.0], [0.6, 0.7 + 1e-6, 0.0], 0.25, 0.75, seed=4)
         assert c.phase == "merging"
-        c._Dk = Dk
+        c._st.Dk = Dk
         _force_additions(c._addC, [0], [0.65])
         message = None
         with _kernel_set(kernel):
@@ -778,7 +789,11 @@ def test_kernel_coupled_amount_is_pythons(lib, Dk):
                 c.run(1)
             except InvariantViolation as exc:     # chain B's amount may not fire
                 message = str(exc)
-        assert _bits(c.streamB[0][1]) == _bits(coupling.coupled_amount(0.65, Dk, 0.25, 0.75))
+        # chain B took the Python amount at site 1, whatever gate fired after
+        want = [0.6 + coupling.coupled_amount(0.65, Dk, 0.25, 0.75), 0.7 + 1e-6, 0.0]
+        if want[0] >= 1.0:
+            _relax_leftmost(want, 0)
+        assert _bits(c.hB) == _bits(want)
         after[kernel] = (message, _coupling_state(c))
     assert after[lib] == after[None]
 
@@ -794,15 +809,14 @@ def test_restart_causes_alike(lib, cause, draw):
         if cause.startswith("contraction"):
             c = _contraction_pair([0.1, 0.1, 0.1], [0.1, 0.2, 0.1], 0, 3)
         else:
-            c = Coupling([0.6, 0.7, 0.0], [0.6, 0.7 + 1e-6, 0.0], 0.2, 0.9, seed=4,
-                         record_streams=True)
+            c = Coupling([0.6, 0.7, 0.0], [0.6, 0.7 + 1e-6, 0.0], 0.2, 0.9, seed=4)
             if cause == "merging-topple":
-                c._thresh = 0.9         # site 1 (0.6) then reads as below it
+                c._st.thresh = 0.9      # site 1 (0.6) then reads as below it
         _force_additions(c._addC, *zip(draw))
         with _kernel_set(kernel):
             c.run(1)
         assert c.restarts_by_cause == {k: int(k == cause) for k in coupling.RESTART_CAUSES}
-        assert (c.t, c.restarts, c.phase, c.streamA) == (1, 1, "independent", [draw])
+        assert (c.t, c.restarts, c.phase, c._addC.pos) == (1, 1, "independent", 1)
         after[kernel] = _coupling_state(c)
     assert after[lib] == after[None]
 
@@ -1122,8 +1136,8 @@ def test_kernel_is_clean_under_ubsan(tmp_path):
 
 # builds the kernel with the address and undefined-behaviour sanitizers and
 # runs the sentinel lattice cases on plain n-slot buffers, whose ends ASAN
-# guards, plus chain drives at n=30 and n=1 and a recording coupling through
-# its merge
+# guards, plus chain drives at n=30 and n=1 and a coupling through its merge
+# and 20,000 merged steps
 _ASAN_CHECK = """
 import sys
 from pathlib import Path
@@ -1141,7 +1155,7 @@ p = tk.ChainProcess(30, 0.6, 0.8, seed=1)
 tk._drive_compiled(lib, p, 3000, tk.MarginalStats(30, bins=7), None)
 p = tk.ChainProcess(1, 0.3, 0.9, seed=2)     # one site: the row block
 tk._drive_compiled(lib, p, 3000, tk.MarginalStats(1, bins=7), None)
-assert tk._merged_pair(record=True).run_steps(20_000, require_equal=True)
+assert tk._merged_pair().run_steps(20_000, require_equal=True)
 print("ok")
 """
 

@@ -205,6 +205,15 @@ def test_engine_run_rejects_bad_arguments():
         assert line.startswith(message), (line, message)
 
 
+def test_engine_rejects_a_negative_min_m_threshold():
+    # min_M >= -1 held before any toppling, so a run with none was strong evidence
+    cfg = generate(DensitySpec("constant", 1.1), (16,), TORUS, seed=1)
+    for bad in (-1, math.nan):
+        with pytest.raises(ValueError, match="min_m_threshold must be >= 0"):
+            MarkovToppling(cfg, seed=2, min_m_threshold=bad)
+    MarkovToppling(cfg, seed=2, min_m_threshold=0)
+
+
 def test_single_unstable_site_stabilizes():
     cfg = _line([0.0, 1.3, 0.0, 0.0], BOX)
     verdict, final, ledger = markov_run(cfg, t_max=100.0, seed=1)
