@@ -467,17 +467,17 @@ int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
  * in the order of lattice._neighbor_table); missing counts the -1 slots.  The
  * first k = st->k entries of unstable are the unstable sites, where[i] is the
  * position of site i there or -1; entries from k on are scratch, which the
- * insertion writes.  waits and picks are the chunk of
- * exponential and uniform draws, read from st->pos on.  A due snapshot fills
- * one row of rows (t, unstable count, min M, max M, dissipated); no snapshot
- * is due while next_snap is +inf.
+ * insertion writes.  waits and picks are the chunk of draws, read from
+ * st->pos on; dissipated is the ledger's sum and its compensation.  A due
+ * snapshot fills one row of rows (t, unstable count, min M, max M,
+ * dissipated); no snapshot is due while next_snap is +inf.
  *
- * The snapshot state lasts for one run() (several calls).  max_m, which the
- * caller sets to the largest M, is kept per toppling, since M only grows, and
- * min_m with n_min, the count of sites at the minimum; a count of 0 asks for
- * a rescan. */
+ * The engine keeps one zp_clock for its life; the caller sets all but t, k,
+ * events, pos and n_rows per run() (several calls).  max_m, the largest M, is
+ * kept per toppling, since M only grows, and min_m with n_min, the count of
+ * sites at the minimum; a count of 0 asks for a rescan. */
 typedef struct {
-    double t, t_max, next_snap, snapshot_every, diss, diss_c;
+    double t, t_max, next_snap, snapshot_every;
     int64_t k, events, events_stop, pos, n_rows, min_m, n_min, max_m;
 } zp_clock;
 
@@ -486,11 +486,11 @@ enum { ZP_EVENTS, ZP_T_MAX, ZP_STABLE, ZP_REFILL, ZP_ROWS_FULL };
 
 int32_t zp_lattice(double *h, int64_t n, int64_t twod, const int32_t *nbr,
                    const int64_t *missing, int64_t *unstable, int64_t *where,
-                   int64_t *m, double *lv, double *lc, const double *waits,
-                   const double *picks, int64_t chunk, zp_clock *st, double *rows,
-                   int64_t rows_cap)
+                   int64_t *m, double *lv, double *lc, double *dissipated,
+                   const double *waits, const double *picks, int64_t chunk,
+                   zp_clock *st, double *rows, int64_t rows_cap)
 {
-    double t = st->t, diss = st->diss, diss_c = st->diss_c;
+    double t = st->t, diss = dissipated[0], diss_c = dissipated[1];
     int64_t k = st->k, events = st->events, pos = st->pos;
     int track = st->next_snap < INFINITY;
     int32_t status = ZP_EVENTS;
@@ -592,8 +592,8 @@ int32_t zp_lattice(double *h, int64_t n, int64_t twod, const int32_t *nbr,
     }
 out:
     st->t = t;
-    st->diss = diss;
-    st->diss_c = diss_c;
+    dissipated[0] = diss;
+    dissipated[1] = diss_c;
     st->k = k;
     st->events = events;
     st->pos = pos;

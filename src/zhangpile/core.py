@@ -290,7 +290,7 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
                              i64, ptr, ptr, ctypes.POINTER(ctypes.c_int32)]
     lib.zp_drive.restype = i64
     lib.zp_lattice.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-                               i64, ctypes.POINTER(LatticeClock), ptr, i64]
+                               ptr, i64, ctypes.POINTER(LatticeClock), ptr, i64]
     lib.zp_lattice.restype = ctypes.c_int32
     lib.zp_couple.argtypes = [ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, i64,
                               ptr, ptr, ctypes.POINTER(CouplingState)]
@@ -299,10 +299,13 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
 
 
 class LatticeClock(ctypes.Structure):
-    """The run state that ``zp_lattice`` reads and updates (``zp_clock`` in _drive.c)."""
+    """The scalars of a ``lattice.MarkovToppling`` for its whole life, which
+    ``zp_lattice`` and the Python loop both update (``zp_clock`` in _drive.c): ``t``,
+    ``events``, the unstable count ``k``, the draw position ``pos`` and the snapshot
+    row count ``n_rows``; the other fields are set before each run."""
 
     _fields_ = ([(f, ctypes.c_double) for f in ("t", "t_max", "next_snap",
-                                                 "snapshot_every", "diss", "diss_c")]
+                                                 "snapshot_every")]
                 + [(f, ctypes.c_int64) for f in ("k", "events", "events_stop", "pos",
                                                   "n_rows", "min_m", "n_min", "max_m")])
 

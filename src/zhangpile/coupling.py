@@ -299,8 +299,6 @@ class Coupling:
                                               for g in _streams)
         self._chunk_args: list = [None] * 3
         consts = coupling_constants(a, b, n)
-        self.constants = consts
-        self.eps1 = consts.eps1
         # zp_couple's arrays: the eps schedule and the bounds d_k, which the
         # Python reference reads too, and the heights of a call
         self._eps = (ctypes.c_double * (n - 1))(*consts.eps_schedule[:n - 1])
@@ -778,7 +776,10 @@ def coupling_sweep(n: int, a: float, b: float, seeds, max_steps: int,
         raise ValueError(f"post_merge_steps must be >= 0, got {post_merge_steps}")
     init_a, init_b = _check_init(init_a, n), _check_init(init_b, n)
     _validate_abn(a, b, n)
-    jobs = [(n, a, b, int(s), max_steps, init_a, init_b, post_merge_steps) for s in seeds]
+    seeds = [int(s) for s in seeds]
+    if seeds and min(seeds) < 0:
+        raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
+    jobs = [(n, a, b, s, max_steps, init_a, init_b, post_merge_steps) for s in seeds]
     if workers > 1 and len(jobs) > 1:
         chain_kernel()      # build and load once, before the workers fork
         width = min(workers, len(jobs))     # no idle workers to fork

@@ -154,8 +154,9 @@ def _neighbor_table(shape: tuple, boundary: str):
 class MassLedger:
     """Per-site toppling counts M, emitted mass L, and dissipated mass.
 
-    L is accumulated with compensated summation so the conservation
-    identities stay far below the 1e-9 tolerance over long runs.
+    L and the dissipated mass are accumulated with compensated summation so
+    the conservation identities stay far below the 1e-9 tolerance over long
+    runs; ``_diss`` holds the dissipated sum and its compensation.
     """
 
     def __init__(self, shape):
@@ -164,10 +165,7 @@ class MassLedger:
         self._m = np.zeros(n, dtype=np.int64)
         self._lv = np.zeros(n)
         self._lc = np.zeros(n)
-        self._diss = 0.0
-        self._diss_c = 0.0
-        self.t = 0.0
-        self.events = 0
+        self._diss = np.zeros(2)
 
     @property
     def M(self) -> np.ndarray:
@@ -179,17 +177,14 @@ class MassLedger:
 
     @property
     def dissipated(self) -> float:
-        return self._diss
+        return float(self._diss[0])
 
     def copy(self) -> "MassLedger":
         out = MassLedger(self.shape)
         out._m = self._m.copy()
         out._lv = self._lv.copy()
         out._lc = self._lc.copy()
-        out._diss = self._diss
-        out._diss_c = self._diss_c
-        out.t = self.t
-        out.events = self.events
+        out._diss = self._diss.copy()
         return out
 
 
@@ -220,7 +215,7 @@ def topple_lattice(config: LatticeConfig, x, ledger: MassLedger | None = None
         h[nb] += share
     led._m[flat] += 1
     led._lv[flat] += hx
-    led._diss += share * missing[flat]
+    led._diss[0] += share * missing[flat]
     return out, led
 
 
@@ -295,14 +290,15 @@ def _check_min_m(min_m_threshold) -> None:
 class MarkovToppling:
     """Resumable rejection-free toppling run on one lattice configuration.
 
-    The state is numpy arrays for the engine's whole life, which the compiled
-    kernel updates in place: the heights ``h``, the ledger's arrays, and the
-    unstable set, whose ``_k`` sites fill the first slots of the n-slot buffer
-    ``_unstable`` in no particular order (``unstable`` is a view of them);
-    ``_where[i]`` is the slot of site ``i``, -1 if stable.  The slots from
-    ``_k`` on are scratch: the kernel writes them and never reads them.
-    The snapshots of every run so far are the first ``_n_rows`` rows of the
-    float64 array ``_rows`` (``snapshot_rows``), which doubles when full.
+    The state is numpy arrays and one ``core.LatticeClock`` ``_clock`` for the
+    engine's whole life, which the compiled kernel updates in place: the
+    heights ``h``, the ledger's arrays, the clock's ``t`` and ``events``, and
+    the unstable set, whose ``_clock.k`` sites fill the first slots of the
+    n-slot buffer ``_unstable`` in no particular order (``unstable`` is a view
+    of them); ``_where[i]`` is the slot of site ``i``, -1 if stable.  The slots
+    from ``k`` on are scratch: the kernel writes them and never reads them.
+    The snapshots of every run so far are the first ``_clock.n_rows`` rows of
+    the float64 array ``_rows`` (``snapshot_rows``), which doubles when full.
     """
 
     def __init__(self, config: LatticeConfig, seed: int | None = None,
@@ -317,31 +313,36 @@ class MarkovToppling:
         self.ledger = MassLedger(self.shape)
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         first = np.flatnonzero(self.h >= 1.0)
-        self._k = first.size
+        k = first.size
         self._unstable = np.zeros(self.n, dtype=np.int64)
-        self._unstable[:self._k] = first
+        self._unstable[:k] = first
         self._where = np.full(self.n, -1, dtype=np.int64)
-        self._where[first] = np.arange(self._k)
-        self.t = 0.0
-        self.events = 0
-        self.t_stab: float | None = 0.0 if not self._k else None
+        self._where[first] = np.arange(k)
+        self.t_stab: float | None = 0.0 if not k else None
         self.min_m_threshold = min_m_threshold
         self._rows = np.empty((0, 5))
-        self._n_rows = 0
-        # the current chunk of exponential waits and uniform picks
+        # the current chunk of exponential waits and uniform picks, from clock.pos on
         self._wait_buf = np.empty(0)
         self._pick_buf = np.empty(0)
-        self._bufpos = _CHUNK
+        self._clock = LatticeClock(k=k, pos=_CHUNK)
+
+    @property
+    def t(self) -> float:
+        return self._clock.t
+
+    @property
+    def events(self) -> int:
+        return self._clock.events
 
     @property
     def unstable(self) -> np.ndarray:
-        return self._unstable[:self._k]
+        return self._unstable[:self._clock.k]
 
     @property
     def snapshot_rows(self) -> np.ndarray:
         """One row per snapshot taken: t, unstable count, min M, max M and
         dissipated, as float64 (a view, shape (rows, 5))."""
-        return self._rows[:self._n_rows]
+        return self._rows[:self._clock.n_rows]
 
     @property
     def snapshots(self) -> list[Snapshot]:
@@ -351,13 +352,13 @@ class MarkovToppling:
     def _grow_rows(self, need: int) -> None:
         """Make room for ``need`` snapshot rows, keeping the filled ones."""
         rows = np.empty((max(need, 2 * len(self._rows), _SNAP_ROWS), 5))
-        rows[:self._n_rows] = self.snapshot_rows
+        rows[:self._clock.n_rows] = self.snapshot_rows
         self._rows = rows
 
     def _refill(self) -> None:
         self._wait_buf = self.rng.standard_exponential(_CHUNK)
         self._pick_buf = self.rng.random(_CHUNK)
-        self._bufpos = 0
+        self._clock.pos = 0
 
     def run(self, t_max: float = math.inf, max_events: int | None = None,
             snapshot_every: float | None = None) -> None:
@@ -371,7 +372,7 @@ class MarkovToppling:
         below the engine's time leaves the engine as it is.
         """
         t_max = _check_run(t_max, snapshot_every, max_events)
-        if not self._k or t_max <= self.t:
+        if not self._clock.k or t_max <= self.t:
             return
         next_snap = math.inf                # no snapshot is due while it is inf
         if snapshot_every is not None:
@@ -387,18 +388,16 @@ class MarkovToppling:
 
     def _run_python(self, t_max, events_stop, next_snap, snapshot_every) -> None:
         """The reference loop, which ``zp_lattice`` follows operation by
-        operation.  It runs on lists of the state and writes them back, the
-        snapshot rows it took included."""
+        operation.  It runs on lists of the state and locals of the clock and
+        writes them back, the snapshot rows it took included."""
         h, unstable, where = self.h.tolist(), self.unstable.tolist(), self._where.tolist()
         nbrs, missing = _neighbor_table(self.shape, self.boundary)
-        led = self.ledger
+        led, clock = self.ledger, self._clock
         m, lv, lc = led._m.tolist(), led._lv.tolist(), led._lc.tolist()
-        diss, diss_c = led._diss, led._diss_c
+        diss, diss_c = led._diss.tolist()
         twod = 2 * self.d
-        t = self.t
-        events = self.events
+        t, events, pos = clock.t, clock.events, clock.pos
         chunk = _CHUNK
-        pos = self._bufpos
         waits, picks = self._wait_buf.tolist(), self._pick_buf.tolist()
         snaps = []
         try:
@@ -458,41 +457,41 @@ class MarkovToppling:
                     break
         finally:
             self.h[:] = h
-            self._k = len(unstable)
-            self._unstable[:self._k] = unstable
+            clock.k = len(unstable)
+            self._unstable[:clock.k] = unstable
             self._where[:] = where
             led._m[:], led._lv[:], led._lc[:] = m, lv, lc
-            self._bufpos = pos
-            self.t = led.t = t
-            self.events = led.events = events
-            led._diss, led._diss_c = diss, diss_c
+            led._diss[:] = diss, diss_c
+            clock.t, clock.events, clock.pos = t, events, pos
             if snaps:
-                end = self._n_rows + len(snaps)
+                end = clock.n_rows + len(snaps)
                 if end > len(self._rows):
                     self._grow_rows(end)
-                self._rows[self._n_rows:end] = snaps
-                self._n_rows = end
+                self._rows[clock.n_rows:end] = snaps
+                clock.n_rows = end
 
     def _run_compiled(self, lib, t_max, events_stop, next_snap, snapshot_every) -> None:
-        """``_run_python`` in ``zp_lattice``, in place on the engine's arrays.
+        """``_run_python`` in ``zp_lattice``, in place on the engine's arrays
+        and its clock.
 
-        The kernel appends snapshot rows to ``_rows`` from row ``_n_rows`` on
+        The kernel appends snapshot rows to ``_rows`` from row ``n_rows`` on
         and returns when the array is full, which then doubles.
         """
         n = self.n
-        led = self.ledger
+        led, clock = self.ledger, self._clock
         nbr, missing = _neighbor_arrays(self.shape, self.boundary)
-        h, unstable, where, k = self.h, self._unstable, self._where, self._k
+        h, unstable, where, k = self.h, self._unstable, self._where, clock.k
         m, lv, lc = led._m, led._lv, led._lc
         # the kernel writes these buffers and indexes with the sites they
         # hold, so they must be this lattice's, of the types it reads
         buffers = {np.float64: (h, lv, lc), np.int64: (unstable, where, m)}
         ok = (0 < k <= n and all(kernel_buffer_ok(a, dtype, n, out=True)
                                  for dtype, arrays in buffers.items() for a in arrays)
+              and kernel_buffer_ok(led._diss, np.float64, 2, out=True)
               and kernel_buffer_ok(nbr, np.int32, n * 2 * self.d)
               and kernel_buffer_ok(missing, np.int64, n)
               and kernel_buffer_ok(self._rows, np.float64, self._rows.size, out=True)
-              and 0 <= self._n_rows <= len(self._rows) and self._rows.shape[1:] == (5,))
+              and 0 <= clock.n_rows <= len(self._rows) and self._rows.shape[1:] == (5,))
         if ok:
             u = unstable[:k]
             ok = (u.min() >= 0 and u.max() < n
@@ -500,38 +499,24 @@ class MarkovToppling:
                   and np.count_nonzero(where >= 0) == k)
         if not ok:
             raise ValueError("engine state does not match its lattice")
-        # the snapshot state of the run (zp_clock in _drive.c): the kernel
-        # keeps max M from here on, and rescans min M at the first snapshot
-        clock = LatticeClock(t=self.t, t_max=t_max, next_snap=next_snap,
-                             snapshot_every=snapshot_every or 0.0, diss=led._diss,
-                             diss_c=led._diss_c, k=k, events=self.events,
-                             events_stop=events_stop, pos=self._bufpos,
-                             n_rows=self._n_rows,
-                             min_m=-1, n_min=0, max_m=int(m.max()))
+        # this run's limits and snapshot state (zp_clock in _drive.c): the
+        # kernel keeps max M from here on, and rescans min M at the first snapshot
+        clock.t_max, clock.events_stop = t_max, events_stop
+        clock.next_snap, clock.snapshot_every = next_snap, snapshot_every or 0.0
+        clock.min_m, clock.n_min, clock.max_m = -1, 0, int(m.max())
         head = (h.ctypes.data, n, 2 * self.d, nbr.ctypes.data, missing.ctypes.data,
                 unstable.ctypes.data, where.ctypes.data, m.ctypes.data, lv.ctypes.data,
-                lc.ctypes.data)
-        try:
-            while True:
-                status = lib.zp_lattice(*head, self._wait_buf.ctypes.data,
-                                        self._pick_buf.ctypes.data, _CHUNK,
-                                        ctypes.byref(clock), self._rows.ctypes.data,
-                                        len(self._rows))
-                if status == _REFILL:
-                    self._refill()
-                    clock.pos = 0
-                elif status == _ROWS_FULL:
-                    self._n_rows = clock.n_rows
-                    self._grow_rows(self._n_rows + 1)
-                else:
-                    break
-        finally:
-            self._n_rows = clock.n_rows
-            self._k = clock.k
-            self.t = led.t = clock.t
-            self.events = led.events = clock.events
-            led._diss, led._diss_c = clock.diss, clock.diss_c
-            self._bufpos = clock.pos
+                lc.ctypes.data, led._diss.ctypes.data)
+        while True:
+            status = lib.zp_lattice(*head, self._wait_buf.ctypes.data,
+                                    self._pick_buf.ctypes.data, _CHUNK, ctypes.byref(clock),
+                                    self._rows.ctypes.data, len(self._rows))
+            if status == _REFILL:
+                self._refill()
+            elif status == _ROWS_FULL:
+                self._grow_rows(clock.n_rows + 1)
+            else:
+                break
         if status == _STABLE:
             self.t_stab = clock.t
 
@@ -540,13 +525,13 @@ class MarkovToppling:
 
     def verdict(self) -> StabilizabilityVerdict:
         m = self.ledger._m
-        stabilized = not self._k
+        stabilized = not self._clock.k
         min_m = int(m.min())
         return StabilizabilityVerdict(
             outcome="stabilized" if stabilized else "active-at-cutoff",
             t_stab=self.t_stab if stabilized else None,
             t_end=self.t, events=self.events,
-            min_m=min_m, max_m=int(m.max()), dissipated=self.ledger._diss,
+            min_m=min_m, max_m=int(m.max()), dissipated=self.ledger.dissipated,
             evidence_strong=(not stabilized) and min_m >= self.min_m_threshold,
             snapshot_rows=self.snapshot_rows.copy(), n_sites=self.n)
 
@@ -731,9 +716,10 @@ def _region_flat(region, shape) -> set[int]:
 
 def count_internal_bonds(region, shape, boundary: str = TORUS) -> int:
     """Number of lattice bonds with both endpoints inside the region."""
-    boundary = parse_boundary(boundary)
+    shape, boundary = tuple(int(s) for s in shape), parse_boundary(boundary)
+    _check_geometry(shape, boundary)
     flat = _region_flat(region, shape)
-    neighbors, _ = _neighbor_table(tuple(int(s) for s in shape), boundary)
+    neighbors, _ = _neighbor_table(shape, boundary)
     twice = sum(1 for x in flat for y in neighbors[x] if y in flat)
     return twice // 2
 

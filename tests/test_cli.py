@@ -278,7 +278,7 @@ def test_infinite_save_final(tmp_path):
     rng = np.random.default_rng(np.random.SeedSequence(8).spawn(3)[0])
     config = lattice.generate(lattice.DensitySpec("iid", 0.6), (24,), "box", rng=rng)
     verdict, final, ledger = lattice.markov_run(config, t_max=50, rng=rng)
-    assert ledger.events > 0                             # it did topple
+    assert verdict.events > 0                            # it did topple
     assert header["t"] == verdict.t_end
     assert np.array_equal(values, final.heights)
 
@@ -754,6 +754,7 @@ def test_bad_bins_exit_1_before_the_burn_in(tmp_path, monkeypatch, capsys, bins)
      "heights length 2 != n=3"),
     (["--n", "3", "--a", "0.2", "--b", "0.9", "--init-b", "0.1,1.2,0.3"],
      "initial configuration must be stable"),
+    (["--n", "3", "--a", "0.2", "--b", "0.9", "--seed0", "-1"], "seeds must be >= 0, got -1"),
 ])
 def test_bad_coupling_inputs_exit_1_before_any_job(tmp_path, monkeypatch, capsys, workers,
                                                    argv, message):

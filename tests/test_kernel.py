@@ -869,8 +869,8 @@ def _engine_state(eng):
               s.n_unstable, s.min_m, s.max_m) for s in eng.snapshots]
     return (_bits(eng.h), eng.unstable.tolist(), eng._where.tolist(), led._m.tolist(),
             _bits(led._lv),
-            _bits(led._lc), _bits([led._diss, led._diss_c, eng.t, led.t]),
-            eng.t_stab, eng.events, led.events, eng._bufpos, _bits(eng._wait_buf),
+            _bits(led._lc), _bits(led._diss), _bits([eng.t]),
+            eng.t_stab, eng.events, eng._clock.pos, _bits(eng._wait_buf),
             _bits(eng._pick_buf), _bits(eng.snapshot_rows), snaps)
 
 
@@ -988,16 +988,18 @@ def test_unstable_slots_past_k_are_scratch(name):
 def test_lattice_kernel_checks_engine_state(lib):
     cfg = generate(DensitySpec("constant", 1.1), (4, 4), TORUS, seed=1)
     # k one too high and one too low, a wrong slot, a short h; then buffers
-    # of the right length but of the wrong type, strided, or read-only
-    for corrupt in (lambda e: setattr(e, "_k", e._k + 1),
-                    lambda e: setattr(e, "_k", e._k - 1),
+    # of the right length but of the wrong type, strided, or read-only; a
+    # row count past the row array, and a one-slot dissipation array
+    for corrupt in (lambda e: setattr(e._clock, "k", e._clock.k + 1),
+                    lambda e: setattr(e._clock, "k", e._clock.k - 1),
                     lambda e: e._where.__setitem__(e.unstable[0], 3),
                     lambda e: setattr(e, "h", e.h[:-1]),
                     lambda e: setattr(e.ledger, "_m", e.ledger._m.astype(np.int32)),
                     lambda e: setattr(e, "_where", e._where.astype(np.float64)),
                     lambda e: setattr(e, "h", np.repeat(e.h, 2)[::2]),
                     lambda e: e.ledger._lc.setflags(write=False),
-                    lambda e: setattr(e, "_n_rows", 1)):
+                    lambda e: setattr(e._clock, "n_rows", 1),
+                    lambda e: setattr(e.ledger, "_diss", np.zeros(1))):
         eng = MarkovToppling(cfg, seed=2)
         corrupt(eng)
         with _kernel_set(lib), pytest.raises(ValueError, match="engine state"):

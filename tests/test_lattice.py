@@ -285,10 +285,10 @@ def test_resumed_run_to_an_earlier_time_is_a_no_op(t_max):
         eng = MarkovToppling(cfg, seed=2)
         with _kernel_set(kernel):
             eng.run(t_max=10.0)
-            before = (eng.t, eng._bufpos, eng.events, eng.h.tolist(), eng.ledger.t)
+            before = (eng.t, eng._clock.pos, eng.events, eng.h.tolist())
             assert before[:3] == (10.0, 79, 78)
             eng.run(t_max=t_max, snapshot_every=1.0)
-        assert (eng.t, eng._bufpos, eng.events, eng.h.tolist(), eng.ledger.t) == before
+        assert (eng.t, eng._clock.pos, eng.events, eng.h.tolist()) == before
         assert eng.snapshots == []
 
 
@@ -300,7 +300,7 @@ def test_integer_t_max_leaves_a_float_clock():
         with _kernel_set(kernel):
             eng.run(t_max=10)
         assert len(eng.unstable) and eng.t == 10.0
-        assert type(eng.t) is float and type(eng.ledger.t) is float
+        assert type(eng.t) is float
         assert type(eng.verdict().t_end) is float
 
 
@@ -342,13 +342,37 @@ def test_resumed_run_keeps_the_engine_arrays():
     for kernel in _backends():
         eng = MarkovToppling(cfg, seed=2)
         led = eng.ledger
-        arrays = (eng.h, eng._unstable, eng._where, led._m, led._lv, led._lc)
+        arrays = (eng.h, eng._unstable, eng._where, led._m, led._lv, led._lc, led._diss,
+                  eng._clock)
         with _kernel_set(kernel):
             eng.run(max_events=100)
             eng.run(max_events=100, snapshot_every=1.0)
         assert eng.events == 200 and len(eng.unstable)
         assert all(a is b for a, b in zip(arrays, (eng.h, eng._unstable, eng._where,
-                                                   led._m, led._lv, led._lc)))
+                                                   led._m, led._lv, led._lc, led._diss,
+                                                   eng._clock)))
+
+
+def test_runs_keep_the_engine_clock(monkeypatch):
+    # the engine builds its one LatticeClock up front; no run builds another,
+    # and its time and topplings are the clock's on both backends
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LatticeClock was built during a run")
+
+    cfg = generate(DensitySpec("iid", 0.7), (12, 12), BOX, seed=4)
+    for kernel in _backends():
+        eng = MarkovToppling(cfg, seed=5)
+        with monkeypatch.context() as mp, _kernel_set(kernel):
+            mp.setattr(lattice, "LatticeClock", refuse)
+            eng.run(t_max=3.0, snapshot_every=0.5)
+            eng.run(max_events=50, snapshot_every=1.0)
+        clock = eng._clock
+        assert (eng.t, eng.events) == (clock.t, clock.events) and clock.events > 0
+        assert eng.snapshot_rows.shape == (clock.n_rows, 5) and clock.n_rows >= 6
+        assert len(eng.unstable) == clock.k
+        dissipated = eng.ledger.dissipated
+        assert type(dissipated) is float and dissipated == eng.ledger._diss[0] > 0
+        assert eng.verdict().dissipated == dissipated
 
 
 # sha256 of repr(verdict.snapshots) and repr(min_m_slope(verdict.snapshots))
@@ -771,6 +795,15 @@ def test_bond_count_mask_input():
     mask = np.zeros((6, 6), dtype=bool)
     mask[1:4, 2:4] = True        # 3x2 block: 3*1 + 2*2 = 7 bonds
     assert count_internal_bonds(mask, (6, 6), TORUS) == 7
+
+
+@pytest.mark.parametrize("region, shape, message", [
+    ({0}, (1,), "torus sides must be >= 2"),        # a side-1 torus: a self-loop bond
+    ((0,), (0,), r"every lattice side must be >= 1, got \(0,\)"),
+])
+def test_bond_count_rejects_a_bad_geometry(region, shape, message):
+    with pytest.raises(ValueError, match=message):
+        count_internal_bonds(region, shape, TORUS)
 
 
 def test_bond_bound_precondition_reported():
