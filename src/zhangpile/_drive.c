@@ -119,8 +119,10 @@ static int64_t e_class(const double *h, int64_t n)
     return empty;
 }
 
-/* core._eb_side: the empty boundary site if h is in E_b, else -1. */
-static int64_t eb_side(const double *h, int64_t n)
+/* core._eb_side: the empty boundary site if h is in E_b, else -1.  Kept out
+ * of line: inlined into both chains' own_step, it grew zp_couple and slowed
+ * the couple-verify benchmark by 3-5 % (2-vCPU VM). */
+static __attribute__((noinline)) int64_t eb_side(const double *h, int64_t n)
 {
     int64_t e = e_class(h, n);
     return e == 0 || e == n - 1 ? e : -1;
@@ -375,6 +377,28 @@ static int32_t merged_steps(const pair_arrays *c, zp_pair *st, const int64_t *si
     return status == ZC_DONE && i < left ? ZC_REFILL : status;
 }
 
+/* One chain's half of an independent step of coupling.Coupling._run_independent:
+ * the next addition of its own chunk at *pos, relaxed.  eb, the chain's E_b
+ * side, is recomputed after an avalanche; an addition that does not topple
+ * only clears it when it lands on the empty site, as in the Python loop. */
+static inline int32_t own_step(double *h, int64_t n, int64_t cap, const int64_t *sites,
+                               const double *amts, int64_t *pos, int64_t *eb)
+{
+    int64_t x = sites[*pos];
+    double u = amts[(*pos)++];
+    if (x < 0 || x >= n)
+        return ZC_BAD_SITE;
+    h[x] += u;
+    if (h[x] >= 1.0) {
+        if (relax(h, n, x, cap) < 0)
+            return ZC_CAP;
+        *eb = eb_side(h, n);
+    } else if (x == *eb) {
+        *eb = -1;
+    }
+    return ZC_DONE;
+}
+
 /* The coupling of coupling.Coupling from its current phase, restarts
  * included, with the float operations of Coupling._run_independent,
  * _step_contraction, _step_merging and _step_merged in the same order.
@@ -399,38 +423,9 @@ int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
                 status = ZC_REFILL;
                 break;
             }
-            int64_t xA = sitesA[st->posA];
-            double uA = amtsA[st->posA++];
-            if (xA < 0 || xA >= n) {
-                status = ZC_BAD_SITE;
+            if ((status = own_step(hA, n, cap, sitesA, amtsA, &st->posA, &st->ebA))
+                || (status = own_step(hB, n, cap, sitesB, amtsB, &st->posB, &st->ebB)))
                 break;
-            }
-            hA[xA] += uA;
-            if (hA[xA] >= 1.0) {
-                if (relax(hA, n, xA, cap) < 0) {
-                    status = ZC_CAP;
-                    break;
-                }
-                st->ebA = eb_side(hA, n);
-            } else if (xA == st->ebA) {
-                st->ebA = -1;
-            }
-            int64_t xB = sitesB[st->posB];
-            double uB = amtsB[st->posB++];
-            if (xB < 0 || xB >= n) {
-                status = ZC_BAD_SITE;
-                break;
-            }
-            hB[xB] += uB;
-            if (hB[xB] >= 1.0) {
-                if (relax(hB, n, xB, cap) < 0) {
-                    status = ZC_CAP;
-                    break;
-                }
-                st->ebB = eb_side(hB, n);
-            } else if (xB == st->ebB) {
-                st->ebB = -1;
-            }
             st->steps[ZC_INDEPENDENT]++;
             st->t++;
             st->differed += differ(hA, hB, n);
@@ -463,8 +458,8 @@ int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
 /* The rejection-free lattice clock of lattice.MarkovToppling.run, with its
  * float operations in the same order, so both backends give the same bits.
  *
- * Sites 0..n-1 have twod int32 neighbour slots each in nbr (-1 off the box,
- * in the order of lattice._neighbor_table); missing counts the -1 slots.  The
+ * Sites 0..n-1 have twod int32 neighbour slots each in nbr (-1 off the box),
+ * visited in the neighbour table's slot order; missing counts the -1 slots.  The
  * first k = st->k entries of unstable are the unstable sites, where[i] is the
  * position of site i there or -1; entries from k on are scratch, which the
  * insertion writes.  waits and picks are the chunk of draws, read from

@@ -287,13 +287,15 @@ def _flush_block(stats: MarginalStats, filled: int, rows, sums, sumsq, counts) -
 
 
 def run_stationary(proc: ChainProcess, burn_in: int, samples: int,
-                   bins: int = 256) -> MarginalStats:
-    """Advance ``burn_in`` steps, then record the configuration for ``samples`` steps."""
+                   bins: int = 256, event_sink=None) -> MarginalStats:
+    """Advance ``burn_in`` steps, then record the configuration for ``samples``
+    steps; ``event_sink``, if given, takes the event record of every step of
+    both phases, as in ``drive``."""
     if burn_in < 0 or samples < 0:
         raise ValueError("burn_in and samples must be >= 0")
     stats = MarginalStats(proc.n, bins=bins)     # checks bins before the burn-in
-    drive(proc, burn_in)
-    drive(proc, samples, stats=stats)
+    drive(proc, burn_in, event_sink=event_sink)
+    drive(proc, samples, stats=stats, event_sink=event_sink)
     return stats
 
 

@@ -85,6 +85,17 @@ def _check_out_paths(args) -> None:
             raise ValueError(f"{name} {path}: {target} is not writable")
 
 
+def _int_at_least(low: int):
+    # an int option's argparse type: "argument --seed: must be >= 0, got -1"
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"      # a non-integer reads "invalid int value", as with int
+    return parse
+
+
 def _parse_init(text: str):
     if text in ("zeros", "random"):
         return text
@@ -118,7 +129,7 @@ def cmd_stabilize(args) -> int:
 
 
 def cmd_finite_run(args) -> int:
-    from .chain import ChainProcess, MarginalStats, drive, run_stationary
+    from .chain import ChainProcess, run_stationary
     from .runio import RunRecord, make_spec, write_jsonl
 
     if args.burn_in < 0 or args.samples < 0:
@@ -126,19 +137,14 @@ def cmd_finite_run(args) -> int:
     spec = make_spec("finite-run", n=args.n, a=args.a, b=args.b, seed=args.seed,
                      burn_in=args.burn_in, samples=args.samples, bins=args.bins)
     proc = ChainProcess(args.n, args.a, args.b, seed=args.seed)
-    if args.events_out:
-        # stream the full event record (burn-in and sampling phases) to disk
-        stats = MarginalStats(args.n, bins=args.bins)
-        with open(args.events_out, "w", newline="") as ef:
+    # --events-out streams the full event record (burn-in and sampling phases)
+    with open(args.events_out, "w", newline="") if args.events_out else nullcontext() as ef:
+        if ef is not None:
             write_jsonl(ef, spec, __version__, [])     # echo line first
-
-            def sink(rec):
-                ef.write(json.dumps(rec, sort_keys=True) + "\n")
-
-            drive(proc, args.burn_in, event_sink=sink)
-            drive(proc, args.samples, stats=stats, event_sink=sink)
-    else:
-        stats = run_stationary(proc, args.burn_in, args.samples, bins=args.bins)
+        sink = None if ef is None else (
+            lambda rec: ef.write(json.dumps(rec, sort_keys=True) + "\n"))
+        stats = run_stationary(proc, args.burn_in, args.samples, bins=args.bins,
+                               event_sink=sink)
     columns = ["site", "mean", "var"] + [f"hist_bin_{i}" for i in range(args.bins)]
     rows = []
     if stats.count:
@@ -156,8 +162,6 @@ def cmd_couple(args) -> int:
     from .coupling import coupling_sweep
     from .runio import RunRecord, make_spec
 
-    if args.seeds < 1:
-        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     init_a = _parse_init(args.init_a)
     init_b = _parse_init(args.init_b)
     spec = make_spec("couple", n=args.n, a=args.a, b=args.b, seed0=args.seed0,
@@ -300,10 +304,13 @@ def build_parser(subcommand: str | None = None) -> _Parser:
         sp.set_defaults(**defaults)
         return sp if subcommand in (None, name) else None
 
-    def common(sp, fmt_default="csv"):
-        sp.add_argument("--seed", type=int, default=0)
+    def common(sp, seed=True, fmt="csv"):
+        # --seed and --format only where read: couple seeds from --seed0
+        if seed:
+            sp.add_argument("--seed", type=_int_at_least(0), default=0)
         sp.add_argument("--out", default="-", help="output path ('-' = stdout)")
-        sp.add_argument("--format", choices=["csv", "jsonl"], default=fmt_default)
+        if fmt:
+            sp.add_argument("--format", choices=["csv", "jsonl"], default=fmt)
         sp.add_argument("--config", default=None,
                         help="key=value defaults file; flags override")
 
@@ -312,7 +319,7 @@ def build_parser(subcommand: str | None = None) -> _Parser:
         sp.add_argument("--infile", default=None, help="file with heights")
         sp.add_argument("--policy", default="left",
                         help="left | right | parallel | random")
-        common(sp)
+        common(sp, fmt=None)
 
     if sp := add_parser("finite-run", "stationary statistics of the chain process",
                         func=cmd_finite_run, engine="chain"):
@@ -331,13 +338,13 @@ def build_parser(subcommand: str | None = None) -> _Parser:
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--a", type=float, required=True)
         sp.add_argument("--b", type=float, required=True)
-        sp.add_argument("--seeds", type=int, default=1, help="number of seeds")
+        sp.add_argument("--seeds", type=_int_at_least(1), default=1, help="number of seeds")
         sp.add_argument("--seed0", type=int, default=0, help="first seed")
         sp.add_argument("--max-steps", type=int, default=1_000_000)
         sp.add_argument("--init-a", default="random", help="zeros | random | literal")
         sp.add_argument("--init-b", default="random", help="zeros | random | literal")
-        sp.add_argument("--workers", type=int, default=1)
-        common(sp, fmt_default="jsonl")
+        sp.add_argument("--workers", type=_int_at_least(1), default=1)
+        common(sp, seed=False, fmt="jsonl")
 
     def lattice(sp):
         # the geometry, clock and pool flags of infinite and sweep
@@ -352,7 +359,7 @@ def build_parser(subcommand: str | None = None) -> _Parser:
         sp.add_argument("--max-events", type=int, default=None,
                         help="cap on topplings per replica (the rejection-free clock "
                              "draws only topplings, never rings at stable sites)")
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=_int_at_least(1), default=1)
         common(sp)
 
     if sp := add_parser("infinite", "Poisson-clock toppling on a finite lattice",

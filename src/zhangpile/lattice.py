@@ -120,7 +120,9 @@ class LatticeConfig:
 @lru_cache(maxsize=32)
 def _neighbor_arrays(shape: tuple, boundary: str):
     """Flat int32 neighbour ids, shape (n, 2d), with -1 in the slots off the
-    box, and per site the int64 count of those missing neighbours."""
+    box, and per site the int64 count of those missing neighbours.  The loops
+    visit the slots in order and skip the -1s; a side-2 torus lists one
+    neighbour twice."""
     idx = np.arange(math.prod(shape), dtype=np.int32).reshape(shape)
     d = len(shape)
     cols = []
@@ -137,18 +139,6 @@ def _neighbor_arrays(shape: tuple, boundary: str):
     nbr.flags.writeable = False
     missing.flags.writeable = False
     return nbr, missing
-
-
-@lru_cache(maxsize=32)
-def _neighbor_table(shape: tuple, boundary: str):
-    """Flat neighbour ids per site plus the count of missing (off-box) ones.
-
-    Neighbours keep their slot order, and a side-2 torus lists one neighbour
-    twice; the toppling loops visit them in this order.
-    """
-    nbr, missing = _neighbor_arrays(shape, boundary)
-    neighbors = tuple(tuple(c for c in row if c >= 0) for row in nbr.tolist())
-    return neighbors, tuple(missing.tolist())
 
 
 class MassLedger:
@@ -208,14 +198,14 @@ def topple_lattice(config: LatticeConfig, x, ledger: MassLedger | None = None
     hx = float(h[flat])
     if hx < 1.0:
         return out, led
-    neighbors, missing = _neighbor_table(config.sides, config.boundary)
+    nbr, missing = _neighbor_arrays(config.sides, config.boundary)
     share = hx / (2 * config.dim)
     h[flat] = 0.0
-    for nb in neighbors[flat]:
-        h[nb] += share
+    nbs = nbr[flat]
+    np.add.at(h, nbs[nbs >= 0], share)     # in slot order, a repeat added twice
     led._m[flat] += 1
     led._lv[flat] += hx
-    led._diss[0] += share * missing[flat]
+    led._diss[0] += share * int(missing[flat])
     return out, led
 
 
@@ -391,7 +381,7 @@ class MarkovToppling:
         operation.  It runs on lists of the state and locals of the clock and
         writes them back, the snapshot rows it took included."""
         h, unstable, where = self.h.tolist(), self.unstable.tolist(), self._where.tolist()
-        nbrs, missing = _neighbor_table(self.shape, self.boundary)
+        nbrs, missing = (a.tolist() for a in _neighbor_arrays(self.shape, self.boundary))
         led, clock = self.ledger, self._clock
         m, lv, lc = led._m.tolist(), led._lv.tolist(), led._lc.tolist()
         diss, diss_c = led._diss.tolist()
@@ -442,6 +432,8 @@ class MarkovToppling:
                 lv[s] = tt
                 share = hx / twod
                 for nb in nbrs[s]:
+                    if nb < 0:
+                        continue
                     v = h[nb] + share
                     h[nb] = v
                     if v >= 1.0 and where[nb] < 0:
@@ -719,8 +711,9 @@ def count_internal_bonds(region, shape, boundary: str = TORUS) -> int:
     shape, boundary = tuple(int(s) for s in shape), parse_boundary(boundary)
     _check_geometry(shape, boundary)
     flat = _region_flat(region, shape)
-    neighbors, _ = _neighbor_table(shape, boundary)
-    twice = sum(1 for x in flat for y in neighbors[x] if y in flat)
+    nbr, _ = _neighbor_arrays(shape, boundary)
+    # a missing neighbour's -1 is in no region
+    twice = sum(1 for x in flat for y in nbr[x].tolist() if y in flat)
     return twice // 2
 
 

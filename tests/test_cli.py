@@ -492,27 +492,42 @@ _LINE = ["--d", "1", "--side", "16", "--gen", "constant", "--rho", "1.1", "--tma
 _COUPLE = ["couple", "--n", "3", "--a", "0.2", "--b", "0.9"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["infinite", *_LINE, "--snap-every", "0"],
-    ["infinite", *_LINE, "--snap-every", "-1"],
-    ["infinite", *_LINE, "--snap-every", "nan"],
-    ["sweep", *_LINE, "--snap-every", "0"],
-    ["infinite", *_LINE, "--max-events", "-3"],
-    [*_COUPLE, "--max-steps", "-1"],
-    [*_COUPLE, "--seeds", "-1"],
-    [*_COUPLE, "--seeds", "0"],
-    ["infinite", *_LINE, "--min-m-threshold", "-1"],
-])
-def test_bad_intervals_and_counts_exit_1(tmp_path, argv):
+_BAD_COUNTS = [
+    (["infinite", *_LINE, "--snap-every", "0"], "snapshot_every must be positive, got 0.0"),
+    (["infinite", *_LINE, "--snap-every", "-1"], "snapshot_every must be positive, got -1.0"),
+    (["infinite", *_LINE, "--snap-every", "nan"], "snapshot_every must be positive, got nan"),
+    (["sweep", *_LINE, "--snap-every", "0"], "snapshot_every must be positive, got 0.0"),
+    (["infinite", *_LINE, "--max-events", "-3"], "max_events must be >= 0, got -3"),
+    ([*_COUPLE, "--max-steps", "-1"], "max_steps must be >= 0, got -1"),
+    ([*_COUPLE, "--seeds", "-1"], "argument --seeds: must be >= 1, got -1"),
+    ([*_COUPLE, "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
+    (["infinite", *_LINE, "--min-m-threshold", "-1"], "min_m_threshold must be >= 0, got -1"),
+    (["stabilize", "--chain", "0.5", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["finite-run", "--n", "3", "--a", "0.2", "--b", "0.9", "--samples", "10", "--seed", "-1"],
+     "argument --seed: must be >= 0, got -1"),
+    (["infinite", *_LINE, "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["sweep", *_LINE, "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    ([*_COUPLE, "--workers", "0"], "argument --workers: must be >= 1, got 0"),
+    (["infinite", *_LINE, "--workers", "0"], "argument --workers: must be >= 1, got 0"),
+    (["sweep", *_LINE, "--workers", "0"], "argument --workers: must be >= 1, got 0"),
+    ([*_COUPLE, "--seed", "5"], "ambiguous option: --seed could match"),
+    (["stabilize", "--chain", "0.5", "--format", "jsonl"], "unrecognized arguments: --format"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _BAD_COUNTS,
+                         ids=[f"argv{i}" for i in range(len(_BAD_COUNTS))])
+def test_bad_intervals_and_counts_exit_1(tmp_path, argv, message):
     # --snap-every 0 raised ZeroDivisionError, nan a conversion error and -1
     # never ended; the negative counts exited 0 having done nothing, and a
     # negative --min-m-threshold called a run without a toppling strong
-    # evidence
+    # evidence; a negative --seed showed numpy's "expected non-negative
+    # integer", --workers 0 ran serially, and couple's --seed and
+    # stabilize's --format were parsed and never read
     proc = _run_cli(tmp_path, argv)
     assert proc.returncode == 1, proc.stderr
-    assert "error" in proc.stderr
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
-
 
 
 @pytest.mark.parametrize("backend", ["python", "compiled"])
@@ -819,6 +834,50 @@ def test_subcommand_parser_matches_the_full_parser():
 def test_infinite_and_sweep_share_one_command():
     subs = cli.build_parser()._subparsers._group_actions[0].choices
     assert subs["infinite"].get_default("func") is subs["sweep"].get_default("func")
+
+
+# every option of each subcommand, in help order; a run of each argv below
+# reads all of them but --config, which main reads from the argv itself
+_LATTICE_OPTIONS = ["--d", "--side", "--boundary", "--tmax", "--replicas", "--snap-every",
+                    "--min-m-threshold", "--max-events", "--workers", "--seed", "--out",
+                    "--format", "--config"]
+_OPTIONS = {
+    "stabilize": (["--chain", "--infile", "--policy", "--seed", "--out", "--config"],
+                  "--infile {tmp}/chain.txt --policy random"),
+    "finite-run": (["--n", "--a", "--b", "--burn-in", "--samples", "--bins", "--events-out",
+                    "--seed", "--out", "--format", "--config"],
+                   "--n 3 --a 0.2 --b 0.9 --samples 5 --events-out {tmp}/events.jsonl"),
+    "couple": (["--n", "--a", "--b", "--seeds", "--seed0", "--max-steps", "--init-a",
+                "--init-b", "--workers", "--out", "--format", "--config"],
+               "--n 3 --a 0.2 --b 0.9 --max-steps 50"),
+    "infinite": (["--gen", "--rho", "--save-final", *_LATTICE_OPTIONS],
+                 "--d 1 --side 4 --gen iid --rho 0.5 --tmax 1 --save-final {tmp}/final"),
+    "sweep": (["--gen", "--rho", *_LATTICE_OPTIONS], "--d 1 --side 4 --gen iid --rho 0.5,0.6"),
+}
+
+
+def test_subcommand_options_are_pinned_and_read(tmp_path):
+    # an option that its command never reads (as couple's --seed and
+    # stabilize's --format were) fails here
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    (tmp_path / "chain.txt").write_text("0.5 1.2\n")
+    parser = cli.build_parser()
+    subs = parser._subparsers._group_actions[0].choices
+    assert sorted(subs) == sorted(_OPTIONS)
+    for name, (options, argv) in _OPTIONS.items():
+        actions = [a for a in subs[name]._actions if a.option_strings != ["-h", "--help"]]
+        assert [s for a in actions for s in a.option_strings] == options
+        args = parser.parse_args([name, *argv.format(tmp=tmp_path).split(),
+                                  "--out", str(tmp_path / "out")], namespace=Recording())
+        read.clear()
+        assert args.func(args) == 0
+        assert {a.dest for a in actions} - read == {"config"}, name
 
 
 def _fresh_cli(argv, columns):

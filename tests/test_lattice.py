@@ -27,8 +27,8 @@ from zhangpile.lattice import (
     _check_geometry,
     _delta_apply,
     _delta_table,
+    _neighbor_arrays,
     _neighbor_sum,
-    _neighbor_table,
     _replica_jobs,
     _replica_worker,
     _summaries,
@@ -481,7 +481,8 @@ def _ring_loop_reference(config, rng, t_max):
     """
     h = config.heights.ravel().tolist()
     n = len(h)
-    nbrs, _ = _neighbor_table(config.sides, config.boundary)
+    nbrs = [[nb for nb in row if nb >= 0]
+            for row in _neighbor_arrays(config.sides, config.boundary)[0].tolist()]
     twod = 2 * config.dim
     unstable = {i for i, v in enumerate(h) if v >= 1.0}
     t = 0.0
@@ -684,7 +685,8 @@ def test_delta_matrix_columns():
 
 def _delta_matrix_loop(shape, boundary):
     # per-site loop the vectorised builder replaced
-    neighbors, _ = _neighbor_table(shape, boundary)
+    neighbors = [[nb for nb in row if nb >= 0]
+                 for row in _neighbor_arrays(shape, boundary)[0].tolist()]
     n = len(neighbors)
     w = 1.0 / (2 * len(shape))
     rows, cols, vals = [], [], []
