@@ -12,18 +12,18 @@ Each public name is imported from its submodule on first use, so that
 
 import importlib
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 _EXPORTS = {
     "chain": ("AdditionEvent", "ChainProcess", "MarginalStats", "empirical_tv_distance",
-              "is_heavy", "run_stationary", "scripted_run"),
+              "run_stationary", "scripted_run"),
     "core": ("DEFAULT_TOPPLE_CAP", "InvariantViolation", "SiteLabel", "ToppleCapError",
              "TopplingLog", "TopplingPolicy", "classify_site", "in_class_E", "in_E_b",
              "is_stable", "stabilize_chain", "topple_chain"),
     "coupling": ("CoefficientTracker", "Coupling", "CouplingConstants", "CouplingResult",
                  "coupled_amount", "coupling_constants", "coupling_sweep", "correction_D",
-                 "epsilon_abn", "epsilon_schedule", "k_epsilon", "run_coupling",
-                 "t_epsilon", "verify_contraction"),
+                 "epsilon_abn", "epsilon_schedule", "k_epsilon", "t_epsilon",
+                 "verify_contraction"),
     "lattice": ("BOX", "TORUS", "DensitySpec", "LatticeConfig", "MarkovToppling",
                 "MassLedger", "StabilizabilityVerdict", "bond_bound_check",
                 "count_internal_bonds", "generate", "markov_run", "mass_identity_check",

@@ -38,11 +38,6 @@ class AdditionEvent:
     amount: float
 
 
-def is_heavy(amount: float, a: float, b: float) -> bool:
-    """A heavy addition carries at least the mean amount (a+b)/2."""
-    return amount >= 0.5 * (a + b)
-
-
 class ChainProcess:
     """Mutable state of one (N,[a,b]) run.
 

@@ -719,14 +719,6 @@ class Coupling:
         )
 
 
-def run_coupling(eta_a, eta_b, a: float, b: float, seed: int | None = None,
-                 max_steps: int = 1_000_000) -> CouplingResult:
-    """Couple two stable configurations until merged or cut off."""
-    c = Coupling(eta_a, eta_b, a, b, seed=seed)
-    c.run(max_steps)
-    return c.result(seed)
-
-
 # ---------------------------------------------------------------------------
 # seed sweeps
 # ---------------------------------------------------------------------------

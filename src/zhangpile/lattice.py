@@ -23,10 +23,9 @@ operations in the same order, visits neighbours in the same order and reads
 the same prefetched draws, so both backends give bit-identical runs.
 
 Per-site toppling counts M and emitted mass L feed the exact bookkeeping
-identity  eta(t) = eta(0) - L + (1/2d) * sum of neighbour L,  checked both
-directly and through the toppling matrix (diagonal -1, neighbours 1/(2d)).
-The check applies that matrix from a numpy table, summing each row in the
-order of scipy's CSR product, without importing scipy.
+identity  eta(t) = eta(0) - L + (1/2d) * sum of neighbour L.  The check sums
+the neighbours by shifting L along each axis, so it reads no neighbour table
+and a wrong slot in the one the engine reads cannot cancel out of it.
 """
 
 from __future__ import annotations
@@ -609,64 +608,11 @@ def _neighbor_sum(arr: np.ndarray, boundary: str) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _delta_table(shape: tuple, boundary: str) -> tuple[np.ndarray, np.ndarray]:
-    """The toppling matrix as (cols, vals), each of shape (2d+1, n), built once
-    per geometry and shared, hence read-only.
-
-    Column y of the table is row y of the matrix in canonical CSR form:
-    ascending column ids, duplicate (row, column) pairs summed left to right
-    (both neighbours along a side-2 torus axis, or a site that is its own
-    neighbour), then padding slots with column id n and value 0.0.
-    """
-    nbr, _ = _neighbor_arrays(shape, boundary)
-    n, twod = nbr.shape
-    # row y: the diagonal first, then a 1/(2d) bond to each neighbour of y in
-    # slot order; missing neighbours become padding
-    cols = np.concatenate([np.arange(n)[:, None], np.where(nbr >= 0, nbr, n)], axis=1)
-    vals = np.concatenate([np.full((n, 1), -1.0), np.where(nbr >= 0, 1.0 / twod, 0.0)],
-                          axis=1)
-    order = np.argsort(cols, axis=1, kind="stable")
-    cols = np.take_along_axis(cols, order, axis=1)
-    vals = np.take_along_axis(vals, order, axis=1)
-    for k in range(1, twod + 1):
-        dup = cols[:, k] == cols[:, k - 1]
-        vals[dup, k] += vals[dup, k - 1]
-    # keep the last entry of each run of equal columns, padding after the rest
-    keep = cols < n
-    keep[:, :-1] &= cols[:, 1:] != cols[:, :-1]
-    cols = np.where(keep, cols, n)
-    vals = np.where(keep, vals, 0.0)
-    order = np.argsort(cols, axis=1, kind="stable")
-    cols = np.ascontiguousarray(np.take_along_axis(cols, order, axis=1).T)
-    vals = np.ascontiguousarray(np.take_along_axis(vals, order, axis=1).T)
-    cols.flags.writeable = False
-    vals.flags.writeable = False
-    return cols, vals
-
-
-def _delta_apply(shape: tuple, boundary: str, v: np.ndarray) -> np.ndarray:
-    """The toppling matrix times the flat vector ``v``, bit for bit as scipy's
-    product with the matrix in canonical CSR form: that sums each row from
-    0.0 entry by entry, and so does this, slot by slot.  Padding adds
-    0.0 * 0.0 (a stored 0.0 at column n), which changes no sum."""
-    cols, vals = _delta_table(shape, boundary)
-    terms = np.append(v, 0.0)[cols]
-    out = np.zeros(v.size)
-    with np.errstate(over="ignore", invalid="ignore"):     # as quiet as scipy
-        terms *= vals
-        for slot in terms:
-            out += slot
-    return out
-
-
 def mass_identity_check(initial: LatticeConfig, current: LatticeConfig,
                         ledger: MassLedger) -> float:
-    """Max residual of eta(t) = eta(0) - L + (1/2d) sum_nbr L, both routes.
-
-    Route one evaluates the neighbour sum directly; route two applies the
-    explicit toppling matrix.  Returns the worse of the two max residuals.
-    """
+    """Max residual of eta(t) = eta(0) - L + (1/2d) sum_nbr L, with the
+    neighbour sum taken by shifts of L (``_neighbor_sum``), not from the
+    engine's neighbour table."""
     if initial.sides != current.sides or initial.boundary != current.boundary:
         raise ValueError("initial and current geometries differ")
     if ledger.shape != initial.sides:
@@ -674,11 +620,7 @@ def mass_identity_check(initial: LatticeConfig, current: LatticeConfig,
     L = ledger._lv.reshape(ledger.shape)     # a view: nothing below writes it
     d = initial.dim
     pred = initial.heights - L + _neighbor_sum(L, initial.boundary) / (2 * d)
-    r1 = float(np.abs(current.heights - pred).max())
-    dl = _delta_apply(initial.sides, initial.boundary, L.ravel())
-    pred2 = initial.heights.ravel() + dl
-    r2 = float(np.abs(current.heights.ravel() - pred2).max())
-    return max(r1, r2)
+    return float(np.abs(current.heights - pred).max())
 
 
 # ---------------------------------------------------------------------------

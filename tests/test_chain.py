@@ -7,7 +7,6 @@ from zhangpile.chain import (
     ChainProcess,
     MarginalStats,
     empirical_tv_distance,
-    is_heavy,
     run_stationary,
     scripted_run,
 )
@@ -77,11 +76,6 @@ def test_step_and_step_fast_agree():
         assert log.total == ntop
         assert p1.heights == p2.heights
     assert p1.t == p2.t
-
-
-def test_heavy_predicate():
-    assert is_heavy(0.5, 0.2, 0.8)
-    assert not is_heavy(0.49, 0.2, 0.8)
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,7 @@ def test_sweep_grid_rows_and_stabilized_fraction(tmp_path):
     assert [float(r[1]) for r in rows[:4]] == [0.1, 0.1, 0.1, 0.2]
 
 
-def test_conservation_gate_exits_2(tmp_path, monkeypatch):
+def test_conservation_gate_exits_2(tmp_path, monkeypatch, capsys, redirected_table):
     # force the torus conservation tolerance to an impossible value: the gate
     # must trip and the command must exit with the invariant-violation code
     monkeypatch.setattr(cli, "CONSERVATION_TOL", -1.0)
@@ -338,6 +338,17 @@ def test_conservation_gate_exits_2(tmp_path, monkeypatch):
                "--rho", "1.1", "--tmax", "2", "--seed", "37",
                "--out", str(tmp_path / "v.csv")])
     assert rc == 2
+    # a box gates too: a wrong slot in the neighbour table both backends read
+    monkeypatch.undo()
+    monkeypatch.setattr(lattice, "_neighbor_arrays", redirected_table)
+    for kernel in (None, core.chain_kernel()):
+        monkeypatch.setattr(core, "_kernel", [kernel])
+        capsys.readouterr()
+        rc = main(["infinite", "--d", "2", "--side", "16", "--boundary", "box",
+                   "--gen", "near-full", "--rho", "0.95", "--tmax", "20", "--seed", "3",
+                   "--out", str(tmp_path / "v.csv")])
+        assert rc == 2
+        assert "dissipative-box conservation violated" in capsys.readouterr().err
 
 
 def test_conservation_gate_trips_on_nan(tmp_path, monkeypatch):
@@ -633,31 +644,31 @@ def test_bad_config_file_exits_1_without_a_traceback(tmp_path, content):
 
 
 # sha256 of each output file, then (infinite) of its --save-final file, as
-# the list-based lattice engine wrote them on both backends
+# version 0.3.0 writes them on both backends (the echo line carries the version)
 _PINNED = {
     "infinite-d1-torus-csv": (
         "infinite --d 1 --side 32 --gen iid --rho 0.8 --tmax 30 --replicas 3 --seed 5",
-        "37d6878d623018caade5551e330025d72f34b90716dbb4387dcd1e205413cd55"),
+        "fb6e7dc5148b43dc221a02e602841045f7ad08547d79f027a4fe0b25f16c3a6b"),
     "infinite-d2-box-jsonl": (
         "infinite --d 2 --side 10 --boundary box --gen near-full --rho 0.95 --tmax 20 "
         "--replicas 2 --seed 7 --format jsonl",
-        "284b825eaf911ef1ded06e87c87d741c32509c920feae82bc4a9b93fe324b337"),
+        "0a86d95d2e9613b41a9a8fd0b5ca7c64f4c9a8042725c5045a0d2e152fbe3ad8"),
     "infinite-d3-torus-csv": (
         "infinite --d 3 --side 4 --gen checkerboard --rho 0.7 --tmax 15 --replicas 2 "
         "--seed 3 --snap-every 0.5",
-        "29126573bfffd22387b57508f452642d1ab72ecc1298ef0d692bad894233136a"),
+        "25eeebe04af919375ea10393ad49a62de8dcf97d75d83df6fbce534c98aba994"),
     "sweep-d1-box-jsonl": (
         "sweep --d 1 --side 24 --boundary box --gen iid,constant --rho 0.6,1.1 --tmax 20 "
         "--replicas 2 --seed 11 --format jsonl",
-        "8a7e108c1997e4f92a43c931f7cee6d9042378401b5ac2ba2f58923f64981d75"),
+        "7c074834092cc3fed6f1265adbb5c5b16492c17ddb19be6265694a13d33a2113"),
     "sweep-d2-torus-csv": (
         "sweep --d 2 --side 8 --gen iid,near-full --rho 0.9 --tmax 10 --replicas 2 "
         "--seed 2 --max-events 2000",
-        "3adc6b79030bb34b24f5235b4481311673960b2d132107422e44c16b1d10b0fa"),
+        "61fb91c7fc645722d7766cd56fb9529c790027de5ba5539a53ba9aaf5818858a"),
     "sweep-d3-box-jsonl": (
         "sweep --d 3 --side 4,3,5 --boundary box --gen constant,iid --rho 1.05,0.7 "
         "--tmax 10 --replicas 2 --seed 4 --format jsonl",
-        "241b7fbd20a22202eae2ca66fb1dc3549997f9f91aba185cda1b2a909e9117bf"),
+        "6f120d088c5025ca5d95016f3d8e86232cbfbb41022bb6fe452df47ae425acbd"),
 }
 
 
@@ -681,14 +692,14 @@ def test_lattice_outputs_match_pinned_hashes(tmp_path, monkeypatch, name):
 _FINITE_PINNED = {
     "finite-run-n30-csv": (
         "finite-run --n 30 --a 0.6 --b 0.8 --burn-in 1000 --samples 6000 --seed 10000",
-        "ef14246dffc0e0c88729a43df5ec2fbae00625c62e20fd39b4e6ccfed61a6d11"),
+        "aeab1f18234346eb8d7c88084dc0f822b16d880ff440577fef3a803991748f9d"),
     "finite-run-n1-jsonl": (
         "finite-run --n 1 --a 0.3 --b 0.9 --burn-in 100 --samples 4500 --bins 7 --seed 11 "
         "--format jsonl",
-        "14bfc773a5a350c33a6936bc6268d2b9993d2a843580b7c41ff598c611549c64"),
+        "406f7a52f0eddd316ae7bf028a055c52445210647ede439ba624867e0d492b0d"),
     "finite-run-n7-csv": (
         "finite-run --n 7 --a 0.0 --b 1.0 --burn-in 0 --samples 9000 --bins 3 --seed 12",
-        "33134382e630762c6ecce7895986ece064f0a72cce958115916f27ea09be1c8f"),
+        "18ccc3fba04cf0ff7829d6fecd244dcd60271d867efb1ac5d292c9aca23870e3"),
 }
 
 

@@ -20,7 +20,6 @@ from zhangpile.coupling import (
     epsilon_abn,
     epsilon_schedule,
     k_epsilon,
-    run_coupling,
     t_epsilon,
     verify_contraction,
 )
@@ -332,8 +331,9 @@ def test_verify_contraction_nondefault_interval():
 # ---------------------------------------------------------------------------
 
 def test_equal_starts_merge_immediately():
-    r = run_coupling([0.3, 0.6, 0.2], [0.3, 0.6, 0.2], 0.2, 0.9, seed=0,
-                     max_steps=10)
+    c = Coupling([0.3, 0.6, 0.2], [0.3, 0.6, 0.2], 0.2, 0.9, seed=0)
+    c.run(10)
+    r = c.result(0)
     assert r.merged and r.merge_time == 0
     assert r.restarts == 0
 
@@ -377,7 +377,9 @@ def test_merge_time_bookkeeping_unmerged():
 
 
 def test_result_record_schema():
-    r = run_coupling([0.1, 0.2], [0.3, 0.4], 0.5, 1.0, seed=5, max_steps=1000)
+    c = Coupling([0.1, 0.2], [0.3, 0.4], 0.5, 1.0, seed=5)
+    c.run(1000)
+    r = c.result(5)
     rec = r.to_record()
     assert set(rec) == {"seed", "merged", "merge_time", "restarts", "phase_times"}
     assert isinstance(rec["phase_times"], list) and len(rec["phase_times"]) == 3

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,14 +36,14 @@ _HELP_CALLS = [["--version"], ["--help"]] + [
 # the public names as they were when the package imported every engine eagerly
 _PUBLIC = {
     "chain": ["AdditionEvent", "ChainProcess", "MarginalStats", "empirical_tv_distance",
-              "is_heavy", "run_stationary", "scripted_run"],
+              "run_stationary", "scripted_run"],
     "core": ["DEFAULT_TOPPLE_CAP", "InvariantViolation", "SiteLabel", "ToppleCapError",
              "TopplingLog", "TopplingPolicy", "classify_site", "in_class_E", "in_E_b",
              "is_stable", "stabilize_chain", "topple_chain"],
     "coupling": ["CoefficientTracker", "Coupling", "CouplingConstants", "CouplingResult",
                  "coupled_amount", "coupling_constants", "coupling_sweep", "correction_D",
-                 "epsilon_abn", "epsilon_schedule", "k_epsilon", "run_coupling",
-                 "t_epsilon", "verify_contraction"],
+                 "epsilon_abn", "epsilon_schedule", "k_epsilon", "t_epsilon",
+                 "verify_contraction"],
     "lattice": ["BOX", "TORUS", "DensitySpec", "LatticeConfig", "MarkovToppling",
                 "MassLedger", "StabilizabilityVerdict", "bond_bound_check",
                 "count_internal_bonds", "generate", "markov_run", "mass_identity_check",
@@ -125,7 +126,7 @@ def test_each_subcommand_loads_only_its_engine(tmp_path, argv, absent):
 
 def test_public_names_are_pinned_and_served_on_first_use(tmp_path):
     names = [n for group in _PUBLIC.values() for n in group]
-    assert zhangpile.__all__ == names and len(names) == 53
+    assert zhangpile.__all__ == names and len(names) == 51
     for module, group in _PUBLIC.items():
         mod = importlib.import_module(f"zhangpile.{module}")
         for name in group:
@@ -143,3 +144,11 @@ def test_public_names_are_pinned_and_served_on_first_use(tmp_path):
             "from zhangpile import chain, cli, coupling, lattice, runio\n"
             "print(loaded, listed, seeding, zhangpile.Coupling is coupling.Coupling)\n")
     assert _fresh(code, tmp_path).strip() == "[] True zhangpile.seeding True"
+
+
+def test_pyproject_version_is_the_package_version():
+    # a regex, not tomllib: requires-python allows 3.10, which has no tomllib
+    text = (Path(_SRC).parent / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    version = re.search(r'^version\s*=\s*"([^"]*)"', project, re.M).group(1)
+    assert version == zhangpile.__version__
