@@ -1,7 +1,8 @@
 """Command-line drivers for the simulation experiments.
 
-Subcommands: stabilize, finite-run, couple, infinite, sweep; infinite is the
-one-point case of sweep, and both run through one command.  Outputs start
+Subcommands: stabilize, finite-run, couple, infinite, sweep; infinite and
+sweep run through one command, and keep their own columns, spec echo and
+replica seeds (spawn key (i,) in infinite, (g, i) in a sweep).  Outputs start
 with a spec-echo line and are byte-identical for identical spec + seed.
 Exit codes: 0 success, 1 parameter error, 2 internal invariant violation
 (e.g. a conservation residual above tolerance).
@@ -223,21 +224,20 @@ def cmd_lattice(args) -> int:
     infinite = args.subcommand == "infinite"
     if infinite:
         dspecs = [DensitySpec(args.gen, args.rho)]
-        grid = {"gen": dspecs[0].describe(args.d)}
+        echo = {"gen": dspecs[0].describe(args.d), "min_m_threshold": args.min_m_threshold}
     else:
         gens = [g for g in args.gen.split(",") if g]
         rhos = [float(r) for r in args.rho.split(",") if r]
         if not gens or not rhos:
             raise ValueError("sweep needs at least one generator and one rho")
         dspecs = [DensitySpec(kind, rho) for kind in gens for rho in rhos]
-        grid = {"gens": gens, "rhos": rhos}
+        echo = {"gens": gens, "rhos": rhos}
     spec = make_spec(args.subcommand, d=args.d, sides=list(sides), boundary=boundary,
                      tmax=args.tmax, seed=args.seed, replicas=args.replicas,
-                     snap_every=args.snap_every, min_m_threshold=args.min_m_threshold,
-                     max_events=args.max_events, **grid)
+                     snap_every=args.snap_every, max_events=args.max_events, **echo)
     run = dict(t_max=args.tmax, replicas=args.replicas, seed=args.seed,
-               snapshot_every=args.snap_every, min_m_threshold=args.min_m_threshold,
-               max_events=args.max_events, workers=args.workers)
+               snapshot_every=args.snap_every, max_events=args.max_events,
+               workers=args.workers)
     # replica i has the spawn key (i,) in infinite, (g, i) at grid point g of a sweep
     summaries = ([stabilizability_experiment(dspecs[0], sides, boundary, **run)] if infinite
                  else stabilizability_sweep(dspecs, sides, boundary, **run))
@@ -252,6 +252,10 @@ def cmd_lattice(args) -> int:
                          rho=dspec.rho, geometry=f"{boundary}:{sides_str}", seed=args.seed,
                          sides=sides_str, boundary=boundary, min_M=r["min_m"],
                          max_M=r["max_m"], t_stab="" if r["t_stab"] is None else r["t_stab"])
+            if infinite:
+                # an active run is strong evidence once every site toppled often enough
+                cells["evidence_strong"] = (r["outcome"] != "stabilized"
+                                            and r["min_m"] >= args.min_m_threshold)
             rows.append([cells[c] for c in columns])
     rec = RunRecord(spec=spec, version=__version__, seed=args.seed,
                     columns=columns, rows=rows)
@@ -326,7 +330,7 @@ def build_parser(subcommand: str | None = None) -> _Parser:
         sp.add_argument("--b", type=float, required=True)
         sp.add_argument("--burn-in", type=int, default=0)
         sp.add_argument("--samples", type=int, default=0)
-        sp.add_argument("--bins", type=int, default=256)
+        sp.add_argument("--bins", type=_int_at_least(1), default=256)
         sp.add_argument("--events-out", default=None,
                         help="also write the burn-in event stream as JSON lines")
         common(sp)
@@ -353,7 +357,6 @@ def build_parser(subcommand: str | None = None) -> _Parser:
                         help="time cutoff per replica; inf needs --max-events")
         sp.add_argument("--replicas", type=int, default=1)
         sp.add_argument("--snap-every", type=float, default=1.0)
-        sp.add_argument("--min-m-threshold", type=int, default=10)
         sp.add_argument("--max-events", type=int, default=None,
                         help="cap on topplings per replica (the rejection-free clock "
                              "draws only topplings, never rings at stable sites)")
@@ -367,6 +370,8 @@ def build_parser(subcommand: str | None = None) -> _Parser:
         sp.add_argument("--rho", type=float, required=True)
         sp.add_argument("--save-final", default=None,
                         help="write replica-0 final heights (JSON header + values)")
+        sp.add_argument("--min-m-threshold", type=_int_at_least(0), default=10,
+                        help="least min M that makes an active verdict strong evidence")
         lattice(sp)
 
     if sp := add_parser("sweep", "stabilizability sweep over a density grid",

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
 
@@ -213,24 +213,6 @@ def topple_lattice(config: LatticeConfig, x, ledger: MassLedger | None = None
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Snapshot:
-    t: float
-    n_unstable: int
-    frac_unstable: float
-    min_m: int
-    max_m: int
-    dissipated: float
-
-
-def _snapshots(rows: np.ndarray, n: int) -> list[Snapshot]:
-    """The ``Snapshot`` of each snapshot row (t, unstable count, min M, max M,
-    dissipated) of ``rows`` on a lattice of ``n`` sites."""
-    return [Snapshot(t=t, n_unstable=int(k), frac_unstable=int(k) / n, min_m=int(lo),
-                     max_m=int(hi), dissipated=diss)
-            for t, k, lo, hi, diss in rows.tolist()]
-
-
-@dataclass
 class StabilizabilityVerdict:
     outcome: str                # "stabilized" | "active-at-cutoff"
     t_stab: float | None
@@ -239,20 +221,7 @@ class StabilizabilityVerdict:
     min_m: int
     max_m: int
     dissipated: float
-    evidence_strong: bool       # active verdicts: min M reached the threshold
-    # init-only, so that the fields stay scalars: the run's snapshot rows
-    # (a copy of MarkovToppling.snapshot_rows) and the lattice's site count
-    snapshot_rows: InitVar[np.ndarray]
-    n_sites: InitVar[int]
-
-    def __post_init__(self, snapshot_rows, n_sites):
-        self.snapshot_rows = snapshot_rows
-        self._n_sites = n_sites
-
-    @property
-    def snapshots(self) -> list[Snapshot]:
-        """The snapshot rows as ``Snapshot`` objects, built on each read."""
-        return _snapshots(self.snapshot_rows, self._n_sites)
+    snapshots: np.ndarray       # a copy of MarkovToppling.snapshots
 
 
 def _check_run(t_max, snapshot_every, max_events) -> float:
@@ -269,13 +238,6 @@ def _check_run(t_max, snapshot_every, max_events) -> float:
         raise ValueError("t_max must fit in a float") from None
 
 
-def _check_min_m(min_m_threshold) -> None:
-    """Raise ValueError unless ``min_m_threshold`` (the least count of
-    topplings per site that makes evidence strong) is >= 0."""
-    if not min_m_threshold >= 0:        # also rejects NaN
-        raise ValueError(f"min_m_threshold must be >= 0, got {min_m_threshold!r}")
-
-
 class MarkovToppling:
     """Resumable rejection-free toppling run on one lattice configuration.
 
@@ -287,13 +249,11 @@ class MarkovToppling:
     of them); ``_where[i]`` is the slot of site ``i``, -1 if stable.  The slots
     from ``k`` on are scratch: the kernel writes them and never reads them.
     The snapshots of every run so far are the first ``_clock.n_rows`` rows of
-    the float64 array ``_rows`` (``snapshot_rows``), which doubles when full.
+    the float64 array ``_rows`` (``snapshots``), which doubles when full.
     """
 
     def __init__(self, config: LatticeConfig, seed: int | None = None,
-                 rng: np.random.Generator | None = None,
-                 min_m_threshold: int = 10):
-        _check_min_m(min_m_threshold)
+                 rng: np.random.Generator | None = None):
         self.boundary = config.boundary
         self.shape = config.sides
         self.d = config.dim
@@ -308,7 +268,6 @@ class MarkovToppling:
         self._where = np.full(self.n, -1, dtype=np.int64)
         self._where[first] = np.arange(k)
         self.t_stab: float | None = 0.0 if not k else None
-        self.min_m_threshold = min_m_threshold
         self._rows = np.empty((0, 5))
         # the current chunk of exponential waits and uniform picks, from clock.pos on
         self._wait_buf = np.empty(0)
@@ -328,20 +287,15 @@ class MarkovToppling:
         return self._unstable[:self._clock.k]
 
     @property
-    def snapshot_rows(self) -> np.ndarray:
+    def snapshots(self) -> np.ndarray:
         """One row per snapshot taken: t, unstable count, min M, max M and
         dissipated, as float64 (a view, shape (rows, 5))."""
         return self._rows[:self._clock.n_rows]
 
-    @property
-    def snapshots(self) -> list[Snapshot]:
-        """``snapshot_rows`` as ``Snapshot`` objects, built on each read."""
-        return _snapshots(self.snapshot_rows, self.n)
-
     def _grow_rows(self, need: int) -> None:
         """Make room for ``need`` snapshot rows, keeping the filled ones."""
         rows = np.empty((max(need, 2 * len(self._rows), _SNAP_ROWS), 5))
-        rows[:self._clock.n_rows] = self.snapshot_rows
+        rows[:self._clock.n_rows] = self.snapshots
         self._rows = rows
 
     def _refill(self) -> None:
@@ -353,9 +307,8 @@ class MarkovToppling:
             snapshot_every: float | None = None) -> None:
         """Advance until stabilized, ``t_max``, or ``max_events`` further topplings.
 
-        A snapshot row is appended to ``snapshot_rows`` at each multiple of
-        ``snapshot_every`` that the run passes; no ``Snapshot`` object is
-        made unless ``snapshots`` is read.  The compiled kernel runs the
+        A snapshot row is appended to ``snapshots`` at each multiple of
+        ``snapshot_every`` that the run passes.  The compiled kernel runs the
         loop when it loads, the Python loop otherwise; both give the same
         bits, and a resumed run continues the same draws.  A ``t_max`` at or
         below the engine's time leaves the engine as it is.
@@ -517,39 +470,29 @@ class MarkovToppling:
     def verdict(self) -> StabilizabilityVerdict:
         m = self.ledger._m
         stabilized = not self._clock.k
-        min_m = int(m.min())
         return StabilizabilityVerdict(
             outcome="stabilized" if stabilized else "active-at-cutoff",
             t_stab=self.t_stab if stabilized else None,
             t_end=self.t, events=self.events,
-            min_m=min_m, max_m=int(m.max()), dissipated=self.ledger.dissipated,
-            evidence_strong=(not stabilized) and min_m >= self.min_m_threshold,
-            snapshot_rows=self.snapshot_rows.copy(), n_sites=self.n)
+            min_m=int(m.min()), max_m=int(m.max()), dissipated=self.ledger.dissipated,
+            snapshots=self.snapshots.copy())
 
 
 def markov_run(config: LatticeConfig, t_max: float, seed: int | None = None,
                rng: np.random.Generator | None = None,
                snapshot_every: float | None = 1.0,
-               max_events: int | None = None, min_m_threshold: int = 10
+               max_events: int | None = None
                ) -> tuple[StabilizabilityVerdict, LatticeConfig, MassLedger]:
     """One-shot Markov toppling run; returns (verdict, final config, ledger)."""
-    eng = MarkovToppling(config, seed=seed, rng=rng, min_m_threshold=min_m_threshold)
+    eng = MarkovToppling(config, seed=seed, rng=rng)
     eng.run(t_max=t_max, max_events=max_events, snapshot_every=snapshot_every)
     return eng.verdict(), eng.config(), eng.ledger
 
 
-def min_m_slope(snapshots) -> float | None:
-    """Least-squares slope of min per-site toppling count against time.
-
-    ``snapshots`` is a snapshot row array (``MarkovToppling.snapshot_rows``)
-    or a list of ``Snapshot``; both give the same float64 t and min M, and so
-    the same bits.
-    """
-    if isinstance(snapshots, np.ndarray):
-        t, y = snapshots[:, 0], snapshots[:, 2]
-    else:
-        t = np.array([s.t for s in snapshots], dtype=float)
-        y = np.array([s.min_m for s in snapshots], dtype=float)
+def min_m_slope(snapshots: np.ndarray) -> float | None:
+    """Least-squares slope of min per-site toppling count against time, over
+    a snapshot row array (``MarkovToppling.snapshots``)."""
+    t, y = snapshots[:, 0], snapshots[:, 2]
     if len(t) < 2 or np.ptp(t) == 0:
         return None
     return float(np.polyfit(t, y, 1)[0])
@@ -806,7 +749,7 @@ class ExperimentSummary:
 
 def _replica_worker(args) -> dict:
     kind, rho, sides, boundary, t_max, entropy, spawn_key, snapshot_every, \
-        min_m_threshold, max_events = args
+        max_events = args
     # identical to np.random.SeedSequence(seed).spawn(k)[i] (nested for sweeps)
     child = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
     rng = np.random.default_rng(child)
@@ -815,8 +758,7 @@ def _replica_worker(args) -> dict:
     total0 = config.total_mass()
     verdict, final, ledger = markov_run(config, t_max=t_max, rng=rng,
                                         snapshot_every=snapshot_every,
-                                        max_events=max_events,
-                                        min_m_threshold=min_m_threshold)
+                                        max_events=max_events)
     residual = mass_identity_check(config, final, ledger)
     drift = abs(final.total_mass() - (total0 - ledger.dissipated))
     return {
@@ -827,8 +769,7 @@ def _replica_worker(args) -> dict:
         "min_m": verdict.min_m,
         "max_m": verdict.max_m,
         "dissipated": verdict.dissipated,
-        "evidence_strong": verdict.evidence_strong,
-        "min_m_slope": min_m_slope(verdict.snapshot_rows),
+        "min_m_slope": min_m_slope(verdict.snapshots),
         "mass_residual": residual,
         "mass_drift": drift,
         "mass": total0,
@@ -837,8 +778,7 @@ def _replica_worker(args) -> dict:
 
 
 def _replica_jobs(spec: DensitySpec, sides, boundary: str, t_max: float, replicas: int,
-                  seed, snapshot_every, min_m_threshold, max_events,
-                  spawn_prefix: tuple) -> list:
+                  seed, snapshot_every, max_events, spawn_prefix: tuple) -> list:
     # every check a replica meets runs here first, before any replica or worker starts
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -846,12 +786,10 @@ def _replica_jobs(spec: DensitySpec, sides, boundary: str, t_max: float, replica
         # a replica that never stabilizes would never end
         raise ValueError("t_max=inf needs max_events")
     _check_run(t_max, snapshot_every, max_events)
-    _check_min_m(min_m_threshold)
     sides, boundary = _check_density(spec, sides, boundary)
     entropy = np.random.SeedSequence(seed).entropy
     return [(spec.kind, spec.rho, sides, boundary, t_max,
-             entropy, spawn_prefix + (i,), snapshot_every, min_m_threshold,
-             max_events)
+             entropy, spawn_prefix + (i,), snapshot_every, max_events)
             for i in range(replicas)]
 
 
@@ -887,25 +825,23 @@ def stabilizability_experiment(spec: DensitySpec, sides, boundary: str,
                                t_max: float, replicas: int,
                                seed: int | None = None,
                                snapshot_every: float | None = 1.0,
-                               min_m_threshold: int = 10,
                                max_events: int | None = None,
                                workers: int = 1) -> ExperimentSummary:
     """Replicated Markov runs from one density spec; replicas use split seeds."""
     jobs = _replica_jobs(spec, sides, boundary, t_max, replicas, seed, snapshot_every,
-                         min_m_threshold, max_events, ())
+                         max_events, ())
     return _summaries([jobs], workers)[0]
 
 
 def stabilizability_sweep(specs, sides, boundary: str, t_max: float, replicas: int,
                           seed: int | None = None,
                           snapshot_every: float | None = 1.0,
-                          min_m_threshold: int = 10,
                           max_events: int | None = None,
                           workers: int = 1) -> list[ExperimentSummary]:
     """``stabilizability_experiment`` at each density spec of a grid, in order; grid
     point ``g`` seeds replica ``i`` with the spawn key (g, i).  Every point is checked
     before any replica runs, and all replicas of the grid share one ``Pool``."""
     grid = [_replica_jobs(spec, sides, boundary, t_max, replicas, seed, snapshot_every,
-                          min_m_threshold, max_events, (g,))
+                          max_events, (g,))
             for g, spec in enumerate(specs)]
     return _summaries(grid, workers)

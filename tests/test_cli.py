@@ -512,7 +512,8 @@ _BAD_COUNTS = [
     ([*_COUPLE, "--max-steps", "-1"], "max_steps must be >= 0, got -1"),
     ([*_COUPLE, "--seeds", "-1"], "argument --seeds: must be >= 1, got -1"),
     ([*_COUPLE, "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
-    (["infinite", *_LINE, "--min-m-threshold", "-1"], "min_m_threshold must be >= 0, got -1"),
+    (["infinite", *_LINE, "--min-m-threshold", "-1"],
+     "argument --min-m-threshold: must be >= 0, got -1"),
     (["stabilize", "--chain", "0.5", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
     (["finite-run", "--n", "3", "--a", "0.2", "--b", "0.9", "--samples", "10", "--seed", "-1"],
      "argument --seed: must be >= 0, got -1"),
@@ -523,6 +524,8 @@ _BAD_COUNTS = [
     (["sweep", *_LINE, "--workers", "0"], "argument --workers: must be >= 1, got 0"),
     ([*_COUPLE, "--seed", "5"], "ambiguous option: --seed could match"),
     (["stabilize", "--chain", "0.5", "--format", "jsonl"], "unrecognized arguments: --format"),
+    (["finite-run", "--n", "3", "--a", "0.2", "--b", "0.9", "--bins", "0",
+      "--events-out", "{tmp}/events.jsonl"], "argument --bins: must be >= 1, got 0"),
 ]
 
 
@@ -534,11 +537,39 @@ def test_bad_intervals_and_counts_exit_1(tmp_path, argv, message):
     # negative --min-m-threshold called a run without a toppling strong
     # evidence; a negative --seed showed numpy's "expected non-negative
     # integer", --workers 0 ran serially, and couple's --seed and
-    # stabilize's --format were parsed and never read
-    proc = _run_cli(tmp_path, argv)
+    # stabilize's --format were parsed and never read; --bins 0 left an
+    # --events-out file holding only the echo line
+    proc = _run_cli(tmp_path, [a.format(tmp=tmp_path) for a in argv])
     assert proc.returncode == 1, proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def _evidence(tmp_path, argv, threshold):
+    """(outcome, min_M, evidence_strong) of each row of an ``infinite`` run."""
+    out = tmp_path / "verdicts.jsonl"
+    assert main(["infinite", *argv, "--min-m-threshold", str(threshold), "--replicas", "2",
+                 "--format", "jsonl", "--out", str(out)]) == 0
+    cols = ["outcome", "min_M", "evidence_strong"]
+    return [tuple(json.loads(line)[c] for c in cols)
+            for line in out.read_text().splitlines()[1:]]
+
+
+def test_evidence_strong_is_an_active_min_m_at_the_threshold(tmp_path):
+    active = _evidence(tmp_path, _LINE, 0)
+    assert {o for o, _, _ in active} == {"active-at-cutoff"}
+    low = min(m for _, m, _ in active)
+    assert low > 0
+    for threshold in (low - 1, low, low + 1):
+        rows = _evidence(tmp_path, _LINE, threshold)
+        assert [(o, m) for o, m, _ in rows] == [(o, m) for o, m, _ in active]
+        assert [e for _, m, e in rows] == [m >= threshold for _, m, _ in rows]
+    # a stabilized replica is never strong evidence, whatever its min M
+    settled = _evidence(tmp_path, ["--d", "1", "--side", "16", "--boundary", "box", "--gen",
+                                   "iid", "--rho", "0.6", "--tmax", "50"], 0)
+    assert {o for o, _, _ in settled} == {"stabilized"}
+    assert [e for _, _, e in settled] == [False, False]
 
 
 @pytest.mark.parametrize("backend", ["python", "compiled"])
@@ -660,15 +691,15 @@ _PINNED = {
     "sweep-d1-box-jsonl": (
         "sweep --d 1 --side 24 --boundary box --gen iid,constant --rho 0.6,1.1 --tmax 20 "
         "--replicas 2 --seed 11 --format jsonl",
-        "7c074834092cc3fed6f1265adbb5c5b16492c17ddb19be6265694a13d33a2113"),
+        "5e3e749579357ccad4faed0dabbf2035dd84b8e6f93d88ddd33ba9f8b06ed503"),
     "sweep-d2-torus-csv": (
         "sweep --d 2 --side 8 --gen iid,near-full --rho 0.9 --tmax 10 --replicas 2 "
         "--seed 2 --max-events 2000",
-        "61fb91c7fc645722d7766cd56fb9529c790027de5ba5539a53ba9aaf5818858a"),
+        "d7e0bdda212bdc48d8c8eea43c2b1075b65bdf0ba8363aaaa419905c2f8f343e"),
     "sweep-d3-box-jsonl": (
         "sweep --d 3 --side 4,3,5 --boundary box --gen constant,iid --rho 1.05,0.7 "
         "--tmax 10 --replicas 2 --seed 4 --format jsonl",
-        "6f120d088c5025ca5d95016f3d8e86232cbfbb41022bb6fe452df47ae425acbd"),
+        "897448bd9b8196e6f0df8cc95dfb8518fcc1fa1c0641bf40554407ffdb37bb50"),
 }
 
 
@@ -764,12 +795,13 @@ def test_bad_output_path_exits_1_before_the_run(tmp_path, monkeypatch, capsys, a
 
 @pytest.mark.parametrize("bins", ["0", "-3"])
 def test_bad_bins_exit_1_before_the_burn_in(tmp_path, monkeypatch, capsys, bins):
-    # the stats that check --bins were built after the burn-in, which ran in full
+    # the stats that check --bins were built after the burn-in, which ran in
+    # full; the parser checks it before any run
     monkeypatch.setattr(chain, "drive", _no_run)
     argv = ["finite-run", "--n", "30", "--a", "0.6", "--b", "0.8", "--burn-in", "2000000",
             "--samples", "10", "--bins", bins, "--out", str(tmp_path / "out.csv")]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "zhangpile: error: n_sites and bins must be positive\n"
+    assert capsys.readouterr().err.endswith(f"argument --bins: must be >= 1, got {bins}\n")
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -850,8 +882,7 @@ def test_infinite_and_sweep_share_one_command():
 # every option of each subcommand, in help order; a run of each argv below
 # reads all of them but --config, which main reads from the argv itself
 _LATTICE_OPTIONS = ["--d", "--side", "--boundary", "--tmax", "--replicas", "--snap-every",
-                    "--min-m-threshold", "--max-events", "--workers", "--seed", "--out",
-                    "--format", "--config"]
+                    "--max-events", "--workers", "--seed", "--out", "--format", "--config"]
 _OPTIONS = {
     "stabilize": (["--chain", "--infile", "--policy", "--seed", "--out", "--config"],
                   "--infile {tmp}/chain.txt --policy random"),
@@ -861,7 +892,7 @@ _OPTIONS = {
     "couple": (["--n", "--a", "--b", "--seeds", "--seed0", "--max-steps", "--init-a",
                 "--init-b", "--workers", "--out", "--format", "--config"],
                "--n 3 --a 0.2 --b 0.9 --max-steps 50"),
-    "infinite": (["--gen", "--rho", "--save-final", *_LATTICE_OPTIONS],
+    "infinite": (["--gen", "--rho", "--save-final", "--min-m-threshold", *_LATTICE_OPTIONS],
                  "--d 1 --side 4 --gen iid --rho 0.5 --tmax 1 --save-final {tmp}/final"),
     "sweep": (["--gen", "--rho", *_LATTICE_OPTIONS], "--d 1 --side 4 --gen iid --rho 0.5,0.6"),
 }

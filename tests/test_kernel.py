@@ -865,13 +865,11 @@ def lattice_runs(draw):
 
 def _engine_state(eng):
     led = eng.ledger
-    snaps = [(_bits([s.t, s.frac_unstable, s.dissipated]),
-              s.n_unstable, s.min_m, s.max_m) for s in eng.snapshots]
     return (_bits(eng.h), eng.unstable.tolist(), eng._where.tolist(), led._m.tolist(),
             _bits(led._lv),
             _bits(led._lc), _bits(led._diss), _bits([eng.t]),
             eng.t_stab, eng.events, eng._clock.pos, _bits(eng._wait_buf),
-            _bits(eng._pick_buf), _bits(eng.snapshot_rows), snaps)
+            _bits(eng._pick_buf), _bits(eng.snapshots))
 
 
 _SENTINEL = -12345

@@ -201,15 +201,6 @@ def test_engine_run_rejects_bad_arguments():
         assert line.startswith(message), (line, message)
 
 
-def test_engine_rejects_a_negative_min_m_threshold():
-    # min_M >= -1 held before any toppling, so a run with none was strong evidence
-    cfg = generate(DensitySpec("constant", 1.1), (16,), TORUS, seed=1)
-    for bad in (-1, math.nan):
-        with pytest.raises(ValueError, match="min_m_threshold must be >= 0"):
-            MarkovToppling(cfg, seed=2, min_m_threshold=bad)
-    MarkovToppling(cfg, seed=2, min_m_threshold=0)
-
-
 def test_single_unstable_site_stabilizes():
     cfg = _line([0.0, 1.3, 0.0, 0.0], BOX)
     verdict, final, ledger = markov_run(cfg, t_max=100.0, seed=1)
@@ -223,8 +214,7 @@ def test_constant_overloaded_torus_never_stabilizes():
     cfg = generate(DensitySpec("constant", 1.1), (64,), TORUS, seed=3)
     verdict, final, ledger = markov_run(cfg, t_max=50.0, seed=5, snapshot_every=1.0)
     assert verdict.outcome == "active-at-cutoff"
-    assert verdict.min_m > 0
-    assert verdict.evidence_strong
+    assert verdict.min_m >= 10          # the CLI's default strong-evidence threshold
     assert min_m_slope(verdict.snapshots) > 0
     assert abs(final.total_mass() - cfg.total_mass()) < 1e-9
 
@@ -251,15 +241,15 @@ def test_markov_run_deterministic():
 def test_snapshots_schedule():
     cfg = generate(DensitySpec("constant", 1.2), (32,), TORUS, seed=2)
     verdict, _, _ = markov_run(cfg, t_max=10.0, seed=3, snapshot_every=1.0)
-    times = [s.t for s in verdict.snapshots]
-    assert times == [float(k) for k in range(1, 11)]
-    assert all(0 <= s.frac_unstable <= 1 for s in verdict.snapshots)
+    rows = verdict.snapshots
+    assert rows[:, 0].tolist() == [float(k) for k in range(1, 11)]
+    assert ((0 <= rows[:, 1]) & (rows[:, 1] <= cfg.n_sites)).all()
 
 
 def test_box_snapshots_track_dissipation():
     cfg = generate(DensitySpec("near-full", 0.9), (8, 8), BOX, seed=5)
     verdict, _, ledger = markov_run(cfg, t_max=10.0, seed=6, snapshot_every=1.0)
-    diss = [s.dissipated for s in verdict.snapshots]
+    diss = verdict.snapshots[:, 4].tolist()
     assert diss == sorted(diss) and 0.0 < diss[-1] <= ledger.dissipated
 
 
@@ -285,7 +275,7 @@ def test_resumed_run_to_an_earlier_time_is_a_no_op(t_max):
             assert before[:3] == (10.0, 79, 78)
             eng.run(t_max=t_max, snapshot_every=1.0)
         assert (eng.t, eng._clock.pos, eng.events, eng.h.tolist()) == before
-        assert eng.snapshots == []
+        assert eng.snapshots.shape == (0, 5)
 
 
 def test_integer_t_max_leaves_a_float_clock():
@@ -314,7 +304,7 @@ def test_replica_rows_and_verdicts_hold_builtin_types():
     cases = [(DensitySpec("iid", 0.6), (8, 8), BOX), (DensitySpec("constant", 1.1), (16,), TORUS)]
     for kernel in _backends():
         for spec, sides, boundary in cases:
-            job = _replica_jobs(spec, sides, boundary, 20.0, 1, 3, 1.0, 10, None, ())[0]
+            job = _replica_jobs(spec, sides, boundary, 20.0, 1, 3, 1.0, None, ())[0]
             eng = MarkovToppling(generate(spec, sides, boundary, seed=3), seed=4)
             with _kernel_set(kernel):
                 row = _replica_worker(job)
@@ -323,11 +313,9 @@ def test_replica_rows_and_verdicts_hold_builtin_types():
             assert (heights.dtype, heights.shape) == (np.float64, (math.prod(sides),))
             assert all(_builtin(v) for v in row.values()), row
             verdict = eng.verdict()
-            assert verdict.snapshots
+            assert verdict.snapshots.dtype == np.float64 and len(verdict.snapshots)
             fields = [getattr(verdict, f.name) for f in dataclasses.fields(verdict)
                       if f.name != "snapshots"]
-            fields += [getattr(s, f.name) for s in verdict.snapshots
-                       for f in dataclasses.fields(s)]
             assert all(_builtin(v) for v in fields), verdict
 
 
@@ -364,27 +352,27 @@ def test_runs_keep_the_engine_clock(monkeypatch):
             eng.run(max_events=50, snapshot_every=1.0)
         clock = eng._clock
         assert (eng.t, eng.events) == (clock.t, clock.events) and clock.events > 0
-        assert eng.snapshot_rows.shape == (clock.n_rows, 5) and clock.n_rows >= 6
+        assert eng.snapshots.shape == (clock.n_rows, 5) and clock.n_rows >= 6
         assert len(eng.unstable) == clock.k
         dissipated = eng.ledger.dissipated
         assert type(dissipated) is float and dissipated == eng.ledger._diss[0] > 0
         assert eng.verdict().dissipated == dissipated
 
 
-# sha256 of repr(verdict.snapshots) and repr(min_m_slope(verdict.snapshots))
-# as the engine wrote them when it kept a list of Snapshot objects (the same
-# on both backends); repr tells an int from a float and a numpy scalar from
-# a Python one, and gives every float's bits
+# sha256 of the snapshot rows' bytes and repr(min_m_slope(rows)) as the
+# engine wrote them when it also kept a list of Snapshot objects, which the
+# rows then equalled (the same on both backends); repr tells a numpy scalar
+# from a Python one, and gives every float's bits
 _SNAPSHOT_LISTS = {
     "box-48": (("iid", 0.65, (48, 48), BOX, 11),
                [(20.0, None, 0.05), (15.5, 3000, 0.31), (None, 100_000, 0.12)], 1582,
-               "bbe0b8cc20ce712d3518c5a6511c1e2321123b7726cb723501f9a681403d9ed6", "0.0"),
+               "3bee89587f5132dd9e1e914a5bc7891125227c5e37fe21675c893cfe8f6e0b7b", "0.0"),
     "torus-16": (("constant", 1.05, (16, 16), TORUS, 3),
                  [(6.5, None, 0.1), (None, 20000, 1.0)], 242,
-                 "d3f35b13a44a523c1ed7564555de1610b19b4afecc4e7726897e46296da4efd9",
+                 "1ed922088a7e870ba16eeeb274dbdf2a0c2fb58074c6e1cbed194be0ccca30cd",
                  "0.3934565757720257"),
     "line-40": (("iid", 0.8, (40,), BOX, 5), [(30.0, None, 1.0)], 30,
-                "287551ded0e8f9a0a8c26ff52f0def1ec7f14c8fc380c4aa2bcd65cd396801d2",
+                "3b147437c0ff098770f4930dd0bd7a8b5a6a7c7a743bb579ec65410fabcd3191",
                 "0.04649610678531703"),
 }
 
@@ -407,12 +395,12 @@ def test_snapshot_rows_give_the_old_snapshot_lists(name):
     for kernel in _backends():
         with _kernel_set(kernel):
             eng = _resumed_engine(case)
-        rows = eng.snapshot_rows
+        rows = eng.snapshots
         assert (rows.dtype, rows.shape) == (np.float64, (count, 5))
         verdict = eng.verdict()
-        assert np.array_equal(verdict.snapshot_rows, rows)
-        for snaps in (eng.snapshots, verdict.snapshots):
-            assert hashlib.sha256(repr(snaps).encode()).hexdigest() == digest
+        assert verdict.snapshots is not rows
+        for snaps in (rows, verdict.snapshots):
+            assert hashlib.sha256(snaps.tobytes()).hexdigest() == digest
         assert repr(min_m_slope(rows)) == repr(min_m_slope(verdict.snapshots)) == slope
 
 
@@ -431,9 +419,9 @@ def test_snapshot_rows_do_not_depend_on_where_runs_resume():
             for events in (1, 63, 700, 5000, 8192, 6044):
                 cut.run(max_events=events, snapshot_every=0.125)
         assert cut.events == whole.events == 20_000
-        assert len(whole.snapshot_rows) > 512
-        assert whole.snapshot_rows.tobytes() == cut.snapshot_rows.tobytes()
-        rows[kernel] = whole.snapshot_rows.tobytes()
+        assert len(whole.snapshots) > 512
+        assert whole.snapshots.tobytes() == cut.snapshots.tobytes()
+        rows[kernel] = whole.snapshots.tobytes()
     assert len(set(rows.values())) == 1
 
 
@@ -441,31 +429,13 @@ def test_no_snapshots_give_an_empty_row_array():
     cfg = generate(DensitySpec("constant", 1.1), (16,), TORUS, seed=1)
     for kernel in _backends():
         eng = MarkovToppling(cfg, seed=2)
-        assert eng.snapshot_rows.shape == (0, 5)
+        assert eng.snapshots.shape == (0, 5)
         with _kernel_set(kernel):
             eng.run(max_events=500)
         verdict = eng.verdict()
-        for rows in (eng.snapshot_rows, verdict.snapshot_rows):
+        for rows in (eng.snapshots, verdict.snapshots):
             assert (rows.dtype, rows.shape) == (np.float64, (0, 5))
-        assert eng.snapshots == verdict.snapshots == []
-        assert min_m_slope(verdict.snapshot_rows) is None
-
-
-def test_replica_worker_builds_no_snapshot(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a Snapshot was built")
-
-    job = _replica_jobs(DensitySpec("constant", 1.1), (16,), TORUS, 20.0, 1, 3, 1.0, 10,
-                        None, ())[0]
-    rows = [_replica_worker(job)]
-    monkeypatch.setattr(lattice, "Snapshot", refuse)
-    for kernel in _backends():
-        with _kernel_set(kernel):
-            rows.append(_replica_worker(job))
-    assert rows[0]["min_m_slope"] > 0
-    heights = [row.pop("heights") for row in rows]
-    assert all(np.array_equal(h, heights[0]) for h in heights)
-    assert all(row == rows[0] for row in rows)
+        assert min_m_slope(verdict.snapshots) is None
 
 
 def _ring_loop_reference(config, rng, t_max):
@@ -960,7 +930,7 @@ def test_sweep_is_one_experiment_per_grid_point(monkeypatch):
     serial = stabilizability_sweep(specs, **kw)
     for g, spec in enumerate(specs):
         job = _replica_jobs(spec, kw["sides"], kw["boundary"], kw["t_max"], kw["replicas"],
-                            kw["seed"], 1.0, 10, None, (g,))
+                            kw["seed"], 1.0, None, (g,))
         alone = _summaries([job], 1)[0]
         for s in (swept[g], serial[g]):
             assert _plain(s.rows) == _plain(alone.rows)
