@@ -12,7 +12,7 @@ Each public name is imported from its submodule on first use, so that
 
 import importlib
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 _EXPORTS = {
     "chain": ("AdditionEvent", "ChainProcess", "MarginalStats", "empirical_tv_distance",
@@ -27,7 +27,7 @@ _EXPORTS = {
     "lattice": ("BOX", "TORUS", "DensitySpec", "LatticeConfig", "MarkovToppling",
                 "MassLedger", "StabilizabilityVerdict", "bond_bound_check",
                 "count_internal_bonds", "generate", "markov_run", "mass_identity_check",
-                "min_m_slope", "parallel_round", "stabilizability_experiment",
+                "min_m_slope", "parallel_round", "stabilizability_sweep",
                 "topple_lattice"),
     "runio": ("ExperimentSpec", "RunRecord", "make_spec", "parse_echo"),
 }

@@ -1,9 +1,10 @@
 """Command-line drivers for the simulation experiments.
 
-Subcommands: stabilize, finite-run, couple, infinite, sweep; infinite and
-sweep run through one command, and keep their own columns, spec echo and
-replica seeds (spawn key (i,) in infinite, (g, i) in a sweep).  Outputs start
-with a spec-echo line and are byte-identical for identical spec + seed.
+Subcommands: stabilize, finite-run, couple, infinite, sweep; infinite is the
+one-point grid of sweep, through one command and one library call (replica i
+of grid point g has the spawn key (g, i)), and keeps its own columns and spec
+echo.  Outputs start with a spec-echo line and are byte-identical for
+identical spec + seed.
 Exit codes: 0 success, 1 parameter error, 2 internal invariant violation
 (e.g. a conservation residual above tolerance).
 """
@@ -16,7 +17,7 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 
 from . import __version__
 
@@ -41,17 +42,25 @@ def _fmt_height(x: float) -> str:
     return s[:-2] if s.endswith(".0") else s
 
 
-def _parse_chain(text: str) -> list[float]:
-    parts = [p for p in text.replace(",", " ").split() if p]
+def _parse_values(option: str, parts, convert) -> list:
+    """``convert`` of each of ``parts``; a value it cannot read names ``option``."""
+    try:
+        return [convert(p) for p in parts]
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
+def _parse_chain(text: str, option: str) -> list[float]:
+    parts = text.replace(",", " ").split()
     if not parts:
-        raise ValueError("empty configuration")
-    return [float(p) for p in parts]
+        raise ValueError(f"{option}: empty configuration")
+    return _parse_values(option, parts, float)
 
 
 def _parse_sides(d: int, side_text: str) -> tuple[int, ...]:
     if d < 1:
         raise ValueError(f"--d must be >= 1, got {d}")
-    vals = [int(v) for v in str(side_text).replace(",", " ").split()]
+    vals = _parse_values("--side", str(side_text).replace(",", " ").split(), int)
     if len(vals) == 1:
         vals = vals * d
     if len(vals) != d:
@@ -97,10 +106,10 @@ def _int_at_least(low: int):
     return parse
 
 
-def _parse_init(text: str):
+def _parse_init(text: str, option: str):
     if text in ("zeros", "random"):
         return text
-    return _parse_chain(text)
+    return _parse_chain(text, option)
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +122,10 @@ def cmd_stabilize(args) -> int:
     from .core import parse_policy, stabilize_chain
 
     if args.chain is not None:
-        heights = _parse_chain(args.chain)
+        heights = _parse_chain(args.chain, "--chain")
     elif args.infile is not None:
         with open(args.infile) as f:
-            heights = _parse_chain(f.read())
+            heights = _parse_chain(f.read(), "--infile")
     else:
         raise ValueError("provide --chain or --infile")
     policy = parse_policy(args.policy)
@@ -138,14 +147,25 @@ def cmd_finite_run(args) -> int:
     spec = make_spec("finite-run", n=args.n, a=args.a, b=args.b, seed=args.seed,
                      burn_in=args.burn_in, samples=args.samples, bins=args.bins)
     proc = ChainProcess(args.n, args.a, args.b, seed=args.seed)
-    # --events-out streams the full event record (burn-in and sampling phases)
-    with open(args.events_out, "w", newline="") if args.events_out else nullcontext() as ef:
-        if ef is not None:
-            write_jsonl(ef, spec, __version__, [])     # echo line first
-        sink = None if ef is None else (
-            lambda rec: ef.write(json.dumps(rec, sort_keys=True) + "\n"))
+    # --events-out streams the full event record (burn-in and sampling phases);
+    # the file opens at the first event, after run_stationary has allocated its
+    # statistics, so that a run too large to allocate leaves no file
+    with ExitStack() as files:
+        ef = None
+
+        def events():
+            nonlocal ef
+            if ef is None:
+                ef = files.enter_context(open(args.events_out, "w", newline=""))
+                write_jsonl(ef, spec, __version__, [])     # echo line first
+            return ef
+
+        sink = None if not args.events_out else (
+            lambda rec: events().write(json.dumps(rec, sort_keys=True) + "\n"))
         stats = run_stationary(proc, args.burn_in, args.samples, bins=args.bins,
                                event_sink=sink)
+        if sink is not None:
+            events()        # a run of no steps writes the echo line alone
     columns = ["site", "mean", "var"] + [f"hist_bin_{i}" for i in range(args.bins)]
     rows = []
     if stats.count:
@@ -163,8 +183,8 @@ def cmd_couple(args) -> int:
     from .coupling import coupling_sweep
     from .runio import RunRecord, make_spec
 
-    init_a = _parse_init(args.init_a)
-    init_b = _parse_init(args.init_b)
+    init_a = _parse_init(args.init_a, "--init-a")
+    init_b = _parse_init(args.init_b, "--init-b")
     spec = make_spec("couple", n=args.n, a=args.a, b=args.b, seed0=args.seed0,
                      seeds=args.seeds, max_steps=args.max_steps,
                      init_a=init_a, init_b=init_b)
@@ -206,17 +226,17 @@ def _check_conservation(rows, boundary) -> None:
 
 
 def stabilizability_experiment(*args, **kwargs):
-    """``lattice.stabilizability_experiment``, which ``infinite`` calls through
-    this name, so that a caller can wrap it here."""
+    """``lattice.stabilizability_sweep``, which ``infinite`` and ``sweep`` call
+    through this name, so that a caller can wrap it here."""
     from . import lattice
 
-    return lattice.stabilizability_experiment(*args, **kwargs)
+    return lattice.stabilizability_sweep(*args, **kwargs)
 
 
 def cmd_lattice(args) -> int:
     """``infinite`` and ``sweep``: replicated runs at each point of a density grid (one
     for ``infinite``), whose library call checks the whole grid before any runs."""
-    from .lattice import DensitySpec, parse_boundary, stabilizability_sweep
+    from .lattice import DensitySpec, parse_boundary
     from .runio import RunRecord, make_spec
 
     sides = _parse_sides(args.d, args.side)
@@ -227,7 +247,7 @@ def cmd_lattice(args) -> int:
         echo = {"gen": dspecs[0].describe(args.d), "min_m_threshold": args.min_m_threshold}
     else:
         gens = [g for g in args.gen.split(",") if g]
-        rhos = [float(r) for r in args.rho.split(",") if r]
+        rhos = _parse_values("--rho", [r for r in args.rho.split(",") if r], float)
         if not gens or not rhos:
             raise ValueError("sweep needs at least one generator and one rho")
         dspecs = [DensitySpec(kind, rho) for kind in gens for rho in rhos]
@@ -235,12 +255,10 @@ def cmd_lattice(args) -> int:
     spec = make_spec(args.subcommand, d=args.d, sides=list(sides), boundary=boundary,
                      tmax=args.tmax, seed=args.seed, replicas=args.replicas,
                      snap_every=args.snap_every, max_events=args.max_events, **echo)
-    run = dict(t_max=args.tmax, replicas=args.replicas, seed=args.seed,
-               snapshot_every=args.snap_every, max_events=args.max_events,
-               workers=args.workers)
-    # replica i has the spawn key (i,) in infinite, (g, i) at grid point g of a sweep
-    summaries = ([stabilizability_experiment(dspecs[0], sides, boundary, **run)] if infinite
-                 else stabilizability_sweep(dspecs, sides, boundary, **run))
+    summaries = stabilizability_experiment(dspecs, sides, boundary, t_max=args.tmax,
+                                           replicas=args.replicas, seed=args.seed,
+                                           snapshot_every=args.snap_every,
+                                           max_events=args.max_events, workers=args.workers)
     sides_str = "x".join(str(s) for s in sides)
     columns = _LATTICE_COLUMNS[args.subcommand]
     rows = []

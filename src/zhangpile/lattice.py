@@ -743,14 +743,12 @@ def generate(spec: DensitySpec, sides, boundary: str = TORUS,
 class ExperimentSummary:
     rows: list
     fraction_stabilized: float
-    median_t_stab: float
-    mean_min_m_slope: float
 
 
 def _replica_worker(args) -> dict:
     kind, rho, sides, boundary, t_max, entropy, spawn_key, snapshot_every, \
         max_events = args
-    # identical to np.random.SeedSequence(seed).spawn(k)[i] (nested for sweeps)
+    # identical to np.random.SeedSequence(seed).spawn(points)[g].spawn(replicas)[i]
     child = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
     rng = np.random.default_rng(child)
     spec = DensitySpec(kind, rho)
@@ -778,7 +776,7 @@ def _replica_worker(args) -> dict:
 
 
 def _replica_jobs(spec: DensitySpec, sides, boundary: str, t_max: float, replicas: int,
-                  seed, snapshot_every, max_events, spawn_prefix: tuple) -> list:
+                  seed, snapshot_every, max_events, g: int) -> list:
     # every check a replica meets runs here first, before any replica or worker starts
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -789,13 +787,22 @@ def _replica_jobs(spec: DensitySpec, sides, boundary: str, t_max: float, replica
     sides, boundary = _check_density(spec, sides, boundary)
     entropy = np.random.SeedSequence(seed).entropy
     return [(spec.kind, spec.rho, sides, boundary, t_max,
-             entropy, spawn_prefix + (i,), snapshot_every, max_events)
+             entropy, (g, i), snapshot_every, max_events)
             for i in range(replicas)]
 
 
-def _summaries(grid: list, workers: int) -> list[ExperimentSummary]:
-    """Run every job of every grid point, through one ``Pool`` if
-    ``workers`` > 1, and summarize each grid point's rows."""
+def stabilizability_sweep(specs, sides, boundary: str, t_max: float, replicas: int,
+                          seed: int | None = None,
+                          snapshot_every: float | None = 1.0,
+                          max_events: int | None = None,
+                          workers: int = 1) -> list[ExperimentSummary]:
+    """Replicated Markov runs at each density spec of a grid, in order; grid point
+    ``g`` seeds replica ``i`` with the spawn key (g, i).  Every point is checked
+    before any replica runs, and all replicas of the grid share one ``Pool`` if
+    ``workers`` > 1."""
+    grid = [_replica_jobs(spec, sides, boundary, t_max, replicas, seed, snapshot_every,
+                          max_events, g)
+            for g, spec in enumerate(specs)]
     jobs = [job for point in grid for job in point]
     if workers > 1 and len(jobs) > 1:
         chain_kernel()      # build and load once, before the workers fork
@@ -809,39 +816,6 @@ def _summaries(grid: list, workers: int) -> list[ExperimentSummary]:
         mine, rows = rows[:len(point)], rows[len(point):]
         for i, row in enumerate(mine):
             row["replica"] = i
-        stabilized = [r for r in mine if r["outcome"] == "stabilized"]
-        med = (float(np.median([r["t_stab"] for r in stabilized])) if stabilized
-               else math.nan)
-        active_slopes = [r["min_m_slope"] for r in mine
-                         if r["outcome"] != "stabilized" and r["min_m_slope"] is not None]
-        slope = float(np.mean(active_slopes)) if active_slopes else math.nan
-        out.append(ExperimentSummary(rows=mine,
-                                     fraction_stabilized=len(stabilized) / len(mine),
-                                     median_t_stab=med, mean_min_m_slope=slope))
+        stabilized = sum(r["outcome"] == "stabilized" for r in mine)
+        out.append(ExperimentSummary(rows=mine, fraction_stabilized=stabilized / len(mine)))
     return out
-
-
-def stabilizability_experiment(spec: DensitySpec, sides, boundary: str,
-                               t_max: float, replicas: int,
-                               seed: int | None = None,
-                               snapshot_every: float | None = 1.0,
-                               max_events: int | None = None,
-                               workers: int = 1) -> ExperimentSummary:
-    """Replicated Markov runs from one density spec; replicas use split seeds."""
-    jobs = _replica_jobs(spec, sides, boundary, t_max, replicas, seed, snapshot_every,
-                         max_events, ())
-    return _summaries([jobs], workers)[0]
-
-
-def stabilizability_sweep(specs, sides, boundary: str, t_max: float, replicas: int,
-                          seed: int | None = None,
-                          snapshot_every: float | None = 1.0,
-                          max_events: int | None = None,
-                          workers: int = 1) -> list[ExperimentSummary]:
-    """``stabilizability_experiment`` at each density spec of a grid, in order; grid
-    point ``g`` seeds replica ``i`` with the spawn key (g, i).  Every point is checked
-    before any replica runs, and all replicas of the grid share one ``Pool``."""
-    grid = [_replica_jobs(spec, sides, boundary, t_max, replicas, seed, snapshot_every,
-                          max_events, (g,))
-            for g, spec in enumerate(specs)]
-    return _summaries(grid, workers)

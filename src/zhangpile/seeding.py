@@ -4,7 +4,8 @@ Everything stochastic in this package derives from numpy's PCG64 via
 ``SeedSequence``.  Substream layout, so that runs are reproducible from a
 single integer seed:
 
-- replica/seed sweeps: replica ``i`` uses ``SeedSequence(seed).spawn(n)[i]``;
+- lattice studies: replica ``i`` of grid point ``g`` uses the spawn key
+  ``(g, i)``, i.e. ``SeedSequence(seed).spawn(points)[g].spawn(replicas)[i]``;
 - a coupling run spawns five children of its seed, in order:
   init-A, init-B, chain-A additions, chain-B additions, shared coupled stream.
 

@@ -34,7 +34,7 @@ from zhangpile.lattice import (
     generate,
     mass_identity_check,
     parallel_round,
-    stabilizability_experiment,
+    stabilizability_sweep,
     topple_lattice,
 )
 
@@ -272,33 +272,33 @@ def test_criterion_12_density_thresholds():
     # place all heights below 1, so the verdict is immediate)
     for rho in (0.2, 0.4):
         for sides in ((64,), (32, 32)):
-            s = stabilizability_experiment(DensitySpec("iid", rho), sides,
-                                           TORUS, t_max=200.0, replicas=20,
-                                           seed=1201, workers=WORKERS)
+            s = stabilizability_sweep([DensitySpec("iid", rho)], sides,
+                                      TORUS, t_max=200.0, replicas=20,
+                                      seed=1201, workers=WORKERS)[0]
             ok &= s.fraction_stabilized == 1.0
     details.append("iid 0.2/0.4 all stabilized")
 
     # (b) supercritical constant density on a conserving torus never settles
     for sides in ((64,), (32, 32)):
-        s = stabilizability_experiment(DensitySpec("constant", 1.1), sides,
-                                       TORUS, t_max=200.0, replicas=20,
-                                       seed=1202, workers=WORKERS)
+        s = stabilizability_sweep([DensitySpec("constant", 1.1)], sides,
+                                  TORUS, t_max=200.0, replicas=20,
+                                  seed=1202, workers=WORKERS)[0]
         ok &= s.fraction_stabilized == 0.0
         slopes = [r["min_m_slope"] for r in s.rows]
         ok &= all(sl is not None and sl > 0 for sl in slopes)
     details.append("constant 1.1 never stabilized, min-M growing")
 
     # (c) checkerboard at rho=0.55 in d=2
-    s = stabilizability_experiment(DensitySpec("checkerboard", 0.55), (32, 32),
-                                   TORUS, t_max=200.0, replicas=20,
-                                   seed=1203, workers=WORKERS)
+    s = stabilizability_sweep([DensitySpec("checkerboard", 0.55)], (32, 32),
+                              TORUS, t_max=200.0, replicas=20,
+                              seed=1203, workers=WORKERS)[0]
     ok &= s.fraction_stabilized == 0.0
     details.append("checkerboard 0.55 active at cutoff")
 
     # (d) near-full at rho=0.8 in d=2
-    s = stabilizability_experiment(DensitySpec("near-full", 0.8), (32, 32),
-                                   TORUS, t_max=200.0, replicas=20,
-                                   seed=1204, workers=WORKERS)
+    s = stabilizability_sweep([DensitySpec("near-full", 0.8)], (32, 32),
+                              TORUS, t_max=200.0, replicas=20,
+                              seed=1204, workers=WORKERS)[0]
     ok &= s.fraction_stabilized == 0.0
     details.append("near-full 0.8 active at cutoff")
 

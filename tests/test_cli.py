@@ -128,6 +128,25 @@ def test_finite_run_events_out(tmp_path):
         assert r["avalanche_size"] >= 0
 
 
+def test_finite_run_events_file_opens_after_the_allocation(tmp_path, monkeypatch, capsys):
+    # the events file and its echo line were written before the statistics
+    # were allocated, so a run too large to allocate left them behind
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    argv = ["finite-run", "--n", "3", "--a", "0.2", "--b", "0.9",
+            "--events-out", str(tmp_path / "events.jsonl"), "--out", str(tmp_path / "out")]
+    with monkeypatch.context() as m:
+        m.setattr(chain, "MarginalStats", no_memory)
+        assert main(argv + ["--samples", "10"]) == 1
+    assert "out of memory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+    # a run of no steps still writes the echo line
+    assert main(argv + ["--samples", "0"]) == 0
+    lines = (tmp_path / "events.jsonl").read_text().splitlines()
+    assert len(lines) == 1 and parse_echo(lines[0])["spec"]["params"]["samples"] == 0
+
+
 def test_couple_identical_starts(tmp_path):
     out = tmp_path / "couple.jsonl"
     rc = main(["couple", "--n", "3", "--a", "0.2", "--b", "0.9",
@@ -190,7 +209,8 @@ def test_pool_is_no_wider_than_its_jobs(tmp_path, monkeypatch, argv, jobs):
     for workers in (3, 8):
         assert main(argv + ["--out", str(pooled), "--workers", str(workers)]) == 0
         assert pooled.read_bytes() == serial.read_bytes()
-    # coupling_sweep sizes its chunks from the width; _summaries leaves it to map
+    # coupling_sweep sizes its chunks from the width; stabilizability_sweep leaves
+    # it to map
     chunk = 1 if argv[0] == "couple" else None
     assert opened == [(min(3, jobs), jobs, chunk), (jobs, jobs, chunk)]
 
@@ -275,7 +295,8 @@ def test_infinite_save_final(tmp_path):
     lines = snap.read_text().strip().split("\n")
     header = json.loads(lines[0].lstrip("# "))
     values = np.array([float(v) for v in lines[1:]])
-    rng = np.random.default_rng(np.random.SeedSequence(8).spawn(3)[0])
+    # replica 0 of the one grid point: spawn key (0, 0)
+    rng = np.random.default_rng(np.random.SeedSequence(8).spawn(1)[0].spawn(3)[0])
     config = lattice.generate(lattice.DensitySpec("iid", 0.6), (24,), "box", rng=rng)
     verdict, final, ledger = lattice.markov_run(config, t_max=50, rng=rng)
     assert verdict.events > 0                            # it did topple
@@ -314,6 +335,26 @@ def test_sweep_single_point(tmp_path):
     payload = parse_echo(lines[0])
     assert payload["spec"]["params"]["rhos"] == [0.25]
     assert payload["spec"]["params"]["gens"] == ["iid"]
+
+
+@pytest.mark.parametrize("spec", [
+    "--d 1 --side 24 --boundary box --gen iid --rho 0.6 --tmax 50 --replicas 3 --seed 8",
+    "--d 2 --side 6 --gen constant --rho 1.1 --tmax 5 --replicas 2 --seed 3",
+])
+def test_infinite_is_the_one_point_sweep(tmp_path, spec):
+    # infinite seeded replica i with the spawn key (i,), a sweep with (0, i),
+    # so the two drew other replicas from the same spec and seed
+    rows = {}
+    for cmd in ("infinite", "sweep"):
+        out = tmp_path / f"{cmd}.jsonl"
+        assert main([cmd, *spec.split(), "--format", "jsonl", "--out", str(out)]) == 0
+        rows[cmd] = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    shared = ["seed", "replica", "outcome", "t_stab", "min_M", "max_M", "dissipated",
+              "min_m_slope", "mass_residual"]
+    assert set(shared) == set(cli._LATTICE_COLUMNS["infinite"]) & set(
+        cli._LATTICE_COLUMNS["sweep"])
+    assert [[r[c] for c in shared] for r in rows["infinite"]] == \
+        [[r[c] for c in shared] for r in rows["sweep"]]
 
 
 def test_sweep_grid_rows_and_stabilized_fraction(tmp_path):
@@ -481,6 +522,13 @@ _BAD_INPUTS = [
      "--d must be >= 1, got 0"),
     (["sweep", "--d", "-2", "--side", "16", "--gen", "iid", "--rho", "0.3"],
      "--d must be >= 1, got -2"),
+    (["infinite", "--d", "1", "--side", "8x", "--gen", "iid", "--rho", "0.3"],
+     "--side: invalid literal for int()"),
+    (["sweep", "--d", "1", "--side", "8", "--gen", "iid", "--rho", "0.5,abc"],
+     "--rho: could not convert string to float: 'abc'"),
+    (["stabilize", "--chain", "1,abc"], "--chain: could not convert string to float: 'abc'"),
+    (["couple", "--n", "3", "--a", "0", "--b", "1", "--init-a", "0.5,x,0.1",
+      "--max-steps", "2000"], "--init-a: could not convert string to float: 'x'"),
 ]
 
 
@@ -490,8 +538,9 @@ def test_bad_heights_and_unbounded_runs_exit_1(tmp_path, argv, message):
     # a NaN height was printed as a result, an inf one toppled until the cap,
     # a zero side raised a traceback, --tmax inf without --max-events never
     # ended, a negative literal coupling start ran and exited 0, and a
-    # negative side showed numpy's "negative dimensions are not allowed", and
-    # --d 0 or -2 blamed the heights or --side; each must now exit 1 within
+    # negative side showed numpy's "negative dimensions are not allowed",
+    # --d 0 or -2 blamed the heights or --side, and a value of a comma list
+    # that did not parse did not name its option; each must now exit 1 within
     # the subprocess timeout, with its own message
     proc = _run_cli(tmp_path, argv)
     assert proc.returncode == 1, proc.stderr
@@ -675,31 +724,31 @@ def test_bad_config_file_exits_1_without_a_traceback(tmp_path, content):
 
 
 # sha256 of each output file, then (infinite) of its --save-final file, as
-# version 0.3.0 writes them on both backends (the echo line carries the version)
+# version 0.4.0 writes them on both backends (the echo line carries the version)
 _PINNED = {
     "infinite-d1-torus-csv": (
         "infinite --d 1 --side 32 --gen iid --rho 0.8 --tmax 30 --replicas 3 --seed 5",
-        "fb6e7dc5148b43dc221a02e602841045f7ad08547d79f027a4fe0b25f16c3a6b"),
+        "cd015efa9c5336fddf016678c30a9f5bac5e9e145d795909b49ebbdae10d4977"),
     "infinite-d2-box-jsonl": (
         "infinite --d 2 --side 10 --boundary box --gen near-full --rho 0.95 --tmax 20 "
         "--replicas 2 --seed 7 --format jsonl",
-        "0a86d95d2e9613b41a9a8fd0b5ca7c64f4c9a8042725c5045a0d2e152fbe3ad8"),
+        "5ce1cb93505f727d4aef1e3267ee6683ef9f3d8b42c1e04ef6a501823f3b9f79"),
     "infinite-d3-torus-csv": (
         "infinite --d 3 --side 4 --gen checkerboard --rho 0.7 --tmax 15 --replicas 2 "
         "--seed 3 --snap-every 0.5",
-        "25eeebe04af919375ea10393ad49a62de8dcf97d75d83df6fbce534c98aba994"),
+        "d4f0261c344fce04d45b543651be4a2943810d484cf57f3a359b0d791740f761"),
     "sweep-d1-box-jsonl": (
         "sweep --d 1 --side 24 --boundary box --gen iid,constant --rho 0.6,1.1 --tmax 20 "
         "--replicas 2 --seed 11 --format jsonl",
-        "5e3e749579357ccad4faed0dabbf2035dd84b8e6f93d88ddd33ba9f8b06ed503"),
+        "7faeb91c3d4def61fa60c557a61c172c4b1b58ff8261d3105a5033ad5341c8b1"),
     "sweep-d2-torus-csv": (
         "sweep --d 2 --side 8 --gen iid,near-full --rho 0.9 --tmax 10 --replicas 2 "
         "--seed 2 --max-events 2000",
-        "d7e0bdda212bdc48d8c8eea43c2b1075b65bdf0ba8363aaaa419905c2f8f343e"),
+        "5f86e565145c61c9508436fa324733acf36ccafea622aea1cac5e7e598bc0229"),
     "sweep-d3-box-jsonl": (
         "sweep --d 3 --side 4,3,5 --boundary box --gen constant,iid --rho 1.05,0.7 "
         "--tmax 10 --replicas 2 --seed 4 --format jsonl",
-        "897448bd9b8196e6f0df8cc95dfb8518fcc1fa1c0641bf40554407ffdb37bb50"),
+        "778ef05ead10a2222397568f5f28ab40bf7f0aa20659cbe06b04fe55c2609211"),
 }
 
 
@@ -723,14 +772,14 @@ def test_lattice_outputs_match_pinned_hashes(tmp_path, monkeypatch, name):
 _FINITE_PINNED = {
     "finite-run-n30-csv": (
         "finite-run --n 30 --a 0.6 --b 0.8 --burn-in 1000 --samples 6000 --seed 10000",
-        "aeab1f18234346eb8d7c88084dc0f822b16d880ff440577fef3a803991748f9d"),
+        "49c7f445f92a3c6dfc1541346a2a9db49b4f73e145a0e0cd0ed5d0d32de9a619"),
     "finite-run-n1-jsonl": (
         "finite-run --n 1 --a 0.3 --b 0.9 --burn-in 100 --samples 4500 --bins 7 --seed 11 "
         "--format jsonl",
-        "406f7a52f0eddd316ae7bf028a055c52445210647ede439ba624867e0d492b0d"),
+        "4115354de7fc50a672b9169f7c5078ecb78d0bffb59f7d653c8ece577277e779"),
     "finite-run-n7-csv": (
         "finite-run --n 7 --a 0.0 --b 1.0 --burn-in 0 --samples 9000 --bins 3 --seed 12",
-        "18ccc3fba04cf0ff7829d6fecd244dcd60271d867efb1ac5d292c9aca23870e3"),
+        "0bf14ecef80b5e65d3f67e2820fd02e74d7dbb14d5a94c071d3a297b38e0fdb0"),
 }
 
 

@@ -33,7 +33,8 @@ _ENGINES = {f"zhangpile.{m}" for m in
 _HELP_CALLS = [["--version"], ["--help"]] + [
     [sub, "--help"] for sub in ("stabilize", "finite-run", "couple", "infinite", "sweep")]
 
-# the public names as they were when the package imported every engine eagerly
+# the public names as they were when the package imported every engine eagerly,
+# with stabilizability_sweep in the place of stabilizability_experiment (0.4.0)
 _PUBLIC = {
     "chain": ["AdditionEvent", "ChainProcess", "MarginalStats", "empirical_tv_distance",
               "run_stationary", "scripted_run"],
@@ -47,7 +48,7 @@ _PUBLIC = {
     "lattice": ["BOX", "TORUS", "DensitySpec", "LatticeConfig", "MarkovToppling",
                 "MassLedger", "StabilizabilityVerdict", "bond_bound_check",
                 "count_internal_bonds", "generate", "markov_run", "mass_identity_check",
-                "min_m_slope", "parallel_round", "stabilizability_experiment",
+                "min_m_slope", "parallel_round", "stabilizability_sweep",
                 "topple_lattice"],
     "runio": ["ExperimentSpec", "RunRecord", "make_spec", "parse_echo"],
 }
