@@ -377,10 +377,11 @@ static int32_t merged_steps(const pair_arrays *c, zp_pair *st, const int64_t *si
     return status == ZC_DONE && i < left ? ZC_REFILL : status;
 }
 
-/* One chain's half of an independent step of coupling.Coupling._run_independent:
- * the next addition of its own chunk at *pos, relaxed.  eb, the chain's E_b
- * side, is recomputed after an avalanche; an addition that does not topple
- * only clears it when it lands on the empty site, as in the Python loop. */
+/* One chain's half of an independent step, as coupling.Coupling._own_step,
+ * which Coupling._run_independent calls for both chains: the next addition
+ * of its own chunk at *pos, relaxed.  eb, the chain's E_b side, is recomputed
+ * after an avalanche; an addition that does not topple only clears it when it
+ * lands on the empty site. */
 static inline int32_t own_step(double *h, int64_t n, int64_t cap, const int64_t *sites,
                                const double *amts, int64_t *pos, int64_t *eb)
 {
@@ -400,8 +401,9 @@ static inline int32_t own_step(double *h, int64_t n, int64_t cap, const int64_t 
 }
 
 /* The coupling of coupling.Coupling from its current phase, restarts
- * included, with the float operations of Coupling._run_independent,
- * _step_contraction, _step_merging and _step_merged in the same order.
+ * included, with the float operations of Coupling._run_independent (through
+ * _own_step), _step_contraction, _step_merging and _step_merged in the same
+ * order.
  * Chains A and B read the chunks (sitesA, amtsA) and (sitesB, amtsB) in the
  * independent phase; both read (sitesC, amtsC) in the others.  Runs until t
  * reaches t_stop, a chunk the running phase needs is used up or a gate

@@ -245,9 +245,11 @@ def _drive_compiled(lib, proc: ChainProcess, steps: int, stats: MarginalStats | 
                 proc._check_heavy, None if rows is None else rows[filled:filled + k],
                 None if tops is None else tops[:k], counts, sums, sumsq)
             if event_sink is not None:
-                for i, ntop in enumerate(tops[:done].tolist()):
-                    event_sink({"t": proc.t + i + 1, "site": add.sites[p + i] + 1,
-                                "amount": add.amts[p + i], "avalanche_size": ntop})
+                for i, (x, u, ntop) in enumerate(zip(add.site_array[p:p + done].tolist(),
+                                                     add.amt_array[p:p + done].tolist(),
+                                                     tops[:done].tolist())):
+                    event_sink({"t": proc.t + i + 1, "site": x + 1, "amount": u,
+                                "avalanche_size": ntop})
             proc.t += done
             add.pos = p + done
             steps -= done

@@ -32,6 +32,9 @@ from pathlib import Path
 import numpy as np
 
 DEFAULT_TOPPLE_CAP = 10_000_000
+# the largest int64: the kernels take their step, event and toppling limits as
+# int64, where a larger Python int would wrap, so limits are clamped to it
+_NO_LIMIT = 2**63 - 1
 
 
 class ToppleCapError(RuntimeError):
@@ -385,8 +388,8 @@ def kernel_drive(lib, h: np.ndarray, sites: np.ndarray, amts: np.ndarray, cap: i
     pm = None if sums is None else _c_array(sums, np.float64, n, "sums", out=True)
     pq = None if sumsq is None else _c_array(sumsq, np.float64, n, "sumsq", out=True)
     status = ctypes.c_int32()
-    done = lib.zp_drive(ph, n, ps, pa, steps, cap, int(check_heavy), pr, pt, pc, bins,
-                        pm, pq, ctypes.byref(status))
+    done = lib.zp_drive(ph, n, ps, pa, steps, min(cap, _NO_LIMIT), int(check_heavy), pr, pt,
+                        pc, bins, pm, pq, ctypes.byref(status))
     return done, status.value
 
 
@@ -500,12 +503,6 @@ def in_class_E(config, x: int) -> bool:
     if not 1 <= x <= len(h):
         raise ValueError(f"site index {x} out of range 1..{len(h)}")
     return _e_class_0(h) == x - 1
-
-
-def empty_site_of_E_class(config) -> int | None:
-    """The 1-based site x with config in E_x, or None if not in any E_x."""
-    e = _e_class_0(np.asarray(config, dtype=float).tolist())
-    return None if e < 0 else e + 1
 
 
 def in_E_b(config) -> bool:

@@ -33,6 +33,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOPPLE_CAP,
+    _NO_LIMIT,
     CouplingState,
     InvariantViolation,
     _c_array,
@@ -543,6 +544,8 @@ class Coupling:
         and the streams are not recorded, in one ``zp_couple`` call per stream
         chunk and one more past the merge; otherwise on the Python reference.
         """
+        if steps < 0:
+            raise ValueError(f"steps must be >= 0, got {steps}")
         differed = self._drive(self.t + steps, past_merge=True)
         return not (require_equal and differed)
 
@@ -564,70 +567,43 @@ class Coupling:
                 differed += self.hA != self.hB
         return differed
 
+    def _own_step(self, h: list, add: AdditionStream, eb: int) -> tuple[int, float, int]:
+        # one chain's half of an independent step, as own_step in _drive.c:
+        # the chain's next own addition, relaxed.  eb, its E_b side, is
+        # recomputed after an avalanche; an addition that does not topple
+        # only clears it when it lands on the empty site.
+        x, u = add.draw()
+        if self._apply(h, x, u):
+            eb = _eb_side(h)
+        elif x == eb:
+            eb = -1
+        return x, u, eb
+
     def _run_independent(self, max_steps: int) -> None:
-        # hot loop: the independent phase dominates every run, so buffers and
-        # state live in locals until the chains enter a coupled phase or the
-        # clock reaches max_steps
+        # the independent phase dominates every run, so its loop keeps the
+        # E_b sides and the step count in locals until the chains enter a
+        # coupled phase or the clock reaches max_steps
         st = self._st
-        hA = self.hA
-        hB = self.hB
-        cap = self.cap
-        addA = self._addA
-        addB = self._addB
-        sitesA, amtsA, pA = addA.sites, addA.amts, addA.pos
-        sitesB, amtsB, pB = addB.sites, addB.amts, addB.pos
-        lenA = len(sitesA)
-        lenB = len(sitesB)
+        hA, hB = self.hA, self.hB
+        addA, addB = self._addA, self._addB
+        own_step = self._own_step
         record = self.record_streams
-        streamA = self.streamA
-        streamB = self.streamB
-        ebA = st.ebA
-        ebB = st.ebB
+        ebA, ebB = st.ebA, st.ebB
         steps = 0
         budget = max_steps - st.t
-        relax = _relax_leftmost
-        eb_side = _eb_side
         try:
             while steps < budget:
-                if pA >= lenA:
-                    addA.refill()
-                    sitesA, amtsA, pA = addA.sites, addA.amts, 0
-                    lenA = len(sitesA)
-                if pB >= lenB:
-                    addB.refill()
-                    sitesB, amtsB, pB = addB.sites, addB.amts, 0
-                    lenB = len(sitesB)
-                xA = sitesA[pA]
-                uA = amtsA[pA]
-                pA += 1
-                v = hA[xA] + uA
-                hA[xA] = v
-                if v >= 1.0:
-                    relax(hA, xA, cap)
-                    ebA = eb_side(hA)
-                elif xA == ebA:
-                    ebA = -1
-                xB = sitesB[pB]
-                uB = amtsB[pB]
-                pB += 1
-                v = hB[xB] + uB
-                hB[xB] = v
-                if v >= 1.0:
-                    relax(hB, xB, cap)
-                    ebB = eb_side(hB)
-                elif xB == ebB:
-                    ebB = -1
+                xA, uA, ebA = own_step(hA, addA, ebA)
+                xB, uB, ebB = own_step(hB, addB, ebB)
                 if record:
-                    streamA.append((xA, uA))
-                    streamB.append((xB, uB))
+                    self.streamA.append((xA, uA))
+                    self.streamB.append((xB, uB))
                 steps += 1
                 if ebA >= 0 and ebA == ebB:
                     break
         finally:
             # a topple-cap error keeps the completed steps and the failing
             # step's draws, as zp_couple does
-            addA.pos = pA
-            addB.pos = pB
             st.t += steps
             st.steps[_INDEPENDENT] += steps
             st.ebA = ebA
@@ -647,12 +623,13 @@ class Coupling:
         hA, hB = self._cA, self._cB
         hA[:] = self.hA
         hB[:] = self.hB
-        st.t_stop = stop
+        st.t_stop = min(stop, _NO_LIMIT)
         st.differed = 0
         st.posA, st.posB, st.posC = (add.pos for add in streams)
         try:
             while True:
-                status = lib.zp_couple(hA, hB, n, self.cap, *self._kernel_chunks(streams),
+                status = lib.zp_couple(hA, hB, n, min(self.cap, _NO_LIMIT),
+                                       *self._kernel_chunks(streams),
                                        self._eps, self._dbound, ctypes.byref(st))
                 if status == _ZC_REFILL:
                     if st.phase == _INDEPENDENT:

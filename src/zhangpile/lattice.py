@@ -39,6 +39,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .core import (
+    _NO_LIMIT,
     LatticeClock,
     chain_kernel,
     check_heights,
@@ -53,7 +54,6 @@ _BOUNDARY_ALIASES = {"torus": TORUS, "box": BOX, "dissipative-box": BOX,
 
 _CHUNK = 8192           # exponential waits and uniform picks drawn per refill
 _SNAP_ROWS = 64         # snapshot rows of an engine's first row array
-_NO_LIMIT = 2**63 - 1   # event budget of a run without max_events
 _MAX_SITES = 2**31 - 1  # the neighbour table holds int32 site ids
 
 # zp_lattice return statuses (enum in _drive.c)

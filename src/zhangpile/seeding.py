@@ -31,10 +31,9 @@ class AdditionStream:
     """Prefetched (0-based site, amount) additions of an (n,[a,b]) chain.
 
     ``site_array``/``amt_array`` hold the chunk as int64/float64 arrays,
-    which the compiled kernel reads in place; ``sites``/``amts`` are the same
-    chunk as lists, built on first use.  Hot loops may keep the lists and
-    ``pos`` in locals, call ``refill()`` once ``pos`` reaches the end of the
-    chunk, and write ``pos`` back when they leave.
+    which the compiled kernel reads in place.  Python loops read the stream
+    through ``draw()``, which indexes the same chunk as lists, built on its
+    first draw; only the kernel glue reads ``pos`` and calls ``refill()``.
     """
 
     __slots__ = ("rng", "n", "a", "b", "chunk", "pos", "site_array", "amt_array",
@@ -58,22 +57,12 @@ class AdditionStream:
         self._sites = self._amts = None
         self.pos = 0
 
-    @property
-    def sites(self) -> list:
-        if self._sites is None:
-            self._sites = self.site_array.tolist()
-        return self._sites
-
-    @property
-    def amts(self) -> list:
-        if self._amts is None:
-            self._amts = self.amt_array.tolist()
-        return self._amts
-
     def draw(self) -> tuple[int, float]:
         i = self.pos
         if i >= self.site_array.size:
             self.refill()
             i = 0
+        if self._sites is None:
+            self._sites, self._amts = self.site_array.tolist(), self.amt_array.tolist()
         self.pos = i + 1
-        return self.sites[i], self.amts[i]
+        return self._sites[i], self._amts[i]

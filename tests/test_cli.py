@@ -595,6 +595,15 @@ def test_bad_intervals_and_counts_exit_1(tmp_path, argv, message):
     assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
+def test_couple_max_steps_past_int64_ends_at_the_merge(tmp_path):
+    # 2**63 wrapped to -2**63 in the kernel's int64 step limit, and the run
+    # never ended; the subprocess timeout turns that hang into a failure
+    proc = _run_cli(tmp_path, [*_COUPLE, "--max-steps", str(2**63)])
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "out.txt").read_text().splitlines()[1])
+    assert (record["merged"], record["merge_time"]) == (True, 9838)
+
+
 def _evidence(tmp_path, argv, threshold):
     """(outcome, min_M, evidence_strong) of each row of an ``infinite`` run."""
     out = tmp_path / "verdicts.jsonl"

@@ -8,7 +8,6 @@ from zhangpile.core import (
     ToppleCapError,
     TopplingPolicy,
     classify_site,
-    empty_site_of_E_class,
     in_class_E,
     in_E_b,
     is_stable,
@@ -252,11 +251,11 @@ def test_in_class_E_examples():
 
 
 def test_empty_site_of_E_class():
-    assert empty_site_of_E_class([0.0, 0.5, 0.99]) == 1
-    assert empty_site_of_E_class([0.5, 0.5, 0.0]) == 3
-    assert empty_site_of_E_class([0.0, 0.5, 0.0]) is None
-    assert empty_site_of_E_class([0.5, 0.5, 0.5]) is None
-    assert empty_site_of_E_class([0.3, 0.0, 0.9]) is None
+    assert in_class_E([0.0, 0.5, 0.99], 1)
+    assert in_class_E([0.5, 0.5, 0.0], 3)
+    # two empty sites, none, and an anomalous full site: in no E_x
+    for config in ([0.0, 0.5, 0.0], [0.5, 0.5, 0.5], [0.3, 0.0, 0.9]):
+        assert not any(in_class_E(config, x) for x in (1, 2, 3))
 
 
 @st.composite

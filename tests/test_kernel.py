@@ -30,6 +30,7 @@ from zhangpile.chain import (
     _drive_compiled,
     _drive_python,
     drive,
+    run_stationary,
 )
 from zhangpile.cli import main
 from zhangpile.core import InvariantViolation, ToppleCapError, _relax_leftmost
@@ -366,6 +367,32 @@ def test_topple_cap_raises_in_merged_pair(backend):
     with pytest.raises(ToppleCapError, match="exceeded 1 topplings"):
         c.run_steps(5, require_equal=True)
     assert c.t == 0 and c._addC.pos == 1
+
+
+def test_limits_past_int64_are_clamped(backend):
+    # ctypes stores a Python int modulo 2**64 in an int64 slot: a step limit
+    # of 2**63 read -2**63, so the kernel never advanced and run() looped
+    # forever, and a topple cap of 2**63 read -2**63, so every avalanche
+    # exceeded it
+    runs = []
+    for stop, cap in ((2**63, 2**63), (2**63 - 1, core.DEFAULT_TOPPLE_CAP)):
+        c = Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9, seed=1, cap=cap)
+        c.run(stop)
+        assert (c.phase, c.merge_time) == ("merged", 30709)
+        runs.append(_coupling_state(c))
+    assert runs[0] == runs[1]
+    chains = [ChainProcess(5, 0.6, 0.8, seed=1, cap=cap)
+              for cap in (2**63, core.DEFAULT_TOPPLE_CAP)]
+    for p in chains:
+        run_stationary(p, 0, 100)
+    assert chains[0].heights == chains[1].heights
+
+
+def test_run_steps_rejects_a_negative_count(backend):
+    c = Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9, seed=1)
+    with pytest.raises(ValueError, match="^steps must be >= 0, got -5$"):
+        c.run_steps(-5, require_equal=True)
+    assert (c.t, c.phase, c._addA.pos, c._addC.pos) == (0, "independent", 0, 0)
 
 
 # ---------------------------------------------------------------------------
