@@ -29,7 +29,7 @@ _EXPORTS = {
                 "count_internal_bonds", "generate", "markov_run", "mass_identity_check",
                 "min_m_slope", "parallel_round", "stabilizability_sweep",
                 "topple_lattice"),
-    "runio": ("ExperimentSpec", "RunRecord", "make_spec", "parse_echo"),
+    "runio": ("RunRecord", "make_spec", "parse_echo"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 # an attribute that names a submodule imports it (zhangpile.lattice.BOX after import zhangpile)

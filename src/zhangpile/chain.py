@@ -137,25 +137,18 @@ class MarginalStats:
         self.hist = np.zeros((n_sites, bins), dtype=np.int64)
         self._offsets = np.arange(n_sites, dtype=np.int64) * bins
 
-    def add_batch(self, block: np.ndarray, counts: np.ndarray | None = None) -> None:
-        """Accumulate a (samples, n_sites) block of stable configurations.
-
-        ``counts``, if given, is the block already binned into an (n_sites,
-        bins) histogram, which is added instead of binning the block again.
-        """
+    def add_batch(self, block: np.ndarray) -> None:
+        """Accumulate a (samples, n_sites) block of stable configurations."""
         block = np.asarray(block, dtype=float)
         if block.ndim != 2 or block.shape[1] != self.n_sites:
             raise ValueError("block must have shape (samples, n_sites)")
-        if counts is not None and np.shape(counts) != self.hist.shape:
-            raise ValueError("counts must have shape (n_sites, bins)")
-        if counts is None:
-            # clipped in float, as the kernel bins: a product past 2^63 would
-            # cast to INT64_MIN, and NaN goes to bin 0
-            v = block * self.bins
-            idx = np.where(v >= 0, np.minimum(v, self.bins - 1), 0).astype(np.int64)
-            flat = (idx + self._offsets).ravel()
-            counts = np.bincount(flat, minlength=self.n_sites * self.bins) \
-                       .reshape(self.n_sites, self.bins)
+        # clipped in float, as the kernel bins: a product past 2^63 would
+        # cast to INT64_MIN, and NaN goes to bin 0
+        v = block * self.bins
+        idx = np.where(v >= 0, np.minimum(v, self.bins - 1), 0).astype(np.int64)
+        flat = (idx + self._offsets).ravel()
+        counts = np.bincount(flat, minlength=self.n_sites * self.bins) \
+                   .reshape(self.n_sites, self.bins)
         self._fold(block.shape[0], block.sum(axis=0), (block * block).sum(axis=0), counts)
 
     def _fold(self, count: int, sums: np.ndarray, sumsq: np.ndarray,
@@ -224,13 +217,13 @@ def _drive_compiled(lib, proc: ChainProcess, steps: int, stats: MarginalStats | 
     h = np.array(proc.heights)
     rows = sums = sumsq = counts = None
     if stats is not None:
-        # the kernel bins each block and, with two or more sites, sums it as
+        # with two or more sites the kernel bins each block and sums it as
         # numpy would; numpy sums a one-site block pairwise, so there the
-        # block's rows go to add_batch
-        counts = np.zeros((proc.n, stats.bins), dtype=np.int64)
+        # block's rows go to add_batch, which bins them
         if proc.n == 1:
             rows = np.empty((_STATS_BLOCK, 1))
         else:
+            counts = np.zeros((proc.n, stats.bins), dtype=np.int64)
             sums, sumsq = np.zeros(proc.n), np.zeros(proc.n)
     tops = None if event_sink is None else np.empty(_STATS_BLOCK, dtype=np.int64)
     filled = 0
@@ -275,12 +268,12 @@ def _flush_block(stats: MarginalStats, filled: int, rows, sums, sumsq, counts) -
     # fold the kernel's outputs for one block of ``filled`` steps into stats
     # and clear them for the next block
     if rows is not None:
-        stats.add_batch(rows[:filled], counts=counts)
+        stats.add_batch(rows[:filled])
     else:
         stats._fold(filled, sums, sumsq, counts)
         sums.fill(0.0)
         sumsq.fill(0.0)
-    counts.fill(0)
+        counts.fill(0)
 
 
 def run_stationary(proc: ChainProcess, burn_in: int, samples: int,

@@ -58,8 +58,6 @@ def _parse_chain(text: str, option: str) -> list[float]:
 
 
 def _parse_sides(d: int, side_text: str) -> tuple[int, ...]:
-    if d < 1:
-        raise ValueError(f"--d must be >= 1, got {d}")
     vals = _parse_values("--side", str(side_text).replace(",", " ").split(), int)
     if len(vals) == 1:
         vals = vals * d
@@ -142,8 +140,6 @@ def cmd_finite_run(args) -> int:
     from .chain import ChainProcess, run_stationary
     from .runio import RunRecord, make_spec, write_jsonl
 
-    if args.burn_in < 0 or args.samples < 0:
-        raise ValueError("--burn-in and --samples must be >= 0")
     spec = make_spec("finite-run", n=args.n, a=args.a, b=args.b, seed=args.seed,
                      burn_in=args.burn_in, samples=args.samples, bins=args.bins)
     proc = ChainProcess(args.n, args.a, args.b, seed=args.seed)
@@ -346,8 +342,8 @@ def build_parser(subcommand: str | None = None) -> _Parser:
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--a", type=float, required=True)
         sp.add_argument("--b", type=float, required=True)
-        sp.add_argument("--burn-in", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=0)
+        sp.add_argument("--burn-in", type=_int_at_least(0), default=0)
+        sp.add_argument("--samples", type=_int_at_least(0), default=0)
         sp.add_argument("--bins", type=_int_at_least(1), default=256)
         sp.add_argument("--events-out", default=None,
                         help="also write the burn-in event stream as JSON lines")
@@ -368,7 +364,7 @@ def build_parser(subcommand: str | None = None) -> _Parser:
 
     def lattice(sp):
         # the geometry, clock and pool flags of infinite and sweep
-        sp.add_argument("--d", type=int, required=True)
+        sp.add_argument("--d", type=_int_at_least(1), required=True)
         sp.add_argument("--side", required=True, help="side length, or comma list per axis")
         sp.add_argument("--boundary", default="torus", help="torus | box")
         sp.add_argument("--tmax", type=float, default=100.0,

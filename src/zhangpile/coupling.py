@@ -79,9 +79,13 @@ _GATE_MESSAGES = {_ZC_DESYNC: _DESYNC, _ZC_NOT_EN: _NOT_EN, _ZC_NO_FIRE: _NO_FIR
 # closed-form constants
 # ---------------------------------------------------------------------------
 
-def _validate_abn(a: float, b: float, n: int) -> None:
+def _check_n(n: int) -> None:
     if n < 2:
         raise ValueError("coupling constants need n >= 2")
+
+
+def _validate_abn(a: float, b: float, n: int) -> None:
+    _check_n(n)
     check_window(a, b)
 
 
@@ -116,15 +120,12 @@ def contraction_base(n: int) -> float:
 def t_epsilon(a: float, b: float, n: int, eps: float) -> int:
     """Forced-contraction step budget to shrink the max height gap below eps."""
     _validate_abn(a, b, n)
-    ratio = 2.0 * eps / n
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"need 0 < 2*eps/n < 1, got {ratio}")
-    inner = math.ceil(math.log(ratio) / math.log(contraction_base(n)))
-    return 2 * math.ceil(2.0 / (a + b)) * inner
+    return math.ceil(2.0 / (a + b)) * k_epsilon(n, eps)
 
 
 def k_epsilon(n: int, eps: float) -> int:
     """Even number of forced avalanches after which the gap is below eps."""
+    _check_n(n)
     ratio = 2.0 * eps / n
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"need 0 < 2*eps/n < 1, got {ratio}")
@@ -212,28 +213,25 @@ class CoefficientTracker:
         return float(np.abs(self.coef[:, :self.n]).max())
 
     def apply_avalanche(self, side: str) -> None:
-        """Compose one full sweep: side 'N' sweeps N->1, side '1' sweeps 1->N."""
+        """Compose one full sweep: side 'N' sweeps N->1, side '1' sweeps 1->N.
+
+        Side '1' is the side-'N' sweep on the mirrored rows, flipped back
+        into a C-contiguous array, so that ``predict`` keeps its bits.
+        """
+        if side not in ("N", "1"):
+            raise ValueError(f"side must be 'N' or '1', got {side!r}")
         n = self.n
         m = np.hstack([self.coef, np.zeros((n, 1))])
-        h = np.empty_like(m)
-        new = np.zeros_like(m)
-        if side == "N":
-            h[n - 1] = m[n - 1]
-            h[n - 1, -1] += 1.0
-            for j in range(n - 2, -1, -1):
-                h[j] = m[j] + 0.5 * h[j + 1]
-            for j in range(1, n):
-                new[j] = 0.5 * h[j - 1]
-        elif side == "1":
-            h[0] = m[0]
-            h[0, -1] += 1.0
-            for j in range(1, n):
-                h[j] = m[j] + 0.5 * h[j - 1]
-            for j in range(n - 1):
-                new[j] = 0.5 * h[j + 1]
-        else:
-            raise ValueError(f"side must be 'N' or '1', got {side!r}")
-        self.coef = new
+        if side == "1":
+            m = m[::-1]
+        h = np.empty(m.shape)
+        h[n - 1] = m[n - 1]
+        h[n - 1, -1] += 1.0
+        for j in range(n - 2, -1, -1):
+            h[j] = m[j] + 0.5 * h[j + 1]
+        new = np.zeros(m.shape)
+        new[1:] = 0.5 * h[:-1]
+        self.coef = new if side == "N" else np.ascontiguousarray(new[::-1])
 
     def predict(self, eta0, s_values) -> np.ndarray:
         if len(s_values) != self.n_avalanches:

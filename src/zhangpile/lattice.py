@@ -529,27 +529,23 @@ def parallel_round(config: LatticeConfig) -> LatticeConfig:
     unstable = h >= 1.0
     if not unstable.any():
         return config.copy()
-    torus = config.boundary == TORUS
-    contrib = np.where(unstable, h, 0.0)
-    received = None
-    for ax in range(config.dim):
-        pair = _shifted(contrib, ax, 1, torus) + _shifted(contrib, ax, -1, torus)
-        received = pair if received is None else received + pair
+    received = _neighbor_sum(np.where(unstable, h, 0.0), config.boundary)
     new = np.where(unstable, 0.0, h) + received / (2 * config.dim)
     return LatticeConfig(new, config.boundary)
 
 
-# ---------------------------------------------------------------------------
-# conservation identities
-# ---------------------------------------------------------------------------
-
 def _neighbor_sum(arr: np.ndarray, boundary: str) -> np.ndarray:
+    # each axis's two neighbours are paired before they join the sum
     torus = boundary == TORUS
     out = np.zeros_like(arr)
     for ax in range(arr.ndim):
         out += _shifted(arr, ax, 1, torus) + _shifted(arr, ax, -1, torus)
     return out
 
+
+# ---------------------------------------------------------------------------
+# conservation identities
+# ---------------------------------------------------------------------------
 
 def mass_identity_check(initial: LatticeConfig, current: LatticeConfig,
                         ledger: MassLedger) -> float:
@@ -759,20 +755,11 @@ def _replica_worker(args) -> dict:
                                         max_events=max_events)
     residual = mass_identity_check(config, final, ledger)
     drift = abs(final.total_mass() - (total0 - ledger.dissipated))
-    return {
-        "outcome": verdict.outcome,
-        "t_stab": verdict.t_stab,
-        "t_end": verdict.t_end,
-        "events": verdict.events,
-        "min_m": verdict.min_m,
-        "max_m": verdict.max_m,
-        "dissipated": verdict.dissipated,
-        "min_m_slope": min_m_slope(verdict.snapshots),
-        "mass_residual": residual,
-        "mass_drift": drift,
-        "mass": total0,
-        "heights": final.heights.ravel(),    # flat float64, C order
-    }
+    row = dict(vars(verdict), min_m_slope=min_m_slope(verdict.snapshots),
+               mass_residual=residual, mass_drift=drift, mass=total0,
+               heights=final.heights.ravel())      # flat float64, C order
+    del row["snapshots"]
+    return row
 
 
 def _replica_jobs(spec: DensitySpec, sides, boundary: str, t_max: float, replicas: int,

@@ -27,25 +27,11 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Declarative description of one CLI run; JSON-serializable."""
-
-    subcommand: str
-    params: dict
-
-    def to_dict(self) -> dict:
-        return {"subcommand": self.subcommand, "params": self.params}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentSpec":
-        return cls(subcommand=d["subcommand"], params=d["params"])
-
-
-def make_spec(subcommand: str, **params) -> ExperimentSpec:
+def make_spec(subcommand: str, **params) -> dict:
+    """The ``{"subcommand", "params"}`` dict that a run's echo line holds."""
     # normalize through JSON so tuples/np scalars compare equal after round trip
     clean = json.loads(json.dumps(params, sort_keys=True, default=_jsonable))
-    return ExperimentSpec(subcommand=subcommand, params=clean)
+    return {"subcommand": subcommand, "params": clean}
 
 
 def _jsonable(v):
@@ -56,12 +42,12 @@ def _jsonable(v):
     raise TypeError(f"not JSON-serializable: {v!r}")
 
 
-def echo_payload(spec: ExperimentSpec, version: str) -> str:
-    return json.dumps({"spec": spec.to_dict(), "version": version},
+def echo_payload(spec: dict, version: str) -> str:
+    return json.dumps({"spec": spec, "version": version},
                       sort_keys=True, separators=(",", ":"))
 
 
-def echo_line(spec: ExperimentSpec, version: str) -> str:
+def echo_line(spec: dict, version: str) -> str:
     return "# " + echo_payload(spec, version)
 
 
@@ -87,14 +73,14 @@ def _fmt_row(row) -> str:
     return ",".join(parts)
 
 
-def write_csv(fobj, spec: ExperimentSpec, version: str, columns, rows) -> None:
+def write_csv(fobj, spec: dict, version: str, columns, rows) -> None:
     fobj.write(echo_line(spec, version) + "\n")
     fobj.write(",".join(columns) + "\n")
     for row in rows:
         fobj.write(_fmt_row(row) + "\n")
 
 
-def write_jsonl(fobj, spec: ExperimentSpec, version: str, records) -> None:
+def write_jsonl(fobj, spec: dict, version: str, records) -> None:
     fobj.write(echo_payload(spec, version) + "\n")
     for rec in records:
         fobj.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -107,7 +93,7 @@ class RunRecord:
     CSV payloads are row lists matched to ``columns``; JSONL payloads are dicts.
     """
 
-    spec: ExperimentSpec
+    spec: dict
     version: str
     seed: int | None
     columns: list | None = None

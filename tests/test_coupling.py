@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -120,6 +121,13 @@ def test_t_epsilon_validation():
         t_epsilon(0.2, 0.9, 3, 2.0)      # 2*eps/n >= 1
     with pytest.raises(ValueError):
         t_epsilon(0.2, 0.9, 3, 0.0)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_k_epsilon_needs_two_sites(n):
+    # k_epsilon(0, 0.1) divided by zero and k_epsilon(1, 0.1) returned 12
+    with pytest.raises(ValueError, match="coupling constants need n >= 2"):
+        k_epsilon(n, 0.1)
 
 
 def test_coupling_constants_bundle():
@@ -264,6 +272,28 @@ def test_tracker_bound_n4_k10():
         tr.apply_avalanche(side)
     assert tr.max_b <= (1 - 2.0 ** -6) ** 10 + 1e-12
     assert tr.A.shape == (10, 4)
+
+
+# sha256 of coef's bytes after the sweeps "N11N1N11", as the tracker wrote it
+# when each side had its own sweep loop; two "1"s in a row compose a
+# rightmost-first sweep with itself
+_TRACKER_COEF = {
+    2: "841c9ecd560f8fc49e0467468af36c46e39bd327c6f4688e9c9a215aa6ac69ea",
+    3: "b45844853ea0a984cbd15b0bebff0708b8d13d95bfa48cae0d9e651dda8cae92",
+    4: "8a240d919949ac3a04d292c65f176f1686ccb63cb3155f2eab0dbb73408b3d19",
+    5: "92895cb4259e3b93c064266ae1d140fb20dd0faa23290f3698b9746956ea04a9",
+    6: "3640b8c5268549709bbafa19887070610afb6b0c371e2c91a440450b8707ddc9",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_TRACKER_COEF))
+def test_tracker_coef_bits_are_pinned(n):
+    tr = CoefficientTracker(n)
+    for side in "N11N1N11":
+        tr.apply_avalanche(side)
+    # predict's matrix product reads coef in C order
+    assert tr.coef.flags.c_contiguous
+    assert hashlib.sha256(tr.coef.tobytes()).hexdigest() == _TRACKER_COEF[n]
 
 
 def test_merging_avalanche_closed_form():

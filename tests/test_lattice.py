@@ -590,6 +590,29 @@ def test_parallel_round_conserves_on_torus():
     assert abs(out.total_mass() - cfg.total_mass()) < 1e-12
 
 
+# sha256 of the heights' bytes after three rounds from uniform [0, 2) heights
+# (seed d), as parallel_round wrote them when it summed the neighbours itself
+_ROUND_HEIGHTS = {
+    ((9,), TORUS): "be63a5c5f331200a6bdcc0a61f0121230d2ff4912b802eb1617002e73a42d440",
+    ((9,), BOX): "9e1940d70c93ec7ef0aea27c051cb4b9a35e3ce169c4bdb17fff3ca3f462c173",
+    ((6, 7), TORUS): "41150481aa01467aa85d175c3aa8b136d97e4627cdc0c1101e728c2004db16ef",
+    ((6, 7), BOX): "ed3bcec8502fef72c6be468bd27625423d3507b3fa18b3e5a7651ef85dea2b29",
+    ((4, 5, 3), TORUS): "8984b1dabd1de0d5b51ac0893744c6d818bd012e4f740966b497ef12174e692b",
+    ((4, 5, 3), BOX): "bf090bb1ee7c411b42e3ebaeb6fbbe3c3f8b3c3a088f16a5ab8ca7e92ac04f79",
+}
+
+
+@pytest.mark.parametrize("sides, boundary", sorted(_ROUND_HEIGHTS),
+                         ids=[f"d{len(s)}-{b}" for s, b in sorted(_ROUND_HEIGHTS)])
+def test_parallel_round_bits_are_pinned(sides, boundary):
+    rng = np.random.default_rng(len(sides))
+    cfg = LatticeConfig(rng.uniform(0.0, 2.0, sides), boundary)
+    for _ in range(3):
+        cfg = parallel_round(cfg)
+    digest = hashlib.sha256(cfg.heights.tobytes()).hexdigest()
+    assert digest == _ROUND_HEIGHTS[sides, boundary]
+
+
 # ---------------------------------------------------------------------------
 # conservation identities
 # ---------------------------------------------------------------------------
