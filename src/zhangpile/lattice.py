@@ -24,7 +24,7 @@ the same prefetched draws, so both backends give bit-identical runs.
 
 Per-site toppling counts M and emitted mass L feed the exact bookkeeping
 identity  eta(t) = eta(0) - L + (1/2d) * sum of neighbour L.  The check sums
-the neighbours by shifting L along each axis, so it reads no neighbour table
+the neighbours by slices of L along each axis, so it reads no neighbour table
 and a wrong slot in the one the engine reads cannot cancel out of it.
 """
 
@@ -55,6 +55,7 @@ _BOUNDARY_ALIASES = {"torus": TORUS, "box": BOX, "dissipative-box": BOX,
 _CHUNK = 8192           # exponential waits and uniform picks drawn per refill
 _SNAP_ROWS = 64         # snapshot rows of an engine's first row array
 _MAX_SITES = 2**31 - 1  # the neighbour table holds int32 site ids
+_MAX_ROWS = 2**20       # snapshot rows of one engine: 40 MiB of float64 rows
 
 # zp_lattice return statuses (enum in _drive.c)
 _EVENTS, _T_MAX, _STABLE, _REFILL, _ROWS_FULL = range(5)
@@ -106,8 +107,18 @@ class LatticeConfig:
     def n_sites(self) -> int:
         return self.heights.size
 
+    @classmethod
+    def _adopt(cls, heights: np.ndarray, boundary: str) -> "LatticeConfig":
+        """A config that takes ``heights``, an array no one else holds, as its own
+        without a copy.  ``boundary`` is parsed and the sides checked already, so
+        only the heights are checked."""
+        config = cls.__new__(cls)
+        config.heights, config.boundary = np.asarray(heights, dtype=float), boundary
+        check_heights(config.heights)
+        return config
+
     def copy(self) -> "LatticeConfig":
-        return LatticeConfig(self.heights.copy(), self.boundary)
+        return LatticeConfig(self.heights, self.boundary)
 
     def is_stable(self) -> bool:
         return bool((self.heights < 1.0).all())
@@ -150,7 +161,7 @@ class MassLedger:
 
     def __init__(self, shape):
         self.shape = tuple(int(s) for s in shape)
-        n = int(np.prod(self.shape))
+        n = math.prod(self.shape)
         self._m = np.zeros(n, dtype=np.int64)
         self._lv = np.zeros(n)
         self._lc = np.zeros(n)
@@ -224,18 +235,39 @@ class StabilizabilityVerdict:
     snapshots: np.ndarray       # a copy of MarkovToppling.snapshots
 
 
-def _check_run(t_max, snapshot_every, max_events) -> float:
-    """``t_max`` as a float (an int would leave an int clock) once a run's limits pass."""
+def _check_run(t_max, snapshot_every, max_events) -> tuple[float, int | None]:
+    """``t_max`` as a float (an int would leave an int clock) and ``max_events`` as
+    an int (the kernel's limit is an int64) once a run's limits pass."""
     if not t_max > 0:                   # also rejects NaN
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     if snapshot_every is not None and not snapshot_every > 0:
         raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
-    if max_events is not None and max_events < 0:
-        raise ValueError(f"max_events must be >= 0, got {max_events}")
+    if max_events is not None:
+        try:
+            whole = int(max_events) == max_events
+        except (TypeError, ValueError, OverflowError):     # a string, NaN or inf
+            whole = False
+        if not whole:
+            raise ValueError(f"max_events must be an integer, got {max_events!r}")
+        if max_events < 0:
+            raise ValueError(f"max_events must be >= 0, got {max_events}")
+        max_events = int(max_events)
     try:
-        return float(t_max)
+        t_max = float(t_max)
     except OverflowError:
         raise ValueError("t_max must fit in a float") from None
+    # a run to t_max = inf meets the same cap in _check_rows
+    if snapshot_every is not None and t_max < math.inf and t_max / snapshot_every > _MAX_ROWS:
+        raise ValueError(f"t_max / snapshot_every must be at most {_MAX_ROWS} "
+                         f"snapshot rows, got {t_max / snapshot_every:g}")
+    return t_max, max_events
+
+
+def _check_rows(need: int) -> None:
+    """Raise ValueError if an engine's snapshots would need more than ``_MAX_ROWS`` rows."""
+    if need > _MAX_ROWS:
+        raise ValueError(f"a run of more than {_MAX_ROWS} snapshot rows is too "
+                         "large: raise snapshot_every")
 
 
 class MarkovToppling:
@@ -249,7 +281,8 @@ class MarkovToppling:
     of them); ``_where[i]`` is the slot of site ``i``, -1 if stable.  The slots
     from ``k`` on are scratch: the kernel writes them and never reads them.
     The snapshots of every run so far are the first ``_clock.n_rows`` rows of
-    the float64 array ``_rows`` (``snapshots``), which doubles when full.
+    the float64 array ``_rows`` (``snapshots``), which starts at ``_SNAP_ROWS``
+    rows and doubles when full, up to ``_MAX_ROWS``.
     """
 
     def __init__(self, config: LatticeConfig, seed: int | None = None,
@@ -268,7 +301,7 @@ class MarkovToppling:
         self._where = np.full(self.n, -1, dtype=np.int64)
         self._where[first] = np.arange(k)
         self.t_stab: float | None = 0.0 if not k else None
-        self._rows = np.empty((0, 5))
+        self._rows = np.empty((_SNAP_ROWS, 5))
         # the current chunk of exponential waits and uniform picks, from clock.pos on
         self._wait_buf = np.empty(0)
         self._pick_buf = np.empty(0)
@@ -294,7 +327,8 @@ class MarkovToppling:
 
     def _grow_rows(self, need: int) -> None:
         """Make room for ``need`` snapshot rows, keeping the filled ones."""
-        rows = np.empty((max(need, 2 * len(self._rows), _SNAP_ROWS), 5))
+        _check_rows(need)
+        rows = np.empty((min(max(need, 2 * len(self._rows)), _MAX_ROWS), 5))
         rows[:self._clock.n_rows] = self.snapshots
         self._rows = rows
 
@@ -313,7 +347,7 @@ class MarkovToppling:
         bits, and a resumed run continues the same draws.  A ``t_max`` at or
         below the engine's time leaves the engine as it is.
         """
-        t_max = _check_run(t_max, snapshot_every, max_events)
+        t_max, max_events = _check_run(t_max, snapshot_every, max_events)
         if not self._clock.k or t_max <= self.t:
             return
         next_snap = math.inf                # no snapshot is due while it is inf
@@ -354,6 +388,7 @@ class MarkovToppling:
                     if next_snap > t_max:
                         next_snap = math.inf
                         break
+                    _check_rows(clock.n_rows + len(snaps) + 1)
                     snaps.append((next_snap, k, min(m), max(m), diss))
                     next_snap += snapshot_every
                 if te > t_max:
@@ -419,7 +454,10 @@ class MarkovToppling:
         and its clock.
 
         The kernel appends snapshot rows to ``_rows`` from row ``n_rows`` on
-        and returns when the array is full, which then doubles.
+        and returns when the array is full, which then doubles.  The first
+        chunk of draws is taken here, before the first call, which would
+        return at once for it; so, with the engine's first rows, a run that
+        needs no more draws and rows is one call.
         """
         n = self.n
         led, clock = self.ledger, self._clock
@@ -448,6 +486,8 @@ class MarkovToppling:
         clock.t_max, clock.events_stop = t_max, events_stop
         clock.next_snap, clock.snapshot_every = next_snap, snapshot_every or 0.0
         clock.min_m, clock.n_min, clock.max_m = -1, 0, int(m.max())
+        if clock.pos >= _CHUNK and clock.events < events_stop:
+            self._refill()
         head = (h.ctypes.data, n, 2 * self.d, nbr.ctypes.data, missing.ctypes.data,
                 unstable.ctypes.data, where.ctypes.data, m.ctypes.data, lv.ctypes.data,
                 lc.ctypes.data, led._diss.ctypes.data)
@@ -486,7 +526,9 @@ def markov_run(config: LatticeConfig, t_max: float, seed: int | None = None,
     """One-shot Markov toppling run; returns (verdict, final config, ledger)."""
     eng = MarkovToppling(config, seed=seed, rng=rng)
     eng.run(t_max=t_max, max_events=max_events, snapshot_every=snapshot_every)
-    return eng.verdict(), eng.config(), eng.ledger
+    # the engine ends here, so the final config takes its heights
+    return (eng.verdict(), LatticeConfig._adopt(eng.h.reshape(eng.shape), eng.boundary),
+            eng.ledger)
 
 
 def min_m_slope(snapshots: np.ndarray) -> float | None:
@@ -495,28 +537,14 @@ def min_m_slope(snapshots: np.ndarray) -> float | None:
     t, y = snapshots[:, 0], snapshots[:, 2]
     if len(t) < 2 or np.ptp(t) == 0:
         return None
+    if not y.any():
+        return 0.0      # np.polyfit's least-squares solve gives +0.0 on a zero series
     return float(np.polyfit(t, y, 1)[0])
 
 
 # ---------------------------------------------------------------------------
 # parallel rounds
 # ---------------------------------------------------------------------------
-
-def _shifted(arr: np.ndarray, ax: int, off: int, torus: bool) -> np.ndarray:
-    if torus:
-        return np.roll(arr, off, axis=ax)
-    out = np.zeros_like(arr)
-    src = [slice(None)] * arr.ndim
-    dst = [slice(None)] * arr.ndim
-    if off == 1:
-        src[ax] = slice(0, -1)
-        dst[ax] = slice(1, None)
-    else:
-        src[ax] = slice(1, None)
-        dst[ax] = slice(0, -1)
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
-
 
 def parallel_round(config: LatticeConfig) -> LatticeConfig:
     """Topple every currently unstable site simultaneously (round-start heights).
@@ -535,11 +563,19 @@ def parallel_round(config: LatticeConfig) -> LatticeConfig:
 
 
 def _neighbor_sum(arr: np.ndarray, boundary: str) -> np.ndarray:
-    # each axis's two neighbours are paired before they join the sum
+    """Per site, the sum of ``arr`` over its neighbours, by slices.  Per axis the
+    lower neighbour goes into a pair buffer and the upper one is added to it (a
+    box's missing neighbour is a 0.0), and then the pair joins the sum."""
     torus = boundary == TORUS
     out = np.zeros_like(arr)
+    pair = np.empty_like(arr)
     for ax in range(arr.ndim):
-        out += _shifted(arr, ax, 1, torus) + _shifted(arr, ax, -1, torus)
+        a, p = np.swapaxes(arr, 0, ax), np.swapaxes(pair, 0, ax)    # views
+        p[1:] = a[:-1]
+        p[0] = a[-1] if torus else 0.0
+        p[:-1] += a[1:]
+        p[-1] += a[0] if torus else 0.0
+        out += pair
     return out
 
 
@@ -550,16 +586,19 @@ def _neighbor_sum(arr: np.ndarray, boundary: str) -> np.ndarray:
 def mass_identity_check(initial: LatticeConfig, current: LatticeConfig,
                         ledger: MassLedger) -> float:
     """Max residual of eta(t) = eta(0) - L + (1/2d) sum_nbr L, with the
-    neighbour sum taken by shifts of L (``_neighbor_sum``), not from the
+    neighbour sum taken by slices of L (``_neighbor_sum``), not from the
     engine's neighbour table."""
     if initial.sides != current.sides or initial.boundary != current.boundary:
         raise ValueError("initial and current geometries differ")
     if ledger.shape != initial.sides:
         raise ValueError("ledger geometry does not match the configurations")
     L = ledger._lv.reshape(ledger.shape)     # a view: nothing below writes it
-    d = initial.dim
-    pred = initial.heights - L + _neighbor_sum(L, initial.boundary) / (2 * d)
-    return float(np.abs(current.heights - pred).max())
+    received = _neighbor_sum(L, initial.boundary)
+    received /= 2 * initial.dim
+    pred = initial.heights - L
+    pred += received
+    res = np.subtract(current.heights, pred, out=pred)
+    return float(np.abs(res, out=res).max())
 
 
 # ---------------------------------------------------------------------------
@@ -702,9 +741,12 @@ def _check_density(spec: DensitySpec, sides, boundary: str) -> tuple[tuple, str]
 
 def generate(spec: DensitySpec, sides, boundary: str = TORUS,
              rng: np.random.Generator | None = None,
-             seed: int | None = None) -> LatticeConfig:
-    """Draw an initial configuration of the requested density."""
-    sides, boundary = _check_density(spec, sides, boundary)
+             seed: int | None = None, *, _checked: bool = False) -> LatticeConfig:
+    """Draw an initial configuration of the requested density.  ``_checked``
+    says that ``sides`` and ``boundary`` are what ``_check_density`` returned
+    for ``spec``."""
+    if not _checked:
+        sides, boundary = _check_density(spec, sides, boundary)
     if rng is None:
         rng = np.random.default_rng(seed)
     rho = spec.rho
@@ -728,7 +770,7 @@ def generate(spec: DensitySpec, sides, boundary: str = TORUS,
                          rng.uniform(lo, lo + s, sides))
     else:  # unreachable, kinds normalized in DensitySpec
         raise ValueError(spec.kind)
-    return LatticeConfig(h, boundary)
+    return LatticeConfig._adopt(h, boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +790,7 @@ def _replica_worker(args) -> dict:
     child = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
     rng = np.random.default_rng(child)
     spec = DensitySpec(kind, rho)
-    config = generate(spec, sides, boundary, rng=rng)
+    config = generate(spec, sides, boundary, rng=rng, _checked=True)    # by _replica_jobs
     total0 = config.total_mass()
     verdict, final, ledger = markov_run(config, t_max=t_max, rng=rng,
                                         snapshot_every=snapshot_every,

@@ -576,6 +576,15 @@ _BAD_COUNTS = [
     (["stabilize", "--chain", "0.5", "--format", "jsonl"], "unrecognized arguments: --format"),
     (["finite-run", "--n", "3", "--a", "0.2", "--b", "0.9", "--bins", "0",
       "--events-out", "{tmp}/events.jsonl"], "argument --bins: must be >= 1, got 0"),
+
+    # a snapshot row array that would outgrow the row cap: rejected before
+    # the run, or, with --tmax inf, when the array reaches the cap
+    (["infinite", *_LINE, "--snap-every", "1e-300"],
+     "t_max / snapshot_every must be at most 1048576 snapshot rows"),
+    (["sweep", *_LINE, "--snap-every", "1e-300"],
+     "t_max / snapshot_every must be at most 1048576 snapshot rows"),
+    (["infinite", *_LINE, "--tmax", "inf", "--max-events", "10", "--snap-every", "1e-300"],
+     "a run of more than 1048576 snapshot rows is too large"),
 ]
 
 

@@ -34,6 +34,7 @@ from zhangpile.chain import (
 )
 from zhangpile.cli import main
 from zhangpile.core import InvariantViolation, ToppleCapError, _relax_leftmost
+from zhangpile import lattice
 from zhangpile.coupling import Coupling
 from zhangpile.lattice import BOX, TORUS, DensitySpec, LatticeConfig, MarkovToppling, generate
 
@@ -1023,12 +1024,45 @@ def test_lattice_kernel_checks_engine_state(lib):
                     lambda e: setattr(e, "_where", e._where.astype(np.float64)),
                     lambda e: setattr(e, "h", np.repeat(e.h, 2)[::2]),
                     lambda e: e.ledger._lc.setflags(write=False),
-                    lambda e: setattr(e._clock, "n_rows", 1),
+                    lambda e: setattr(e._clock, "n_rows", len(e._rows) + 1),
                     lambda e: setattr(e.ledger, "_diss", np.zeros(1))):
         eng = MarkovToppling(cfg, seed=2)
         corrupt(eng)
         with _kernel_set(lib), pytest.raises(ValueError, match="engine state"):
             eng.run(max_events=10)
+
+
+def test_one_kernel_call_per_settling_replica(lib, monkeypatch):
+    # the first chunk of draws and the first 64 snapshot rows are in place
+    # before the first zp_lattice call, so a lattice-settle replica that
+    # settles within 8192 topplings and 64 time units makes one call; past 64
+    # rows the array grows once and the kernel is called once more
+    calls = []
+    for name in ("_refill", "_grow_rows"):
+        real = getattr(MarkovToppling, name)
+        monkeypatch.setattr(MarkovToppling, name,
+                            lambda e, *a, real=real, name=name: (calls.append(name),
+                                                                 real(e, *a))[1])
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def zp_lattice(self, *args):
+            calls.append("zp_lattice")
+            return lib.zp_lattice(*args)
+
+    monkeypatch.setattr(core, "_kernel", [Counting()])
+    jobs = lattice._replica_jobs(DensitySpec("iid", 0.6), (48, 48), BOX, 1000.0, 6, 1,
+                                 1.0, None, 0)
+    want = {0: ["_refill", "zp_lattice"],
+            5: ["_refill", "zp_lattice", "_grow_rows", "zp_lattice"]}
+    for i, calls_wanted in want.items():
+        calls.clear()
+        row = lattice._replica_worker(jobs[i])
+        assert row["outcome"] == "stabilized" and row["events"] < 8192
+        assert (row["t_stab"] < 64) == (i == 0)
+        assert calls == calls_wanted
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,54 @@ def test_engine_run_rejects_bad_arguments():
         assert line.startswith(message), (line, message)
 
 
+def test_non_integral_max_events_are_rejected_on_both_backends():
+    # max_events=1.5 raised ctypes' TypeError on the kernel, while the Python
+    # loop ran 2 topplings; a whole float runs as its int on both backends
+    cfg = generate(DensitySpec("constant", 1.1), (16,), TORUS, seed=1)
+    ends = set()
+    for kernel in _backends():
+        with _kernel_set(kernel):
+            for bad in (1.5, -0.5, math.nan, math.inf, "3"):
+                eng = MarkovToppling(cfg, seed=2)
+                with pytest.raises(ValueError, match="max_events must be an integer"):
+                    eng.run(5.0, max_events=bad)
+                assert eng.events == 0 and not len(eng._wait_buf)
+            eng = MarkovToppling(cfg, seed=2)
+            eng.run(5.0, max_events=2.0)
+        assert eng.events == 2 and type(eng.events) is int
+        ends.add((eng.t, eng.h.tobytes()))
+    assert len(ends) == 1
+    with pytest.raises(ValueError, match="max_events must be an integer"):
+        stabilizability_sweep([DensitySpec("constant", 1.1)], (16,), TORUS, 5.0, 1,
+                              max_events=1.5)
+
+
+def test_snapshot_rows_stop_at_the_row_cap(monkeypatch):
+    # run(0.5, snapshot_every=1e-300) doubled its row array until it was
+    # stopped.  A finite t_max over more rows than the cap is rejected before
+    # the run, and a run to t_max = inf stops at the cap, with the same rows
+    # and state on both backends
+    monkeypatch.setattr(lattice, "_MAX_ROWS", 100)
+    cfg = generate(DensitySpec("constant", 1.1), (16,), TORUS, seed=1)
+    every = 2.0**-8                     # exact multiples: no rounding at t_max
+    eng = MarkovToppling(cfg, seed=2)
+    with pytest.raises(ValueError, match="t_max / snapshot_every must be at most 100"):
+        eng.run(101 * every, snapshot_every=every)
+    assert eng.events == 0
+    ends = set()
+    for kernel in _backends():
+        with _kernel_set(kernel):
+            eng = MarkovToppling(cfg, seed=2)
+            eng.run(100 * every, snapshot_every=every)
+            assert eng.snapshots.shape == eng._rows.shape == (100, 5)
+            eng = MarkovToppling(cfg, seed=2)
+            with pytest.raises(ValueError, match="more than 100 snapshot rows"):
+                eng.run(math.inf, max_events=10, snapshot_every=1e-300)
+        assert eng.snapshots.shape == (100, 5) and eng.events == 0
+        ends.add((eng.t, eng._clock.pos, eng.snapshots.tobytes()))
+    assert len(ends) == 1
+
+
 def test_single_unstable_site_stabilizes():
     cfg = _line([0.0, 1.3, 0.0, 0.0], BOX)
     verdict, final, ledger = markov_run(cfg, t_max=100.0, seed=1)
@@ -421,6 +469,19 @@ def test_snapshot_rows_do_not_depend_on_where_runs_resume():
         assert whole.snapshots.tobytes() == cut.snapshots.tobytes()
         rows[kernel] = whole.snapshots.tobytes()
     assert len(set(rows.values())) == 1
+
+
+def test_min_m_slope_of_a_zero_min_m_column_is_polyfits_bits():
+    # min_m_slope skips the least-squares solve when min M stayed 0, as on
+    # every lattice-settle replica; the solve gives +0.0 there
+    for every, first in ((1.0, 1.0), (0.125, 3.0), (0.3, 0.3)):
+        for n in range(2, 2001):
+            rows = np.zeros((n, 5))
+            rows[:, 0] = first + every * np.arange(n)
+            want = float(np.polyfit(rows[:, 0], rows[:, 2], 1)[0])
+            got = min_m_slope(rows)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (every, n)
 
 
 def test_no_snapshots_give_an_empty_row_array():
@@ -704,11 +765,61 @@ def _neighbor_sum_loop(L, boundary):
     return out
 
 
+def _shifted_reference(arr, ax, off, torus):
+    """``arr`` shifted by ``off`` along ``ax``: rolled on a torus, zero-filled
+    on a box (the shifts ``lattice._neighbor_sum`` summed before it sliced)."""
+    if torus:
+        return np.roll(arr, off, axis=ax)
+    out = np.zeros_like(arr)
+    src = [slice(None)] * arr.ndim
+    dst = [slice(None)] * arr.ndim
+    if off == 1:
+        src[ax], dst[ax] = slice(0, -1), slice(1, None)
+    else:
+        src[ax], dst[ax] = slice(1, None), slice(0, -1)
+    out[tuple(dst)] = arr[tuple(src)]
+    return out
+
+
+def _neighbor_sum_reference(arr, boundary):
+    torus = boundary == TORUS
+    out = np.zeros_like(arr)
+    for ax in range(arr.ndim):
+        out += _shifted_reference(arr, ax, 1, torus) + _shifted_reference(arr, ax, -1, torus)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_neighbor_sum_by_slices_keeps_the_shifts_bits(data):
+    # sides from 2 on tori and from 1 on boxes, with signed zeros, NaNs and
+    # infinities among the values
+    shape, boundary = data.draw(_geometry(min_torus_side=2))
+    n = int(np.prod(shape))
+    arr = np.reshape(data.draw(st.lists(_WIDE_FLOATS, min_size=n, max_size=n)), shape)
+    with np.errstate(all="ignore"):
+        got = lattice._neighbor_sum(arr, boundary)
+        want = _neighbor_sum_reference(arr, boundary)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_neighbor_sum_by_slices_on_the_smallest_sides():
+    rng = np.random.default_rng(0)
+    for shape in [(1,), (2,), (3,), (1, 1), (2, 1), (2, 2), (1, 2, 3), (2, 2, 2)]:
+        for boundary in (TORUS, BOX):
+            if boundary == TORUS and min(shape) < 2:
+                continue
+            arr = rng.uniform(-2.0, 2.0, shape)
+            arr.flat[0] = -0.0
+            got = lattice._neighbor_sum(arr, boundary)
+            assert got.tobytes() == _neighbor_sum_reference(arr, boundary).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_mass_identity_check_is_the_direct_neighbour_sum(data):
     # the residual with each site's neighbours summed by a coordinate loop,
-    # axis by axis as the shifts sum them
+    # axis by axis as the slices sum them
     shape, boundary = data.draw(_geometry(min_torus_side=2))
     n = int(np.prod(shape))
     heights = st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n)
