@@ -55,7 +55,7 @@ _BOUNDARY_ALIASES = {"torus": TORUS, "box": BOX, "dissipative-box": BOX,
 _CHUNK = 8192           # exponential waits and uniform picks drawn per refill
 _SNAP_ROWS = 64         # snapshot rows of an engine's first row array
 _MAX_SITES = 2**31 - 1  # the neighbour table holds int32 site ids
-_MAX_ROWS = 2**20       # snapshot rows of one engine: 40 MiB of float64 rows
+_MAX_ROWS = 2**24       # snapshot rows of one engine: 640 MiB, t = 1.7e7 by unit steps
 
 # zp_lattice return statuses (enum in _drive.c)
 _EVENTS, _T_MAX, _STABLE, _REFILL, _ROWS_FULL = range(5)
@@ -107,18 +107,8 @@ class LatticeConfig:
     def n_sites(self) -> int:
         return self.heights.size
 
-    @classmethod
-    def _adopt(cls, heights: np.ndarray, boundary: str) -> "LatticeConfig":
-        """A config that takes ``heights``, an array no one else holds, as its own
-        without a copy.  ``boundary`` is parsed and the sides checked already, so
-        only the heights are checked."""
-        config = cls.__new__(cls)
-        config.heights, config.boundary = np.asarray(heights, dtype=float), boundary
-        check_heights(config.heights)
-        return config
-
     def copy(self) -> "LatticeConfig":
-        return LatticeConfig(self.heights, self.boundary)
+        return LatticeConfig(self.heights.copy(), self.boundary)
 
     def is_stable(self) -> bool:
         return bool((self.heights < 1.0).all())
@@ -161,7 +151,7 @@ class MassLedger:
 
     def __init__(self, shape):
         self.shape = tuple(int(s) for s in shape)
-        n = math.prod(self.shape)
+        n = int(np.prod(self.shape))
         self._m = np.zeros(n, dtype=np.int64)
         self._lv = np.zeros(n)
         self._lc = np.zeros(n)
@@ -235,9 +225,10 @@ class StabilizabilityVerdict:
     snapshots: np.ndarray       # a copy of MarkovToppling.snapshots
 
 
-def _check_run(t_max, snapshot_every, max_events) -> tuple[float, int | None]:
-    """``t_max`` as a float (an int would leave an int clock) and ``max_events`` as
-    an int (the kernel's limit is an int64) once a run's limits pass."""
+def _check_run(t_max, snapshot_every, max_events) -> tuple[float, float | None, int | None]:
+    """``t_max`` and ``snapshot_every`` as floats (an int would leave an int
+    clock) and ``max_events`` as an int (the kernel's limit is an int64) once a
+    run's limits pass."""
     if not t_max > 0:                   # also rejects NaN
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     if snapshot_every is not None and not snapshot_every > 0:
@@ -256,11 +247,15 @@ def _check_run(t_max, snapshot_every, max_events) -> tuple[float, int | None]:
         t_max = float(t_max)
     except OverflowError:
         raise ValueError("t_max must fit in a float") from None
+    try:
+        snapshot_every = None if snapshot_every is None else float(snapshot_every)
+    except OverflowError:
+        raise ValueError("snapshot_every must fit in a float") from None
     # a run to t_max = inf meets the same cap in _check_rows
     if snapshot_every is not None and t_max < math.inf and t_max / snapshot_every > _MAX_ROWS:
         raise ValueError(f"t_max / snapshot_every must be at most {_MAX_ROWS} "
                          f"snapshot rows, got {t_max / snapshot_every:g}")
-    return t_max, max_events
+    return t_max, snapshot_every, max_events
 
 
 def _check_rows(need: int) -> None:
@@ -347,7 +342,7 @@ class MarkovToppling:
         bits, and a resumed run continues the same draws.  A ``t_max`` at or
         below the engine's time leaves the engine as it is.
         """
-        t_max, max_events = _check_run(t_max, snapshot_every, max_events)
+        t_max, snapshot_every, max_events = _check_run(t_max, snapshot_every, max_events)
         if not self._clock.k or t_max <= self.t:
             return
         next_snap = math.inf                # no snapshot is due while it is inf
@@ -376,6 +371,7 @@ class MarkovToppling:
         chunk = _CHUNK
         waits, picks = self._wait_buf.tolist(), self._pick_buf.tolist()
         snaps = []
+        room = _MAX_ROWS - clock.n_rows     # snapshot rows left under the cap
         try:
             while events < events_stop:
                 if pos >= chunk:
@@ -388,7 +384,8 @@ class MarkovToppling:
                     if next_snap > t_max:
                         next_snap = math.inf
                         break
-                    _check_rows(clock.n_rows + len(snaps) + 1)
+                    if len(snaps) >= room:
+                        _check_rows(clock.n_rows + len(snaps) + 1)
                     snaps.append((next_snap, k, min(m), max(m), diss))
                     next_snap += snapshot_every
                 if te > t_max:
@@ -526,9 +523,7 @@ def markov_run(config: LatticeConfig, t_max: float, seed: int | None = None,
     """One-shot Markov toppling run; returns (verdict, final config, ledger)."""
     eng = MarkovToppling(config, seed=seed, rng=rng)
     eng.run(t_max=t_max, max_events=max_events, snapshot_every=snapshot_every)
-    # the engine ends here, so the final config takes its heights
-    return (eng.verdict(), LatticeConfig._adopt(eng.h.reshape(eng.shape), eng.boundary),
-            eng.ledger)
+    return eng.verdict(), eng.config(), eng.ledger
 
 
 def min_m_slope(snapshots: np.ndarray) -> float | None:
@@ -741,12 +736,9 @@ def _check_density(spec: DensitySpec, sides, boundary: str) -> tuple[tuple, str]
 
 def generate(spec: DensitySpec, sides, boundary: str = TORUS,
              rng: np.random.Generator | None = None,
-             seed: int | None = None, *, _checked: bool = False) -> LatticeConfig:
-    """Draw an initial configuration of the requested density.  ``_checked``
-    says that ``sides`` and ``boundary`` are what ``_check_density`` returned
-    for ``spec``."""
-    if not _checked:
-        sides, boundary = _check_density(spec, sides, boundary)
+             seed: int | None = None) -> LatticeConfig:
+    """Draw an initial configuration of the requested density."""
+    sides, boundary = _check_density(spec, sides, boundary)
     if rng is None:
         rng = np.random.default_rng(seed)
     rho = spec.rho
@@ -770,7 +762,7 @@ def generate(spec: DensitySpec, sides, boundary: str = TORUS,
                          rng.uniform(lo, lo + s, sides))
     else:  # unreachable, kinds normalized in DensitySpec
         raise ValueError(spec.kind)
-    return LatticeConfig._adopt(h, boundary)
+    return LatticeConfig(h, boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +782,7 @@ def _replica_worker(args) -> dict:
     child = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
     rng = np.random.default_rng(child)
     spec = DensitySpec(kind, rho)
-    config = generate(spec, sides, boundary, rng=rng, _checked=True)    # by _replica_jobs
+    config = generate(spec, sides, boundary, rng=rng)
     total0 = config.total_mass()
     verdict, final, ledger = markov_run(config, t_max=t_max, rng=rng,
                                         snapshot_every=snapshot_every,

@@ -181,6 +181,7 @@ def test_engine_run_rejects_bad_arguments():
            "t_max=5, snapshot_every=0": "snapshot_every must be positive",
            "t_max=5, snapshot_every=-1": "snapshot_every must be positive",
            "t_max=5, snapshot_every=math.nan": "snapshot_every must be positive",
+           "t_max=5, snapshot_every=10**400": "snapshot_every must fit in a float",
            "t_max=5, max_events=-1": "max_events must be >= 0"}
     code = ["import math",
             "from zhangpile.lattice import DensitySpec, MarkovToppling, generate",
