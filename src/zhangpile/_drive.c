@@ -15,10 +15,86 @@
  * included: max M is kept per toppling and min M with the count of sites at
  * it, so a snapshot makes no pass over the lattice unless that count drops
  * to 0.
+ * zp_fill draws a chunk of an addition stream (seeding.AdditionStream) from
+ * numpy's PCG64, bit for bit as numpy's own integers and uniform calls do.
  */
 #include <stdint.h>
 #include <math.h>
 #include <string.h>
+
+/* numpy's PCG64: a 128-bit LCG with numpy's multiplier, stepped before each
+ * output, and the XSL-RR output function (O'Neill, PCG, HMC-CS-2014-0905). */
+typedef unsigned __int128 u128;
+
+typedef struct {
+    u128 state, inc;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64;
+
+static inline uint64_t pcg64_next64(pcg64 *g)
+{
+    const u128 mult = (u128)2549297995355413924ULL << 64 | 4865540595714422341ULL;
+    g->state = g->state * mult + g->inc;
+    uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+/* numpy's next_uint32 of PCG64: the low half of a 64-bit output, and its high
+ * half kept for the next call */
+static inline uint32_t pcg64_next32(pcg64 *g)
+{
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return g->uinteger;
+    }
+    uint64_t next = pcg64_next64(g);
+    g->has_uint32 = 1;
+    g->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+/* One chunk of an addition stream, as rng.integers(0, n, m, dtype=np.int64)
+ * and then rng.uniform(a, b, m) draw it: sites by numpy's 32-bit Lemire
+ * rejection (Lemire, ACM TOMACS 29, 2019), which numpy takes for
+ * 0 < n - 1 < 2^32 - 1, or all 0 without a draw for n = 1; amounts as
+ * a + (b - a) * ((u64 >> 11) * 2^-53).  pcg holds the state, high half first,
+ * the increment likewise, has_uint32 and uinteger, and is updated in place.
+ * Returns 0, or -1 without a draw for an n outside 1..2^32 - 1, where numpy
+ * takes other branches. */
+int32_t zp_fill(uint64_t *pcg, int64_t n, double a, double b, int64_t m, int64_t *sites,
+                double *amts)
+{
+    if (n < 1 || n - 1 >= (int64_t)UINT32_MAX)
+        return -1;
+    pcg64 g = {(u128)pcg[0] << 64 | pcg[1], (u128)pcg[2] << 64 | pcg[3], (int)pcg[4],
+               (uint32_t)pcg[5]};
+    if (n == 1) {
+        memset(sites, 0, (size_t)m * sizeof(int64_t));
+    } else {
+        uint32_t rng = (uint32_t)(n - 1), excl = rng + 1;
+        uint32_t threshold = (UINT32_MAX - rng) % excl;
+        for (int64_t i = 0; i < m; i++) {
+            uint64_t prod = (uint64_t)pcg64_next32(&g) * excl;
+            /* excl bounds the threshold, so most draws skip the second test */
+            if ((uint32_t)prod < excl)
+                while ((uint32_t)prod < threshold)
+                    prod = (uint64_t)pcg64_next32(&g) * excl;
+            sites[i] = (int64_t)(prod >> 32);
+        }
+    }
+    double scale = b - a;
+    for (int64_t i = 0; i < m; i++)
+        amts[i] = a + scale * ((double)(pcg64_next64(&g) >> 11) * (1.0 / 9007199254740992.0));
+    pcg[0] = (uint64_t)(g.state >> 64);
+    pcg[1] = (uint64_t)g.state;
+    pcg[2] = (uint64_t)(g.inc >> 64);
+    pcg[3] = (uint64_t)g.inc;
+    pcg[4] = (uint64_t)g.has_uint32;
+    pcg[5] = g.uinteger;
+    return 0;
+}
 
 /* The step-back scan of core._relax_leftmost: topple the site under the
  * cursor if h >= 1, step back to x-1 if that site became unstable, otherwise
@@ -154,10 +230,10 @@ enum { ZC_CON_SITE, ZC_CON_LIGHT, ZC_MER_SITE, ZC_MER_WINDOW, ZC_MER_TOPPLE };
 enum { ZC_DONE, ZC_REFILL, ZC_CAP, ZC_DESYNC, ZC_NOT_EN, ZC_BAD_SITE, ZC_STAGE,
        ZC_NO_FIRE, ZC_COUNT, ZC_SITE, ZC_UNEQUAL };
 
-/* The arrays of one zp_couple call: the heights, and the eps schedule and
- * the bounds d_k (n-1 values each). */
+/* The arrays of one zp_couple call: the heights, n doubles of scratch for
+ * relax_pair, and the eps schedule and the bounds d_k (n-1 values each). */
 typedef struct {
-    double *hA, *hB;
+    double *hA, *hB, *saved;
     int64_t n, cap;
     const double *eps, *dbound;
 } pair_arrays;
@@ -346,9 +422,67 @@ static int32_t merging_step(const pair_arrays *c, zp_pair *st, int64_t x, double
     return ZC_DONE;
 }
 
+/* relax for both chains of a merged pair after an addition at x made both
+ * unstable: one step-back scan topples hA and hB together while every
+ * toppling decision agrees, each chain with its own float operations.  Where
+ * the decisions first differ, each chain's own relax resumes from its own
+ * cursor with the topplings left under cap.  saved holds hB from before the
+ * addition, which is put back if chain A trips the cap, so every state, the
+ * cap error included, is that of add(hA) and then add(hB).  Returns ZC_DONE
+ * or ZC_CAP. */
+static int32_t relax_pair(double *hA, double *hB, const double *saved, int64_t n,
+                          int64_t x, int64_t cap)
+{
+    int64_t total = 0, xB;
+    while (x < n) {
+        int stable = hA[x] < 1.0;
+        if (stable != (hB[x] < 1.0)) {
+            xB = x;
+            goto split;
+        }
+        if (stable) {
+            x++;
+            continue;
+        }
+        double halfA = hA[x] * 0.5, halfB = hB[x] * 0.5;
+        hA[x] = 0.0;
+        hB[x] = 0.0;
+        if (++total > cap)
+            goto cap_a;
+        if (x < n - 1) {
+            hA[x + 1] += halfA;
+            hB[x + 1] += halfB;
+        }
+        if (x > 0) {
+            hA[x - 1] += halfA;
+            hB[x - 1] += halfB;
+            int back = hA[x - 1] >= 1.0;
+            if (back != (hB[x - 1] >= 1.0)) {
+                xB = back ? x + 1 : x - 1;
+                x = back ? x - 1 : x + 1;
+                goto split;
+            }
+            if (back) {
+                x--;
+                continue;
+            }
+        }
+        x++;
+    }
+    return ZC_DONE;
+split:
+    if (relax(hA, n, x, cap - total) < 0)
+        goto cap_a;
+    return relax(hB, n, xB, cap - total) < 0 ? ZC_CAP : ZC_DONE;
+cap_a:
+    memcpy(hB, saved, (size_t)n * sizeof(double));
+    return ZC_CAP;
+}
+
 /* coupling.Coupling._step_merged, step after step, until t reaches t_stop,
- * the chunk ends or the topple cap trips: both chains take the same addition
- * and relax on their own, so a broken merge still counts in differed. */
+ * the chunk ends or the topple cap trips: both chains take the same addition,
+ * relaxed by relax_pair where it makes both unstable and on their own
+ * otherwise, so a broken merge still counts in differed. */
 static int32_t merged_steps(const pair_arrays *c, zp_pair *st, const int64_t *sites,
                             const double *amts, int64_t len)
 {
@@ -364,10 +498,24 @@ static int32_t merged_steps(const pair_arrays *c, zp_pair *st, const int64_t *si
             status = ZC_BAD_SITE;
             break;
         }
-        if (add(hA, n, x, amts[i], cap) < 0 || add(hB, n, x, amts[i], cap) < 0) {
-            status = ZC_CAP;
-            break;
+        double vA = hA[x] + amts[i], vB = hB[x] + amts[i];
+        if (vA >= 1.0 && vB >= 1.0) {
+            memcpy(c->saved, hB, (size_t)n * sizeof(double));
+            hA[x] = vA;
+            hB[x] = vB;
+            status = relax_pair(hA, hB, c->saved, n, x, cap);
+        } else {
+            hA[x] = vA;
+            if (vA >= 1.0 && relax(hA, n, x, cap) < 0) {
+                status = ZC_CAP;
+            } else {
+                hB[x] = vB;
+                if (vB >= 1.0 && relax(hB, n, x, cap) < 0)
+                    status = ZC_CAP;
+            }
         }
+        if (status != ZC_DONE)
+            break;
         differed += differ(hA, hB, n);
     }
     st->steps[ZC_MERGED] += i;
@@ -409,13 +557,13 @@ static inline int32_t own_step(double *h, int64_t n, int64_t cap, const int64_t 
  * reaches t_stop, a chunk the running phase needs is used up or a gate
  * trips; a call that reaches the merge returns there, and one that starts
  * merged runs the merged pair. */
-int32_t zp_couple(double *hA, double *hB, int64_t n, int64_t cap,
+int32_t zp_couple(double *hA, double *hB, double *saved, int64_t n, int64_t cap,
                   const int64_t *sitesA, const double *amtsA, int64_t lenA,
                   const int64_t *sitesB, const double *amtsB, int64_t lenB,
                   const int64_t *sitesC, const double *amtsC, int64_t lenC,
                   const double *eps, const double *dbound, zp_pair *st)
 {
-    const pair_arrays c = {hA, hB, n, cap, eps, dbound};
+    const pair_arrays c = {hA, hB, saved, n, cap, eps, dbound};
     if (st->phase == ZC_MERGED)
         return merged_steps(&c, st, sitesC, amtsC, lenC);
     int32_t status = ZC_DONE;

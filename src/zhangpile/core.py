@@ -15,8 +15,8 @@ contraction check.  It runs the step-back scan of ``relax`` in the compiled
 kernel (``_drive.c``), which ``chain_kernel`` builds and loads, so the two
 backends topple in the same order with the same float operations.
 Rightmost-first relaxation is leftmost-first on the mirrored chain.  The same
-library holds the coupling, its merged pair included, and the lattice clock
-of ``lattice.MarkovToppling``.
+library holds the coupling, its merged pair included, the lattice clock of
+``lattice.MarkovToppling`` and the fill of ``seeding.AdditionStream``'s chunks.
 """
 
 from __future__ import annotations
@@ -128,6 +128,21 @@ def check_window(a: float, b: float) -> None:
         raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
 
 
+def check_count(value, name: str) -> int:
+    """``value``, a step or event count, as an int once it is a whole number
+    >= 0: NaN, infinities, other non-integral values and negatives raise
+    ValueError, since the kernels take counts as int64."""
+    try:
+        whole = int(value) == value
+    except (TypeError, ValueError, OverflowError):     # a string, NaN or inf
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return int(value)
+
+
 def check_heights(arr: np.ndarray) -> None:
     """Raise ValueError unless every height is finite and nonnegative, and so
     is their total, which bounds every height a toppling can make."""
@@ -236,7 +251,8 @@ def _relax_leftmost(h: list, start: int, cap: int = DEFAULT_TOPPLE_CAP,
 # ---------------------------------------------------------------------------
 # _drive.c does the float operations of _relax_leftmost (the same step-back
 # scan), of the coupling in all four phases and of the lattice clock in the
-# same order, so both backends give bit-identical results.  It is compiled
+# same order, so both backends give bit-identical results, and draws the
+# addition streams' chunks as numpy's calls do.  It is compiled
 # with gcc on first use and cached next to the bytecode; wherever the build
 # or the load fails, the callers run their Python loops instead.
 
@@ -295,9 +311,11 @@ def _build_kernel(cache: Path, cc: str = "gcc") -> ctypes.CDLL | None:
     lib.zp_lattice.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
                                ptr, i64, ctypes.POINTER(LatticeClock), ptr, i64]
     lib.zp_lattice.restype = ctypes.c_int32
-    lib.zp_couple.argtypes = [ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, i64,
+    lib.zp_couple.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, i64,
                               ptr, ptr, ctypes.POINTER(CouplingState)]
     lib.zp_couple.restype = ctypes.c_int32
+    lib.zp_fill.argtypes = [ptr, i64, ctypes.c_double, ctypes.c_double, i64, ptr, ptr]
+    lib.zp_fill.restype = ctypes.c_int32
     return lib
 
 

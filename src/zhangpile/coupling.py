@@ -42,6 +42,7 @@ from .core import (
     _relax_leftmost,
     cap_error,
     chain_kernel,
+    check_count,
     check_window,
     stable_heights,
 )
@@ -299,11 +300,13 @@ class Coupling:
         self._chunk_args: list = [None] * 3
         consts = coupling_constants(a, b, n)
         # zp_couple's arrays: the eps schedule and the bounds d_k, which the
-        # Python reference reads too, and the heights of a call
+        # Python reference reads too, the heights of a call and the merged
+        # pair's scratch copy of chain B
         self._eps = (ctypes.c_double * (n - 1))(*consts.eps_schedule[:n - 1])
         self._dbound = (ctypes.c_double * (n - 1))(*consts.d_bounds)
         self._cA = (ctypes.c_double * n)()
         self._cB = (ctypes.c_double * n)()
+        self._cS = (ctypes.c_double * n)()
         self._st = st = CouplingState(half=0.5 * (a + b), eps1=consts.eps1, tol=_EQ_TOL,
                                       a=a, b=b, target=n, ebA=_eb_side(self.hA),
                                       ebB=_eb_side(self.hB))
@@ -524,17 +527,18 @@ class Coupling:
     # -- driving ---------------------------------------------------------------
 
     def run(self, max_steps: int) -> None:
-        """Step until merged or ``max_steps`` total steps.
+        """Step until merged or ``max_steps`` total steps, a whole number >= 0.
 
         The whole coupling up to the merge, restarts included, runs on the
         compiled kernel if it loads and the streams are not recorded, in one
         ``zp_couple`` call per stream chunk; the call that reaches the merge
         returns there.  Otherwise the Python reference steps the pair.
         """
-        self._drive(max_steps, past_merge=False)
+        self._drive(check_count(max_steps, "max_steps"), past_merge=False)
 
     def run_steps(self, steps: int, require_equal: bool = False) -> bool:
-        """Advance ``steps`` steps, in whatever phases they fall.
+        """Advance ``steps`` steps, a whole number >= 0, in whatever phases
+        they fall.
 
         Returns False if ``require_equal`` is set and the chains differed
         after some step, else True; on a merged pair that is the check that
@@ -542,9 +546,7 @@ class Coupling:
         and the streams are not recorded, in one ``zp_couple`` call per stream
         chunk and one more past the merge; otherwise on the Python reference.
         """
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
-        differed = self._drive(self.t + steps, past_merge=True)
+        differed = self._drive(self.t + check_count(steps, "steps"), past_merge=True)
         return not (require_equal and differed)
 
     def _drive(self, stop: int, past_merge: bool) -> int:
@@ -626,7 +628,7 @@ class Coupling:
         st.posA, st.posB, st.posC = (add.pos for add in streams)
         try:
             while True:
-                status = lib.zp_couple(hA, hB, n, min(self.cap, _NO_LIMIT),
+                status = lib.zp_couple(hA, hB, self._cS, n, min(self.cap, _NO_LIMIT),
                                        *self._kernel_chunks(streams),
                                        self._eps, self._dbound, ctypes.byref(st))
                 if status == _ZC_REFILL:
@@ -735,12 +737,11 @@ def coupling_sweep(n: int, a: float, b: float, seeds, max_steps: int,
     """One coupling run per seed; results in seed order regardless of workers.
 
     With ``post_merge_steps`` > 0, merged pairs are driven that many further
-    steps while checking that they stay identical.
+    steps while checking that they stay identical.  Both step counts are
+    whole numbers >= 0.
     """
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    if post_merge_steps < 0:
-        raise ValueError(f"post_merge_steps must be >= 0, got {post_merge_steps}")
+    max_steps = check_count(max_steps, "max_steps")
+    post_merge_steps = check_count(post_merge_steps, "post_merge_steps")
     init_a, init_b = _check_init(init_a, n), _check_init(init_b, n)
     _validate_abn(a, b, n)
     seeds = [int(s) for s in seeds]

@@ -42,6 +42,7 @@ from .core import (
     _NO_LIMIT,
     LatticeClock,
     chain_kernel,
+    check_count,
     check_heights,
     kernel_buffer_ok,
 )
@@ -234,15 +235,7 @@ def _check_run(t_max, snapshot_every, max_events) -> tuple[float, float | None, 
     if snapshot_every is not None and not snapshot_every > 0:
         raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
     if max_events is not None:
-        try:
-            whole = int(max_events) == max_events
-        except (TypeError, ValueError, OverflowError):     # a string, NaN or inf
-            whole = False
-        if not whole:
-            raise ValueError(f"max_events must be an integer, got {max_events!r}")
-        if max_events < 0:
-            raise ValueError(f"max_events must be >= 0, got {max_events}")
-        max_events = int(max_events)
+        max_events = check_count(max_events, "max_events")
     try:
         t_max = float(t_max)
     except OverflowError:

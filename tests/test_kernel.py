@@ -5,9 +5,11 @@ results, or shows that a kernel gate fails where the Python one does.
 """
 
 import copy
+import ctypes
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import shutil
 import subprocess
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 import zhangpile
 import zhangpile.core as core
-from zhangpile import coupling
+from zhangpile import coupling, seeding
 from zhangpile.chain import (
     ChainProcess,
     MarginalStats,
@@ -127,6 +129,95 @@ def test_drive_uses_the_kernel_and_matches_fallback(lib, monkeypatch):
         drive(p, 1000)
         drive(p, 5000, stats=stats)
         runs.append((_bits(p.heights), p.t, _bits(stats._sum), stats.hist.tobytes()))
+    assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# addition streams: zp_fill against numpy's own calls
+# ---------------------------------------------------------------------------
+
+def _fills(monkeypatch):
+    """The calls of seeding._fill from here on, one entry each."""
+    calls = []
+    fill = seeding._fill
+    monkeypatch.setattr(seeding, "_fill", lambda *args: (calls.append(1), fill(*args))[1])
+    return calls
+
+
+def _refills_match_numpy(rng, n, a, b, chunk, refills=3) -> list:
+    """Refill an AdditionStream on ``rng`` ``refills`` times, checking each
+    chunk and the generator's state against numpy's calls on a copy of it;
+    returns has_uint32 (a PCG64's) after each refill."""
+    ref = copy.deepcopy(rng)
+    add = seeding.AdditionStream(rng, n, a, b, chunk)
+    carried = []
+    for _ in range(refills):
+        add.refill()
+        sites = ref.integers(0, n, chunk, dtype=np.int64)
+        amts = ref.uniform(a, b, chunk)
+        assert add.site_array.tobytes() == sites.tobytes()
+        assert _bits(add.amt_array) == _bits(amts)
+        # pickled, since an MT19937 state holds an array
+        assert pickle.dumps(rng.bit_generator.state) == pickle.dumps(ref.bit_generator.state)
+        carried.append(rng.bit_generator.state.get("has_uint32"))
+    return carried
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 30, 2**31 + 1])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.2, 0.9), (0.5, 0.5000000000000001)])
+@pytest.mark.parametrize("chunk", [1, 7, 4096, 8192])
+def test_fill_draws_numpys_chunks(lib, monkeypatch, n, a, b, chunk):
+    # sites, amounts and generator state bit for bit, three refills in a
+    # row; 2^31 + 1 sites reject about half of numpy's 32-bit draws
+    monkeypatch.setattr(core, "_kernel", [lib])
+    calls = _fills(monkeypatch)
+    carried = _refills_match_numpy(np.random.default_rng(n + chunk), n, a, b, chunk)
+    assert len(calls) == 3
+    if n == 1:          # no site draws, so no 32-bit half kept
+        assert carried == [0, 0, 0]
+    elif chunk % 2 and n < 2**31:       # an odd count of 32-bit draws
+        assert carried == [1, 0, 1]
+
+
+def test_fill_takes_over_a_kept_32_bit_half(lib, monkeypatch):
+    monkeypatch.setattr(core, "_kernel", [lib])
+    rng = np.random.default_rng(5)
+    rng.integers(0, 3)      # numpy keeps the high half of the 64-bit output
+    assert rng.bit_generator.state["has_uint32"] == 1
+    assert _refills_match_numpy(rng, 3, 0.2, 0.9, 4096) == [1, 1, 1]
+
+
+@pytest.mark.parametrize("rng, n", [
+    (np.random.default_rng(3), 2**32),          # numpy's full 32-bit range
+    (np.random.default_rng(3), 2**32 + 1),      # numpy's 64-bit Lemire branch
+    (np.random.Generator(np.random.MT19937(3)), 3)])
+def test_fill_leaves_other_draws_to_numpy(lib, monkeypatch, rng, n):
+    monkeypatch.setattr(core, "_kernel", [lib])
+    calls = _fills(monkeypatch)
+    _refills_match_numpy(rng, n, 0.2, 0.9, 5)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [0, 2**32, 2**32 + 1])
+def test_kernel_fill_refuses_numpys_other_branches(lib, n):
+    # zp_fill's own guard: no draw and no write, not a division by zero
+    words = (ctypes.c_uint64 * 6)(1, 2, 3, 4, 1, 5)
+    sites = np.full(4, -1, dtype=np.int64)
+    amts = np.full(4, -1.0)
+    assert lib.zp_fill(words, n, 0.2, 0.9, 4, sites.ctypes.data, amts.ctypes.data) == -1
+    assert (list(words), sites.tolist(), amts.tolist()) == ([1, 2, 3, 4, 1, 5], [-1] * 4,
+                                                            [-1.0] * 4)
+
+
+def test_chain_streams_alike_through_the_fill(lib, monkeypatch):
+    # the chain engine's 4096-addition chunks on the fill and on numpy
+    runs = []
+    for kernel in (lib, None):
+        monkeypatch.setattr(core, "_kernel", [kernel])
+        p = ChainProcess(7, 0.3, 0.8, seed=11)
+        drive(p, 10_000)
+        runs.append((_bits(p.heights), p._additions.site_array.tobytes(),
+                     p._additions.rng.bit_generator.state))
     assert runs[0] == runs[1]
 
 
@@ -396,6 +487,107 @@ def test_run_steps_rejects_a_negative_count(backend):
     assert (c.t, c.phase, c._addA.pos, c._addC.pos) == (0, "independent", 0, 0)
 
 
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("count", [2.5, -1.5, math.nan, math.inf, -math.inf, -1, "3"])
+def test_step_counts_are_whole_numbers_alike(backend, record, count):
+    # a float count once reached the kernel's int64 slot (ctypes' TypeError),
+    # and the Python loops ran 3 steps for 2.5 and none for NaN or -1.5
+    c = Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9, seed=1, record_streams=record)
+    what = "an integer" if count != -1 else ">= 0"
+    with pytest.raises(ValueError, match=f"^max_steps must be {what}, got "):
+        c.run(count)
+    with pytest.raises(ValueError, match=f"^steps must be {what}, got "):
+        c.run_steps(count)
+    for name in ("max_steps", "post_merge_steps"):
+        with pytest.raises(ValueError, match=f"^{name} must be {what}, got "):
+            coupling.coupling_sweep(3, 0.2, 0.9, [0], **{"max_steps": 10, name: count})
+    assert (c.t, c._addA.pos, c._addC.pos) == (0, 0, 0)
+
+
+def test_whole_float_step_counts_run_as_ints(backend):
+    ints = coupling.coupling_sweep(3, 0.2, 0.9, [0], 100_000, post_merge_steps=1000)
+    floats = coupling.coupling_sweep(3, 0.2, 0.9, [0], 1e5, post_merge_steps=1e3)
+    assert floats == ints and ints[0].post_merge_identical
+    c = Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9, seed=1)
+    c.run(2.0)
+    c.run_steps(3.0)
+    assert (c.t, type(c.t)) == (5, int)
+
+
+# ---------------------------------------------------------------------------
+# merged pair: relax_pair's one scan against the Python reference
+# ---------------------------------------------------------------------------
+
+# (hA, hB, additions, cap) of a pair forced into the merged phase on unequal
+# heights, so that the toppling decisions of the two chains split
+MERGED_SCAN_CASES = {
+    # a lockstep toppling at site 1 leaves site 2 unstable in A alone
+    "split-at-skip": ([0.9, 0.6, 0.1, 0.1], [0.9, 0.2, 0.1, 0.1], [(0, 0.5)] * 3, None),
+    # both topple site 2; A steps back to site 1, B moves on
+    "split-at-step-back-A": ([0.7, 0.9, 0.1, 0.1], [0.2, 0.9, 0.1, 0.1], [(1, 0.5)] * 3, None),
+    # B steps back to site 1, A moves on: B resumes left of A's cursor
+    "split-at-step-back-B": ([0.2, 0.9, 0.1, 0.1], [0.7, 0.9, 0.1, 0.1], [(1, 0.5)] * 3, None),
+    # a merged pair, and one addition that topples one chain alone
+    "equal": ([0.6, 0.9, 0.3, 0.8], [0.6, 0.9, 0.3, 0.8], [(1, 0.5), (3, 0.4)] * 3, None),
+    "one-chain": ([0.6, 0.9, 0.3], [0.6, 0.4, 0.3], [(1, 0.5), (1, 0.2)], None),
+    # the cap trips on A in the lockstep scan, and on A after a split: B
+    # keeps its heights from before the addition
+    "cap-A-lockstep": ([0.9, 0.9, 0.1, 0.1], [0.9, 0.8, 0.1, 0.1], [(0, 0.5)], 1),
+    "cap-A-after-split": ([0.9, 0.9, 0.6, 0.1], [0.9, 0.2, 0.6, 0.1], [(0, 0.5)], 2),
+    # A finishes after the split, then B trips the cap
+    "cap-B-after-split": ([0.9, 0.2, 0.6, 0.1], [0.9, 0.9, 0.6, 0.1], [(0, 0.5)], 2),
+    "cap-B-step-back": ([0.2, 0.9, 0.1, 0.1], [0.7, 0.9, 0.1, 0.1], [(1, 0.5)], 1),
+}
+
+
+def _run_merged(kernel, hA, hB, additions, cap=None):
+    """Force a pair into the merged phase on heights hA and hB, then run it
+    over ``additions`` on ``kernel`` (None: the Python reference); the
+    pair's state, the steps after which hA != hB and the error raised."""
+    c = Coupling(hA, hA, 0.2, 0.9, seed=2, cap=cap or core.DEFAULT_TOPPLE_CAP)
+    assert c.phase == "merged"
+    c.hB[:] = hB
+    _force_additions(c._addC, *zip(*additions))
+    differed = error = None
+    with _kernel_set(kernel):
+        try:
+            differed = c._drive(len(additions), past_merge=True)
+        except ToppleCapError as exc:
+            error = str(exc)
+    return (_bits(c.hA), _bits(c.hB), c.t, c._addC.pos, c.phase_steps), differed, error
+
+
+@pytest.mark.parametrize("case", MERGED_SCAN_CASES)
+def test_merged_scan_matches_python(lib, case):
+    hA, hB, additions, cap = MERGED_SCAN_CASES[case]
+    want = _run_merged(None, hA, hB, additions, cap)
+    assert _run_merged(lib, hA, hB, additions, cap) == want
+    assert (want[2] is not None) == case.startswith("cap")
+    assert want[1] == (None if cap else (hA != hB) * len(additions))
+
+
+@st.composite
+def merged_scans(draw):
+    n = draw(st.integers(2, 8))
+    heights = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)
+    hA = draw(heights)
+    # chain B: A's heights with a few sites changed, so decisions agree for a while
+    hB = [draw(st.floats(0.0, 1.0, exclude_max=True)) if draw(st.booleans()) else h
+          for h in hA]
+    additions = draw(st.lists(st.tuples(st.integers(0, n - 1), st.floats(0.0, 1.0)),
+                              min_size=1, max_size=30))
+    cap = draw(st.sampled_from([None, None, 1, 2, 3, 5, 8]))
+    return hA, hB, additions, cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(merged_scans())
+def test_merged_scan_matches_python_on_random_pairs(spec):
+    lib = core.chain_kernel()
+    assert lib is not None
+    assert _run_merged(lib, *spec) == _run_merged(None, *spec)
+
+
 # ---------------------------------------------------------------------------
 # coupling to the merge: differential test
 # ---------------------------------------------------------------------------
@@ -553,13 +745,37 @@ def test_coupling_kernel_merges_like_python(lib, n, record):
     assert len(pairs[None].streamA) == len(draws) * record
 
 
+class _CountingGenerator:
+    """A generator whose integers and uniform calls are logged in ``calls``."""
+
+    def __init__(self, rng, calls):
+        self._rng = rng
+        self._calls = calls
+        self.bit_generator = rng.bit_generator
+
+    def integers(self, *args, **kwargs):
+        self._calls.append("integers")
+        return self._rng.integers(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        self._calls.append("uniform")
+        return self._rng.uniform(*args, **kwargs)
+
+
 def test_one_kernel_call_per_stream_chunk(lib, monkeypatch):
     # a couple-verify seed: every restart of the merging phase stays inside
-    # zp_couple, so only a stream refill starts another call
+    # zp_couple, so only a stream refill starts another call, and zp_fill
+    # draws every chunk of the three addition streams, without numpy's calls
     calls = []
     refill = coupling.AdditionStream.refill
     monkeypatch.setattr(coupling.AdditionStream, "refill",
                         lambda add: (calls.append("refill"), refill(add))[1])
+    fill = seeding._fill
+    monkeypatch.setattr(seeding, "_fill", lambda *args: (calls.append("fill"), fill(*args))[1])
+    substreams = coupling.substreams
+    monkeypatch.setattr(coupling, "substreams", lambda seed, k: [
+        g if i < 2 else _CountingGenerator(g, calls)    # 0 and 1 draw the starts
+        for i, g in enumerate(substreams(seed, k))])
     step = Coupling.step
     monkeypatch.setattr(Coupling, "step", lambda c: (calls.append("step"), step(c))[1])
 
@@ -575,6 +791,8 @@ def test_one_kernel_call_per_stream_chunk(lib, monkeypatch):
     r = coupling.coupling_sweep(3, 0.2, 0.9, [1], 1_000_000)[0]
     assert r.merged and r.restarts > 100
     assert 1 <= calls.count("zp_couple") <= 1 + calls.count("refill")
+    assert calls.count("fill") == calls.count("refill") > 0
+    assert "integers" not in calls and "uniform" not in calls
     # run_steps from t=0 to the merge, then a 1e5-step post-merge check: one
     # more call past the merge, and no step() in Python
     calls.clear()
@@ -588,6 +806,8 @@ def test_one_kernel_call_per_stream_chunk(lib, monkeypatch):
         r.merge_time, r.restarts, 100_000)
     assert "step" not in calls
     assert 2 <= calls.count("zp_couple") <= 2 + calls.count("refill")
+    assert calls.count("fill") == calls.count("refill") > 0
+    assert "integers" not in calls and "uniform" not in calls
     # a pair that records its streams runs on the Python reference alone
     calls.clear()
     gens = coupling.substreams(1, 5)
@@ -1197,8 +1417,9 @@ def test_kernel_is_clean_under_ubsan(tmp_path):
 
 # builds the kernel with the address and undefined-behaviour sanitizers and
 # runs the sentinel lattice cases on plain n-slot buffers, whose ends ASAN
-# guards, plus chain drives at n=30 and n=1 and a coupling through its merge
-# and 20,000 merged steps
+# guards, plus chain drives at n=30 and n=1, a coupling through its merge
+# and 20,000 merged steps, the merged pair's split and cap cases, and stream
+# chunks drawn by zp_fill
 _ASAN_CHECK = """
 import sys
 from pathlib import Path
@@ -1217,6 +1438,10 @@ tk._drive_compiled(lib, p, 3000, tk.MarginalStats(30, bins=7), None)
 p = tk.ChainProcess(1, 0.3, 0.9, seed=2)     # one site: the row block
 tk._drive_compiled(lib, p, 3000, tk.MarginalStats(1, bins=7), None)
 assert tk._merged_pair().run_steps(20_000, require_equal=True)
+for case in tk.MERGED_SCAN_CASES.values():
+    assert tk._run_merged(lib, *case) == tk._run_merged(None, *case)
+for n, chunk in ((1, 7), (3, 7), (2**31 + 1, 4096)):
+    tk._refills_match_numpy(tk.np.random.default_rng(n), n, 0.2, 0.9, chunk)
 print("ok")
 """
 
