@@ -46,8 +46,7 @@ class ChainProcess:
     """
 
     def __init__(self, n: int, a: float, b: float, heights=None,
-                 seed: int | None = None, rng: np.random.Generator | None = None,
-                 cap: int = DEFAULT_TOPPLE_CAP):
+                 seed=None, cap: int = DEFAULT_TOPPLE_CAP):
         if n < 1:
             raise ValueError("n must be >= 1")
         check_window(a, b)
@@ -57,9 +56,7 @@ class ChainProcess:
         self.cap = cap
         self.heights = [0.0] * n if heights is None else stable_heights(heights, n)
         self.t = 0
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        self._additions = AdditionStream(rng, n, a, b, _CHUNK)
+        self._additions = AdditionStream(np.random.default_rng(seed), n, a, b, _CHUNK)
         # With a >= 1/2 an addition to a full site must topple; checked per step.
         self._check_heavy = a >= 0.5
 

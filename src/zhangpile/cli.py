@@ -115,8 +115,6 @@ def _parse_init(text: str, option: str):
 # ---------------------------------------------------------------------------
 
 def cmd_stabilize(args) -> int:
-    import numpy as np
-
     from .core import parse_policy, stabilize_chain
 
     if args.chain is not None:
@@ -127,8 +125,7 @@ def cmd_stabilize(args) -> int:
     else:
         raise ValueError("provide --chain or --infile")
     policy = parse_policy(args.policy)
-    rng = np.random.default_rng(args.seed)
-    final, log = stabilize_chain(heights, policy, rng=rng)
+    final, log = stabilize_chain(heights, policy, seed=args.seed)
     line = (",".join(_fmt_height(v) for v in final) + " / "
             + ",".join(str(int(c)) for c in log.counts))
     with _out_stream(args.out) as f:

@@ -465,16 +465,15 @@ def _relax_parallel(h: list, cap: int, counts: np.ndarray, rounds: list) -> int:
 
 
 def stabilize_chain(config, policy: str | TopplingPolicy = TopplingPolicy.LEFTMOST,
-                    rng: np.random.Generator | None = None,
-                    cap: int = DEFAULT_TOPPLE_CAP) -> tuple[np.ndarray, TopplingLog]:
+                    seed=None, cap: int = DEFAULT_TOPPLE_CAP) -> tuple[np.ndarray, TopplingLog]:
     """Topple until stable; returns (stable config, log).
 
     ``policy`` picks the order among unstable sites.  The uniform-random
-    policy needs ``rng``.  ``cap`` bounds the total number of topplings.
+    policy needs ``seed``.  ``cap`` bounds the total number of topplings.
     """
     pol = parse_policy(policy)
-    if pol is TopplingPolicy.RANDOM and rng is None:
-        raise ValueError("uniform-random policy requires an rng")
+    if pol is TopplingPolicy.RANDOM and seed is None:
+        raise ValueError("uniform-random policy requires a seed")
     arr = _as_heights(config)
     h = arr.tolist()
     counts = np.zeros(len(h), dtype=np.int64)
@@ -482,7 +481,7 @@ def stabilize_chain(config, policy: str | TopplingPolicy = TopplingPolicy.LEFTMO
     if pol is TopplingPolicy.PARALLEL:
         _relax_parallel(h, cap, counts, log.rounds)
     elif pol is TopplingPolicy.RANDOM:
-        _relax_random(h, rng, cap, counts, log.sequence)
+        _relax_random(h, np.random.default_rng(seed), cap, counts, log.sequence)
     elif pol is TopplingPolicy.LEFTMOST:
         _relax_leftmost(h, 0, cap, counts, log.sequence)
     else:

@@ -48,11 +48,6 @@ from .core import (
 )
 from .seeding import AdditionStream, substreams
 
-PHASE_INDEPENDENT = "independent"
-PHASE_CONTRACTION = "contraction"
-PHASE_MERGING = "merging"
-PHASE_MERGED = "merged"
-
 _CHUNK = 8192
 _EQ_TOL = 1e-9      # float slack on mathematically exact equalities
 
@@ -62,7 +57,7 @@ RESTART_CAUSES = ("contraction-site", "contraction-light", "merging-site",
 
 # the phase numbers and restart causes of CouplingState, and zp_couple's
 # return statuses (_drive.c)
-_PHASES = (PHASE_INDEPENDENT, PHASE_CONTRACTION, PHASE_MERGING, PHASE_MERGED)
+_PHASES = ("independent", "contraction", "merging", "merged")
 _INDEPENDENT, _CONTRACTION, _MERGING, _MERGED = range(4)
 _CON_SITE, _CON_LIGHT, _MER_SITE, _MER_WINDOW, _MER_TOPPLE = range(5)
 (_ZC_DONE, _ZC_REFILL, _ZC_CAP, _ZC_DESYNC, _ZC_NOT_EN, _ZC_BAD_SITE, _ZC_STAGE,
@@ -278,8 +273,7 @@ class Coupling:
     """
 
     def __init__(self, eta_a, eta_b, a: float, b: float, seed: int | None = None,
-                 record_streams: bool = False, cap: int = DEFAULT_TOPPLE_CAP,
-                 _streams=None):
+                 record_streams: bool = False, cap: int = DEFAULT_TOPPLE_CAP):
         eta_a = stable_heights(eta_a)
         n = len(eta_a)
         eta_b = stable_heights(eta_b, n)
@@ -290,13 +284,11 @@ class Coupling:
         self.cap = cap
         self.hA = eta_a
         self.hB = eta_b
-        if _streams is None:
-            # children 0 and 1 are reserved for initial-configuration draws
-            # (see coupling_sweep) so seed layouts match across entry points
-            _streams = substreams(seed, 5)[2:]
-        # chain A's and chain B's own additions, and the shared coupled stream
+        # chain A's and chain B's own additions, and the shared coupled stream;
+        # children 0 and 1 are reserved for initial-configuration draws (see
+        # _sweep_one) so seed layouts match across entry points
         self._addA, self._addB, self._addC = (AdditionStream(g, n, a, b, _CHUNK)
-                                              for g in _streams)
+                                              for g in substreams(seed, 5)[2:])
         self._chunk_args: list = [None] * 3
         consts = coupling_constants(a, b, n)
         # zp_couple's arrays: the eps schedule and the bounds d_k, which the
@@ -536,18 +528,17 @@ class Coupling:
         """
         self._drive(check_count(max_steps, "max_steps"), past_merge=False)
 
-    def run_steps(self, steps: int, require_equal: bool = False) -> bool:
+    def run_steps(self, steps: int) -> bool:
         """Advance ``steps`` steps, a whole number >= 0, in whatever phases
         they fall.
 
-        Returns False if ``require_equal`` is set and the chains differed
-        after some step, else True; on a merged pair that is the check that
-        the merge holds.  Every phase runs on the compiled kernel if it loads
-        and the streams are not recorded, in one ``zp_couple`` call per stream
-        chunk and one more past the merge; otherwise on the Python reference.
+        Returns whether the chains were equal after every step; on a merged
+        pair that is the check that the merge holds.  Every phase runs on the
+        compiled kernel if it loads and the streams are not recorded, in one
+        ``zp_couple`` call per stream chunk and one more past the merge;
+        otherwise on the Python reference.
         """
-        differed = self._drive(self.t + check_count(steps, "steps"), past_merge=True)
-        return not (require_equal and differed)
+        return not self._drive(self.t + check_count(steps, "steps"), past_merge=True)
 
     def _drive(self, stop: int, past_merge: bool) -> int:
         # run's and run_steps's loop, on the backend picked once: until the
@@ -720,14 +711,13 @@ def _init_config(mode, n: int, gen: np.random.Generator) -> list:
 
 def _sweep_one(args) -> CouplingResult:
     n, a, b, seed, max_steps, init_a, init_b, post_merge_steps = args
-    gens = substreams(seed, 5)
-    eta_a = _init_config(init_a, n, gens[0])
-    eta_b = _init_config(init_b, n, gens[1])
-    c = Coupling(eta_a, eta_b, a, b, _streams=gens[2:])
+    # children 0 and 1 of the seed draw the starts; Coupling spawns 2-4 itself
+    gen_a, gen_b = substreams(seed, 2)
+    c = Coupling(_init_config(init_a, n, gen_a), _init_config(init_b, n, gen_b), a, b, seed)
     c.run(max_steps)
     post_ok = None
-    if post_merge_steps and c.phase == PHASE_MERGED:
-        post_ok = c.run_steps(post_merge_steps, require_equal=True)
+    if post_merge_steps and c.phase == "merged":
+        post_ok = c.run_steps(post_merge_steps)
     return c.result(seed, post_merge_identical=post_ok)
 
 
@@ -774,21 +764,19 @@ class ContractionReport:
     gap_bound: int
 
 
-def verify_contraction(n: int, k_max: int, rng: np.random.Generator,
-                       a: float = 0.0, b: float = 1.0,
-                       tol: float = 1e-9) -> ContractionReport:
+def verify_contraction(n: int, k_max: int, seed, a: float = 0.0,
+                       b: float = 1.0) -> ContractionReport:
     """Run the forced contraction dynamics against the linear shadow.
 
     Two random boundary-empty-all-full chains receive identical heavy
     additions aimed at the empty boundary.  At every avalanche the tracked
     coefficient matrix must obey the geometric bound and reproduce the
-    simulated heights to ``tol``; the height gap must obey the matching
-    (n/2) * base^k bound.  Violations raise, since they falsify either the
-    implementation or the bookkeeping.
+    simulated heights to ``_EQ_TOL``; the height gap must obey the matching
+    (n/2) * base^k bound.  Violations, NaN included, raise, since they
+    falsify either the implementation or the bookkeeping.
     """
-    if n < 2:
-        raise ValueError("verify_contraction needs n >= 2")
     _validate_abn(a, b, n)
+    rng = np.random.default_rng(seed)
     base = contraction_base(n)
     half = 0.5 * (a + b)
     eta_a0 = rng.uniform(0.5, 1.0, n)
@@ -828,20 +816,21 @@ def verify_contraction(n: int, k_max: int, rng: np.random.Generator,
         for h, eta0 in ((hA, eta_a0), (hB, eta_b0)):
             resid = float(np.abs(np.array(h) - tracker.predict(eta0, s_values)).max())
             max_resid = max(max_resid, resid)
-            if resid > tol:
+            if not resid <= _EQ_TOL:
                 raise InvariantViolation(
-                    f"linear shadow residual {resid:.3e} > {tol} at avalanche {k}")
+                    f"linear shadow residual {resid:.3e} > {_EQ_TOL} at avalanche {k}")
         bound = base ** k
-        max_bs.append(tracker.max_b)
+        max_b = tracker.max_b
+        max_bs.append(max_b)
         b_bnds.append(bound)
-        if tracker.max_b > bound + 1e-12:
+        if not max_b <= bound + 1e-12:
             raise InvariantViolation(
-                f"B entry {tracker.max_b:.6f} exceeds bound {bound:.6f} at avalanche {k}")
-        diff = max(abs(x - y) for x, y in zip(hA, hB))
+                f"B entry {max_b:.6f} exceeds bound {bound:.6f} at avalanche {k}")
+        diff = float(np.abs(np.subtract(hA, hB)).max())     # NaN if a difference is
         dbound = 0.5 * n * bound
         max_diffs.append(diff)
         diff_bnds.append(dbound)
-        if diff > dbound + tol:
+        if not diff <= dbound + _EQ_TOL:
             raise InvariantViolation(
                 f"height gap {diff:.6f} exceeds bound {dbound:.6f} at avalanche {k}")
         side = "1" if side == "N" else "N"

@@ -273,15 +273,14 @@ class MarkovToppling:
     rows and doubles when full, up to ``_MAX_ROWS``.
     """
 
-    def __init__(self, config: LatticeConfig, seed: int | None = None,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, config: LatticeConfig, seed=None):
         self.boundary = config.boundary
         self.shape = config.sides
         self.d = config.dim
         self.n = config.n_sites
         self.h = config.heights.astype(np.float64).ravel()
         self.ledger = MassLedger(self.shape)
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed)
         first = np.flatnonzero(self.h >= 1.0)
         k = first.size
         self._unstable = np.zeros(self.n, dtype=np.int64)
@@ -508,13 +507,12 @@ class MarkovToppling:
             snapshots=self.snapshots.copy())
 
 
-def markov_run(config: LatticeConfig, t_max: float, seed: int | None = None,
-               rng: np.random.Generator | None = None,
+def markov_run(config: LatticeConfig, t_max: float, seed=None,
                snapshot_every: float | None = 1.0,
                max_events: int | None = None
                ) -> tuple[StabilizabilityVerdict, LatticeConfig, MassLedger]:
     """One-shot Markov toppling run; returns (verdict, final config, ledger)."""
-    eng = MarkovToppling(config, seed=seed, rng=rng)
+    eng = MarkovToppling(config, seed)
     eng.run(t_max=t_max, max_events=max_events, snapshot_every=snapshot_every)
     return eng.verdict(), eng.config(), eng.ledger
 
@@ -702,9 +700,9 @@ class DensitySpec:
         if not (math.isfinite(self.rho) and self.rho >= 0):
             raise ValueError(f"rho must be finite and nonnegative, got {self.rho!r}")
 
-    def describe(self, d: int | None = None) -> dict:
+    def describe(self, d: int) -> dict:
         out = {"kind": self.kind, "rho": self.rho}
-        if self.kind == "near-full" and d is not None:
+        if self.kind == "near-full":
             out.update(near_full_bands(self.rho, d))
         return out
 
@@ -728,12 +726,10 @@ def _check_density(spec: DensitySpec, sides, boundary: str) -> tuple[tuple, str]
 
 
 def generate(spec: DensitySpec, sides, boundary: str = TORUS,
-             rng: np.random.Generator | None = None,
-             seed: int | None = None) -> LatticeConfig:
+             seed=None) -> LatticeConfig:
     """Draw an initial configuration of the requested density."""
     sides, boundary = _check_density(spec, sides, boundary)
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     rho = spec.rho
     if spec.kind == "constant":
         h = np.full(sides, rho)
@@ -773,11 +769,11 @@ def _replica_worker(args) -> dict:
         max_events = args
     # identical to np.random.SeedSequence(seed).spawn(points)[g].spawn(replicas)[i]
     child = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
-    rng = np.random.default_rng(child)
+    rng = np.random.default_rng(child)     # one stream: the start, then the run
     spec = DensitySpec(kind, rho)
-    config = generate(spec, sides, boundary, rng=rng)
+    config = generate(spec, sides, boundary, rng)
     total0 = config.total_mass()
-    verdict, final, ledger = markov_run(config, t_max=t_max, rng=rng,
+    verdict, final, ledger = markov_run(config, t_max=t_max, seed=rng,
                                         snapshot_every=snapshot_every,
                                         max_events=max_events)
     residual = mass_identity_check(config, final, ledger)

@@ -90,7 +90,8 @@ def write_jsonl(fobj, spec: dict, version: str, records) -> None:
 class RunRecord:
     """One run's outputs bundled with its provenance.
 
-    CSV payloads are row lists matched to ``columns``; JSONL payloads are dicts.
+    CSV is written from ``rows``, lists matched to ``columns``; JSONL from
+    ``records``, dicts, or from ``rows`` where there are none.
     """
 
     spec: dict
@@ -107,7 +108,4 @@ class RunRecord:
                 recs = [dict(zip(self.columns, row)) for row in self.rows]
             write_jsonl(fobj, self.spec, self.version, recs)
         else:
-            rows = self.rows
-            if rows is None:
-                rows = [[rec.get(c) for c in self.columns] for rec in self.records]
-            write_csv(fobj, self.spec, self.version, self.columns, rows)
+            write_csv(fobj, self.spec, self.version, self.columns, self.rows)

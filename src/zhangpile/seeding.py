@@ -1,11 +1,18 @@
 """Seedable, splittable random streams.
 
 Everything stochastic in this package derives from numpy's PCG64 via
-``SeedSequence``.  Substream layout, so that runs are reproducible from a
-single integer seed:
+``SeedSequence``.  Each engine takes one ``seed`` argument.
+``ChainProcess``, ``stabilize_chain``, ``verify_contraction``, ``generate``,
+``MarkovToppling`` and ``markov_run`` pass it once to
+``np.random.default_rng``, so it may be an int, a ``SeedSequence`` or a
+``Generator``; a ``Generator`` is used as it is, so that two calls given the
+same one draw from one stream.  ``Coupling``, ``coupling_sweep`` and
+``stabilizability_sweep`` take an int seed and spawn substreams from it, so
+that runs are reproducible from a single integer:
 
 - lattice studies: replica ``i`` of grid point ``g`` uses the spawn key
   ``(g, i)``, i.e. ``SeedSequence(seed).spawn(points)[g].spawn(replicas)[i]``;
+  its start and its run draw from that one generator, in that order;
 - a coupling run spawns five children of its seed, in order:
   init-A, init-B, chain-A additions, chain-B additions, shared coupled stream.
 

@@ -100,7 +100,7 @@ def test_criterion_03_single_addition_abelian():
         h[int(rng.integers(n))] += rng.uniform(0, 1)
         fl, ll = stabilize_chain(h, "left")
         fr, lr = stabilize_chain(h, "right")
-        fu, lu = stabilize_chain(h, "random", rng=rng)
+        fu, lu = stabilize_chain(h, "random", seed=rng)
         worst = max(worst, float(np.abs(fl - fr).max()), float(np.abs(fl - fu).max()))
         assert ll.counts.tolist() == lr.counts.tolist() == lu.counts.tolist()
     _verdict(3, worst <= 1e-12, "1000 single-addition trials are policy-independent",

@@ -296,8 +296,8 @@ def test_infinite_save_final(tmp_path):
     values = np.array([float(v) for v in lines[1:]])
     # replica 0 of the one grid point: spawn key (0, 0)
     rng = np.random.default_rng(np.random.SeedSequence(8).spawn(1)[0].spawn(3)[0])
-    config = lattice.generate(lattice.DensitySpec("iid", 0.6), (24,), "box", rng=rng)
-    verdict, final, ledger = lattice.markov_run(config, t_max=50, rng=rng)
+    config = lattice.generate(lattice.DensitySpec("iid", 0.6), (24,), "box", rng)
+    verdict, final, ledger = lattice.markov_run(config, t_max=50, seed=rng)
     assert verdict.events > 0                            # it did topple
     assert header["t"] == verdict.t_end
     assert np.array_equal(values, final.heights)

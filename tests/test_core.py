@@ -199,7 +199,7 @@ def test_single_addition_is_abelian_seeded():
         h[x] += rng.uniform(0, 1)
         fl, ll = stabilize_chain(h, "left")
         fr, lr = stabilize_chain(h, "right")
-        fu, lu = stabilize_chain(h, "random", rng=rng)
+        fu, lu = stabilize_chain(h, "random", seed=rng)
         assert np.allclose(fl, fr, atol=1e-12)
         assert np.allclose(fl, fu, atol=1e-12)
         assert ll.counts.tolist() == lr.counts.tolist() == lu.counts.tolist()
@@ -272,7 +272,7 @@ def test_single_addition_is_abelian(spec):
     # one addition to a stable chain: every sequential order topples each site
     # equally often and ends within criterion 03's 1e-12 of the others
     h, seed = spec
-    runs = [stabilize_chain(h, policy, rng=np.random.default_rng(seed))
+    runs = [stabilize_chain(h, policy, seed=seed)
             for policy in ("leftmost", "rightmost", "random")]
     for final, log in runs[1:]:
         assert log.counts.tolist() == runs[0][1].counts.tolist()

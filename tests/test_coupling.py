@@ -350,6 +350,24 @@ def test_verify_contraction_validation():
         verify_contraction(1, 5, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("mutant, message", [
+    # a NaN shadow or a NaN B entry used to pass, with max_residual = 0.0
+    ({"predict": lambda self, eta0, s: np.full(self.n, math.nan)}, "linear shadow residual"),
+    ({"max_b": property(lambda self: math.nan)}, "B entry"),
+    ({"max_b": property(lambda self: 1.0)}, "B entry"),
+    # B entries within bound, but a gap bound of zero: the height gap trips
+    ({"max_b": property(lambda self: 0.0), "base": 0.0}, "height gap"),
+])
+def test_verify_contraction_gates_fail_on_a_mutant(monkeypatch, mutant, message):
+    for name, value in mutant.items():
+        if name == "base":
+            monkeypatch.setattr("zhangpile.coupling.contraction_base", lambda n: value)
+        else:
+            monkeypatch.setattr(CoefficientTracker, name, value)
+    with pytest.raises(InvariantViolation, match=message):
+        verify_contraction(4, 6, 0)
+
+
 def test_verify_contraction_nondefault_interval():
     rep = verify_contraction(5, 14, np.random.default_rng(15), a=0.5, b=1.0)
     assert rep.gap_bound == math.ceil(2 / 1.5)
@@ -480,7 +498,7 @@ def test_fast_and_recording_paths_agree():
     pairs = [Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9, record_streams=record, **kw)
              for record in (True, False)]
     for c in pairs:
-        assert c.run_steps(c1.merge_time + 3000, require_equal=True) is False
+        assert c.run_steps(c1.merge_time + 3000) is False
         assert c.phase_steps["merged"] == 3000
     assert _full_state(pairs[0]) == _full_state(pairs[1])
     assert len(pairs[0].streamA) == len(pairs[0].streamB) == pairs[0].t
@@ -539,7 +557,7 @@ def test_mirror_frame_entry_and_true_equality():
     assert c.phase == "merged"
     # merged means equal configurations, not mirror images
     assert c.hA == c.hB
-    c.run_steps(2_000, require_equal=True)
+    assert c.run_steps(2_000)
 
 
 def test_mirror_frame_direct_merge_entry():

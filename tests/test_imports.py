@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import os
 import re
@@ -153,3 +154,32 @@ def test_pyproject_version_is_the_package_version():
     project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
     version = re.search(r'^version\s*=\s*"([^"]*)"', project, re.M).group(1)
     assert version == zhangpile.__version__
+
+
+def test_every_engine_takes_one_seed():
+    # one seeding convention: a seed goes once to np.random.default_rng, so
+    # an int and the Generator that it makes give the same bits
+    from zhangpile import (ChainProcess, Coupling, DensitySpec, MarkovToppling,
+                           generate, markov_run, run_stationary, stabilize_chain,
+                           verify_contraction)
+
+    def runs(seed):
+        # seed() is a new seed for each engine
+        proc = ChainProcess(6, 0.2, 0.9, seed=seed())
+        stats = run_stationary(proc, 50, 300, bins=8)
+        cfg = generate(DensitySpec("iid", 0.6), (10, 10), "box", seed=seed())
+        verdict, final, _ = markov_run(cfg, t_max=5.0, seed=seed())
+        fu, log = stabilize_chain([0.9, 1.7, 0.3, 1.1, 0.95, 1.3], "random", seed=seed())
+        rep = verify_contraction(4, 10, seed())
+        return (proc.heights, stats.hist.tolist(), cfg.heights.tobytes(),
+                final.heights.tobytes(), verdict.events, fu.tobytes(), log.sequence,
+                rep.max_diff_per_avalanche)
+
+    for s in (0, 7):
+        assert runs(lambda: s) == runs(lambda: np.random.default_rng(s))
+    removed = [(ChainProcess, "rng"), (MarkovToppling, "rng"), (markov_run, "rng"),
+               (generate, "rng"), (stabilize_chain, "rng"), (verify_contraction, "rng"),
+               (verify_contraction, "tol"), (Coupling, "_streams"),
+               (Coupling.run_steps, "require_equal")]
+    for fn, name in removed:
+        assert name not in inspect.signature(fn).parameters, (fn, name)

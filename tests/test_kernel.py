@@ -402,7 +402,7 @@ def test_merged_kernel_matches_python_steps(lib, monkeypatch):
     for kernel in (lib, None):
         monkeypatch.setattr(core, "_kernel", [kernel])
         c = _merged_pair()
-        assert c.run_steps(20_000, require_equal=True)
+        assert c.run_steps(20_000)
         runs.append(_coupling_state(c))
     assert runs[0] == runs[1]
 
@@ -410,8 +410,7 @@ def test_merged_kernel_matches_python_steps(lib, monkeypatch):
 def test_perturbed_merged_pair_fails_the_check(backend):
     c = _merged_pair()
     c.hB[1] = np.nextafter(c.hB[1], 0.0)
-    assert c.run_steps(1000, require_equal=True) is False
-    assert c.run_steps(1000) is True            # the check is off
+    assert c.run_steps(1000) is False
 
 
 def _split_merged_pair(sites, amts):
@@ -427,7 +426,7 @@ def test_merged_pair_counts_every_unequal_step(backend):
     sites, amts = [0, 0, 1], [0.2, 0.2, 0.2]
     c = _split_merged_pair(sites, amts)
     for _ in sites:
-        assert c.run_steps(1, require_equal=True) is False
+        assert c.run_steps(1) is False
     ref = [0.5, 0.5, 0.5]
     for x, u in zip(sites, amts):
         ref[x] += u
@@ -448,7 +447,7 @@ def test_run_steps_through_the_merge_alike(lib):
     for kernel in (None, lib):
         c = Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9, seed=1)
         with _kernel_set(kernel):
-            assert c.run_steps(40_000, require_equal=True) is False
+            assert c.run_steps(40_000) is False
         assert (c.phase, c.merge_time, c.phase_steps["merged"]) == ("merged", 30709, 9291)
         after[kernel] = _coupling_state(c)
     assert after[lib] == after[None]
@@ -457,7 +456,7 @@ def test_run_steps_through_the_merge_alike(lib):
 def test_topple_cap_raises_in_merged_pair(backend):
     c = Coupling([0.95, 0.95], [0.95, 0.95], 0.5, 1.0, seed=2, cap=1)
     with pytest.raises(ToppleCapError, match="exceeded 1 topplings"):
-        c.run_steps(5, require_equal=True)
+        c.run_steps(5)
     assert c.t == 0 and c._addC.pos == 1
 
 
@@ -483,7 +482,7 @@ def test_limits_past_int64_are_clamped(backend):
 def test_run_steps_rejects_a_negative_count(backend):
     c = Coupling([0.1, 0.2, 0.3], [0.8, 0.6, 0.4], 0.2, 0.9, seed=1)
     with pytest.raises(ValueError, match="^steps must be >= 0, got -5$"):
-        c.run_steps(-5, require_equal=True)
+        c.run_steps(-5)
     assert (c.t, c.phase, c._addA.pos, c._addC.pos) == (0, "independent", 0, 0)
 
 
@@ -616,12 +615,11 @@ def couplings(draw):
     plan = draw(st.lists(st.one_of(st.tuples(st.just("run"), st.integers(0, 20_000)),
                                    st.tuples(st.just("merging"), st.integers(1, 40)),
                                    st.tuples(st.just("step"), st.integers(1, 300)),
-                                   st.tuples(st.just("run_steps"), st.integers(0, 3000),
-                                             st.booleans())),
+                                   st.tuples(st.just("run_steps"), st.integers(0, 3000))),
                          max_size=4))
     plan.append(("run", 8193 + draw(st.integers(0, 12_000))))
     # run_steps from wherever that left the pair: mostly past the merge
-    plan.append(("run_steps", draw(st.integers(0, 10_000)), draw(st.booleans())))
+    plan.append(("run_steps", draw(st.integers(0, 10_000))))
     # short stream chunks make every kernel call end at many chunk ends
     chunk = draw(st.sampled_from([8192, 64, 5]))
     return n, a, b, eta_a, eta_b, draw(st.integers(0, 2**32 - 1)), plan, chunk
@@ -669,7 +667,7 @@ def test_coupling_kernel_matches_python_reference(spec):
     assert lib is not None
     with mock.patch.object(coupling, "_CHUNK", chunk):
         pairs = {kernel: Coupling(eta_a, eta_b, a, b, seed=seed) for kernel in (None, lib)}
-        for how, count, *require_equal in plan:
+        for how, count in plan:
             if how == "merging":
                 # run() stops inside a merging attempt (if one begins soon)
                 how, count = "run", _merging_clock(pairs[None], count) - pairs[None].t
@@ -679,7 +677,7 @@ def test_coupling_kernel_matches_python_reference(spec):
                     if how == "run":
                         c.run(c.t + count)
                     elif how == "run_steps":
-                        returned[kernel] = c.run_steps(count, *require_equal)
+                        returned[kernel] = c.run_steps(count)
                     else:
                         for _ in range(count):
                             c.step()
@@ -796,12 +794,11 @@ def test_one_kernel_call_per_stream_chunk(lib, monkeypatch):
     # run_steps from t=0 to the merge, then a 1e5-step post-merge check: one
     # more call past the merge, and no step() in Python
     calls.clear()
-    gens = coupling.substreams(1, 5)
-    c = Coupling(*(coupling._init_config("random", 3, g) for g in gens[:2]), 0.2, 0.9,
-                 _streams=gens[2:])
-    assert c.run_steps(r.merge_time, require_equal=True) is False   # unequal until merged
+    c = Coupling(*(coupling._init_config("random", 3, g) for g in coupling.substreams(1, 2)),
+                 0.2, 0.9, 1)
+    assert c.run_steps(r.merge_time) is False   # unequal until merged
     assert c.phase == "merged"
-    assert c.run_steps(100_000, require_equal=True) is True
+    assert c.run_steps(100_000) is True
     assert (c.merge_time, c.restarts, c.phase_steps["merged"]) == (
         r.merge_time, r.restarts, 100_000)
     assert "step" not in calls
@@ -810,11 +807,10 @@ def test_one_kernel_call_per_stream_chunk(lib, monkeypatch):
     assert "integers" not in calls and "uniform" not in calls
     # a pair that records its streams runs on the Python reference alone
     calls.clear()
-    gens = coupling.substreams(1, 5)
-    c = Coupling(*(coupling._init_config("random", 3, g) for g in gens[:2]), 0.2, 0.9,
-                 record_streams=True, _streams=gens[2:])
+    c = Coupling(*(coupling._init_config("random", 3, g) for g in coupling.substreams(1, 2)),
+                 0.2, 0.9, 1, record_streams=True)
     c.run(r.merge_time)
-    assert c.run_steps(1000, require_equal=True) is True
+    assert c.run_steps(1000) is True
     assert (c.merge_time, c.restarts, len(c.streamA)) == (r.merge_time, r.restarts,
                                                           r.merge_time + 1000)
     assert "zp_couple" not in calls and "step" in calls
@@ -1437,7 +1433,7 @@ p = tk.ChainProcess(30, 0.6, 0.8, seed=1)
 tk._drive_compiled(lib, p, 3000, tk.MarginalStats(30, bins=7), None)
 p = tk.ChainProcess(1, 0.3, 0.9, seed=2)     # one site: the row block
 tk._drive_compiled(lib, p, 3000, tk.MarginalStats(1, bins=7), None)
-assert tk._merged_pair().run_steps(20_000, require_equal=True)
+assert tk._merged_pair().run_steps(20_000)
 for case in tk.MERGED_SCAN_CASES.values():
     assert tk._run_merged(lib, *case) == tk._run_merged(None, *case)
 for n, chunk in ((1, 7), (3, 7), (2**31 + 1, 4096)):

@@ -551,7 +551,7 @@ def test_rejection_free_clock_matches_ring_loop():
         new = []
         with _kernel_set(kernel):
             for i, cfg in enumerate(configs):
-                eng = MarkovToppling(cfg, rng=np.random.default_rng([2 + b, i]))
+                eng = MarkovToppling(cfg, seed=np.random.default_rng([2 + b, i]))
                 eng.run(t_max=t_max)
                 new.append((eng.t_stab, eng.events))
         t_new = [t for t, _ in new if t is not None]
@@ -1078,3 +1078,18 @@ def test_experiment_active_case():
     assert s.fraction_stabilized == 0.0
     assert all(r["min_m_slope"] is not None and r["min_m_slope"] > 0 for r in s.rows)
     assert all(r["outcome"] == "active-at-cutoff" for r in s.rows)
+
+
+def test_a_replica_is_generate_then_markov_run_on_one_generator():
+    # replica i of grid point g: its start and its run draw, in that order,
+    # from the one generator of the spawn key (g, i), passed as the seed
+    specs = [DensitySpec("iid", 0.3), DensitySpec("near-full", 0.8)]
+    swept = stabilizability_sweep(specs, (12, 12), BOX, t_max=20.0, replicas=2, seed=83)
+    row = swept[1].rows[1]
+    g = np.random.default_rng(np.random.SeedSequence(83).spawn(2)[1].spawn(2)[1])
+    config = generate(specs[1], (12, 12), BOX, g)
+    verdict, final, ledger = markov_run(config, t_max=20.0, seed=g)
+    assert verdict.events == row["events"] > 0
+    assert (verdict.t_end, verdict.min_m, verdict.dissipated) == (
+        row["t_end"], row["min_m"], row["dissipated"])
+    assert final.heights.ravel().tobytes() == row["heights"].tobytes()
